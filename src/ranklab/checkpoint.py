@@ -3,12 +3,17 @@
 Layout: magic "RLCK", 4-byte kind tag, u32 version, u32 JSON-meta length,
 meta bytes, then each array as (u16 name length, name, 16-byte dtype tag,
 u32 ndim, u64 dims..., raw little-endian C-order data). Serialization is
-byte-deterministic for identical inputs.
+byte-deterministic for identical inputs. Files are written to a temporary
+name and renamed into place, so a reader never sees a half-written file; a
+file cut short by other means is rejected with ConfigError, as is one that
+lacks an array its reader requires.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -35,36 +40,55 @@ def save_arrays(path, kind: str, arrays: dict[str, np.ndarray], meta: dict) -> N
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         chunks.append(arr.astype(dtype).tobytes(order="C"))
-    Path(path).write_bytes(b"".join(chunks))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(b"".join(chunks))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def load_arrays(path, kind: str) -> tuple[dict[str, np.ndarray], dict]:
+def load_arrays(path, kind: str, required=()) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint written by save_arrays; `required` names arrays it must hold."""
     data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
+    offset = 0
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if n > len(data) - offset:
+            raise ConfigError(f"{path}: truncated checkpoint ({len(data)} bytes)")
+        offset += n
+        return data[offset - n : offset]
+
+    if take(4) != MAGIC:
         raise ConfigError(f"{path}: not a ranklab checkpoint file")
-    if data[4:8] != kind.encode("ascii"):
-        raise ConfigError(f"{path}: expected kind {kind!r}, found {data[4:8].decode('ascii', 'replace')!r}")
-    version, meta_len = struct.unpack_from("<II", data, 8)
+    found = take(4)
+    if found != kind.encode("ascii"):
+        raise ConfigError(f"{path}: expected kind {kind!r}, found {found.decode('ascii', 'replace')!r}")
+    version, meta_len = struct.unpack("<II", take(8))
     if version != VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    offset = 16
-    meta = json.loads(data[offset : offset + meta_len].decode("utf-8"))
-    offset += meta_len
+    meta_bytes = take(meta_len)
+    try:
+        meta = json.loads(meta_bytes.decode("utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: corrupt checkpoint metadata") from exc
     arrays: dict[str, np.ndarray] = {}
     while offset < len(data):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        dtype = np.dtype(data[offset : offset + 16].rstrip(b"\0").decode("ascii"))
-        offset += 16
-        (ndim,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}Q", data, offset)
-        offset += 8 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arrays[name] = np.frombuffer(
-            data, dtype=dtype, count=count, offset=offset
-        ).reshape(shape).copy()
-        offset += count * dtype.itemsize
+        (name_len,) = struct.unpack("<H", take(2))
+        name_bytes = take(name_len)
+        dtype_tag = take(16)
+        try:
+            name = name_bytes.decode("utf-8")
+            dtype = np.dtype(dtype_tag.rstrip(b"\0").decode("ascii"))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: corrupt checkpoint array header") from exc
+        (ndim,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(take(count * dtype.itemsize), dtype=dtype).reshape(shape).copy()
+    missing = [name for name in required if name not in arrays]
+    if missing:
+        raise ConfigError(f"{path}: checkpoint lacks array(s) {', '.join(missing)}")
     return arrays, meta

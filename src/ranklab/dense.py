@@ -51,7 +51,7 @@ class DenseEncoder:
 
     @classmethod
     def load(cls, path) -> "DenseEncoder":
-        arrays, _ = load_arrays(path, "DENC")
+        arrays, _ = load_arrays(path, "DENC", required=("table",))
         return cls(arrays["table"])
 
 
@@ -176,7 +176,7 @@ class DenseIndex:
 
     @classmethod
     def load(cls, path) -> "DenseIndex":
-        arrays, meta = load_arrays(path, "DIDX")
+        arrays, meta = load_arrays(path, "DIDX", required=("vectors",))
         return cls(arrays["vectors"], meta["doc_ids"])
 
 

@@ -54,7 +54,7 @@ class Ranker:
 
     @classmethod
     def load(cls, path) -> "Ranker":
-        arrays, _ = load_arrays(path, "RNKR")
+        arrays, _ = load_arrays(path, "RNKR", required=("weights",))
         return cls(arrays["weights"])
 
 

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ranklab.dense import DenseEncoder, encode
-from ranklab.errors import ToolkitWarning
+from ranklab.errors import NumericError, ToolkitWarning
 from ranklab.mlm import (
+    TARGET_CHUNK,
+    MaskedBatch,
+    MaskedSequence,
     MlmModel,
     make_masked_batch,
     mask_tokens,
@@ -15,6 +19,45 @@ from ranklab.mlm import (
 )
 
 MASK = 0
+
+
+def _reference_loss_and_grads(model, batch):
+    """One softmax per masked target: the loop the batched step must match."""
+    targets = [(s, orig) for s, seq in enumerate(batch.sequences) for _, orig in seq.targets]
+    contexts = []
+    for seq in batch.sequences:
+        masked_positions = {p for p, _ in seq.targets}
+        context_ids = [i for p, i in enumerate(seq.ids) if p not in masked_positions]
+        if context_ids:
+            contexts.append((context_ids, model.embeddings[context_ids].mean(axis=0)))
+        else:
+            contexts.append(([], np.zeros(model.dim)))
+    grad_emb = np.zeros_like(model.embeddings)
+    grad_out = np.zeros_like(model.output_weights)
+    total = 0.0
+    scale = 1.0 / len(targets)
+    for seq_idx, original in targets:
+        context_ids, c = contexts[seq_idx]
+        logits = model.output_weights @ c
+        shift = logits.max()
+        exp = np.exp(logits - shift)
+        total += float(np.log(exp.sum()) + shift - logits[original])
+        dlogits = exp / exp.sum()
+        dlogits[original] -= 1.0
+        grad_out += scale * np.outer(dlogits, c)
+        if context_ids:
+            dc = scale * (model.output_weights.T @ dlogits) / len(context_ids)
+            for i in context_ids:
+                grad_emb[i] += dc
+    return total * scale, grad_emb, grad_out
+
+
+def _perturbed_model(vocab_size, dim, seed=1):
+    """A model off the zero-output-weight start, so both tables get gradients."""
+    model = MlmModel.init(vocab_size, dim, seed=seed)
+    model.output_weights += np.random.default_rng(seed).normal(
+        0, 0.3, size=model.output_weights.shape)
+    return model
 
 
 class TestMaskTokens:
@@ -138,6 +181,78 @@ class TestMlmTraining:
             results.append((model.embeddings.copy(), model.output_weights.copy()))
         np.testing.assert_array_equal(results[0][0], results[1][0])
         np.testing.assert_array_equal(results[0][1], results[1][1])
+
+
+class TestBatchedStep:
+    @staticmethod
+    def repeated_ids_batch():
+        return MaskedBatch((
+            MaskedSequence((4, MASK, 4, 9, 4, MASK, 9), ((1, 9), (5, 4))),
+            MaskedSequence((7, 7, MASK, 7), ((2, 3),)),
+        ))
+
+    @staticmethod
+    def empty_context_batch():
+        return MaskedBatch((
+            MaskedSequence((MASK,), ((0, 5),)),
+            MaskedSequence((2, 3, MASK, 11), ((2, 8),)),
+        ))
+
+    @staticmethod
+    def multi_chunk_batch():
+        rng = np.random.default_rng(4)
+        seqs = [rng.integers(1, 40, size=int(rng.integers(1, 30))).tolist() for _ in range(60)]
+        batch = make_masked_batch(seqs, MASK, 0.15, rng=5)
+        assert sum(len(s.targets) for s in batch.sequences) > 2 * TARGET_CHUNK
+        return batch
+
+    @pytest.mark.parametrize("make_batch", ["repeated_ids_batch", "empty_context_batch",
+                                            "multi_chunk_batch"])
+    def test_matches_per_target_reference(self, make_batch):
+        batch = getattr(self, make_batch)()
+        model = _perturbed_model(40, 8)
+        ref_loss, ref_emb, ref_out = _reference_loss_and_grads(model, batch)
+
+        assert masked_prediction_loss(model, batch) == pytest.approx(ref_loss, rel=1e-12)
+        stepped, loss = mlm_train_step(model.copy(), batch, 1.0)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_allclose(model.embeddings - stepped.embeddings, ref_emb,
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(model.output_weights - stepped.output_weights, ref_out,
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_empty_batch_rejected(self):
+        model = MlmModel.init(10, 4)
+        with pytest.raises(ValueError):
+            masked_prediction_loss(model, MaskedBatch(()))
+        with pytest.raises(ValueError):
+            mlm_train_step(model, MaskedBatch(()), 0.5)
+
+    def test_peak_memory_bounded_by_chunk(self):
+        vocab_size, dim = 1400, 64
+        rng = np.random.default_rng(2)
+        seqs = [rng.integers(1, vocab_size, size=27).tolist() for _ in range(2000)]
+        batch = make_masked_batch(seqs, MASK, 0.15, rng=3)
+        assert sum(len(s.targets) for s in batch.sequences) == 8000
+        model = _perturbed_model(vocab_size, dim)
+        tracemalloc.start()
+        try:
+            mlm_train_step(model, batch, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a targets x vocab logits array alone would take 85 MiB here
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_output_weights_raise(self, bad):
+        model = _perturbed_model(30, 8)
+        model.output_weights[3, 2] = bad
+        batch = TestMlmTraining().fixture_batch()
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericError):
+            masked_prediction_loss(model, batch)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericError):
+            mlm_train_step(model, batch, 0.5)
 
 
 class TestWarmStart:
