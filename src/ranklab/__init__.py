@@ -50,7 +50,6 @@ from .weaksup import (
     SelectionContext,
     SelectorPolicy,
     WeakTriple,
-    instance_features,
     reinfoselect_step,
     synthesize_triples,
     synthesize_with_provenance,

@@ -3,10 +3,11 @@
 Layout: magic "RLCK", 4-byte kind tag, u32 version, u32 JSON-meta length,
 meta bytes, then each array as (u16 name length, name, 16-byte dtype tag,
 u32 ndim, u64 dims..., raw little-endian C-order data). Serialization is
-byte-deterministic for identical inputs. Files are written to a temporary
-name and renamed into place, so a reader never sees a half-written file; a
-file cut short by other means is rejected with ConfigError, as is one that
-lacks an array its reader requires.
+byte-deterministic for identical inputs. Every artifact, binary or text, is
+written by write_atomic: to a temporary name, then renamed into place, so a
+reader never sees a half-written file. A checkpoint cut short by other means
+is rejected with ConfigError, as is one that lacks an array its reader
+requires.
 """
 
 from __future__ import annotations
@@ -25,6 +26,17 @@ MAGIC = b"RLCK"
 VERSION = 1
 
 
+def write_atomic(path, data) -> None:
+    """Write bytes, or str as UTF-8, to `.<name>.tmp` and rename it over `path`."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_arrays(path, kind: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
     if len(kind) != 4:
         raise ValueError("kind tag must be 4 characters")
@@ -40,13 +52,7 @@ def save_arrays(path, kind: str, arrays: dict[str, np.ndarray], meta: dict) -> N
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         chunks.append(arr.astype(dtype).tobytes(order="C"))
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_bytes(b"".join(chunks))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(path, b"".join(chunks))
 
 
 def load_arrays(path, kind: str, required=()) -> tuple[dict[str, np.ndarray], dict]:

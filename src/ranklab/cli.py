@@ -1,7 +1,9 @@
 """Pipeline orchestration: composable stages over a shared flat config.
 
 Stages communicate only through files in the work directory, so any stage can
-be replaced by an external tool that produces the same format. Exit codes:
+be replaced by an external tool that produces the same format. select-train,
+rerank and depth-sweep read their document vectors from the dense_index.bin
+that train-dense writes, and their document terms from index.bin. Exit codes:
 0 success, 2 config error, 3 dependency error, 4 numeric error.
 """
 
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dense, mlm, rerank, weaksup
+from .checkpoint import write_atomic
 from .corpus import load_corpus, load_queries
 from .errors import (
     ConfigError,
@@ -405,13 +408,14 @@ class StageRunner:
                 [self.artifact("weak_triples")])
 
     def stage_select_train(self):
-        self.require_artifacts("index", "vocab", "encoder")
+        self.require_artifacts("index", "vocab", "encoder", "dense_index")
         docs = self.load_docs()
         queries = self.load_queries()
         qrels = self.load_qrels()
         index = InvertedIndex.load(self.artifact("index"))
         vocab = SubwordVocab.load(self.artifact("vocab"))
         encoder = dense.DenseEncoder.load(self.artifact("encoder"))
+        dense_index = dense.DenseIndex.load(self.artifact("dense_index"))
         triples_file = self._triples_file()
         pool = weaksup.read_triples(triples_file)
         pool = [t for t in pool
@@ -420,7 +424,8 @@ class StageRunner:
             raise ConfigError(f"no usable triples in {triples_file}")
         context = weaksup.SelectionContext(
             index, docs, encoder, vocab, queries, qrels,
-            depth=self.config.select_depth, stopwords=self.stopwords())
+            depth=self.config.select_depth, stopwords=self.stopwords(),
+            dense_index=dense_index, k1=self.config.k1, b=self.config.b)
         policy = weaksup.SelectorPolicy(seed=self.config.seed)
         ranker = rerank.Ranker()
         rng = np.random.default_rng(self.config.seed + 1)
@@ -438,25 +443,21 @@ class StageRunner:
         ranker.save(self.artifact("ranker"))
         policy.save(self.artifact("policy"))
         inputs = (self.input_paths("corpus", "queries", "qrels")
-                  + [self.artifact("index"), self.artifact("vocab"),
-                     self.artifact("encoder"), triples_file])
+                  + [self.artifact(n) for n in ("index", "vocab", "encoder", "dense_index")]
+                  + [triples_file])
         return inputs, [self.artifact("ranker"), self.artifact("policy")]
 
     def stage_rerank(self):
-        self.require_artifacts("index", "ranker", "vocab", "encoder")
+        self.require_artifacts("index", "ranker", "vocab", "encoder", "dense_index")
         docs = self.load_docs()
         queries = self.load_queries()
         index = InvertedIndex.load(self.artifact("index"))
         vocab = SubwordVocab.load(self.artifact("vocab"))
         encoder = dense.DenseEncoder.load(self.artifact("encoder"))
         ranker = rerank.Ranker.load(self.artifact("ranker"))
-        dense_index = None
-        inputs = (self.input_paths("corpus", "queries")
-                  + [self.artifact(n) for n in ("index", "ranker", "vocab", "encoder")])
-        if self.config.fusion != "none":
-            self.require_artifacts("dense_index")
-            dense_index = dense.DenseIndex.load(self.artifact("dense_index"))
-            inputs.append(self.artifact("dense_index"))
+        dense_index = dense.DenseIndex.load(self.artifact("dense_index"))
+        inputs = (self.input_paths("corpus", "queries") + [self.artifact(n) for n in (
+            "index", "ranker", "vocab", "encoder", "dense_index")])
         extractor = rerank.FeatureExtractor(
             index, docs, encoder, vocab, dense_index,
             self.config.k1, self.config.b, self.stopwords())
@@ -476,7 +477,7 @@ class StageRunner:
             if self.config.fusion == "interp":
                 qv = dense.encode(encoder, query_ids) if query_ids else np.zeros(encoder.dim)
                 dense_scores = {
-                    doc_id: float(np.dot(qv, extractor.doc_vector(doc_id)))
+                    doc_id: float(np.dot(qv, dense_index.vectors[index.ordinal_of[doc_id]]))
                     for doc_id, _ in reranked.entries
                 }
                 reranked = rerank.fuse_interpolate(
@@ -532,14 +533,14 @@ class StageRunner:
             inputs += self.input_paths("prior_qrels")
         report = old_new_report(run, qrels, split, self.config.eval_k,
                                 self.config.skip_unjudgeable, self.config.gain)
-        self.artifact("report_text").write_text(report.to_text(), encoding="utf-8")
-        self.artifact("report_jsonl").write_text(report.to_jsonl(), encoding="utf-8")
+        write_atomic(self.artifact("report_text"), report.to_text())
+        write_atomic(self.artifact("report_jsonl"), report.to_jsonl())
         print(report.to_text())
         produced += [self.artifact("report_text"), self.artifact("report_jsonl")]
         return inputs, produced
 
     def stage_depth_sweep(self):
-        self.require_artifacts("index", "ranker", "vocab", "encoder")
+        self.require_artifacts("index", "ranker", "vocab", "encoder", "dense_index")
         docs = self.load_docs()
         queries = self.load_queries()
         qrels = self.load_qrels()
@@ -548,7 +549,8 @@ class StageRunner:
         encoder = dense.DenseEncoder.load(self.artifact("encoder"))
         ranker = rerank.Ranker.load(self.artifact("ranker"))
         extractor = rerank.FeatureExtractor(
-            index, docs, encoder, vocab, None, self.config.k1, self.config.b, self.stopwords())
+            index, docs, encoder, vocab, dense.DenseIndex.load(self.artifact("dense_index")),
+            self.config.k1, self.config.b, self.stopwords())
         base_runs = {}
         features_by_query = {}
         for query in queries:
@@ -564,10 +566,11 @@ class StageRunner:
         for depth in self.config.depth_list():
             row = table[depth]
             lines.append(f"{depth}\t{row[f'ndcg@{self.config.eval_k}']:.6f}\t{row['p@5']:.6f}")
-        self.artifact("depth_sweep").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_atomic(self.artifact("depth_sweep"), "\n".join(lines) + "\n")
         print("\n".join(lines))
         inputs = (self.input_paths("corpus", "queries", "qrels")
-                  + [self.artifact(n) for n in ("index", "ranker", "vocab", "encoder")])
+                  + [self.artifact(n) for n in ("index", "ranker", "vocab", "encoder",
+                                                "dense_index")])
         return inputs, [self.artifact("depth_sweep")]
 
     def stage_analyze(self):
@@ -579,7 +582,7 @@ class StageRunner:
         index = InvertedIndex.load(self.artifact("index"))
         report = analyze_domain_gap(self.config, docs, queries, qrels, vocab, index)
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        self.artifact("analysis_json").write_text(payload, encoding="utf-8")
+        write_atomic(self.artifact("analysis_json"), payload)
         lines = [
             f"documents                : {report['n_documents']}",
             f"queries                  : {report['n_queries']}",
@@ -594,7 +597,7 @@ class StageRunner:
         lines.append(
             f"coverage@{self.config.coverage_k:<4}            : {report['coverage_at_k']:.6f}")
         text = "\n".join(lines) + "\n"
-        self.artifact("analysis_text").write_text(text, encoding="utf-8")
+        write_atomic(self.artifact("analysis_text"), text)
         print(text)
         inputs = (self.input_paths("corpus", "queries", "qrels", "reference_texts")
                   + [self.artifact("vocab"), self.artifact("index")])

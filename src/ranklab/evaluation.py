@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from .checkpoint import write_atomic
 from .corpus import Qrels
 from .errors import ParseError, ToolkitWarning
 from .sparse import RankedList
@@ -214,10 +215,10 @@ def old_new_report(run: Run, qrels: Qrels, split: QuerySplit, k: int = 10,
 
 def write_run(run: Run, path) -> None:
     """Serialize as TREC run lines "query_id Q0 doc_id rank score tag"."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for query_id in sorted(run.rankings):
-            for rank, (doc_id, score) in enumerate(run.rankings[query_id].entries, start=1):
-                fh.write(f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run.tag}\n")
+    write_atomic(path, "".join(
+        f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run.tag}\n"
+        for query_id in sorted(run.rankings)
+        for rank, (doc_id, score) in enumerate(run.rankings[query_id].entries, start=1)))
 
 
 def read_run(path) -> Run:

@@ -3,7 +3,10 @@ interpolation and reciprocal-rank fusion for combining dense retrieval with
 the sparse pipeline.
 
 Ranker features, in fixed order: BM25 score, dense similarity, content-term
-overlap fraction, matched-idf sum, query length, bias.
+overlap fraction, matched-idf sum, query length, bias. Document vectors come
+only from a DenseIndex (the one train-dense writes to dense_index.bin) and
+document terms only from the InvertedIndex (index.bin); a content term is
+matched when it is not a stopword and its tf in the document is positive.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_arrays, save_arrays
-from .corpus import Qrels, text_terms
-from .dense import DenseEncoder, DenseIndex, encode, similarity
-from .errors import NumericError
-from .sparse import InvertedIndex, RankedList, bm25_score, idf
+from .corpus import Qrels
+from .dense import DenseEncoder, DenseIndex, build_dense_index, encode, similarity
+from .errors import DependencyError, NumericError
+from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, idf
 from .stopwords import ENGLISH_STOPWORDS
 from .subword import SubwordVocab, tokenize
 
@@ -59,52 +62,47 @@ class Ranker:
 
 
 class FeatureExtractor:
-    """Computes the reranker's feature vector for (query terms, document)."""
+    """Computes the reranker's feature vector for (query terms, document).
+
+    Document vectors are rows of `dense_index`, built from `docs` with
+    build_dense_index when none is given; document terms are read from
+    `index`. The query vector is kept for the most recent query, since callers
+    score one query's candidates at a time.
+    """
 
     def __init__(self, index: InvertedIndex, docs, encoder: DenseEncoder,
                  vocab: SubwordVocab, dense_index: DenseIndex | None = None,
-                 k1: float = 0.9, b: float = 0.4, stopwords=ENGLISH_STOPWORDS):
+                 k1: float = DEFAULT_K1, b: float = DEFAULT_B, stopwords=ENGLISH_STOPWORDS):
+        if dense_index is None:
+            dense_index = build_dense_index(encoder, docs, vocab)
+        if dense_index.doc_ids != index.doc_ids:
+            raise DependencyError(
+                "stale artifact: the dense index and the sparse index hold different "
+                "documents; rerun train-dense on the corpus the index was built from")
         self.index = index
-        self.docs_by_id = {d.doc_id: d for d in docs}
+        self.dense_index = dense_index
         self.encoder = encoder
         self.vocab = vocab
         self.k1 = k1
         self.b = b
         self.stopwords = stopwords
-        self._doc_vectors: dict[str, np.ndarray] = {}
-        if dense_index is not None:
-            for row, doc_id in enumerate(dense_index.doc_ids):
-                self._doc_vectors[doc_id] = dense_index.vectors[row]
-        self._doc_terms: dict[str, set[str]] = {}
+        self._query: tuple[tuple[str, ...], np.ndarray] | None = None
 
-    def doc_vector(self, doc_id: str) -> np.ndarray:
-        vec = self._doc_vectors.get(doc_id)
-        if vec is None:
-            ids = tokenize(self.docs_by_id[doc_id].text(), self.vocab)
-            vec = encode(self.encoder, ids) if ids else np.zeros(self.encoder.dim)
-            self._doc_vectors[doc_id] = vec
-        return vec
-
-    def _content_terms(self, doc_id: str) -> set[str]:
-        terms = self._doc_terms.get(doc_id)
-        if terms is None:
-            terms = {
-                t for t in text_terms(self.docs_by_id[doc_id].text())
-                if t not in self.stopwords
-            }
-            self._doc_terms[doc_id] = terms
-        return terms
+    def _query_vector(self, query_terms: list[str]) -> np.ndarray:
+        key = tuple(query_terms)
+        if self._query is None or self._query[0] != key:
+            ids = tokenize(" ".join(query_terms), self.vocab)
+            self._query = (key, encode(self.encoder, ids) if ids else np.zeros(self.encoder.dim))
+        return self._query[1]
 
     def features(self, query_terms, doc_id: str) -> np.ndarray:
         query_terms = list(query_terms)
         unique = sorted(set(query_terms))
         ordinal = self.index.ordinal_of[doc_id]
         bm25 = bm25_score(self.index, query_terms, ordinal, self.k1, self.b)
-        query_ids = tokenize(" ".join(query_terms), self.vocab)
-        qv = encode(self.encoder, query_ids) if query_ids else np.zeros(self.encoder.dim)
-        dense_sim = similarity(qv, self.doc_vector(doc_id))
-        doc_terms = self._content_terms(doc_id)
-        matched = [t for t in unique if t in doc_terms]
+        dense_sim = similarity(self._query_vector(query_terms), self.dense_index.vectors[ordinal])
+        matched = [t for t in unique
+                   if t not in self.stopwords and self.index.tf(t, ordinal) > 0]
         overlap = len(matched) / len(unique) if unique else 0.0
         matched_idf = sum(idf(self.index, t) for t in matched)
         return np.array([bm25, dense_sim, overlap, matched_idf, float(len(query_terms)), 1.0])

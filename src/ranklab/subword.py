@@ -11,6 +11,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+from .checkpoint import write_atomic
 from .corpus import text_terms
 from .errors import ConfigError
 
@@ -72,9 +73,7 @@ class SubwordVocab:
 
     def save(self, path) -> None:
         payload = {"version": 1, "chars": self.chars, "merges": [list(m) for m in self.merges]}
-        Path(path).write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-        )
+        write_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
     @classmethod
     def load(cls, path) -> "SubwordVocab":

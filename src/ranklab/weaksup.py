@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .corpus import Document, Qrels, text_terms
-from .dense import DenseEncoder, encode, similarity
+from .dense import DenseEncoder, DenseIndex
 from .errors import (
     ConfigError,
     DegeneratePairError,
@@ -32,9 +33,9 @@ from .errors import (
 )
 from .evaluation import ndcg_at_k
 from .rerank import FeatureExtractor, Ranker, pairwise_train_step, rerank
-from .sparse import InvertedIndex, RankedList, bm25_score, idf, search_topk
+from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, idf, search_topk
 from .stopwords import ENGLISH_STOPWORDS
-from .subword import SubwordVocab, tokenize
+from .subword import SubwordVocab
 
 DEFAULT_MAX_QUERY_TERMS = 6
 DEFAULT_RETRIEVAL_DEPTH = 20
@@ -180,11 +181,10 @@ def synthesize_triples(docs, index: InvertedIndex, count: int, seed: int = 0,
 
 
 def write_triples(triples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triples:
-            record = {"query": t.query, "pos_doc_id": t.pos_doc_id,
-                      "neg_doc_id": t.neg_doc_id, "source": t.source}
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    write_atomic(path, "".join(
+        json.dumps({"query": t.query, "pos_doc_id": t.pos_doc_id, "neg_doc_id": t.neg_doc_id,
+                    "source": t.source}, sort_keys=True, separators=(",", ":")) + "\n"
+        for t in triples))
 
 
 def read_triples(path) -> list[WeakTriple]:
@@ -203,46 +203,21 @@ def read_triples(path) -> list[WeakTriple]:
     return triples
 
 
-class InstanceFeaturizer:
-    """Fixed-order instance features for the selection policy.
+class InstanceFeaturizer(FeatureExtractor):
+    """Fixed-order instance features for the selection policy, read off the
+    ranker features of the triple's two documents.
 
     Order: BM25(q, d+), BM25(q, d-), BM25 difference, dense-similarity
     difference, query length, bias.
     """
 
-    def __init__(self, index: InvertedIndex, docs, encoder: DenseEncoder, vocab: SubwordVocab):
-        self.index = index
-        self.docs_by_id = {d.doc_id: d for d in docs}
-        self.encoder = encoder
-        self.vocab = vocab
-        self._doc_vectors: dict[str, np.ndarray] = {}
-
-    def _doc_vector(self, doc_id: str) -> np.ndarray:
-        vec = self._doc_vectors.get(doc_id)
-        if vec is None:
-            ids = tokenize(self.docs_by_id[doc_id].text(), self.vocab)
-            vec = encode(self.encoder, ids) if ids else np.zeros(self.encoder.dim)
-            self._doc_vectors[doc_id] = vec
-        return vec
+    def pair_features(self, triple: WeakTriple) -> tuple[np.ndarray, np.ndarray]:
+        terms = triple.query.split()
+        return self.features(terms, triple.pos_doc_id), self.features(terms, triple.neg_doc_id)
 
     def __call__(self, triple: WeakTriple) -> np.ndarray:
-        terms = triple.query.split()
-        pos_ord = self.index.ordinal_of[triple.pos_doc_id]
-        neg_ord = self.index.ordinal_of[triple.neg_doc_id]
-        bm25_pos = bm25_score(self.index, terms, pos_ord)
-        bm25_neg = bm25_score(self.index, terms, neg_ord)
-        query_ids = tokenize(triple.query, self.vocab)
-        qv = encode(self.encoder, query_ids) if query_ids else np.zeros(self.encoder.dim)
-        sim_diff = similarity(qv, self._doc_vector(triple.pos_doc_id)) - similarity(
-            qv, self._doc_vector(triple.neg_doc_id))
-        return np.array([
-            bm25_pos, bm25_neg, bm25_pos - bm25_neg, sim_diff, float(len(terms)), 1.0,
-        ])
-
-
-def instance_features(triple: WeakTriple, index: InvertedIndex, docs,
-                      encoder: DenseEncoder, vocab: SubwordVocab) -> np.ndarray:
-    return InstanceFeaturizer(index, docs, encoder, vocab)(triple)
+        pos, neg = self.pair_features(triple)
+        return np.array([pos[0], neg[0], pos[0] - neg[0], pos[1] - neg[1], pos[4], 1.0])
 
 
 class SelectorPolicy:
@@ -280,9 +255,7 @@ class SelectorPolicy:
             "reward_count": self.reward_count,
             "seed": self.seed,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
     @classmethod
     def load(cls, path) -> "SelectorPolicy":
@@ -297,34 +270,35 @@ class SelectorPolicy:
 class SelectionContext:
     """Frozen target-evaluation setup shared across selection steps.
 
-    Precomputes base candidate lists for the dev queries and reranker features
-    for every (query, candidate) pair, so each step only rescores.
+    Precomputes BM25(k1, b) base candidate lists for the dev queries and
+    reranker features for every (query, candidate) pair, so each step only
+    rescores. One InstanceFeaturizer serves both the dev features and the
+    policy's instance features, reading document vectors from `dense_index`
+    (built from `docs` when none is given).
     """
 
     def __init__(self, index: InvertedIndex, docs, encoder: DenseEncoder,
                  vocab: SubwordVocab, dev_queries, qrels: Qrels,
-                 depth: int = 50, k: int = 10, stopwords=ENGLISH_STOPWORDS):
+                 depth: int = 50, k: int = 10, stopwords=ENGLISH_STOPWORDS,
+                 dense_index: DenseIndex | None = None,
+                 k1: float = DEFAULT_K1, b: float = DEFAULT_B):
         self.qrels = qrels
         self.k = k
         self.depth = depth
-        self.extractor = FeatureExtractor(index, docs, encoder, vocab, stopwords=stopwords)
-        self.instance_featurizer = InstanceFeaturizer(index, docs, encoder, vocab)
+        self.instance_featurizer = InstanceFeaturizer(
+            index, docs, encoder, vocab, dense_index, k1, b, stopwords)
         self.base: dict[int, RankedList] = {}
         self.features: dict[int, dict[str, np.ndarray]] = {}
         for query in dev_queries:
-            base = search_topk(index, query, depth)
+            base = search_topk(index, query, depth, k1, b)
             self.base[query.query_id] = base
             self.features[query.query_id] = {
-                doc_id: self.extractor.features(query.processed_terms, doc_id)
+                doc_id: self.instance_featurizer.features(query.processed_terms, doc_id)
                 for doc_id, _ in base.entries
             }
 
     def pair_features(self, triple: WeakTriple) -> tuple[np.ndarray, np.ndarray]:
-        terms = triple.query.split()
-        return (
-            self.extractor.features(terms, triple.pos_doc_id),
-            self.extractor.features(terms, triple.neg_doc_id),
-        )
+        return self.instance_featurizer.pair_features(triple)
 
     def dev_ndcg(self, ranker: Ranker) -> float:
         values = []

@@ -1,13 +1,19 @@
+import ast
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ranklab
 from ranklab.checkpoint import load_arrays, save_arrays
 from ranklab.cli import EXIT_CONFIG, main
 from ranklab.dense import DenseEncoder
 from ranklab.errors import ConfigError
+from ranklab.evaluation import Run, write_run
 from ranklab.mlm import MlmModel
+from ranklab.sparse import RankedList
 
 from test_cli import write_fixture_inputs
 
@@ -66,3 +72,49 @@ def test_truncated_mlm_embeddings_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "truncated" in err
     assert err.count("\n") == 1
+
+
+def test_failed_run_write_leaves_old_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "run.trec"
+    write_run(Run({1: RankedList(1, (("a", 2.0), ("b", 1.0)))}, "old"), path)
+    old = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_run(Run({1: RankedList(1, (("c", 3.0),))}, "new"), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
+
+
+def _file_writes(tree):
+    """Line numbers of open(..., "w"/"x") calls and of .write_text/.write_bytes calls."""
+    lines = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            lines.add(node.lineno)
+        elif isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(isinstance(m, ast.Constant) and set(str(m.value)) & {"w", "x"}
+                   for m in modes):
+                lines.add(node.lineno)
+    return lines
+
+
+def test_only_the_atomic_helper_writes_files():
+    """Every artifact writer goes through checkpoint.write_atomic."""
+    offenders = []
+    for module in sorted(Path(ranklab.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        allowed = set()
+        if module.name == "checkpoint.py":
+            helper = next(n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "write_atomic")
+            allowed = _file_writes(helper)
+        offenders += [f"{module.name}:{line}" for line in sorted(_file_writes(tree) - allowed)]
+    assert offenders == []

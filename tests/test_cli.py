@@ -143,6 +143,19 @@ class TestPipeline:
             contents.append({a: (tmp_path / name / a).read_bytes() for a in artifacts})
         assert contents[0] == contents[1]
 
+    def test_ranker_stages_read_the_dense_index(self, fixture_config, tmp_path):
+        stages = ["ingest", "index", "synth-weak", "train-dense",
+                  "select-train", "rerank", "depth-sweep"]
+        run_pipeline(fixture_config, stages)
+        work = tmp_path / "work"
+        manifest = [json.loads(l) for l in (work / "manifest.jsonl").read_text().splitlines()]
+        inputs = {m["stage"]: m["inputs"] for m in manifest}
+        for stage in ("select-train", "rerank", "depth-sweep"):
+            assert str(work / "dense_index.bin") in inputs[stage], stage
+        (work / "dense_index.bin").unlink()
+        with pytest.raises(DependencyError, match="dense_index.bin"):
+            run_pipeline(fixture_config, ["rerank"])
+
     def test_warm_start_requires_mlm_artifact(self, fixture_config):
         import dataclasses
 
@@ -194,6 +207,25 @@ class TestMainExitCodes:
         code = main(["rerank", "--corpus", str(corpus), "--queries", str(queries),
                      "--qrels", str(qrels), "--workdir", str(tmp_path / "w")])
         assert code == EXIT_DEPENDENCY
+
+    def test_stale_dense_index_is_exit_3(self, tmp_path, capsys):
+        corpus, queries, qrels = write_fixture_inputs(tmp_path)
+        common = ["--queries", str(queries), "--qrels", str(qrels),
+                  "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600",
+                  "--set", "dense_epochs=1", "--set", "select_steps=1",
+                  "--set", "triples_count=8"]
+        stages = "ingest,index,synth-weak,train-dense,select-train"
+        assert main(["pipeline", "--stages", stages, "--corpus", str(corpus), *common]) == 0
+        other = tmp_path / "other"
+        other.mkdir()
+        other_corpus, _, _ = write_fixture_inputs(other, docs_per_topic=5)
+        assert main(["index", "--corpus", str(other_corpus), *common]) == 0
+        capsys.readouterr()
+        code = main(["rerank", "--corpus", str(other_corpus), *common])
+        assert code == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert err.startswith("dependency error: stale artifact")
+        assert err.count("\n") == 1
 
     def test_success_is_exit_0(self, tmp_path, capsys):
         corpus, queries, qrels = write_fixture_inputs(tmp_path)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ranklab.corpus import Qrels
-from ranklab.dense import DenseEncoder
+from ranklab.dense import DenseEncoder, DenseIndex, build_dense_index
+from ranklab.errors import DependencyError
 from ranklab.rerank import (
     FeatureExtractor,
     FusionConfig,
@@ -282,6 +283,29 @@ class TestFeatureExtractor:
         feats = extractor.features([present, "zzzmissing"], doc.doc_id)
         assert feats[2] == pytest.approx(0.5)
         assert feats[3] == pytest.approx(idf(index, present), abs=1e-12)
+
+    def test_dense_sim_reads_the_given_dense_index(self, separable):
+        from ranklab.dense import encode
+        from ranklab.subword import tokenize
+
+        index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
+        encoder = DenseEncoder.init(len(vocab), 16, seed=1)
+        # an 8-piece truncation gives vectors the default sequence length would not
+        dense_index = build_dense_index(encoder, docs, vocab, 8)
+        assert not np.allclose(dense_index.vectors, build_dense_index(encoder, docs, vocab).vectors)
+        extractor = FeatureExtractor(index, docs, encoder, vocab, dense_index)
+        query = separable["queries"][0]
+        qv = encode(encoder, tokenize(" ".join(query.processed_terms), vocab))
+        for row in (0, 37, 199):
+            feats = extractor.features(query.processed_terms, docs[row].doc_id)
+            assert feats[1] == float(np.dot(qv, dense_index.vectors[row]))
+
+    def test_dense_index_of_other_documents_is_dependency_error(self, separable):
+        index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
+        encoder = DenseEncoder.init(len(vocab), 4, seed=1)
+        stale = DenseIndex(np.zeros((len(docs) - 1, 4)), [d.doc_id for d in docs[1:]])
+        with pytest.raises(DependencyError, match="rerun train-dense"):
+            FeatureExtractor(index, docs, encoder, vocab, stale)
 
 
 def test_ranker_checkpoint_round_trip(tmp_path):

@@ -8,7 +8,7 @@ from ranklab.corpus import Document, text_terms
 from ranklab.dense import DenseEncoder
 from ranklab.errors import ConfigError, DegeneratePairError, GenerationError, ToolkitWarning
 from ranklab.rerank import Ranker
-from ranklab.sparse import build_index, idf, search_topk
+from ranklab.sparse import DEFAULT_B, bm25_score, build_index, idf, search_topk
 from ranklab.stopwords import ENGLISH_STOPWORDS
 from ranklab.subword import train_subword_vocab
 from ranklab.synthetic import make_selection_pool, make_separable_corpus
@@ -227,6 +227,21 @@ def selection_setup():
     context = SelectionContext(index, docs, encoder, vocab, queries, qrels, depth=50)
     clean, noisy = make_selection_pool(docs, queries, qrels, 40, 40, seed=47)
     return {"context": context, "clean": clean, "noisy": noisy}
+
+
+def test_selection_context_uses_its_bm25_parameters(separable):
+    index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
+    queries = separable["queries"]
+    encoder = DenseEncoder.init(len(vocab), 8, seed=3)
+    context = SelectionContext(index, docs, encoder, vocab, queries, separable["qrels"],
+                               depth=20, k1=1.5)
+    for query in queries:
+        assert context.base[query.query_id] == search_topk(index, query, 20, 1.5, DEFAULT_B)
+        doc_id, _ = context.base[query.query_id].entries[0]
+        assert context.features[query.query_id][doc_id][0] == bm25_score(
+            index, query.processed_terms, index.ordinal_of[doc_id], 1.5, DEFAULT_B)
+    assert context.base != SelectionContext(
+        index, docs, encoder, vocab, queries, separable["qrels"], depth=20).base
 
 
 class TestReinfoSelect:
