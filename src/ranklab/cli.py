@@ -409,7 +409,6 @@ class StageRunner:
 
     def stage_select_train(self):
         self.require_artifacts("index", "vocab", "encoder", "dense_index")
-        docs = self.load_docs()
         queries = self.load_queries()
         qrels = self.load_qrels()
         index = InvertedIndex.load(self.artifact("index"))
@@ -423,9 +422,10 @@ class StageRunner:
         if not pool:
             raise ConfigError(f"no usable triples in {triples_file}")
         context = weaksup.SelectionContext(
-            index, docs, encoder, vocab, queries, qrels,
+            index, None, encoder, vocab, queries, qrels,
             depth=self.config.select_depth, stopwords=self.stopwords(),
-            dense_index=dense_index, k1=self.config.k1, b=self.config.b)
+            dense_index=dense_index, k1=self.config.k1, b=self.config.b,
+            max_length=self.config.max_seq_len)
         policy = weaksup.SelectorPolicy(seed=self.config.seed)
         ranker = rerank.Ranker()
         rng = np.random.default_rng(self.config.seed + 1)
@@ -442,25 +442,24 @@ class StageRunner:
                       f"dev-ndcg@10 {context.dev_ndcg(ranker):.6f}")
         ranker.save(self.artifact("ranker"))
         policy.save(self.artifact("policy"))
-        inputs = (self.input_paths("corpus", "queries", "qrels")
+        inputs = (self.input_paths("queries", "qrels")
                   + [self.artifact(n) for n in ("index", "vocab", "encoder", "dense_index")]
                   + [triples_file])
         return inputs, [self.artifact("ranker"), self.artifact("policy")]
 
     def stage_rerank(self):
         self.require_artifacts("index", "ranker", "vocab", "encoder", "dense_index")
-        docs = self.load_docs()
         queries = self.load_queries()
         index = InvertedIndex.load(self.artifact("index"))
         vocab = SubwordVocab.load(self.artifact("vocab"))
         encoder = dense.DenseEncoder.load(self.artifact("encoder"))
         ranker = rerank.Ranker.load(self.artifact("ranker"))
         dense_index = dense.DenseIndex.load(self.artifact("dense_index"))
-        inputs = (self.input_paths("corpus", "queries") + [self.artifact(n) for n in (
+        inputs = (self.input_paths("queries") + [self.artifact(n) for n in (
             "index", "ranker", "vocab", "encoder", "dense_index")])
         extractor = rerank.FeatureExtractor(
-            index, docs, encoder, vocab, dense_index,
-            self.config.k1, self.config.b, self.stopwords())
+            index, None, encoder, vocab, dense_index,
+            self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
         run = Run({}, self.config.run_tag)
         for query in queries:
             base = search_topk(index, query, self.config.topk, self.config.k1, self.config.b)
@@ -541,7 +540,6 @@ class StageRunner:
 
     def stage_depth_sweep(self):
         self.require_artifacts("index", "ranker", "vocab", "encoder", "dense_index")
-        docs = self.load_docs()
         queries = self.load_queries()
         qrels = self.load_qrels()
         index = InvertedIndex.load(self.artifact("index"))
@@ -549,8 +547,8 @@ class StageRunner:
         encoder = dense.DenseEncoder.load(self.artifact("encoder"))
         ranker = rerank.Ranker.load(self.artifact("ranker"))
         extractor = rerank.FeatureExtractor(
-            index, docs, encoder, vocab, dense.DenseIndex.load(self.artifact("dense_index")),
-            self.config.k1, self.config.b, self.stopwords())
+            index, None, encoder, vocab, dense.DenseIndex.load(self.artifact("dense_index")),
+            self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
         base_runs = {}
         features_by_query = {}
         for query in queries:
@@ -568,7 +566,7 @@ class StageRunner:
             lines.append(f"{depth}\t{row[f'ndcg@{self.config.eval_k}']:.6f}\t{row['p@5']:.6f}")
         write_atomic(self.artifact("depth_sweep"), "\n".join(lines) + "\n")
         print("\n".join(lines))
-        inputs = (self.input_paths("corpus", "queries", "qrels")
+        inputs = (self.input_paths("queries", "qrels")
                   + [self.artifact(n) for n in ("index", "ranker", "vocab", "encoder",
                                                 "dense_index")])
         return inputs, [self.artifact("depth_sweep")]

@@ -22,7 +22,7 @@ from .dense import DenseEncoder, DenseIndex, build_dense_index, encode, similari
 from .errors import DependencyError, NumericError
 from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, idf
 from .stopwords import ENGLISH_STOPWORDS
-from .subword import SubwordVocab, tokenize
+from .subword import DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, tokenize
 
 N_FEATURES = 6
 FEATURE_NAMES = ("bm25", "dense_sim", "overlap", "matched_idf", "query_len", "bias")
@@ -65,16 +65,18 @@ class FeatureExtractor:
     """Computes the reranker's feature vector for (query terms, document).
 
     Document vectors are rows of `dense_index`, built from `docs` with
-    build_dense_index when none is given; document terms are read from
-    `index`. The query vector is kept for the most recent query, since callers
-    score one query's candidates at a time.
+    build_dense_index when none is given (`docs` is read only then); document
+    terms are read from `index`. Queries and the fallback's documents are
+    tokenized to at most `max_length` pieces. The query vector is kept for the
+    most recent query, since callers score one query's candidates at a time.
     """
 
     def __init__(self, index: InvertedIndex, docs, encoder: DenseEncoder,
                  vocab: SubwordVocab, dense_index: DenseIndex | None = None,
-                 k1: float = DEFAULT_K1, b: float = DEFAULT_B, stopwords=ENGLISH_STOPWORDS):
+                 k1: float = DEFAULT_K1, b: float = DEFAULT_B, stopwords=ENGLISH_STOPWORDS,
+                 max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH):
         if dense_index is None:
-            dense_index = build_dense_index(encoder, docs, vocab)
+            dense_index = build_dense_index(encoder, docs, vocab, max_length)
         if dense_index.doc_ids != index.doc_ids:
             raise DependencyError(
                 "stale artifact: the dense index and the sparse index hold different "
@@ -86,12 +88,13 @@ class FeatureExtractor:
         self.k1 = k1
         self.b = b
         self.stopwords = stopwords
+        self.max_length = max_length
         self._query: tuple[tuple[str, ...], np.ndarray] | None = None
 
     def _query_vector(self, query_terms: list[str]) -> np.ndarray:
         key = tuple(query_terms)
         if self._query is None or self._query[0] != key:
-            ids = tokenize(" ".join(query_terms), self.vocab)
+            ids = tokenize(" ".join(query_terms), self.vocab, self.max_length)
             self._query = (key, encode(self.encoder, ids) if ids else np.zeros(self.encoder.dim))
         return self._query[1]
 

@@ -3,11 +3,31 @@
 Training greedily merges the most frequent adjacent symbol pair (ties broken
 by lexicographically smallest pair), starting from single characters. The
 reserved MASK and UNK pieces are never produced by merging.
+
+Training keeps the count of every adjacent pair and the set of words it has
+occurred in, and after each merge recounts only the words in the merged
+pair's set (one that no longer holds the pair recounts to no change). The
+next pair to merge is popped from a heap keyed by (-count, pair); an entry
+whose count is no longer the pair's current count is stale and is dropped on
+the way. This picks the same pair as counting every pair of every word before
+each merge: the counts are the same sums, changed only by the words a merge
+changes, and the heap order is the rule itself (highest count first, then the
+smallest pair).
+
+Splitting a word means applying every merge rule in list order, each to every
+occurrence of its pair, left to right. A rule whose pair is not adjacent in
+the current symbols changes nothing, so only the rules that do need to be
+visited: the next one is the smallest rank (position in the merge list) above
+the last applied rank among the ranks of the word's adjacent pairs. A pair
+keeps every rank it holds, so a merge list that repeats a rule or lists rules
+out of order splits exactly as applying the whole list in order does.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 
@@ -38,6 +58,9 @@ class SubwordVocab:
                 pieces.append(merged)
         self.pieces = pieces
         self.piece_ids = {p: i for i, p in enumerate(pieces)}
+        self._merge_ranks: dict[tuple[str, str], list[int]] = {}
+        for rank, pair in enumerate(self.merges):
+            self._merge_ranks.setdefault(pair, []).append(rank)
         self._word_cache: dict[str, list[str]] = {}
 
     @property
@@ -57,17 +80,20 @@ class SubwordVocab:
         if cached is not None:
             return cached
         symbols = [c if c in self.piece_ids else UNK_PIECE for c in word]
-        for a, b in self.merges:
-            merged = []
-            i = 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
-                    merged.append(a + b)
-                    i += 2
-                else:
-                    merged.append(symbols[i])
-                    i += 1
-            symbols = merged
+        last = -1
+        while len(symbols) > 1:
+            best = None
+            for pair in zip(symbols, symbols[1:]):
+                ranks = self._merge_ranks.get(pair)
+                if ranks is None:
+                    continue
+                i = bisect_right(ranks, last)
+                if i < len(ranks) and (best is None or ranks[i] < best):
+                    best = ranks[i]
+            if best is None:
+                break
+            symbols = _merge_pair(symbols, *self.merges[best])
+            last = best
         self._word_cache[word] = symbols
         return symbols
 
@@ -81,6 +107,20 @@ class SubwordVocab:
         if payload.get("version") != 1:
             raise ConfigError(f"unsupported vocab file version in {path}")
         return cls(payload["chars"], [tuple(m) for m in payload["merges"]])
+
+
+def _merge_pair(symbols: list[str], a: str, b: str) -> list[str]:
+    """Replace every adjacent (a, b) in symbols by a + b, scanning left to right."""
+    merged = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
+            merged.append(a + b)
+            i += 2
+        else:
+            merged.append(symbols[i])
+            i += 1
+    return merged
 
 
 def train_subword_vocab(texts, target_size: int) -> SubwordVocab:
@@ -97,30 +137,47 @@ def train_subword_vocab(texts, target_size: int) -> SubwordVocab:
             f"({len(chars)} characters + MASK + UNK)"
         )
 
-    sequences: list[tuple[list[str], int]] = [
-        ([*word], count) for word, count in sorted(word_counts.items())
-    ]
+    words = [[*word] for word in word_counts]
+    counts = list(word_counts.values())
+    pair_counts: dict[tuple[str, str], int] = {}
+    pair_words: dict[tuple[str, str], set[int]] = {}
+    for w, (symbols, count) in enumerate(zip(words, counts)):
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + count
+            pair_words.setdefault(pair, set()).add(w)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
     pieces = set(chars)
     while len(pieces) + 2 < target_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for symbols, count in sequences:
-            for i in range(len(symbols) - 1):
-                pair_counts[(symbols[i], symbols[i + 1])] += count
-        if not pair_counts:
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        best_count = max(pair_counts.values())
-        best = min(p for p, c in pair_counts.items() if c == best_count)
+        _, best = heapq.heappop(heap)
         merges.append(best)
         pieces.add(best[0] + best[1])
-        a, b = best
-        for symbols, _ in sequences:
-            i = 0
-            while i < len(symbols) - 1:
-                if symbols[i] == a and symbols[i + 1] == b:
-                    symbols[i : i + 2] = [a + b]
-                else:
-                    i += 1
+        delta: dict[tuple[str, str], int] = {}
+        for w in pair_words.pop(best):
+            symbols, count = words[w], counts[w]
+            merged = _merge_pair(symbols, *best)
+            words[w] = merged
+            for pair in zip(symbols, symbols[1:]):
+                delta[pair] = delta.get(pair, 0) - count
+            for pair in zip(merged, merged[1:]):
+                delta[pair] = delta.get(pair, 0) + count
+                pair_words.setdefault(pair, set()).add(w)
+        for pair, change in delta.items():
+            if change == 0:
+                continue
+            count = pair_counts.get(pair, 0) + change
+            if count:
+                pair_counts[pair] = count
+                heapq.heappush(heap, (-count, pair))
+            else:
+                del pair_counts[pair]
+                pair_words.pop(pair, None)
     return SubwordVocab(chars, merges)
 
 

@@ -35,7 +35,7 @@ from .evaluation import ndcg_at_k
 from .rerank import FeatureExtractor, Ranker, pairwise_train_step, rerank
 from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, idf, search_topk
 from .stopwords import ENGLISH_STOPWORDS
-from .subword import SubwordVocab
+from .subword import DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab
 
 DEFAULT_MAX_QUERY_TERMS = 6
 DEFAULT_RETRIEVAL_DEPTH = 20
@@ -215,9 +215,13 @@ class InstanceFeaturizer(FeatureExtractor):
         terms = triple.query.split()
         return self.features(terms, triple.pos_doc_id), self.features(terms, triple.neg_doc_id)
 
-    def __call__(self, triple: WeakTriple) -> np.ndarray:
-        pos, neg = self.pair_features(triple)
+    @staticmethod
+    def from_pair_features(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+        """The instance vector of a triple whose ranker features are (pos, neg)."""
         return np.array([pos[0], neg[0], pos[0] - neg[0], pos[1] - neg[1], pos[4], 1.0])
+
+    def __call__(self, triple: WeakTriple) -> np.ndarray:
+        return self.from_pair_features(*self.pair_features(triple))
 
 
 class SelectorPolicy:
@@ -274,19 +278,21 @@ class SelectionContext:
     reranker features for every (query, candidate) pair, so each step only
     rescores. One InstanceFeaturizer serves both the dev features and the
     policy's instance features, reading document vectors from `dense_index`
-    (built from `docs` when none is given).
+    (built from `docs` when none is given) and tokenizing queries to at most
+    `max_length` pieces.
     """
 
     def __init__(self, index: InvertedIndex, docs, encoder: DenseEncoder,
                  vocab: SubwordVocab, dev_queries, qrels: Qrels,
                  depth: int = 50, k: int = 10, stopwords=ENGLISH_STOPWORDS,
                  dense_index: DenseIndex | None = None,
-                 k1: float = DEFAULT_K1, b: float = DEFAULT_B):
+                 k1: float = DEFAULT_K1, b: float = DEFAULT_B,
+                 max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH):
         self.qrels = qrels
         self.k = k
         self.depth = depth
         self.instance_featurizer = InstanceFeaturizer(
-            index, docs, encoder, vocab, dense_index, k1, b, stopwords)
+            index, docs, encoder, vocab, dense_index, k1, b, stopwords, max_length)
         self.base: dict[int, RankedList] = {}
         self.features: dict[int, dict[str, np.ndarray]] = {}
         for query in dev_queries:
@@ -321,16 +327,16 @@ def reinfoselect_step(policy: SelectorPolicy, batch, ranker: Ranker,
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be non-empty")
-    features = [context.instance_featurizer(t) for t in batch]
+    pairs = [context.pair_features(t) for t in batch]
+    features = [InstanceFeaturizer.from_pair_features(pos, neg) for pos, neg in pairs]
     probs = np.array([policy.selection_probability(x) for x in features])
     actions = policy.rng.random(len(batch)) < probs
-    selected = [t for t, a in zip(batch, actions) if a]
+    selected = [pair for pair, a in zip(pairs, actions) if a]
 
     before = context.dev_ndcg(ranker)
     if selected:
         trial = ranker.copy()
-        pairs = [context.pair_features(t) for t in selected]
-        pairwise_train_step(trial, pairs, ranker_lr)
+        pairwise_train_step(trial, selected, ranker_lr)
         reward = context.dev_ndcg(trial) - before
     else:
         trial = ranker

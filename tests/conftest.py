@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from ranklab.corpus import Document
 from ranklab.sparse import build_index
 from ranklab.subword import train_subword_vocab
 from ranklab.synthetic import make_separable_corpus
+
+# property tests draw the same examples on every run and have no per-example
+# time limit, so a slow or busy host neither changes nor fails them
+settings.register_profile("ranklab", derandomize=True, deadline=None, database=None)
+settings.load_profile("ranklab")
 
 
 @pytest.fixture(scope="session")

@@ -156,6 +156,15 @@ class TestPipeline:
         with pytest.raises(DependencyError, match="dense_index.bin"):
             run_pipeline(fixture_config, ["rerank"])
 
+    def test_ranker_stages_do_not_read_the_corpus(self, fixture_config, tmp_path):
+        import dataclasses
+
+        run_pipeline(fixture_config, ["ingest", "index", "synth-weak", "train-dense"])
+        # a stage that loaded the corpus, or listed it among its manifest
+        # inputs, would fail on the missing file
+        no_corpus = dataclasses.replace(fixture_config, corpus_path=str(tmp_path / "gone.jsonl"))
+        run_pipeline(no_corpus, ["select-train", "rerank", "depth-sweep"])
+
     def test_warm_start_requires_mlm_artifact(self, fixture_config):
         import dataclasses
 

@@ -300,6 +300,23 @@ class TestFeatureExtractor:
             feats = extractor.features(query.processed_terms, docs[row].doc_id)
             assert feats[1] == float(np.dot(qv, dense_index.vectors[row]))
 
+    def test_query_vector_uses_max_length(self, separable):
+        from ranklab.dense import encode
+        from ranklab.subword import tokenize
+
+        index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
+        encoder = DenseEncoder.init(len(vocab), 16, seed=1)
+        terms = separable["queries"][0].processed_terms
+        query = " ".join(terms)
+        assert len(tokenize(query, vocab)) > 2
+        qv = encode(encoder, tokenize(query, vocab, 2))
+        rows = build_dense_index(encoder, docs, vocab, 2).vectors
+        for dense_index in (None, DenseIndex(rows, [d.doc_id for d in docs])):
+            extractor = FeatureExtractor(index, docs, encoder, vocab, dense_index, max_length=2)
+            for row in (0, 37, 199):
+                feats = extractor.features(terms, docs[row].doc_id)
+                assert feats[1] == float(np.dot(qv, rows[row]))
+
     def test_dense_index_of_other_documents_is_dependency_error(self, separable):
         index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
         encoder = DenseEncoder.init(len(vocab), 4, seed=1)

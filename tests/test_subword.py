@@ -1,6 +1,9 @@
+import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ranklab.corpus import text_terms
 from ranklab.errors import ConfigError
@@ -13,6 +16,56 @@ from ranklab.subword import (
     tokenize,
     train_subword_vocab,
 )
+
+
+def reference_train_merges(texts, target_size):
+    """The former training loop, kept as the oracle: before each merge it
+    recounts every adjacent pair of every word."""
+    word_counts = Counter()
+    for text in texts:
+        word_counts.update(text_terms(text))
+    chars = sorted({c for w in word_counts for c in w})
+    sequences = [([*word], count) for word, count in sorted(word_counts.items())]
+    merges = []
+    pieces = set(chars)
+    while len(pieces) + 2 < target_size:
+        pair_counts = Counter()
+        for symbols, count in sequences:
+            for i in range(len(symbols) - 1):
+                pair_counts[(symbols[i], symbols[i + 1])] += count
+        if not pair_counts:
+            break
+        best_count = max(pair_counts.values())
+        best = min(p for p, c in pair_counts.items() if c == best_count)
+        merges.append(best)
+        pieces.add(best[0] + best[1])
+        a, b = best
+        for symbols, _ in sequences:
+            i = 0
+            while i < len(symbols) - 1:
+                if symbols[i] == a and symbols[i + 1] == b:
+                    symbols[i : i + 2] = [a + b]
+                else:
+                    i += 1
+    return merges
+
+
+def reference_word_pieces(vocab, word):
+    """The former splitting loop, kept as the oracle: every merge rule in list
+    order, each applied to every occurrence of its pair, left to right."""
+    symbols = [c if c in vocab.piece_ids else UNK_PIECE for c in word]
+    for a, b in vocab.merges:
+        merged = []
+        i = 0
+        while i < len(symbols):
+            if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
+                merged.append(a + b)
+                i += 2
+            else:
+                merged.append(symbols[i])
+                i += 1
+        symbols = merged
+    return symbols
 
 
 def brute_force_pair_counts(words):
@@ -122,3 +175,74 @@ def test_vocab_save_load_round_trip(tmp_path, separable):
     assert loaded.merges == vocab.merges
     sample = separable["docs"][0].text()
     assert tokenize(sample, loaded) == tokenize(sample, vocab)
+
+
+# texts over two or three letters, so pairs tie and letters repeat ("aaaa");
+# "-" and " " separate words
+small_texts = st.lists(st.text(alphabet="aab-  ", max_size=14), max_size=8) | st.lists(
+    st.text(alphabet="abc ", max_size=10), max_size=6)
+
+
+class TestAgainstReferenceLoops:
+    @given(small_texts, st.integers(0, 40))
+    @example(["aaaa aaa aa"], 40)
+    @example(["abab baba aabb"], 10)
+    def test_training_merges_equal_reference(self, texts, extra):
+        chars = {c for t in texts for w in text_terms(t) for c in w}
+        target = len(chars) + 2 + extra
+        assert train_subword_vocab(texts, target).merges == reference_train_merges(texts, target)
+
+    @given(small_texts, st.integers(0, 30), st.lists(st.text(alphabet="abcd", max_size=9),
+                                                       max_size=8))
+    def test_trained_vocab_splits_like_reference(self, texts, extra, words):
+        chars = {c for t in texts for w in text_terms(t) for c in w}
+        vocab = train_subword_vocab(texts, len(chars) + 2 + extra)
+        for word in words + [w for t in texts for w in text_terms(t)]:
+            assert vocab.word_pieces(word) == reference_word_pieces(vocab, word)
+
+    @given(
+        st.sampled_from([["a", "b"], ["a", "b", "c"], ["b"]]),
+        st.lists(st.tuples(*[st.sampled_from(["a", "b", "aa", "ab", "ba", "bb", UNK_PIECE])
+                             | st.text(alphabet="ab", min_size=1, max_size=3)] * 2),
+                 max_size=12),
+        st.lists(st.text(alphabet="aabbcz", max_size=10), min_size=1, max_size=8),
+    )
+    @example(["a", "b", "c"], [("ab", "c"), ("a", "b")], ["abc"])
+    @example(["a", "b", "c"], [("ab", "c"), ("a", "b"), ("ab", "c")], ["abc"])
+    @example(["a"], [("a", "a"), ("aa", "a"), ("a", "a")], ["aaaaa"])
+    def test_any_merge_list_splits_like_reference(self, chars, merges, words):
+        # hand-written merge lists may list a rule before the one that makes
+        # its piece, or repeat it, or merge the UNK piece; unknown letters
+        # ("z", or any letter not in chars) become UNK
+        vocab = SubwordVocab(chars, merges)
+        for word in words:
+            assert vocab.word_pieces(word) == reference_word_pieces(vocab, word)
+
+    @given(small_texts, st.data())
+    def test_reordered_and_repeated_merges_split_like_reference(self, texts, data):
+        # a trained merge list, shuffled with some rules repeated: rules now
+        # come before the rules that make their pieces
+        chars = sorted({c for t in texts for w in text_terms(t) for c in w})
+        merges = train_subword_vocab(texts, len(chars) + 32).merges
+        if merges:
+            merges = data.draw(st.permutations(
+                merges + data.draw(st.lists(st.sampled_from(merges), max_size=6))))
+        vocab = SubwordVocab(chars, merges)
+        for word in {w for t in texts for w in text_terms(t)}:
+            assert vocab.word_pieces(word) == reference_word_pieces(vocab, word)
+
+    def test_fixture_words_split_like_reference(self, separable):
+        vocab = separable["vocab"]
+        words = {w for d in separable["docs"] for w in text_terms(d.text())}
+        words |= {w for q in separable["queries"] for w in text_terms(q.raw_text)}
+        for word in sorted(words):
+            assert vocab.word_pieces(word) == reference_word_pieces(vocab, word)
+
+
+def test_fixture_vocab_bytes_are_pinned(tmp_path, separable):
+    # sha256 of vocab.json trained on the fixture at size 2000 by the
+    # reference loop; any change to the merges or their order changes it
+    path = tmp_path / "vocab.json"
+    separable["vocab"].save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "5b9daca5f27bd619b88134cea84a68662e366f59846def927ac915751abb9cf8")

@@ -328,6 +328,55 @@ class TestReinfoSelect:
         np.testing.assert_array_equal(outs[0][1], outs[1][1])
         assert outs[0][2] == outs[1][2]
 
+    def test_step_features_each_triple_once(self, selection_setup, monkeypatch):
+        ctx = selection_setup["context"]
+        featurizer = ctx.instance_featurizer
+        pool = selection_setup["clean"] + selection_setup["noisy"]
+        expected_policy, expected_ranker = SelectorPolicy(seed=4), Ranker()
+        for start in range(0, 30, 10):
+            expected_policy, expected_ranker, _ = reference_reinfoselect_step(
+                expected_policy, pool[start:start + 10], expected_ranker, ctx, 0.5)
+
+        calls = []
+        features = featurizer.features
+
+        def counted_features(*args):
+            calls.append(args)
+            return features(*args)
+
+        monkeypatch.setattr(featurizer, "features", counted_features)
+        policy, ranker = SelectorPolicy(seed=4), Ranker()
+        for start in range(0, 30, 10):
+            calls.clear()
+            policy, ranker, _ = reinfoselect_step(
+                policy, pool[start:start + 10], ranker, ctx, ranker_lr=0.5)
+            assert len(calls) == 2 * 10
+        np.testing.assert_array_equal(policy.weights, expected_policy.weights)
+        np.testing.assert_array_equal(ranker.weights, expected_ranker.weights)
+        assert policy.baseline == expected_policy.baseline
+        assert np.any(ranker.weights != 0.0)  # some step selected and kept an update
+
+
+def reference_reinfoselect_step(policy, batch, ranker, context, ranker_lr):
+    """The former selection step, kept as the oracle: it featurizes the
+    selected triples a second time for the trial update."""
+    from ranklab.rerank import pairwise_train_step
+
+    features = [context.instance_featurizer(t) for t in batch]
+    probs = np.array([policy.selection_probability(x) for x in features])
+    actions = policy.rng.random(len(batch)) < probs
+    selected = [t for t, a in zip(batch, actions) if a]
+    before = context.dev_ndcg(ranker)
+    trial, reward = ranker, 0.0
+    if selected:
+        trial = ranker.copy()
+        pairwise_train_step(trial, [context.pair_features(t) for t in selected], ranker_lr)
+        reward = context.dev_ndcg(trial) - before
+    grad = sum((float(a) - p) * x for x, p, a in zip(features, probs, actions))
+    policy.weights += (reward - policy.baseline) * grad
+    policy.record_reward(reward)
+    return policy, (trial if reward >= 0.0 else ranker), reward
+
 
 class TestSelectorPolicy:
     def test_probability_is_logistic(self):
