@@ -292,7 +292,8 @@ class StageRunner:
         self.load_qrels()
         vocab = train_subword_vocab([d.text() for d in docs], self.config.vocab_size)
         vocab.save(self.artifact("vocab"))
-        return self.input_paths("corpus", "queries", "qrels"), [self.artifact("vocab")]
+        return (self.input_paths("corpus", "queries", "qrels", "stopwords"),
+                [self.artifact("vocab")])
 
     def stage_index(self):
         docs = self.load_docs()
@@ -383,6 +384,8 @@ class StageRunner:
         dense_index = dense.build_dense_index(encoder, docs, vocab, self.config.max_seq_len)
         dense_index.save(self.artifact("dense_index"))
         inputs += self.input_paths("queries", "qrels")
+        if self.config.queries_path:
+            inputs += self.input_paths("stopwords")
         return inputs, [self.artifact("encoder"), self.artifact("dense_index")]
 
     def _dense_dev_ndcg(self, index, encoder, vocab, queries, qrels) -> float:
@@ -404,7 +407,7 @@ class StageRunner:
             self.config.retrieval_depth, self.config.max_query_terms,
             self.stopwords(), self.config.include_stage1)
         weaksup.write_triples(triples, self.artifact("weak_triples"))
-        return (self.input_paths("corpus") + [self.artifact("index")],
+        return (self.input_paths("corpus", "stopwords") + [self.artifact("index")],
                 [self.artifact("weak_triples")])
 
     def stage_select_train(self):
@@ -442,7 +445,7 @@ class StageRunner:
                       f"dev-ndcg@10 {context.dev_ndcg(ranker):.6f}")
         ranker.save(self.artifact("ranker"))
         policy.save(self.artifact("policy"))
-        inputs = (self.input_paths("queries", "qrels")
+        inputs = (self.input_paths("queries", "qrels", "stopwords")
                   + [self.artifact(n) for n in ("index", "vocab", "encoder", "dense_index")]
                   + [triples_file])
         return inputs, [self.artifact("ranker"), self.artifact("policy")]
@@ -455,7 +458,7 @@ class StageRunner:
         encoder = dense.DenseEncoder.load(self.artifact("encoder"))
         ranker = rerank.Ranker.load(self.artifact("ranker"))
         dense_index = dense.DenseIndex.load(self.artifact("dense_index"))
-        inputs = (self.input_paths("queries") + [self.artifact(n) for n in (
+        inputs = (self.input_paths("queries", "stopwords") + [self.artifact(n) for n in (
             "index", "ranker", "vocab", "encoder", "dense_index")])
         extractor = rerank.FeatureExtractor(
             index, None, encoder, vocab, dense_index,
@@ -509,7 +512,7 @@ class StageRunner:
                 self.config.run_tag,
             )
             write_run(run, run_path)
-            inputs += self.input_paths("queries") + [self.artifact("index")]
+            inputs += self.input_paths("queries", "stopwords") + [self.artifact("index")]
             produced.append(run_path)
         else:
             raise DependencyError(
@@ -566,7 +569,7 @@ class StageRunner:
             lines.append(f"{depth}\t{row[f'ndcg@{self.config.eval_k}']:.6f}\t{row['p@5']:.6f}")
         write_atomic(self.artifact("depth_sweep"), "\n".join(lines) + "\n")
         print("\n".join(lines))
-        inputs = (self.input_paths("queries", "qrels")
+        inputs = (self.input_paths("queries", "qrels", "stopwords")
                   + [self.artifact(n) for n in ("index", "ranker", "vocab", "encoder",
                                                 "dense_index")])
         return inputs, [self.artifact("depth_sweep")]
@@ -597,7 +600,7 @@ class StageRunner:
         text = "\n".join(lines) + "\n"
         write_atomic(self.artifact("analysis_text"), text)
         print(text)
-        inputs = (self.input_paths("corpus", "queries", "qrels", "reference_texts")
+        inputs = (self.input_paths("corpus", "queries", "qrels", "reference_texts", "stopwords")
                   + [self.artifact("vocab"), self.artifact("index")])
         return inputs, [self.artifact("analysis_json"), self.artifact("analysis_text")]
 
@@ -646,6 +649,20 @@ def analyze_domain_gap(config: PipelineConfig, docs, queries, qrels, vocab, inde
     }
 
 
+def _lock_holder_is_dead(lock: Path) -> bool:
+    """True only when the lock names a positive pid that no process has."""
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        # unreadable, not a pid, or a process of another user
+        return False
+    return False
+
+
 def run_pipeline(config: PipelineConfig, stages) -> dict[str, list[str]]:
     """Run stages in order inside a locked workdir; returns stage -> output paths."""
     config.validate()
@@ -655,10 +672,16 @@ def run_pipeline(config: PipelineConfig, stages) -> dict[str, list[str]]:
     workdir = Path(config.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     lock = workdir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(f"work directory is locked by another run: {lock}")
+    for attempt in range(2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            # a lock left by a run that has died is removed once; a lock whose
+            # holder is alive, or that names no pid, stays
+            if attempt or not _lock_holder_is_dead(lock):
+                raise ConfigError(f"work directory is locked by another run: {lock}")
+            lock.unlink(missing_ok=True)
     os.write(fd, str(os.getpid()).encode())
     os.close(fd)
     outputs: dict[str, list[str]] = {}

@@ -14,7 +14,7 @@ import numpy as np
 
 from .checkpoint import load_arrays, save_arrays
 from .errors import NumericError, ToolkitWarning
-from .sparse import RankedList
+from .sparse import RankedList, doc_id_ranks, top_k_entries
 from .subword import DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, tokenize
 
 DEFAULT_DIM = 64
@@ -161,6 +161,7 @@ class DenseIndex:
         self.doc_ids = list(doc_ids)
         if self.vectors.shape[0] != len(self.doc_ids):
             raise ValueError("vector row count does not match doc_ids")
+        self.doc_rank = doc_id_ranks(self.doc_ids)
 
     @property
     def doc_count(self) -> int:
@@ -196,12 +197,16 @@ def build_dense_index(encoder: DenseEncoder, docs, vocab: SubwordVocab,
 
 def dense_search_topk(index: DenseIndex, encoder: DenseEncoder, query_ids, k: int,
                       query_id: int = 0) -> RankedList:
-    """Exact top-k by dot product over all document vectors."""
+    """Exact top-k by dot product over all document vectors.
+
+    Raises NumericError when any score is non-finite.
+    """
     if index.dim != encoder.dim:
         raise ValueError(f"index dim {index.dim} does not match encoder dim {encoder.dim}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     qv = encode(encoder, query_ids)
     scores = index.vectors @ qv
-    order = sorted(range(index.doc_count), key=lambda o: (-scores[o], index.doc_ids[o]))
-    return RankedList(query_id, tuple((index.doc_ids[o], float(scores[o])) for o in order[:k]))
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("non-finite score in dense search")
+    return RankedList(query_id, top_k_entries(scores, index.doc_ids, index.doc_rank, k))

@@ -2,6 +2,17 @@
 
 Scoring uses the Lucene-style non-negative idf ln(1 + (N - df + 0.5) / (df + 0.5))
 with defaults k1=0.9, b=0.4. Ranked lists break score ties by ascending doc_id.
+
+Both BM25 and dense search cut their lists with `top_k_entries`, which equals
+taking the first k of the whole corpus sorted by (-score, doc_id) without
+sorting the corpus: `np.partition` finds the k-th largest score t, every
+ordinal scoring at least t is kept (so all documents tied with the k-th one
+stay candidates, and nothing outside the kept set can precede one inside it),
+and `np.lexsort` orders the kept ordinals by the same key, -score first, then
+the doc id's rank in Python string order. That rank is computed once per index
+by comparing the ids as Python strings, so it is the order `RankedList`
+checks (numpy's unicode dtype would drop trailing NULs). Scores must be
+finite: NaN compares as larger than every number in `np.partition`.
 """
 
 from __future__ import annotations
@@ -9,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .checkpoint import load_arrays, save_arrays
 from .corpus import Qrels, Query, text_terms
@@ -60,6 +73,7 @@ class InvertedIndex:
         self.doc_count = len(doc_ids)
         self.avg_doc_length = sum(doc_lengths) / self.doc_count if self.doc_count else 0.0
         self.ordinal_of = {d: i for i, d in enumerate(doc_ids)}
+        self.doc_rank = doc_id_ranks(doc_ids)
         self._tf_maps: dict[str, dict[int, int]] = {}
 
     def df(self, term: str) -> int:
@@ -85,6 +99,33 @@ class InvertedIndex:
         _, meta = load_arrays(path, "SIDX")
         postings = {t: [(o, f) for o, f in p] for t, p in meta["postings"].items()}
         return cls(postings, meta["doc_lengths"], meta["doc_ids"])
+
+
+def doc_id_ranks(doc_ids) -> np.ndarray:
+    """Each doc id's position in ascending Python string order (ties by ordinal).
+
+    A stable argsort of an object array compares the ids with Python's `<`.
+    """
+    order = np.argsort(np.array(doc_ids, dtype=object), kind="stable")
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rank
+
+
+def top_k_entries(scores: np.ndarray, doc_ids, doc_rank: np.ndarray, k: int):
+    """(doc_id, score) of the k best ordinals by (score desc, doc_id asc).
+
+    Exact for finite scores; see the module docstring for why it equals the
+    full sort.
+    """
+    n = len(scores)
+    if k < n:
+        kth = np.partition(scores, n - k)[n - k]
+        kept = np.flatnonzero(scores >= kth)
+    else:
+        kept = np.arange(n)
+    top = kept[np.lexsort((doc_rank[kept], -scores[kept]))[:k]]
+    return tuple(zip([doc_ids[o] for o in top.tolist()], scores[top].tolist()))
 
 
 def build_index(docs) -> InvertedIndex:
@@ -148,9 +189,7 @@ def search_topk(index: InvertedIndex, query, k: int, k1: float = DEFAULT_K1, b: 
         for ordinal, tf in index.postings.get(term, ()):
             norm = _length_norm(index, ordinal, k1, b)
             scores[ordinal] += term_idf * tf * (k1 + 1.0) / (tf + norm)
-    order = sorted(range(index.doc_count), key=lambda o: (-scores[o], index.doc_ids[o]))
-    top = order[:k]
-    return RankedList(query_id, tuple((index.doc_ids[o], scores[o]) for o in top))
+    return RankedList(query_id, top_k_entries(np.array(scores), index.doc_ids, index.doc_rank, k))
 
 
 def coverage_at_k(run, qrels: Qrels, k: int) -> float:

@@ -1,15 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from ranklab.cli import (
     EXIT_CONFIG,
     EXIT_DEPENDENCY,
+    EXIT_NUMERIC,
     PipelineConfig,
     analyze_domain_gap,
     main,
     run_pipeline,
 )
+from ranklab.dense import DenseIndex
 from ranklab.errors import ConfigError, DependencyError
 from ranklab.evaluation import read_qrels
 from ranklab.sparse import InvertedIndex, coverage_at_k, search_topk
@@ -124,9 +130,28 @@ class TestPipeline:
     def test_lock_conflict(self, fixture_config, tmp_path):
         work = tmp_path / "work"
         work.mkdir()
-        (work / ".lock").write_text("12345")
+        # a live pid: this test's own process
+        (work / ".lock").write_text(str(os.getpid()))
         with pytest.raises(ConfigError, match="lock"):
             run_pipeline(fixture_config, ["ingest"])
+
+    @pytest.mark.parametrize("content", ["", "not a pid", "0", "-1", "9" * 30, "\xff"])
+    def test_unreadable_lock_is_conflict(self, fixture_config, tmp_path, content):
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / ".lock").write_text(content, encoding="latin-1")
+        with pytest.raises(ConfigError, match="lock"):
+            run_pipeline(fixture_config, ["ingest"])
+        assert (work / ".lock").read_text(encoding="latin-1") == content
+
+    def test_dead_run_lock_is_reclaimed(self, fixture_config, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / ".lock").write_text(str(child.pid))
+        assert run_pipeline(fixture_config, ["ingest"])["ingest"]
+        assert not (work / ".lock").exists()
 
     def test_full_pipeline_and_determinism(self, fixture_config, tmp_path):
         import dataclasses
@@ -164,6 +189,38 @@ class TestPipeline:
         # inputs, would fail on the missing file
         no_corpus = dataclasses.replace(fixture_config, corpus_path=str(tmp_path / "gone.jsonl"))
         run_pipeline(no_corpus, ["select-train", "rerank", "depth-sweep"])
+
+    def test_stages_list_the_stopword_list(self, fixture_config, tmp_path):
+        import dataclasses
+
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("the\nof\nand\n")
+        config = dataclasses.replace(fixture_config, stopwords_path=str(stopwords))
+        # evaluate before rerank scores base BM25 retrieval, which loads the queries
+        stages = ["ingest", "index", "evaluate", "synth-weak", "dapt", "train-dense",
+                  "select-train", "rerank", "depth-sweep", "analyze"]
+        run_pipeline(config, stages)
+        manifest = [json.loads(l) for l in
+                    (tmp_path / "work" / "manifest.jsonl").read_text().splitlines()]
+        listing = {m["stage"] for m in manifest if str(stopwords) in m["inputs"]}
+        assert listing == set(stages) - {"index", "dapt"}
+
+    def test_fixture_weak_triples_bytes_are_pinned(self, tmp_path):
+        import hashlib
+
+        from ranklab.synthetic import DEFAULT_DOCS_PER_TOPIC, DEFAULT_TOPICS
+
+        # sha256 of weak_triples.jsonl on the 200-doc fixture at default
+        # config, as written when BM25 lists came from a full-corpus sort;
+        # any change to the BM25 lists or their tie order changes it
+        corpus, queries, qrels = write_fixture_inputs(
+            tmp_path, DEFAULT_TOPICS, DEFAULT_DOCS_PER_TOPIC)
+        config = PipelineConfig(corpus_path=str(corpus), queries_path=str(queries),
+                                qrels_path=str(qrels), workdir=str(tmp_path / "work"))
+        run_pipeline(config, ["index", "synth-weak"])
+        data = (tmp_path / "work" / "weak_triples.jsonl").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "64566198ef2787bab6560bc3de763b12a1b73ed644fac0c667016d2b3d149a27")
 
     def test_warm_start_requires_mlm_artifact(self, fixture_config):
         import dataclasses
@@ -234,6 +291,24 @@ class TestMainExitCodes:
         assert code == EXIT_DEPENDENCY
         err = capsys.readouterr().err
         assert err.startswith("dependency error: stale artifact")
+        assert err.count("\n") == 1
+
+    def test_non_finite_dense_score_is_exit_4(self, tmp_path, capsys):
+        corpus, queries, qrels = write_fixture_inputs(tmp_path)
+        common = ["--corpus", str(corpus), "--queries", str(queries), "--qrels", str(qrels),
+                  "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600",
+                  "--set", "dense_epochs=1", "--set", "select_steps=1",
+                  "--set", "triples_count=8", "--set", "fusion=union"]
+        stages = "ingest,index,synth-weak,train-dense,select-train"
+        assert main(["pipeline", "--stages", stages, *common]) == 0
+        path = tmp_path / "w" / "dense_index.bin"
+        index = DenseIndex.load(path)
+        index.vectors[1] = np.nan
+        index.save(path)
+        capsys.readouterr()
+        assert main(["rerank", *common]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: non-finite score")
         assert err.count("\n") == 1
 
     def test_success_is_exit_0(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ranklab.dense import (
     DenseEncoder,
@@ -14,7 +16,7 @@ from ranklab.dense import (
     similarity,
     train_step,
 )
-from ranklab.errors import ToolkitWarning
+from ranklab.errors import NumericError, ToolkitWarning
 from ranklab.subword import tokenize
 from ranklab.synthetic import make_separable_corpus, make_training_triples
 
@@ -22,6 +24,22 @@ from ranklab.synthetic import make_separable_corpus, make_training_triples
 def make_encoder(vocab_size=20, dim=6, scale=0.3, seed=11):
     rng = np.random.default_rng(seed)
     return DenseEncoder(rng.normal(0, scale, size=(vocab_size, dim)))
+
+
+def reference_dense_search_topk(index, encoder, query_ids, k):
+    """The former search, kept as the oracle: the whole corpus sorted by
+    (-score, doc_id), then cut at k."""
+    scores = index.vectors @ encode(encoder, query_ids)
+    order = sorted(range(index.doc_count), key=lambda o: (-scores[o], index.doc_ids[o]))
+    return tuple((index.doc_ids[o], float(scores[o])) for o in order[:k])
+
+
+# unique ids that are often prefixes of one another ("d1", "d10", "d1a"),
+# non-ASCII, or end in a NUL that numpy's unicode comparison would drop
+tricky_doc_ids = st.lists(st.text(alphabet="d1a0\x00\u00e9\u0394", min_size=1, max_size=4),
+                          min_size=1, max_size=14, unique=True)
+# a few values, signed zeros among them, so scores tie often and -0.0 meets 0.0
+few_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
 
 
 def random_triples(rng, encoder, n=4, m=3):
@@ -249,6 +267,30 @@ class TestDenseIndexAndSearch:
         enc = DenseEncoder(np.ones((2, 4)))
         with pytest.raises(ValueError):
             dense_search_topk(index, enc, (0,), 1)
+
+    @given(tricky_doc_ids, st.integers(1, 2), st.data())
+    def test_matches_former_full_sort(self, doc_ids, dim, data):
+        n = len(doc_ids)
+        vectors = data.draw(st.lists(few_values, min_size=n * dim, max_size=n * dim))
+        index = DenseIndex(np.reshape(vectors, (n, dim)), doc_ids)
+        # row 0 is all zeros, so query (0,) scores every document 0
+        rows = data.draw(st.lists(few_values, min_size=2 * dim, max_size=2 * dim))
+        enc = DenseEncoder(np.vstack([np.zeros(dim), np.reshape(rows, (2, dim))]))
+        query = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+        for query_ids in (query, [0]):
+            for k in range(1, n + 3):
+                expected = reference_dense_search_topk(index, enc, query_ids, k)
+                got = dense_search_topk(index, enc, query_ids, k)
+                assert got.entries == expected, (query_ids, k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_non_finite_score_is_numeric_error(self, bad, k):
+        vectors = np.ones((4, 2))
+        vectors[2] = [bad, 1.0]
+        index = DenseIndex(vectors, ["a", "b", "c", "d"])
+        with pytest.raises(NumericError, match="non-finite"):
+            dense_search_topk(index, DenseEncoder(np.ones((1, 2))), (0,), k)
 
 
 class TestPersistence:

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ranklab.corpus import Document, Qrels
 from ranklab.errors import EmptyCorpusError, UndefinedMetricError
@@ -43,6 +45,20 @@ def oracle_scores(doc_term_lists, query_terms, k1=K1, b=B):
             score += t_idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * ratio))
         scores.append(score)
     return scores
+
+
+def reference_search_topk(index, query_terms, k):
+    """The former search, kept as the oracle: the whole corpus sorted by
+    (-score, doc_id), then cut at k."""
+    scores = [bm25_score(index, query_terms, o) for o in range(index.doc_count)]
+    order = sorted(range(index.doc_count), key=lambda o: (-scores[o], index.doc_ids[o]))
+    return tuple((index.doc_ids[o], scores[o]) for o in order[:k])
+
+
+# unique ids that are often prefixes of one another ("d1", "d10", "d1a"),
+# non-ASCII, or end in a NUL that numpy's unicode comparison would drop
+tricky_doc_ids = st.lists(st.text(alphabet="d1a0\x00\u00e9\u0394", min_size=1, max_size=4),
+                          min_size=1, max_size=14, unique=True)
 
 
 def random_corpus(rng, n_docs, vocab):
@@ -151,6 +167,12 @@ class TestSearchTopk:
         out = search_topk(index, ["same"], 2)
         assert out.doc_ids() == ["a", "b"]
 
+    def test_tie_order_is_python_string_order(self):
+        # numpy's unicode comparison drops trailing NULs and would tie "d1\0" with "d1"
+        ids = ["d1\x00", "d1a", "é", "d10", "d1"]
+        index = build_index([Document(d, "same text", "") for d in ids])
+        assert search_topk(index, ["same"], 5).doc_ids() == sorted(ids)
+
     def test_irrelevant_doc_preserves_relative_order(self):
         base = [Document("a", "x x y", ""), Document("b", "x y y", "")]
         with_extra = base + [Document("c", "z z z", "")]
@@ -161,6 +183,20 @@ class TestSearchTopk:
     def test_k_larger_than_corpus(self):
         index = build_index([Document("d", "x", "")])
         assert len(search_topk(index, ["x"], 10).entries) == 1
+
+    @given(tricky_doc_ids, st.data())
+    def test_matches_former_full_sort(self, doc_ids, data):
+        # a three-term vocabulary and short documents give heavy score ties;
+        # "w" is never indexed, so a query of it alone scores every doc 0
+        texts = data.draw(st.lists(
+            st.lists(st.sampled_from("xyz"), max_size=3).map(" ".join),
+            min_size=len(doc_ids), max_size=len(doc_ids)))
+        index = build_index([Document(d, t, "") for d, t in zip(doc_ids, texts)])
+        query = data.draw(st.lists(st.sampled_from("xyzw"), min_size=1, max_size=3))
+        for terms in (query, ["w"]):
+            for k in range(1, len(doc_ids) + 3):
+                expected = reference_search_topk(index, terms, k)
+                assert search_topk(index, terms, k).entries == expected, (terms, k)
 
 
 class TestCoverage:
