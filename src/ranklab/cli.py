@@ -5,6 +5,13 @@ be replaced by an external tool that produces the same format. select-train,
 rerank and depth-sweep read their document vectors from the dense_index.bin
 that train-dense writes, and their document terms from index.bin. Exit codes:
 0 success, 2 config error, 3 dependency error, 4 numeric error.
+
+A stage opens its files through StageRunner.read (a work-directory artifact),
+input (a file a config key names) and write (an artifact it produces), and its
+manifest line lists exactly those files. A new config key is one annotated
+PipelineConfig field: its default, and through _key its flag, the subcommands
+that take it and its bound or choices, from which the parsers and validate
+are built.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .errors import (
     ToolkitError,
 )
 from .evaluation import (
+    GAIN_FUNCTIONS,
     QuerySplit,
     Run,
     load_split,
@@ -41,9 +49,11 @@ from .evaluation import (
     residual_filter,
     write_run,
 )
-from .sparse import InvertedIndex, build_index, coverage_at_k, search_topk
+from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index, coverage_at_k, search_topk
 from .stopwords import ENGLISH_STOPWORDS, load_stopwords
-from .subword import SubwordVocab, subword_ratio, tokenize, train_subword_vocab
+from .subword import (
+    DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, subword_ratio, tokenize, train_subword_vocab,
+)
 
 STAGES = (
     "ingest", "index", "dapt", "train-dense", "synth-weak",
@@ -72,102 +82,100 @@ EXIT_CONFIG = 2
 EXIT_DEPENDENCY = 3
 EXIT_NUMERIC = 4
 
-FUSION_CHOICES = ("none", "interp", "union", "rrf")
+COMMANDS = STAGES + ("pipeline",)
+
+# bound -> test; validate reports a failed one as "<key> must be <bound>"
+BOUNDS = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+    "in (0, 1)": lambda v: 0.0 < v < 1.0,
+}
+
+
+def _key(default, flag=None, stages=(), bound=None, choices=None, help=None):
+    """A config key's default, and the CLI flag that the subcommands in
+    `stages` take for it, its bound or choices and its help text."""
+    return dataclasses.field(default=default, metadata={
+        "flag": flag, "stages": stages, "bound": bound, "choices": choices, "help": help})
 
 
 @dataclass
 class PipelineConfig:
     # input paths
-    corpus_path: str = ""
-    queries_path: str = ""
-    qrels_path: str = ""
-    stopwords_path: str = ""
-    split_path: str = ""
-    prior_qrels_path: str = ""
-    external_triples_path: str = ""
-    reference_texts_path: str = ""
-    workdir: str = "work"
+    corpus_path: str = _key("", "--corpus", COMMANDS, help="corpus jsonl file")
+    queries_path: str = _key("", "--queries", COMMANDS, help="queries tsv file")
+    qrels_path: str = _key("", "--qrels", COMMANDS, help="qrels file")
+    stopwords_path: str = _key("", "--stopwords", COMMANDS, help="stopword list file")
+    split_path: str = _key("", "--split-file", ("evaluate",))
+    prior_qrels_path: str = _key("", "--prior-qrels", ("evaluate",))
+    external_triples_path: str = _key("", "--triples-file", ("train-dense", "select-train"))
+    reference_texts_path: str = _key("", "--reference-texts", ("analyze",))
+    workdir: str = _key("work", "--workdir", COMMANDS, help="artifact directory (default: work)")
     run_tag: str = "ranklab"
     # subword vocabulary
-    vocab_size: int = 2000
-    max_seq_len: int = 256
+    vocab_size: int = _key(2000, "--vocab-size", ("ingest",), ">= 2")
+    max_seq_len: int = _key(DEFAULT_MAX_SEQUENCE_LENGTH, bound=">= 1")
     # sparse retrieval
-    k1: float = 0.9
-    b: float = 0.4
-    topk: int = 100
+    k1: float = _key(DEFAULT_K1, "--k1", ("index", "rerank"), ">= 0")
+    b: float = _key(DEFAULT_B, "--b", ("index", "rerank"), "in [0, 1]")
+    topk: int = _key(100, "--topk", ("rerank", "depth-sweep"), ">= 1")
     # dense retrieval
-    dim: int = 64
-    negatives: int = 4
-    dense_epochs: int = 60
-    dense_lr: float = 0.05
-    batch_size: int = 16
-    warm_start: bool = False
+    dim: int = _key(dense.DEFAULT_DIM, "--dim", ("dapt", "train-dense"), ">= 1")
+    negatives: int = _key(dense.DEFAULT_NEGATIVES, "--negatives", ("train-dense",), ">= 1")
+    dense_epochs: int = _key(60, "--epochs", ("train-dense",), ">= 1")
+    dense_lr: float = _key(dense.DEFAULT_LEARNING_RATE, "--lr", ("train-dense",))
+    batch_size: int = _key(16, bound=">= 1")
+    warm_start: bool = _key(False, "--warm-start", ("train-dense",))
     # masked-language pretraining
-    mask_rate: float = 0.15
-    mlm_epochs: int = 30
-    mlm_lr: float = 0.5
+    mask_rate: float = _key(mlm.DEFAULT_MASK_RATE, "--mask-rate", ("dapt",), "in (0, 1)")
+    mlm_epochs: int = _key(30, "--epochs", ("dapt",), ">= 1")
+    mlm_lr: float = _key(0.5, "--lr", ("dapt",))
     # weak supervision
-    triples_count: int = 50
-    retrieval_depth: int = 20
-    max_query_terms: int = 6
-    include_stage1: bool = False
-    select_steps: int = 60
-    select_batch: int = 16
-    policy_lr: float = 1.0
-    ranker_lr: float = 0.1
-    keep_all_updates: bool = False
-    select_depth: int = 50
+    triples_count: int = _key(50, "--triples", ("synth-weak",), ">= 1")
+    retrieval_depth: int = _key(
+        weaksup.DEFAULT_RETRIEVAL_DEPTH, "--retrieval-depth", ("synth-weak",), ">= 2")
+    max_query_terms: int = _key(
+        weaksup.DEFAULT_MAX_QUERY_TERMS, "--max-query-terms", ("synth-weak",), ">= 1")
+    include_stage1: bool = _key(False, "--include-stage1", ("synth-weak",))
+    select_steps: int = _key(60, "--steps", ("select-train",), ">= 1")
+    select_batch: int = _key(16, bound=">= 1")
+    policy_lr: float = _key(1.0, "--policy-lr", ("select-train",))
+    ranker_lr: float = _key(0.1, "--ranker-lr", ("select-train",))
+    keep_all_updates: bool = _key(False, "--keep-all-updates", ("select-train",))
+    select_depth: int = _key(50, bound=">= 1")
     # rerank / fusion
-    depth: int = 100
-    fusion: str = "none"
-    alpha: float = 0.5
-    rrf_k: int = 60
+    depth: int = _key(rerank.DEFAULT_DEPTH, "--depth", ("rerank",), ">= 1")
+    fusion: str = _key("none", "--fusion", ("rerank",),
+                       choices=("none", "interp", "union", "rrf"))
+    alpha: float = _key(rerank.DEFAULT_ALPHA, "--alpha", ("rerank",), "in [0, 1]")
+    rrf_k: int = _key(rerank.DEFAULT_RRF_K, "--rrf-k", ("rerank",), ">= 1")
     # evaluation
-    eval_k: int = 10
-    gain: str = "linear"
-    residual: bool = False
-    skip_unjudgeable: bool = False
-    coverage_k: int = 100
-    depths: str = "20,50,100"
+    eval_k: int = _key(10, "--k", ("evaluate",), ">= 1")
+    gain: str = _key("linear", "--gain", ("evaluate",), choices=tuple(GAIN_FUNCTIONS))
+    residual: bool = _key(False, "--residual", ("evaluate",))
+    skip_unjudgeable: bool = _key(False, "--skip-unjudgeable", ("evaluate",))
+    coverage_k: int = _key(100, "--coverage-k", ("analyze",), ">= 1")
+    depths: str = _key("20,50,100", "--depths", ("depth-sweep",))
     # shared
-    seed: int = 0
-    eval_every_steps: int = 3
+    seed: int = _key(0, "--seed", COMMANDS, help="random seed")
+    eval_every_steps: int = _key(3, bound=">= 1")
 
     def validate(self) -> None:
-        checks = [
-            (self.k1 >= 0, "k1 must be >= 0"),
-            (0.0 <= self.b <= 1.0, "b must be in [0, 1]"),
-            (self.topk >= 1, "topk must be >= 1"),
-            (self.dim >= 1, "dim must be >= 1"),
-            (self.negatives >= 1, "negatives must be >= 1"),
-            (self.dense_epochs >= 1, "dense_epochs must be >= 1"),
-            (self.batch_size >= 1, "batch_size must be >= 1"),
-            (0.0 < self.mask_rate < 1.0, "mask_rate must be in (0, 1)"),
-            (self.mlm_epochs >= 1, "mlm_epochs must be >= 1"),
-            (self.triples_count >= 1, "triples_count must be >= 1"),
-            (self.retrieval_depth >= 2, "retrieval_depth must be >= 2"),
-            (self.max_query_terms >= 1, "max_query_terms must be >= 1"),
-            (self.select_steps >= 1, "select_steps must be >= 1"),
-            (self.select_batch >= 1, "select_batch must be >= 1"),
-            (self.select_depth >= 1, "select_depth must be >= 1"),
-            (self.depth >= 1, "depth must be >= 1"),
-            (self.fusion in FUSION_CHOICES, f"fusion must be one of {FUSION_CHOICES}"),
-            (0.0 <= self.alpha <= 1.0, "alpha must be in [0, 1]"),
-            (self.rrf_k >= 1, "rrf_k must be >= 1"),
-            (self.eval_k >= 1, "eval_k must be >= 1"),
-            (self.gain in ("linear", "exp"), "gain must be linear or exp"),
-            (self.coverage_k >= 1, "coverage_k must be >= 1"),
-            (self.eval_every_steps >= 1, "eval_every_steps must be >= 1"),
-            (self.vocab_size >= 2, "vocab_size must be >= 2"),
-            (self.max_seq_len >= 1, "max_seq_len must be >= 1"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+        for f in dataclasses.fields(self):
+            value, bound, choices = (
+                getattr(self, f.name), f.metadata.get("bound"), f.metadata.get("choices"))
+            if bound and not BOUNDS[bound](value):
+                raise ConfigError(f"{f.name} must be {bound}")
+            if choices and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {choices}")
         try:
-            self.depth_list()
-        except ValueError as exc:
-            raise ConfigError(f"bad depths list {self.depths!r}") from exc
+            depths = self.depth_list()
+        except ValueError:
+            depths = []
+        if not depths or min(depths) < 1:
+            raise ConfigError(f"bad depths list {self.depths!r}")
 
     def depth_list(self) -> list[int]:
         return [int(d) for d in self.depths.split(",") if d.strip()]
@@ -226,85 +234,88 @@ class StageRunner:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.workdir = Path(config.workdir)
-        self._stopwords = None
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
 
     # -- plumbing -----------------------------------------------------------
 
     def artifact(self, name: str) -> Path:
         return self.workdir / ARTIFACTS[name]
 
-    def require_inputs(self, *keys: str) -> None:
-        for key in keys:
-            value = getattr(self.config, f"{key}_path")
-            if not value:
-                raise ConfigError(f"config key {key}_path is required for this stage")
-            if not Path(value).is_file():
-                raise ConfigError(f"{key} file not found: {value}")
+    def read(self, name: str, hint: str = "run the stage that produces it first") -> Path:
+        """The path of an existing work-directory artifact, recorded as an input."""
+        path = self.artifact(name)
+        if not path.is_file():
+            raise DependencyError(f"missing artifact {ARTIFACTS[name]!r}; {hint}")
+        self.inputs.append(path)
+        return path
 
-    def require_artifacts(self, *names: str) -> None:
-        for name in names:
-            if not self.artifact(name).is_file():
-                raise DependencyError(
-                    f"missing artifact {ARTIFACTS[name]!r}; run the stage that produces it first"
-                )
+    def input(self, key: str) -> str:
+        """The existing file that config key <key>_path names, recorded as an input."""
+        value = getattr(self.config, f"{key}_path")
+        if not value:
+            raise ConfigError(f"config key {key}_path is required for this stage")
+        if not Path(value).is_file():
+            raise ConfigError(f"{key} file not found: {value}")
+        self.inputs.append(Path(value))
+        return value
 
-    def stopwords(self):
-        if self._stopwords is None:
-            if self.config.stopwords_path:
-                self._stopwords = load_stopwords(self.config.stopwords_path)
-            else:
-                self._stopwords = ENGLISH_STOPWORDS
-        return self._stopwords
+    def write(self, name: str) -> Path:
+        """The path of a work-directory artifact, recorded as an output."""
+        path = self.artifact(name)
+        self.outputs.append(path)
+        return path
 
-    def load_docs(self):
-        self.require_inputs("corpus")
-        return load_corpus(self.config.corpus_path)
+    def run(self, stage: str) -> list[Path]:
+        """Run one stage and append its manifest line; returns its outputs.
 
-    def load_queries(self):
-        self.require_inputs("queries")
-        return load_queries(self.config.queries_path, self.stopwords())
-
-    def load_qrels(self):
-        self.require_inputs("qrels")
-        return read_qrels(self.config.qrels_path)
-
-    def manifest_line(self, stage: str, inputs: list[Path], outputs: list[Path], wall: float) -> None:
+        wall_time_s times the stage function alone, not the hashing."""
+        self.inputs, self.outputs = [], []
+        start = time.perf_counter()
+        self.STAGE_FUNCTIONS[stage](self)
+        wall = time.perf_counter() - start
         line = {
             "stage": stage,
-            "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-            "outputs": {str(p): _sha256(Path(p)) for p in outputs},
+            "inputs": {str(p): _sha256(p) for p in self.inputs},
+            "outputs": {str(p): _sha256(p) for p in self.outputs},
             "seed": self.config.seed,
             "wall_time_s": round(wall, 6),
         }
         with open(self.workdir / "manifest.jsonl", "a", encoding="utf-8") as fh:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
+        return self.outputs
 
-    def input_paths(self, *keys: str) -> list[Path]:
-        return [Path(getattr(self.config, f"{key}_path")) for key in keys
-                if getattr(self.config, f"{key}_path")]
+    def stopwords(self):
+        if not self.config.stopwords_path:
+            return ENGLISH_STOPWORDS
+        return load_stopwords(self.input("stopwords"))
+
+    def load_docs(self):
+        return load_corpus(self.input("corpus"))
+
+    def load_queries(self):
+        return load_queries(self.input("queries"), self.stopwords())
+
+    def load_qrels(self):
+        return read_qrels(self.input("qrels"))
 
     # -- stages -------------------------------------------------------------
 
     def stage_ingest(self):
-        self.require_inputs("corpus", "queries", "qrels")
         docs = self.load_docs()
         self.load_queries()
         self.load_qrels()
         vocab = train_subword_vocab([d.text() for d in docs], self.config.vocab_size)
-        vocab.save(self.artifact("vocab"))
-        return (self.input_paths("corpus", "queries", "qrels", "stopwords"),
-                [self.artifact("vocab")])
+        vocab.save(self.write("vocab"))
 
     def stage_index(self):
         docs = self.load_docs()
         index = build_index(docs)
-        index.save(self.artifact("index"))
-        return self.input_paths("corpus"), [self.artifact("index")]
+        index.save(self.write("index"))
 
     def stage_dapt(self):
-        self.require_artifacts("vocab")
+        vocab = SubwordVocab.load(self.read("vocab"))
         docs = self.load_docs()
-        vocab = SubwordVocab.load(self.artifact("vocab"))
         sequences = [tokenize(d.text(), vocab, self.config.max_seq_len) for d in docs]
         sequences = [s for s in sequences if s]
         model = mlm.MlmModel.init(len(vocab), self.config.dim, self.config.seed)
@@ -314,28 +325,16 @@ class StageRunner:
             model, loss = mlm.mlm_train_step(model, batch, self.config.mlm_lr)
             if (epoch + 1) % self.config.eval_every_steps == 0 or epoch == self.config.mlm_epochs - 1:
                 print(f"[dapt] epoch {epoch + 1} loss {loss:.6f}")
-        model.save_embeddings(self.artifact("mlm_embeddings"))
-        return (self.input_paths("corpus") + [self.artifact("vocab")],
-                [self.artifact("mlm_embeddings")])
+        model.save_embeddings(self.write("mlm_embeddings"))
 
     def _triples_file(self) -> Path:
         if self.config.external_triples_path:
-            path = Path(self.config.external_triples_path)
-            if not path.is_file():
-                raise ConfigError(f"external triples file not found: {path}")
-            return path
-        path = self.artifact("weak_triples")
-        if not path.is_file():
-            raise DependencyError(
-                f"missing artifact {ARTIFACTS['weak_triples']!r}; "
-                "run synth-weak or set external_triples_path"
-            )
-        return path
+            return Path(self.input("external_triples"))
+        return self.read("weak_triples", "run synth-weak or set external_triples_path")
 
     def stage_train_dense(self):
-        self.require_artifacts("vocab")
+        vocab = SubwordVocab.load(self.read("vocab"))
         docs = self.load_docs()
-        vocab = SubwordVocab.load(self.artifact("vocab"))
         triples_file = self._triples_file()
         weak = weaksup.read_triples(triples_file)
         if not weak:
@@ -357,12 +356,9 @@ class StageRunner:
                 t.query, docs_by_id[t.pos_doc_id].text(),
                 [docs_by_id[n].text() for n in negatives], vocab, self.config.max_seq_len))
         encoder = dense.DenseEncoder.init(len(vocab), self.config.dim, self.config.seed)
-        inputs = self.input_paths("corpus") + [self.artifact("vocab"), triples_file]
         if self.config.warm_start:
-            self.require_artifacts("mlm_embeddings")
-            pretrained = dense.DenseEncoder.load(self.artifact("mlm_embeddings"))
+            pretrained = dense.DenseEncoder.load(self.read("mlm_embeddings"))
             encoder = mlm.warm_start(encoder, pretrained.table)
-            inputs.append(self.artifact("mlm_embeddings"))
         dev_queries = self.load_queries() if self.config.queries_path else []
         qrels = self.load_qrels() if self.config.qrels_path else None
         order = np.arange(len(triples))
@@ -380,13 +376,9 @@ class StageRunner:
                     ndcg = self._dense_dev_ndcg(index, encoder, vocab, dev_queries, qrels)
                     message += f" dev-ndcg@10 {ndcg:.6f}"
                 print(message)
-        encoder.save(self.artifact("encoder"))
+        encoder.save(self.write("encoder"))
         dense_index = dense.build_dense_index(encoder, docs, vocab, self.config.max_seq_len)
-        dense_index.save(self.artifact("dense_index"))
-        inputs += self.input_paths("queries", "qrels")
-        if self.config.queries_path:
-            inputs += self.input_paths("stopwords")
-        return inputs, [self.artifact("encoder"), self.artifact("dense_index")]
+        dense_index.save(self.write("dense_index"))
 
     def _dense_dev_ndcg(self, index, encoder, vocab, queries, qrels) -> float:
         from .evaluation import ndcg_at_k
@@ -399,25 +391,21 @@ class StageRunner:
         return sum(values) / len(values) if values else 0.0
 
     def stage_synth_weak(self):
-        self.require_artifacts("index")
+        index = InvertedIndex.load(self.read("index"))
         docs = self.load_docs()
-        index = InvertedIndex.load(self.artifact("index"))
         triples = weaksup.synthesize_triples(
             docs, index, self.config.triples_count, self.config.seed,
             self.config.retrieval_depth, self.config.max_query_terms,
             self.stopwords(), self.config.include_stage1)
-        weaksup.write_triples(triples, self.artifact("weak_triples"))
-        return (self.input_paths("corpus", "stopwords") + [self.artifact("index")],
-                [self.artifact("weak_triples")])
+        weaksup.write_triples(triples, self.write("weak_triples"))
 
     def stage_select_train(self):
-        self.require_artifacts("index", "vocab", "encoder", "dense_index")
+        index = InvertedIndex.load(self.read("index"))
+        vocab = SubwordVocab.load(self.read("vocab"))
+        encoder = dense.DenseEncoder.load(self.read("encoder"))
+        dense_index = dense.DenseIndex.load(self.read("dense_index"))
         queries = self.load_queries()
         qrels = self.load_qrels()
-        index = InvertedIndex.load(self.artifact("index"))
-        vocab = SubwordVocab.load(self.artifact("vocab"))
-        encoder = dense.DenseEncoder.load(self.artifact("encoder"))
-        dense_index = dense.DenseIndex.load(self.artifact("dense_index"))
         triples_file = self._triples_file()
         pool = weaksup.read_triples(triples_file)
         pool = [t for t in pool
@@ -443,23 +431,16 @@ class StageRunner:
             if (step + 1) % self.config.eval_every_steps == 0 or step == self.config.select_steps - 1:
                 print(f"[select-train] step {step + 1} reward {reward:+.6f} "
                       f"dev-ndcg@10 {context.dev_ndcg(ranker):.6f}")
-        ranker.save(self.artifact("ranker"))
-        policy.save(self.artifact("policy"))
-        inputs = (self.input_paths("queries", "qrels", "stopwords")
-                  + [self.artifact(n) for n in ("index", "vocab", "encoder", "dense_index")]
-                  + [triples_file])
-        return inputs, [self.artifact("ranker"), self.artifact("policy")]
+        ranker.save(self.write("ranker"))
+        policy.save(self.write("policy"))
 
     def stage_rerank(self):
-        self.require_artifacts("index", "ranker", "vocab", "encoder", "dense_index")
+        index = InvertedIndex.load(self.read("index"))
+        ranker = rerank.Ranker.load(self.read("ranker"))
+        vocab = SubwordVocab.load(self.read("vocab"))
+        encoder = dense.DenseEncoder.load(self.read("encoder"))
+        dense_index = dense.DenseIndex.load(self.read("dense_index"))
         queries = self.load_queries()
-        index = InvertedIndex.load(self.artifact("index"))
-        vocab = SubwordVocab.load(self.artifact("vocab"))
-        encoder = dense.DenseEncoder.load(self.artifact("encoder"))
-        ranker = rerank.Ranker.load(self.artifact("ranker"))
-        dense_index = dense.DenseIndex.load(self.artifact("dense_index"))
-        inputs = (self.input_paths("queries", "stopwords") + [self.artifact(n) for n in (
-            "index", "ranker", "vocab", "encoder", "dense_index")])
         extractor = rerank.FeatureExtractor(
             index, None, encoder, vocab, dense_index,
             self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
@@ -491,66 +472,48 @@ class StageRunner:
                     [reranked, dense_list], max(self.config.topk, len(reranked.entries)),
                     self.config.rrf_k)
             run.rankings[query.query_id] = reranked
-        write_run(run, self.artifact("run"))
-        return inputs, [self.artifact("run")]
+        write_run(run, self.write("run"))
 
     def stage_evaluate(self):
         qrels = self.load_qrels()
-        inputs = self.input_paths("qrels")
-        produced = []
-        run_path = self.artifact("run")
-        if run_path.is_file():
-            run = read_run(run_path)
-        elif self.artifact("index").is_file():
+        if not self.artifact("run").is_file() and self.artifact("index").is_file():
             # no reranked run yet: score base BM25 retrieval directly
             queries = self.load_queries()
-            index = InvertedIndex.load(self.artifact("index"))
+            index = InvertedIndex.load(self.read("index"))
             run = Run(
                 {q.query_id: search_topk(index, q, self.config.topk,
                                          self.config.k1, self.config.b)
                  for q in queries},
                 self.config.run_tag,
             )
-            write_run(run, run_path)
-            inputs += self.input_paths("queries", "stopwords") + [self.artifact("index")]
-            produced.append(run_path)
+            write_run(run, self.write("run"))
         else:
-            raise DependencyError(
-                f"missing artifact {ARTIFACTS['run']!r}; run the rerank stage "
-                "(or build an index for base-retrieval evaluation) first"
-            )
-        inputs.append(run_path)
+            run = read_run(self.read("run", "run the rerank stage (or build an index for "
+                                            "base-retrieval evaluation) first"))
         if self.config.split_path:
-            self.require_inputs("split")
-            split = load_split(self.config.split_path)
-            inputs += self.input_paths("split")
+            split = load_split(self.input("split"))
         else:
             split = QuerySplit.from_ids((), qrels.query_ids())
         if self.config.residual:
             if not self.config.prior_qrels_path:
                 raise ConfigError("residual evaluation requires prior_qrels_path")
-            self.require_inputs("prior_qrels")
-            prior = read_qrels(self.config.prior_qrels_path)
-            run = residual_filter(run, prior, split)
-            inputs += self.input_paths("prior_qrels")
+            run = residual_filter(run, read_qrels(self.input("prior_qrels")), split)
         report = old_new_report(run, qrels, split, self.config.eval_k,
                                 self.config.skip_unjudgeable, self.config.gain)
-        write_atomic(self.artifact("report_text"), report.to_text())
-        write_atomic(self.artifact("report_jsonl"), report.to_jsonl())
+        write_atomic(self.write("report_text"), report.to_text())
+        write_atomic(self.write("report_jsonl"), report.to_jsonl())
         print(report.to_text())
-        produced += [self.artifact("report_text"), self.artifact("report_jsonl")]
-        return inputs, produced
 
     def stage_depth_sweep(self):
-        self.require_artifacts("index", "ranker", "vocab", "encoder", "dense_index")
+        index = InvertedIndex.load(self.read("index"))
+        ranker = rerank.Ranker.load(self.read("ranker"))
+        vocab = SubwordVocab.load(self.read("vocab"))
+        encoder = dense.DenseEncoder.load(self.read("encoder"))
+        dense_index = dense.DenseIndex.load(self.read("dense_index"))
         queries = self.load_queries()
         qrels = self.load_qrels()
-        index = InvertedIndex.load(self.artifact("index"))
-        vocab = SubwordVocab.load(self.artifact("vocab"))
-        encoder = dense.DenseEncoder.load(self.artifact("encoder"))
-        ranker = rerank.Ranker.load(self.artifact("ranker"))
         extractor = rerank.FeatureExtractor(
-            index, None, encoder, vocab, dense.DenseIndex.load(self.artifact("dense_index")),
+            index, None, encoder, vocab, dense_index,
             self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
         base_runs = {}
         features_by_query = {}
@@ -567,23 +530,26 @@ class StageRunner:
         for depth in self.config.depth_list():
             row = table[depth]
             lines.append(f"{depth}\t{row[f'ndcg@{self.config.eval_k}']:.6f}\t{row['p@5']:.6f}")
-        write_atomic(self.artifact("depth_sweep"), "\n".join(lines) + "\n")
+        write_atomic(self.write("depth_sweep"), "\n".join(lines) + "\n")
         print("\n".join(lines))
-        inputs = (self.input_paths("queries", "qrels", "stopwords")
-                  + [self.artifact(n) for n in ("index", "ranker", "vocab", "encoder",
-                                                "dense_index")])
-        return inputs, [self.artifact("depth_sweep")]
 
     def stage_analyze(self):
-        self.require_artifacts("vocab", "index")
+        vocab = SubwordVocab.load(self.read("vocab"))
+        index = InvertedIndex.load(self.read("index"))
         docs = self.load_docs()
         queries = self.load_queries()
         qrels = self.load_qrels()
-        vocab = SubwordVocab.load(self.artifact("vocab"))
-        index = InvertedIndex.load(self.artifact("index"))
-        report = analyze_domain_gap(self.config, docs, queries, qrels, vocab, index)
+        n_external = 0
+        if self.config.external_triples_path:
+            n_external = len(weaksup.read_triples(self.input("external_triples")))
+        reference = None
+        if self.config.reference_texts_path:
+            reference = Path(self.input("reference_texts")).read_text(
+                encoding="utf-8").splitlines()
+        report = analyze_domain_gap(self.config, docs, queries, qrels, vocab, index,
+                                    n_external, reference)
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        write_atomic(self.artifact("analysis_json"), payload)
+        write_atomic(self.write("analysis_json"), payload)
         lines = [
             f"documents                : {report['n_documents']}",
             f"queries                  : {report['n_queries']}",
@@ -598,11 +564,8 @@ class StageRunner:
         lines.append(
             f"coverage@{self.config.coverage_k:<4}            : {report['coverage_at_k']:.6f}")
         text = "\n".join(lines) + "\n"
-        write_atomic(self.artifact("analysis_text"), text)
+        write_atomic(self.write("analysis_text"), text)
         print(text)
-        inputs = (self.input_paths("corpus", "queries", "qrels", "reference_texts", "stopwords")
-                  + [self.artifact("vocab"), self.artifact("index")])
-        return inputs, [self.artifact("analysis_json"), self.artifact("analysis_text")]
 
     STAGE_FUNCTIONS = {
         "ingest": stage_ingest,
@@ -618,17 +581,13 @@ class StageRunner:
     }
 
 
-def analyze_domain_gap(config: PipelineConfig, docs, queries, qrels, vocab, index) -> dict:
+def analyze_domain_gap(config: PipelineConfig, docs, queries, qrels, vocab, index,
+                       n_external: int = 0, reference_lines=None) -> dict:
     """The domain-gap measurements: subword ratios, label counts, coverage@k."""
     query_texts = [q.raw_text for q in queries]
     doc_texts = [d.text() for d in docs]
-    n_external = 0
-    if config.external_triples_path and Path(config.external_triples_path).is_file():
-        n_external = len(weaksup.read_triples(config.external_triples_path))
     reference_ratio = None
-    if config.reference_texts_path:
-        reference_lines = Path(config.reference_texts_path).read_text(
-            encoding="utf-8").splitlines()
+    if reference_lines is not None:
         reference_ratio = subword_ratio(reference_lines, vocab)
     run = {
         q.query_id: search_topk(index, q, config.coverage_k, config.k1, config.b)
@@ -688,10 +647,7 @@ def run_pipeline(config: PipelineConfig, stages) -> dict[str, list[str]]:
     runner = StageRunner(config)
     try:
         for stage in stages:
-            start = time.perf_counter()
-            inputs, produced = runner.STAGE_FUNCTIONS[stage](runner)
-            runner.manifest_line(stage, inputs, produced, time.perf_counter() - start)
-            outputs[stage] = [str(p) for p in produced]
+            outputs[stage] = [str(p) for p in runner.run(stage)]
     finally:
         lock.unlink(missing_ok=True)
     return outputs
@@ -704,65 +660,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     "supervision, reranking, TREC-style evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    commands = {stage: sub.add_parser(stage, help=f"run the {stage} stage") for stage in STAGES}
+    commands["pipeline"] = sub.add_parser("pipeline", help="run several stages in order")
+    for p in commands.values():
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--workdir", help="artifact directory (default: work)")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--corpus", dest="corpus_path", help="corpus jsonl file")
-        p.add_argument("--queries", dest="queries_path", help="queries tsv file")
-        p.add_argument("--qrels", dest="qrels_path", help="qrels file")
-        p.add_argument("--stopwords", dest="stopwords_path", help="stopword list file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key")
-
-    stage_flags = {
-        "ingest": [("--vocab-size", "vocab_size", int)],
-        "index": [("--k1", "k1", float), ("--b", "b", float)],
-        "dapt": [("--mask-rate", "mask_rate", float), ("--epochs", "mlm_epochs", int),
-                 ("--lr", "mlm_lr", float), ("--dim", "dim", int)],
-        "train-dense": [("--dim", "dim", int), ("--negatives", "negatives", int),
-                        ("--epochs", "dense_epochs", int), ("--lr", "dense_lr", float),
-                        ("--triples-file", "external_triples_path", str)],
-        "synth-weak": [("--triples", "triples_count", int),
-                       ("--retrieval-depth", "retrieval_depth", int),
-                       ("--max-query-terms", "max_query_terms", int)],
-        "select-train": [("--policy-lr", "policy_lr", float), ("--ranker-lr", "ranker_lr", float),
-                         ("--steps", "select_steps", int),
-                         ("--triples-file", "external_triples_path", str)],
-        "rerank": [("--depth", "depth", int), ("--fusion", "fusion", str),
-                   ("--alpha", "alpha", float), ("--rrf-k", "rrf_k", int),
-                   ("--topk", "topk", int), ("--k1", "k1", float), ("--b", "b", float)],
-        "evaluate": [("--k", "eval_k", int), ("--gain", "gain", str),
-                     ("--split-file", "split_path", str),
-                     ("--prior-qrels", "prior_qrels_path", str)],
-        "depth-sweep": [("--depths", "depths", str), ("--topk", "topk", int)],
-        "analyze": [("--coverage-k", "coverage_k", int),
-                    ("--reference-texts", "reference_texts_path", str)],
-    }
-    bool_flags = {
-        "train-dense": [("--warm-start", "warm_start")],
-        "synth-weak": [("--include-stage1", "include_stage1")],
-        "select-train": [("--keep-all-updates", "keep_all_updates")],
-        "evaluate": [("--residual", "residual"), ("--skip-unjudgeable", "skip_unjudgeable")],
-    }
-    for stage in STAGES:
-        p = sub.add_parser(stage, help=f"run the {stage} stage")
-        add_common(p)
-        for flag, dest, kind in stage_flags.get(stage, []):
-            if stage == "rerank" and flag == "--fusion":
-                p.add_argument(flag, dest=dest, choices=FUSION_CHOICES)
-            elif stage == "evaluate" and flag == "--gain":
-                p.add_argument(flag, dest=dest, choices=("linear", "exp"))
+    for f in dataclasses.fields(PipelineConfig):
+        for command in f.metadata.get("stages", ()):
+            if isinstance(f.default, bool):
+                kind = {"action": "store_const", "const": True}
+            elif f.metadata["choices"]:
+                kind = {"choices": f.metadata["choices"]}
             else:
-                p.add_argument(flag, dest=dest, type=kind)
-        for flag, dest in bool_flags.get(stage, []):
-            p.add_argument(flag, dest=dest, action="store_const", const=True)
-
-    p = sub.add_parser("pipeline", help="run several stages in order")
-    add_common(p)
-    p.add_argument("--stages", required=True,
-                   help=f"comma-separated subset of: {','.join(STAGES)}")
+                kind = {"type": type(f.default)}
+            commands[command].add_argument(
+                f.metadata["flag"], dest=f.name, help=f.metadata["help"], **kind)
+    commands["pipeline"].add_argument(
+        "--stages", required=True, help=f"comma-separated subset of: {','.join(STAGES)}")
     return parser
 
 

@@ -1,7 +1,12 @@
+import argparse
+import ast
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from ranklab.cli import (
     EXIT_DEPENDENCY,
     EXIT_NUMERIC,
     PipelineConfig,
+    StageRunner,
+    _build_parser,
     analyze_domain_gap,
     main,
     run_pipeline,
@@ -336,3 +343,170 @@ class TestMainExitCodes:
         assert code == 0
         report = json.loads((tmp_path / "w" / "analysis.json").read_text())
         assert report["coverage_k"] == 20
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--stopwords", "missing.txt"],
+        ["analyze", "--reference-texts", "missing.txt"],
+        ["analyze", "--set", "external_triples_path=missing.jsonl"],
+        ["depth-sweep", "--depths", "0"],
+        ["depth-sweep", "--depths", ","],
+    ])
+    def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv):
+        corpus, queries, qrels = write_fixture_inputs(tmp_path)
+        common = ["--corpus", str(corpus), "--queries", str(queries), "--qrels", str(qrels),
+                  "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600"]
+        assert main(["pipeline", "--stages", "ingest,index", *common]) == 0
+        capsys.readouterr()
+        assert main([*argv, *common]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert err.count("\n") == 1
+
+
+S, C = "_StoreAction", "_StoreConstAction"
+# argparse passes a string on unchanged when a flag has no type, as type=str does
+COMMON_FLAGS = {
+    "--config": ("config", "str", None, S, None),
+    "--workdir": ("workdir", "str", None, S, None),
+    "--seed": ("seed", "int", None, S, None),
+    "--corpus": ("corpus_path", "str", None, S, None),
+    "--queries": ("queries_path", "str", None, S, None),
+    "--qrels": ("qrels_path", "str", None, S, None),
+    "--stopwords": ("stopwords_path", "str", None, S, None),
+    "--set": ("set", "str", None, "_AppendAction", None),
+}
+STAGE_FLAGS = {
+    "ingest": {"--vocab-size": ("vocab_size", "int", None, S, None)},
+    "index": {"--k1": ("k1", "float", None, S, None), "--b": ("b", "float", None, S, None)},
+    "dapt": {"--mask-rate": ("mask_rate", "float", None, S, None),
+             "--epochs": ("mlm_epochs", "int", None, S, None),
+             "--lr": ("mlm_lr", "float", None, S, None),
+             "--dim": ("dim", "int", None, S, None)},
+    "train-dense": {"--dim": ("dim", "int", None, S, None),
+                    "--negatives": ("negatives", "int", None, S, None),
+                    "--epochs": ("dense_epochs", "int", None, S, None),
+                    "--lr": ("dense_lr", "float", None, S, None),
+                    "--triples-file": ("external_triples_path", "str", None, S, None),
+                    "--warm-start": ("warm_start", "str", None, C, True)},
+    "synth-weak": {"--triples": ("triples_count", "int", None, S, None),
+                   "--retrieval-depth": ("retrieval_depth", "int", None, S, None),
+                   "--max-query-terms": ("max_query_terms", "int", None, S, None),
+                   "--include-stage1": ("include_stage1", "str", None, C, True)},
+    "select-train": {"--policy-lr": ("policy_lr", "float", None, S, None),
+                     "--ranker-lr": ("ranker_lr", "float", None, S, None),
+                     "--steps": ("select_steps", "int", None, S, None),
+                     "--triples-file": ("external_triples_path", "str", None, S, None),
+                     "--keep-all-updates": ("keep_all_updates", "str", None, C, True)},
+    "rerank": {"--depth": ("depth", "int", None, S, None),
+               "--fusion": ("fusion", "str", ("none", "interp", "union", "rrf"), S, None),
+               "--alpha": ("alpha", "float", None, S, None),
+               "--rrf-k": ("rrf_k", "int", None, S, None),
+               "--topk": ("topk", "int", None, S, None),
+               "--k1": ("k1", "float", None, S, None), "--b": ("b", "float", None, S, None)},
+    "evaluate": {"--k": ("eval_k", "int", None, S, None),
+                 "--gain": ("gain", "str", ("linear", "exp"), S, None),
+                 "--split-file": ("split_path", "str", None, S, None),
+                 "--prior-qrels": ("prior_qrels_path", "str", None, S, None),
+                 "--residual": ("residual", "str", None, C, True),
+                 "--skip-unjudgeable": ("skip_unjudgeable", "str", None, C, True)},
+    "depth-sweep": {"--depths": ("depths", "str", None, S, None),
+                    "--topk": ("topk", "int", None, S, None)},
+    "analyze": {"--coverage-k": ("coverage_k", "int", None, S, None),
+                "--reference-texts": ("reference_texts_path", "str", None, S, None)},
+    "pipeline": {"--stages": ("stages", "str", None, S, None)},
+}
+
+
+def test_flag_surface():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(STAGE_FLAGS)
+    for command, p in sub.choices.items():
+        surface = {
+            flag: (a.dest, (a.type or str).__name__,
+                   tuple(a.choices) if a.choices else None, type(a).__name__, a.const)
+            for a in p._actions if not isinstance(a, argparse._HelpAction)
+            for flag in a.option_strings}
+        assert surface == {**COMMON_FLAGS, **STAGE_FLAGS[command]}, command
+
+
+FULL_STAGES = ["ingest", "index", "synth-weak", "dapt", "train-dense", "select-train",
+               "rerank", "evaluate", "depth-sweep", "analyze"]
+RANKER = "dense_index.bin encoder.ckpt index.bin ranker.ckpt vocab.json"
+# stage -> (file names of its manifest inputs, of its outputs)
+FULL_MANIFEST = {
+    "ingest": ("corpus.jsonl qrels.txt queries.tsv", "vocab.json"),
+    "index": ("corpus.jsonl", "index.bin"),
+    "synth-weak": ("corpus.jsonl index.bin", "weak_triples.jsonl"),
+    "dapt": ("corpus.jsonl vocab.json", "mlm_embeddings.ckpt"),
+    "train-dense": ("corpus.jsonl qrels.txt queries.tsv vocab.json weak_triples.jsonl",
+                    "dense_index.bin encoder.ckpt"),
+    "select-train": ("dense_index.bin encoder.ckpt index.bin qrels.txt queries.tsv "
+                     "vocab.json weak_triples.jsonl", "policy.json ranker.ckpt"),
+    "rerank": (f"queries.tsv {RANKER}", "run.trec"),
+    "evaluate": ("qrels.txt run.trec", "report.jsonl report.txt"),
+    "depth-sweep": (f"qrels.txt queries.tsv {RANKER}", "depth_sweep.tsv"),
+    "analyze": ("corpus.jsonl index.bin qrels.txt queries.tsv vocab.json",
+                "analysis.json analysis.txt"),
+}
+STOPWORD_READERS = ("ingest", "synth-weak", "train-dense", "select-train", "rerank",
+                    "depth-sweep", "analyze")
+MANIFEST_CASES = {
+    "full": ({}, FULL_STAGES, FULL_MANIFEST),
+    "stopwords": ({"stopwords_path": "stopwords.txt"}, FULL_STAGES, {
+        **FULL_MANIFEST,
+        **{s: (FULL_MANIFEST[s][0] + " stopwords.txt", FULL_MANIFEST[s][1])
+           for s in STOPWORD_READERS}}),
+    "warm_start": ({"warm_start": True}, FULL_STAGES, {
+        **FULL_MANIFEST,
+        "train-dense": (FULL_MANIFEST["train-dense"][0] + " mlm_embeddings.ckpt",
+                        FULL_MANIFEST["train-dense"][1])}),
+    # evaluate before rerank scores base BM25 retrieval and writes run.trec
+    "residual": ({"residual": True, "prior_qrels_path": "prior_qrels.txt",
+                  "split_path": "split.txt"}, ["ingest", "index", "evaluate"], {
+        "ingest": FULL_MANIFEST["ingest"], "index": FULL_MANIFEST["index"],
+        "evaluate": ("index.bin prior_qrels.txt qrels.txt queries.tsv split.txt",
+                     "report.jsonl report.txt run.trec")}),
+    "analyze": ({"reference_texts_path": "reference.txt",
+                 "external_triples_path": "external.jsonl"}, ["ingest", "index", "analyze"], {
+        "ingest": FULL_MANIFEST["ingest"], "index": FULL_MANIFEST["index"],
+        "analyze": ("corpus.jsonl external.jsonl index.bin qrels.txt queries.tsv "
+                    "reference.txt vocab.json", "analysis.json analysis.txt")}),
+}
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_CASES))
+def test_manifest_lists_what_each_stage_reads_and_writes(fixture_config, tmp_path, case):
+    (tmp_path / "stopwords.txt").write_text("the\nof\nand\n")
+    (tmp_path / "prior_qrels.txt").write_text("1 0 t00d00 1\n")
+    (tmp_path / "split.txt").write_text("1 old\n2 new\n3 new\n4 new\n")
+    (tmp_path / "reference.txt").write_text("alpha beta\ngamma\n")
+    (tmp_path / "external.jsonl").write_text(
+        json.dumps({"query": "x", "pos_doc_id": "t00d00", "neg_doc_id": "t01d00"}) + "\n")
+    overrides, stages, expected = MANIFEST_CASES[case]
+    overrides = {k: str(tmp_path / v) if k.endswith("_path") else v
+                 for k, v in overrides.items()}
+    run_pipeline(dataclasses.replace(fixture_config, depths="5,10", **overrides), stages)
+    manifest = [json.loads(l) for l in
+                (tmp_path / "work" / "manifest.jsonl").read_text().splitlines()]
+    table = {m["stage"]: tuple(sorted(Path(p).name for p in m[side])
+                               for side in ("inputs", "outputs"))
+             for m in manifest}
+    assert table == {stage: tuple(sorted(names.split()) for names in row)
+                     for stage, row in expected.items()}
+
+
+def test_only_input_passes_config_paths_on():
+    """A StageRunner method opens a config path only through input(), which
+    checks the file and lists it in the manifest."""
+    runner = ast.parse(inspect.getsource(StageRunner)).body[0]
+    offenders = []
+    for method in runner.body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "input":
+            continue
+        for call in (n for n in ast.walk(method) if isinstance(n, ast.Call)):
+            for arg in [*call.args, *(k.value for k in call.keywords)]:
+                if (isinstance(arg, ast.Attribute) and arg.attr.endswith("_path")
+                        and ast.unparse(arg.value) == "self.config"):
+                    offenders.append(f"{method.name}: {ast.unparse(call)}")
+    assert offenders == []
