@@ -224,10 +224,6 @@ class PipelineConfig:
         return dataclasses.replace(self, **updates)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class StageRunner:
     """Executes stages in a locked work directory and appends manifest lines."""
 
@@ -236,6 +232,7 @@ class StageRunner:
         self.workdir = Path(config.workdir)
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
+        self.digests: dict[tuple, str] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -266,6 +263,14 @@ class StageRunner:
         self.outputs.append(path)
         return path
 
+    def sha256(self, path: Path) -> str:
+        """The file's sha256, hashed again only when its size, mtime or inode changes."""
+        st = path.stat()
+        key = (path, st.st_size, st.st_mtime_ns, st.st_ino)
+        if key not in self.digests:
+            self.digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return self.digests[key]
+
     def run(self, stage: str) -> list[Path]:
         """Run one stage and append its manifest line; returns its outputs.
 
@@ -276,8 +281,8 @@ class StageRunner:
         wall = time.perf_counter() - start
         line = {
             "stage": stage,
-            "inputs": {str(p): _sha256(p) for p in self.inputs},
-            "outputs": {str(p): _sha256(p) for p in self.outputs},
+            "inputs": {str(p): self.sha256(p) for p in self.inputs},
+            "outputs": {str(p): self.sha256(p) for p in self.outputs},
             "seed": self.config.seed,
             "wall_time_s": round(wall, 6),
         }
@@ -399,23 +404,28 @@ class StageRunner:
             self.stopwords(), self.config.include_stage1)
         weaksup.write_triples(triples, self.write("weak_triples"))
 
+    def _feature_extractor(self):
+        """A FeatureExtractor at this config over index.bin, vocab, encoder and dense index."""
+        return rerank.FeatureExtractor(
+            InvertedIndex.load(self.read("index")), None,
+            dense.DenseEncoder.load(self.read("encoder")), SubwordVocab.load(self.read("vocab")),
+            dense.DenseIndex.load(self.read("dense_index")),
+            self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
+
     def stage_select_train(self):
-        index = InvertedIndex.load(self.read("index"))
-        vocab = SubwordVocab.load(self.read("vocab"))
-        encoder = dense.DenseEncoder.load(self.read("encoder"))
-        dense_index = dense.DenseIndex.load(self.read("dense_index"))
+        extractor = self._feature_extractor()
         queries = self.load_queries()
         qrels = self.load_qrels()
         triples_file = self._triples_file()
-        pool = weaksup.read_triples(triples_file)
-        pool = [t for t in pool
-                if t.pos_doc_id in index.ordinal_of and t.neg_doc_id in index.ordinal_of]
+        ordinal_of = extractor.index.ordinal_of
+        pool = [t for t in weaksup.read_triples(triples_file)
+                if t.pos_doc_id in ordinal_of and t.neg_doc_id in ordinal_of]
         if not pool:
             raise ConfigError(f"no usable triples in {triples_file}")
         context = weaksup.SelectionContext(
-            index, None, encoder, vocab, queries, qrels,
-            depth=self.config.select_depth, stopwords=self.stopwords(),
-            dense_index=dense_index, k1=self.config.k1, b=self.config.b,
+            extractor.index, None, extractor.encoder, extractor.vocab, queries, qrels,
+            depth=self.config.select_depth, stopwords=extractor.stopwords,
+            dense_index=extractor.dense_index, k1=self.config.k1, b=self.config.b,
             max_length=self.config.max_seq_len)
         policy = weaksup.SelectorPolicy(seed=self.config.seed)
         ranker = rerank.Ranker()
@@ -435,42 +445,27 @@ class StageRunner:
         policy.save(self.write("policy"))
 
     def stage_rerank(self):
-        index = InvertedIndex.load(self.read("index"))
+        extractor = self._feature_extractor()
         ranker = rerank.Ranker.load(self.read("ranker"))
-        vocab = SubwordVocab.load(self.read("vocab"))
-        encoder = dense.DenseEncoder.load(self.read("encoder"))
-        dense_index = dense.DenseIndex.load(self.read("dense_index"))
-        queries = self.load_queries()
-        extractor = rerank.FeatureExtractor(
-            index, None, encoder, vocab, dense_index,
-            self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
+        topk, rrf_k = self.config.topk, self.config.rrf_k
         run = Run({}, self.config.run_tag)
-        for query in queries:
-            base = search_topk(index, query, self.config.topk, self.config.k1, self.config.b)
-            query_ids = tokenize(" ".join(query.processed_terms), vocab, self.config.max_seq_len)
-            if self.config.fusion == "union":
+        for query in self.load_queries():
+            if self.config.fusion in ("union", "rrf"):
+                query_ids = tokenize(" ".join(query.processed_terms), extractor.vocab,
+                                     self.config.max_seq_len)
                 dense_list = dense.dense_search_topk(
-                    dense_index, encoder, query_ids, self.config.topk, query.query_id)
-                base = rerank.fuse_base_union(base, dense_list, self.config.topk, self.config.rrf_k)
-            features = {
-                doc_id: extractor.features(query.processed_terms, doc_id)
-                for doc_id, _ in base.entries[: self.config.depth]
-            }
+                    extractor.dense_index, extractor.encoder, query_ids, topk, query.query_id)
+            fuse = None if self.config.fusion != "union" else (
+                lambda base: rerank.fuse_base_union(base, dense_list, topk, rrf_k))
+            base, features = extractor.candidates(query, topk, fuse)
             reranked = rerank.rerank(ranker, base, self.config.depth, features)
             if self.config.fusion == "interp":
-                qv = dense.encode(encoder, query_ids) if query_ids else np.zeros(encoder.dim)
-                dense_scores = {
-                    doc_id: float(np.dot(qv, dense_index.vectors[index.ordinal_of[doc_id]]))
-                    for doc_id, _ in reranked.entries
-                }
+                dense_scores = {doc_id: features[doc_id][1] for doc_id, _ in reranked.entries}
                 reranked = rerank.fuse_interpolate(
                     query.query_id, dict(reranked.entries), dense_scores, self.config.alpha)
             elif self.config.fusion == "rrf":
-                dense_list = dense.dense_search_topk(
-                    dense_index, encoder, query_ids, self.config.topk, query.query_id)
                 reranked = rerank.reciprocal_rank_fusion(
-                    [reranked, dense_list], max(self.config.topk, len(reranked.entries)),
-                    self.config.rrf_k)
+                    [reranked, dense_list], max(topk, len(reranked.entries)), rrf_k)
             run.rankings[query.query_id] = reranked
         write_run(run, self.write("run"))
 
@@ -505,25 +500,12 @@ class StageRunner:
         print(report.to_text())
 
     def stage_depth_sweep(self):
-        index = InvertedIndex.load(self.read("index"))
+        extractor = self._feature_extractor()
         ranker = rerank.Ranker.load(self.read("ranker"))
-        vocab = SubwordVocab.load(self.read("vocab"))
-        encoder = dense.DenseEncoder.load(self.read("encoder"))
-        dense_index = dense.DenseIndex.load(self.read("dense_index"))
-        queries = self.load_queries()
+        lists = {q.query_id: extractor.candidates(q, self.config.topk) for q in self.load_queries()}
         qrels = self.load_qrels()
-        extractor = rerank.FeatureExtractor(
-            index, None, encoder, vocab, dense_index,
-            self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
-        base_runs = {}
-        features_by_query = {}
-        for query in queries:
-            base = search_topk(index, query, self.config.topk, self.config.k1, self.config.b)
-            base_runs[query.query_id] = base
-            features_by_query[query.query_id] = {
-                doc_id: extractor.features(query.processed_terms, doc_id)
-                for doc_id, _ in base.entries
-            }
+        base_runs = {qid: base for qid, (base, _) in lists.items()}
+        features_by_query = {qid: features for qid, (_, features) in lists.items()}
         table = rerank.depth_sweep(ranker, base_runs, self.config.depth_list(),
                                    qrels, features_by_query, self.config.eval_k)
         lines = [f"depth\tndcg@{self.config.eval_k}\tp@5"]

@@ -18,9 +18,11 @@ import numpy as np
 
 from .checkpoint import load_arrays, save_arrays
 from .corpus import Qrels
-from .dense import DenseEncoder, DenseIndex, build_dense_index, encode, similarity
+from .dense import DenseEncoder, DenseIndex, build_dense_index, encode
 from .errors import DependencyError, NumericError
-from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, idf
+from .sparse import (
+    DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, bm25_scores, idf, top_k_entries,
+)
 from .stopwords import ENGLISH_STOPWORDS
 from .subword import DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, tokenize
 
@@ -62,13 +64,12 @@ class Ranker:
 
 
 class FeatureExtractor:
-    """Computes the reranker's feature vector for (query terms, document).
+    """Computes the reranker's feature vectors for (query terms, documents).
 
     Document vectors are rows of `dense_index`, built from `docs` with
     build_dense_index when none is given (`docs` is read only then); document
     terms are read from `index`. Queries and the fallback's documents are
-    tokenized to at most `max_length` pieces. The query vector is kept for the
-    most recent query, since callers score one query's candidates at a time.
+    tokenized to at most `max_length` pieces.
     """
 
     def __init__(self, index: InvertedIndex, docs, encoder: DenseEncoder,
@@ -81,34 +82,46 @@ class FeatureExtractor:
             raise DependencyError(
                 "stale artifact: the dense index and the sparse index hold different "
                 "documents; rerun train-dense on the corpus the index was built from")
-        self.index = index
-        self.dense_index = dense_index
-        self.encoder = encoder
-        self.vocab = vocab
-        self.k1 = k1
-        self.b = b
-        self.stopwords = stopwords
-        self.max_length = max_length
-        self._query: tuple[tuple[str, ...], np.ndarray] | None = None
+        self.index, self.dense_index, self.encoder, self.vocab = index, dense_index, encoder, vocab
+        self.k1, self.b, self.stopwords, self.max_length = k1, b, stopwords, max_length
 
-    def _query_vector(self, query_terms: list[str]) -> np.ndarray:
-        key = tuple(query_terms)
-        if self._query is None or self._query[0] != key:
-            ids = tokenize(" ".join(query_terms), self.vocab, self.max_length)
-            self._query = (key, encode(self.encoder, ids) if ids else np.zeros(self.encoder.dim))
-        return self._query[1]
+    def features_matrix(self, query_terms, ordinals, bm25=None) -> np.ndarray:
+        """(n, 6) ranker features of the documents at `ordinals`. `bm25` holds
+        bm25_scores of the whole corpus at this extractor's k1 and b; without it
+        each document is scored with bm25_score."""
+        query_terms = list(query_terms)
+        ordinals = np.asarray(ordinals, dtype=np.intp)
+        out = np.zeros((len(ordinals), N_FEATURES))
+        out[:, 0] = bm25[ordinals] if bm25 is not None else [
+            bm25_score(self.index, query_terms, o, self.k1, self.b) for o in ordinals.tolist()]
+        ids = tokenize(" ".join(query_terms), self.vocab, self.max_length)
+        qv = encode(self.encoder, ids) if ids else np.zeros(self.encoder.dim)
+        # np.vecdot, unlike a mat-vec product, gives each row similarity()'s exact dot
+        out[:, 1] = np.vecdot(self.dense_index.vectors[ordinals], qv)
+        unique = sorted(set(query_terms))
+        for term in unique:
+            if term not in self.stopwords:
+                hit = self.index.tf(term, ordinals) > 0
+                out[:, 2] += hit
+                out[:, 3] += np.where(hit, idf(self.index, term), 0.0)
+        if unique:
+            out[:, 2] /= len(unique)
+        out[:, 4:] = float(len(query_terms)), 1.0
+        return out
 
     def features(self, query_terms, doc_id: str) -> np.ndarray:
-        query_terms = list(query_terms)
-        unique = sorted(set(query_terms))
-        ordinal = self.index.ordinal_of[doc_id]
-        bm25 = bm25_score(self.index, query_terms, ordinal, self.k1, self.b)
-        dense_sim = similarity(self._query_vector(query_terms), self.dense_index.vectors[ordinal])
-        matched = [t for t in unique
-                   if t not in self.stopwords and self.index.tf(t, ordinal) > 0]
-        overlap = len(matched) / len(unique) if unique else 0.0
-        matched_idf = sum(idf(self.index, t) for t in matched)
-        return np.array([bm25, dense_sim, overlap, matched_idf, float(len(query_terms)), 1.0])
+        return self.features_matrix(query_terms, [self.index.ordinal_of[doc_id]])[0]
+
+    def candidates(self, query, k: int, fuse=None) -> tuple[RankedList, dict[str, np.ndarray]]:
+        """The BM25 top-k of `query` (passed through `fuse` when given) and the
+        ranker features of each of its documents, keyed by doc id."""
+        index, terms = self.index, query.processed_terms
+        scores = bm25_scores(index, terms, self.k1, self.b)
+        ranked = RankedList(query.query_id, top_k_entries(scores, index.doc_ids, index.doc_rank, k))
+        ranked = fuse(ranked) if fuse is not None else ranked
+        doc_ids = ranked.doc_ids()
+        rows = self.features_matrix(terms, [index.ordinal_of[d] for d in doc_ids], scores)
+        return ranked, dict(zip(doc_ids, rows))
 
 
 def _strictly_decreasing(entries):
@@ -134,17 +147,11 @@ def rerank(ranker: Ranker, candidates: RankedList, depth: int, features) -> Rank
     if not candidates.entries:
         return candidates
     feature_of = features if callable(features) else features.__getitem__
-    block = candidates.entries[:depth]
-    rescored = sorted(
-        ((doc_id, ranker.score(feature_of(doc_id))) for doc_id, _ in block),
-        key=lambda e: (-e[1], e[0]),
-    )
-    rescored = _strictly_decreasing(rescored)
+    block = [doc_id for doc_id, _ in candidates.entries[:depth]]
+    scores = np.vecdot(np.array([feature_of(d) for d in block]), ranker.weights)
+    rescored = _strictly_decreasing(sorted(zip(block, scores.tolist()), key=lambda e: (-e[1], e[0])))
     tail_start = rescored[-1][1] - 1.0
-    tail = [
-        (doc_id, tail_start - i)
-        for i, (doc_id, _) in enumerate(candidates.entries[depth:])
-    ]
+    tail = [(doc_id, tail_start - i) for i, (doc_id, _) in enumerate(candidates.entries[depth:])]
     return RankedList(candidates.query_id, tuple(rescored + tail))
 
 

@@ -3,6 +3,13 @@
 Scoring uses the Lucene-style non-negative idf ln(1 + (N - df + 0.5) / (df + 0.5))
 with defaults k1=0.9, b=0.4. Ranked lists break score ties by ascending doc_id.
 
+The index is CSR: with terms sorted, term i's postings are the slice
+offsets[i]:offsets[i + 1] of `ordinals` (ascending) and `tfs`; index.bin holds
+these arrays plus `doc_lengths`, and the term list and doc ids as metadata.
+`bm25_scores` adds idf * tf * (k1 + 1) / (tf + norm) over each query term's
+slice, in query-term order: for every document that is the sequence of IEEE
+operations `bm25_score` performs, so both give bit-identical scores.
+
 Both BM25 and dense search cut their lists with `top_k_entries`, which equals
 taking the first k of the whole corpus sorted by (-score, doc_id) without
 sorting the corpus: `np.partition` finds the k-th largest score t, every
@@ -17,9 +24,10 @@ finite: NaN compares as larger than every number in `np.partition`.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +37,7 @@ from .errors import EmptyCorpusError, UndefinedMetricError
 
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
+INDEX_ARRAYS = ("offsets", "ordinals", "tfs", "doc_lengths")
 
 
 @dataclass(frozen=True)
@@ -64,41 +73,62 @@ class RankedList:
 
 
 class InvertedIndex:
-    """Postings, document lengths, and corpus statistics for BM25."""
+    """CSR postings, document lengths, and corpus statistics for BM25."""
 
-    def __init__(self, postings, doc_lengths, doc_ids):
-        self.postings: dict[str, list[tuple[int, int]]] = postings
-        self.doc_lengths: list[int] = doc_lengths
+    def __init__(self, terms, offsets, ordinals, tfs, lengths, doc_ids):
+        self.terms: list[str] = terms
+        self.offsets, self.ordinals, self.tfs, self.lengths = offsets, ordinals, tfs, lengths
         self.doc_ids: list[str] = doc_ids
         self.doc_count = len(doc_ids)
-        self.avg_doc_length = sum(doc_lengths) / self.doc_count if self.doc_count else 0.0
+        self.avg_doc_length = int(lengths.sum()) / self.doc_count if self.doc_count else 0.0
+        self.term_index = {t: i for i, t in enumerate(terms)}
         self.ordinal_of = {d: i for i, d in enumerate(doc_ids)}
         self.doc_rank = doc_id_ranks(doc_ids)
-        self._tf_maps: dict[str, dict[int, int]] = {}
+        self._norms: dict[tuple[float, float], np.ndarray] = {}
+
+    @property
+    def postings(self) -> dict[str, list[tuple[int, int]]]:
+        """Read-only view: term -> [(ordinal, tf), ...] in ordinal order."""
+        return {t: list(zip(*(a.tolist() for a in self.posting(t)))) for t in self.terms}
+
+    @property
+    def doc_lengths(self) -> list[int]:
+        return self.lengths.tolist()
+
+    def posting(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the term's ordinals (ascending) and their tfs."""
+        i = self.term_index.get(term)
+        s, e = (0, 0) if i is None else (self.offsets[i], self.offsets[i + 1])
+        return self.ordinals[s:e], self.tfs[s:e]
 
     def df(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        return len(self.posting(term)[0])
 
-    def tf(self, term: str, ordinal: int) -> int:
-        tf_map = self._tf_maps.get(term)
-        if tf_map is None:
-            tf_map = dict(self.postings.get(term, ()))
-            self._tf_maps[term] = tf_map
-        return tf_map.get(ordinal, 0)
+    def tf(self, term: str, ordinals):
+        """The term's tf at one ordinal or an array of them; 0 where it is absent."""
+        docs, tfs = self.posting(term)
+        if not len(docs):
+            return np.zeros(np.shape(ordinals), dtype=tfs.dtype)
+        pos = np.minimum(np.searchsorted(docs, ordinals), len(docs) - 1)
+        return np.where(docs[pos] == ordinals, tfs[pos], 0)
+
+    def length_norms(self, k1: float, b: float) -> np.ndarray:
+        """k1 * (1 - b + b * |d| / avgdl) per document, computed once per (k1, b)."""
+        if (k1, b) not in self._norms:
+            # the average is 0 only when every length is, and then every ratio is 0
+            ratio = self.lengths / (self.avg_doc_length or 1.0)
+            self._norms[(k1, b)] = k1 * (1.0 - b + b * ratio)
+        return self._norms[(k1, b)]
 
     def save(self, path) -> None:
-        meta = {
-            "postings": {t: [[o, f] for o, f in p] for t, p in sorted(self.postings.items())},
-            "doc_lengths": self.doc_lengths,
-            "doc_ids": self.doc_ids,
-        }
-        save_arrays(path, "SIDX", {}, meta)
+        arrays = (self.offsets, self.ordinals, self.tfs, self.lengths)
+        save_arrays(path, "SIDX", dict(zip(INDEX_ARRAYS, arrays)),
+                    {"terms": self.terms, "doc_ids": self.doc_ids})
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":
-        _, meta = load_arrays(path, "SIDX")
-        postings = {t: [(o, f) for o, f in p] for t, p in meta["postings"].items()}
-        return cls(postings, meta["doc_lengths"], meta["doc_ids"])
+        arrays, meta = load_arrays(path, "SIDX", required=INDEX_ARRAYS)
+        return cls(meta["terms"], *(arrays[name] for name in INDEX_ARRAYS), meta["doc_ids"])
 
 
 def doc_id_ranks(doc_ids) -> np.ndarray:
@@ -133,19 +163,19 @@ def build_index(docs) -> InvertedIndex:
     docs = list(docs)
     if not docs:
         raise EmptyCorpusError("cannot build an index over an empty corpus")
-    postings: dict[str, list[tuple[int, int]]] = {}
+    postings: dict[str, list[int]] = {}  # term -> ordinal, tf, ordinal, tf, ...
     doc_lengths: list[int] = []
-    doc_ids: list[str] = []
     for ordinal, doc in enumerate(docs):
         terms = text_terms(doc.text())
         doc_lengths.append(len(terms))
-        doc_ids.append(doc.doc_id)
-        counts: dict[str, int] = {}
-        for t in terms:
-            counts[t] = counts.get(t, 0) + 1
-        for t in sorted(counts):
-            postings.setdefault(t, []).append((ordinal, counts[t]))
-    return InvertedIndex(postings, doc_lengths, doc_ids)
+        for t, count in Counter(terms).items():
+            postings.setdefault(t, []).extend((ordinal, count))
+    terms = sorted(postings)
+    offsets = np.cumsum([0] + [len(postings[t]) // 2 for t in terms], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(postings[t] for t in terms), dtype=np.int32,
+                       count=2 * int(offsets[-1])).reshape(-1, 2)
+    return InvertedIndex(terms, offsets, flat[:, 0].copy(), flat[:, 1].copy(),
+                         np.array(doc_lengths, dtype=np.int32), [d.doc_id for d in docs])
 
 
 def idf(index: InvertedIndex, term: str) -> float:
@@ -154,42 +184,32 @@ def idf(index: InvertedIndex, term: str) -> float:
     return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
 
 
-def _length_norm(index: InvertedIndex, ordinal: int, k1: float, b: float) -> float:
-    ratio = index.doc_lengths[ordinal] / index.avg_doc_length if index.avg_doc_length else 0.0
-    return k1 * (1.0 - b + b * ratio)
-
-
 def bm25_score(index, query_terms, ordinal: int, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> float:
     """BM25 of one document against a bag of query terms; missing terms add 0."""
-    score = 0.0
-    norm = _length_norm(index, ordinal, k1, b)
+    norm = index.length_norms(k1, b)[ordinal]
+    tfs = ((term, index.tf(term, ordinal)) for term in query_terms)
+    return float(sum(idf(index, t) * tf * (k1 + 1.0) / (tf + norm) for t, tf in tfs if tf))
+
+
+def bm25_scores(index: InvertedIndex, query_terms, k1: float = DEFAULT_K1,
+                b: float = DEFAULT_B) -> np.ndarray:
+    """BM25 of every document against a bag of query terms, as bm25_score gives it."""
+    scores = np.zeros(index.doc_count)
+    norms = index.length_norms(k1, b)
     for term in query_terms:
-        tf = index.tf(term, ordinal)
-        if tf == 0:
-            continue
-        score += idf(index, term) * tf * (k1 + 1.0) / (tf + norm)
-    return score
-
-
-def _query_terms(query) -> list[str]:
-    if isinstance(query, Query):
-        return list(query.processed_terms)
-    return list(query)
+        docs, tfs = index.posting(term)
+        scores[docs] += idf(index, term) * tfs * (k1 + 1.0) / (tfs + norms[docs])
+    return scores
 
 
 def search_topk(index: InvertedIndex, query, k: int, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> RankedList:
     """Exact top-k over the whole corpus (no pruning), tie-broken by doc_id."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    terms = _query_terms(query)
     query_id = query.query_id if isinstance(query, Query) else 0
-    scores = [0.0] * index.doc_count
-    for term in terms:
-        term_idf = idf(index, term)
-        for ordinal, tf in index.postings.get(term, ()):
-            norm = _length_norm(index, ordinal, k1, b)
-            scores[ordinal] += term_idf * tf * (k1 + 1.0) / (tf + norm)
-    return RankedList(query_id, top_k_entries(np.array(scores), index.doc_ids, index.doc_rank, k))
+    terms = query.processed_terms if isinstance(query, Query) else query
+    scores = bm25_scores(index, terms, k1, b)
+    return RankedList(query_id, top_k_entries(scores, index.doc_ids, index.doc_rank, k))
 
 
 def coverage_at_k(run, qrels: Qrels, k: int) -> float:

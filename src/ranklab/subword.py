@@ -198,13 +198,10 @@ def detokenize(ids, vocab: SubwordVocab) -> str:
 
 
 def subword_ratio(texts, vocab: SubwordVocab) -> float:
-    """Fraction of whitespace-words the vocabulary splits into two or more pieces."""
-    words = 0
-    split = 0
-    for text in texts:
-        for word in text.split():
-            words += 1
-            n_pieces = sum(len(vocab.word_pieces(w)) for w in text_terms(word))
-            if n_pieces >= 2:
-                split += 1
-    return split / words if words else 0.0
+    """Fraction of whitespace-words the vocabulary splits into two or more pieces.
+
+    Each distinct word is split once and weighted by its count."""
+    counts = Counter(word for text in texts for word in text.split())
+    split = sum(n for word, n in counts.items()
+                if sum(len(vocab.word_pieces(w)) for w in text_terms(word)) >= 2)
+    return split / counts.total() if counts else 0.0

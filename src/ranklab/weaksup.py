@@ -293,15 +293,9 @@ class SelectionContext:
         self.depth = depth
         self.instance_featurizer = InstanceFeaturizer(
             index, docs, encoder, vocab, dense_index, k1, b, stopwords, max_length)
-        self.base: dict[int, RankedList] = {}
-        self.features: dict[int, dict[str, np.ndarray]] = {}
-        for query in dev_queries:
-            base = search_topk(index, query, depth, k1, b)
-            self.base[query.query_id] = base
-            self.features[query.query_id] = {
-                doc_id: self.instance_featurizer.features(query.processed_terms, doc_id)
-                for doc_id, _ in base.entries
-            }
+        lists = {q.query_id: self.instance_featurizer.candidates(q, depth) for q in dev_queries}
+        self.base: dict[int, RankedList] = {qid: base for qid, (base, _) in lists.items()}
+        self.features: dict[int, dict[str, np.ndarray]] = {qid: f for qid, (_, f) in lists.items()}
 
     def pair_features(self, triple: WeakTriple) -> tuple[np.ndarray, np.ndarray]:
         return self.instance_featurizer.pair_features(triple)

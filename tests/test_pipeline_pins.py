@@ -1,0 +1,98 @@
+"""Byte pins of the ranker artifacts and the manifest's file hashes.
+
+The sha256 values were written by the per-document feature path (one
+`FeatureExtractor.features` call and one `Ranker.score` per candidate, BM25
+summed posting by posting) on the 200-doc fixture at default config; the
+array-backed index and the per-query feature matrix must reproduce them.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from ranklab.cli import EXIT_CONFIG, PipelineConfig, StageRunner, main, run_pipeline
+from ranklab.checkpoint import save_arrays
+from ranklab.synthetic import DEFAULT_DOCS_PER_TOPIC, DEFAULT_TOPICS
+from test_cli import write_fixture_inputs
+
+RUN_SHA256 = {
+    "none": "bd24b34de3e68f1fb33ff9adf75f07c7a6a5cd99f7210c4418e9717aea8f6a77",
+    "union": "0cd5fc66f4c3062c7466d19a343377a06e57097b794f2826725038aa2934a2c1",
+    "interp": "8979dae10575980680c404366fd0997f922fe027c016f1d15906915a55d3c1c9",
+    "rrf": "9cf98fd1289ab8caa6838f3f5226385e843139438c94fcc494abd5d686b1c175",
+}
+ARTIFACT_SHA256 = {
+    "depth_sweep.tsv": "c57c051f7347c10cdad86f09cbaffad7202a2704876c85f34a0db7feba7e8488",
+    "policy.json": "6f7fbcf881022362386a97186ee107bccfc5ac9645d2b2ed7956b89b0a6d4233",
+    "ranker.ckpt": "a599d4fb40f12ef3e6d37febe6d069918c2897d2e32e56275edefa636f968f5f",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pins")
+    corpus, queries, qrels = write_fixture_inputs(root, DEFAULT_TOPICS, DEFAULT_DOCS_PER_TOPIC)
+    config = PipelineConfig(corpus_path=str(corpus), queries_path=str(queries),
+                            qrels_path=str(qrels), workdir=str(root / "work"))
+    run_pipeline(config, ["ingest", "index", "synth-weak", "train-dense",
+                          "select-train", "depth-sweep"])
+    return config, root / "work"
+
+
+@pytest.mark.parametrize("name", list(ARTIFACT_SHA256))
+def test_fixture_ranker_artifacts_are_pinned(default_run, name):
+    _, work = default_run
+    assert sha256(work / name) == ARTIFACT_SHA256[name]
+
+
+@pytest.mark.parametrize("fusion", list(RUN_SHA256))
+def test_fixture_run_is_pinned_for_each_fusion(default_run, fusion):
+    config, work = default_run
+    run_pipeline(dataclasses.replace(config, fusion=fusion), ["rerank"])
+    assert sha256(work / "run.trec") == RUN_SHA256[fusion]
+
+
+def test_index_written_with_json_postings_is_exit_2(default_run, capsys):
+    config, work = default_run
+    old = work.parent / "old_format"
+    old.mkdir()
+    # the layout of an index.bin whose postings are JSON metadata, with no arrays
+    save_arrays(old / "index.bin", "SIDX", {}, {
+        "postings": {"alpha": [[0, 1]]}, "doc_lengths": [1], "doc_ids": ["t00d00"]})
+    code = main(["synth-weak", "--corpus", config.corpus_path, "--workdir", str(old)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(old / "index.bin") in err
+    assert err.count("\n") == 1
+
+
+def test_manifest_hashes_each_file_once_and_sees_rewrites(tmp_path, monkeypatch):
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    config = PipelineConfig(corpus_path=str(corpus), queries_path=str(queries),
+                            qrels_path=str(qrels), workdir=str(tmp_path / "work"))
+    (tmp_path / "work").mkdir()
+    hashed = []
+    real_sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(1) or real_sha256(data))
+    runner = StageRunner(config)
+    runner.run("index")
+    runner.run("synth-weak")
+    # synth-weak reads the corpus and index.bin that index hashed a moment ago
+    assert len(hashed) == 3
+    lines = corpus.read_text().splitlines()
+    corpus.write_text("\n".join(lines[1:]) + "\n")
+    runner.run("index")
+    monkeypatch.undo()
+    first, second, third = [json.loads(l) for l in
+                            (tmp_path / "work" / "manifest.jsonl").read_text().splitlines()]
+    assert first["inputs"][str(corpus)] == second["inputs"][str(corpus)]
+    assert third["inputs"][str(corpus)] == sha256(corpus) != first["inputs"][str(corpus)]
+    index_bin = str(tmp_path / "work" / "index.bin")
+    assert third["outputs"][index_bin] == sha256(tmp_path / "work" / "index.bin")
+    assert third["outputs"][index_bin] != first["outputs"][index_bin]

@@ -246,3 +246,27 @@ def test_fixture_vocab_bytes_are_pinned(tmp_path, separable):
     separable["vocab"].save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "5b9daca5f27bd619b88134cea84a68662e366f59846def927ac915751abb9cf8")
+
+
+def reference_subword_ratio(texts, vocab):
+    """The former ratio loop, kept as the oracle: every whitespace-word
+    occurrence is split again."""
+    words = 0
+    split = 0
+    for text in texts:
+        for word in text.split():
+            words += 1
+            if sum(len(vocab.word_pieces(w)) for w in text_terms(word)) >= 2:
+                split += 1
+    return split / words if words else 0.0
+
+
+# words repeat, carry punctuation and case, or hold no term at all ("--")
+ratio_texts = st.lists(st.text(alphabet="abcAB-. \n", max_size=24), max_size=8)
+
+
+@given(ratio_texts, ratio_texts)
+def test_subword_ratio_equals_reference_loop(train_texts, texts):
+    vocab = train_subword_vocab(train_texts or ["ab"], 12)
+    assert subword_ratio(texts, vocab) == reference_subword_ratio(texts, vocab)
+    assert subword_ratio(texts * 3, vocab) == reference_subword_ratio(texts * 3, vocab)
