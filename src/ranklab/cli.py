@@ -43,6 +43,7 @@ from .evaluation import (
     QuerySplit,
     Run,
     load_split,
+    ndcg_at_k,
     old_new_report,
     read_qrels,
     read_run,
@@ -344,22 +345,23 @@ class StageRunner:
         weak = weaksup.read_triples(triples_file)
         if not weak:
             raise ConfigError(f"no training triples in {triples_file}")
-        docs_by_id = {d.doc_id: d for d in docs}
-        all_ids = [d.doc_id for d in docs]
+        max_len = self.config.max_seq_len
+        pieces = {d.doc_id: tuple(tokenize(d.text(), vocab, max_len)) for d in docs}
+        all_ids = list(pieces)
         rng = np.random.default_rng(self.config.seed)
-        m = self.config.negatives
         triples = []
         for t in weak:
-            if t.pos_doc_id not in docs_by_id or t.neg_doc_id not in docs_by_id:
+            if t.pos_doc_id not in pieces or t.neg_doc_id not in pieces:
                 continue
             negatives = [t.neg_doc_id]
             candidates = [d for d in all_ids if d not in (t.pos_doc_id, t.neg_doc_id)]
-            while len(negatives) < m and candidates:
-                pick = candidates.pop(int(rng.integers(len(candidates))))
-                negatives.append(pick)
-            triples.append(dense.TrainingTriple.from_texts(
-                t.query, docs_by_id[t.pos_doc_id].text(),
-                [docs_by_id[n].text() for n in negatives], vocab, self.config.max_seq_len))
+            while len(negatives) < self.config.negatives and candidates:
+                negatives.append(candidates.pop(int(rng.integers(len(candidates)))))
+            triples.append(dense.TrainingTriple(
+                tuple(tokenize(t.query, vocab, max_len)), pieces[t.pos_doc_id],
+                tuple(pieces[n] for n in negatives)))
+        if not triples:
+            raise ConfigError(f"no usable triples in {triples_file}")
         encoder = dense.DenseEncoder.init(len(vocab), self.config.dim, self.config.seed)
         if self.config.warm_start:
             pretrained = dense.DenseEncoder.load(self.read("mlm_embeddings"))
@@ -377,17 +379,15 @@ class StageRunner:
             if (epoch + 1) % self.config.eval_every_steps == 0 or epoch == self.config.dense_epochs - 1:
                 message = f"[train-dense] epoch {epoch + 1} loss {np.mean(losses):.6f}"
                 if dev_queries and qrels is not None:
-                    index = dense.build_dense_index(encoder, docs, vocab, self.config.max_seq_len)
+                    index = dense.DenseIndex(dense.pool(encoder.table, pieces.values()), all_ids)
                     ndcg = self._dense_dev_ndcg(index, encoder, vocab, dev_queries, qrels)
                     message += f" dev-ndcg@10 {ndcg:.6f}"
                 print(message)
         encoder.save(self.write("encoder"))
-        dense_index = dense.build_dense_index(encoder, docs, vocab, self.config.max_seq_len)
-        dense_index.save(self.write("dense_index"))
+        dense.DenseIndex(dense.pool(encoder.table, pieces.values()), all_ids).save(
+            self.write("dense_index"))
 
     def _dense_dev_ndcg(self, index, encoder, vocab, queries, qrels) -> float:
-        from .evaluation import ndcg_at_k
-
         values = []
         for query in queries:
             ids = tokenize(" ".join(query.processed_terms), vocab, self.config.max_seq_len)

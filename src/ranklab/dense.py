@@ -7,6 +7,7 @@ gradients can be checked against finite differences exactly.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -65,6 +66,44 @@ def encode(encoder: DenseEncoder, piece_ids) -> np.ndarray:
     return encoder.table[ids].mean(axis=0)
 
 
+def _flatten(sequences) -> tuple[np.ndarray, np.ndarray]:
+    """The length of each id sequence and all their ids, concatenated."""
+    lengths = np.fromiter(map(len, sequences), np.intp, len(sequences))
+    return lengths, np.fromiter(itertools.chain.from_iterable(sequences), np.intp, lengths.sum())
+
+
+def pool(table: np.ndarray, sequences) -> np.ndarray:
+    """The mean table row of each id sequence; a zero row for an empty one.
+
+    Adding position j of every sequence in one step, j = 0, 1, ..., sums each
+    row's ids in order from 0.0, as numpy's table[ids].mean(axis=0) does for
+    two or more columns (one column it sums pairwise): bit-equal. Not so
+    np.add.reduceat, which adds in another order."""
+    lengths, ids = _flatten(sequences)
+    order = np.argsort(-lengths, kind="stable")  # longest first: rows still adding are a prefix
+    starts = (np.cumsum(lengths) - lengths)[order]
+    at_least = np.bincount(lengths)[::-1].cumsum()[::-1]  # [j]: how many have length >= j
+    out = np.zeros((len(lengths), table.shape[1]))
+    for j, count in enumerate(at_least[1:].tolist()):
+        out[:count] += table[ids[starts[:count] + j]]
+    return out[np.argsort(order)] / np.maximum(lengths, 1)[:, None]
+
+
+def pool_grad(shape, sequences, row_grads) -> np.ndarray:
+    """The `shape` table's gradient from pool()'s row gradients: each
+    row_grads[i] / len(sequences[i]) added at every id of sequence i. One
+    np.bincount per column adds these shares in sequence order from 0.0
+    (bit-equal to one += per id) without an (ids x dim) array of them, which
+    for one MLM step would be larger than its whole 16 MiB memory budget."""
+    lengths, ids = _flatten(sequences)
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    shares = np.reshape(row_grads, (len(lengths), shape[1])) / np.maximum(lengths, 1)[:, None]
+    grad = np.empty(shape)
+    for column, share in enumerate(shares.T):
+        grad[:, column] = np.bincount(ids, weights=share[owner], minlength=shape[0])
+    return grad
+
+
 def similarity(qv: np.ndarray, dv: np.ndarray) -> float:
     """Dot product; the retrieval similarity."""
     qv = np.asarray(qv, dtype=np.float64)
@@ -115,20 +154,12 @@ def contrastive_loss(encoder: DenseEncoder, triple: TrainingTriple) -> float:
     return float(np.log(np.exp(sims - shift).sum()) + shift - sims[0])
 
 
-def _accumulate(grad: np.ndarray, ids, vec: np.ndarray) -> None:
-    if not ids:
-        return
-    contribution = vec / len(ids)
-    for i in ids:
-        grad[i] += contribution
-
-
 def train_step(encoder: DenseEncoder, batch, learning_rate: float) -> tuple[DenseEncoder, float]:
     """One gradient-descent step on the mean contrastive loss of the batch."""
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be non-empty")
-    grad = np.zeros_like(encoder.table)
+    sequences, row_grads = [], []
     total_loss = 0.0
     scale = 1.0 / len(batch)
     for triple in batch:
@@ -143,10 +174,9 @@ def train_step(encoder: DenseEncoder, batch, learning_rate: float) -> tuple[Dens
         dsims = probs.copy()
         dsims[0] -= 1.0
         dq = dsims[0] * pv + sum(d * nv for d, nv in zip(dsims[1:], nvs))
-        _accumulate(grad, triple.query_ids, scale * dq)
-        _accumulate(grad, triple.positive_ids, scale * dsims[0] * qv)
-        for d, ids in zip(dsims[1:], triple.negative_ids):
-            _accumulate(grad, ids, scale * d * qv)
+        sequences += [triple.query_ids, triple.positive_ids, *triple.negative_ids]
+        row_grads += [scale * dq, scale * dsims[0] * qv, *(scale * d * qv for d in dsims[1:])]
+    grad = pool_grad(encoder.table.shape, sequences, row_grads)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient in dense training step")
     encoder.table -= learning_rate * grad
@@ -185,14 +215,8 @@ def build_dense_index(encoder: DenseEncoder, docs, vocab: SubwordVocab,
                       max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH) -> DenseIndex:
     """Encode every document (title + abstract) into one vector row."""
     docs = list(docs)
-    vectors = np.zeros((len(docs), encoder.dim))
-    doc_ids = []
-    for row, doc in enumerate(docs):
-        ids = tokenize(doc.text(), vocab, max_length)
-        if ids:
-            vectors[row] = encode(encoder, ids)
-        doc_ids.append(doc.doc_id)
-    return DenseIndex(vectors, doc_ids)
+    pieces = [tokenize(doc.text(), vocab, max_length) for doc in docs]
+    return DenseIndex(pool(encoder.table, pieces), [doc.doc_id for doc in docs])
 
 
 def dense_search_topk(index: DenseIndex, encoder: DenseEncoder, query_ids, k: int,

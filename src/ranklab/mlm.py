@@ -11,6 +11,9 @@ in fixed chunks of TARGET_CHUNK rows. Each chunk takes one logits block, a
 row-wise stable log-softmax and two matrix products for the gradients, so the
 largest temporaries are TARGET_CHUNK x vocab_size (about 0.7 MB at a
 1,400-piece vocabulary) whatever the number of targets.
+
+The context means come from dense.pool and their gradient from dense.pool_grad,
+which add in the order of a per-sequence mean and np.add.at (see dense).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_arrays, save_arrays
-from .dense import DenseEncoder
+from .dense import DenseEncoder, pool, pool_grad
 from .errors import NumericError, ToolkitWarning
 
 DEFAULT_MASK_RATE = 0.15
@@ -92,11 +95,9 @@ class MlmModel:
 
     @classmethod
     def init(cls, vocab_size: int, dim: int, seed: int = 0) -> "MlmModel":
-        rng = np.random.default_rng(seed)
-        half = 0.5 / dim
-        embeddings = rng.uniform(-half, half, size=(vocab_size, dim))
-        # zero output weights give the exact uniform-softmax starting loss ln(V)
-        return cls(embeddings, np.zeros((vocab_size, dim)))
+        # the dense encoder's initial table; zero output weights give the exact
+        # uniform-softmax starting loss ln(V)
+        return cls(DenseEncoder.init(vocab_size, dim, seed).table, np.zeros((vocab_size, dim)))
 
     @property
     def vocab_size(self) -> int:
@@ -111,8 +112,7 @@ class MlmModel:
 
     def save_embeddings(self, path) -> None:
         """Persist the embedding table in the dense-encoder checkpoint format."""
-        save_arrays(path, "DENC", {"table": self.embeddings},
-                    {"dim": self.dim, "vocab_size": self.vocab_size})
+        DenseEncoder(self.embeddings).save(path)
 
     def save(self, path) -> None:
         save_arrays(path, "MLMM",
@@ -132,23 +132,16 @@ def masked_prediction_loss(model: MlmModel, batch: MaskedBatch) -> float:
 
 
 def _loss_and_grads(model: MlmModel, batch: MaskedBatch, want_grads: bool):
-    n_seq = len(batch.sequences)
-    contexts = np.zeros((n_seq, model.dim))  # a fully masked sequence keeps zeros
-    context_ids, target_seq, target_ids = [], [], []
+    context_ids, targets = [], []
     for s, seq in enumerate(batch.sequences):
         masked_positions = {p for p, _ in seq.targets}
-        ids = [i for p, i in enumerate(seq.ids) if p not in masked_positions]
-        context_ids.append(ids)
-        if ids:
-            contexts[s] = model.embeddings[ids].mean(axis=0)
-        for _, original in seq.targets:
-            target_seq.append(s)
-            target_ids.append(original)
-    n_targets = len(target_ids)
+        context_ids.append([i for p, i in enumerate(seq.ids) if p not in masked_positions])
+        targets += [(s, original) for _, original in seq.targets]
+    n_targets = len(targets)
     if not n_targets:
         raise ValueError("batch has no masked targets")
-    target_seq = np.asarray(target_seq, dtype=np.intp)
-    target_ids = np.asarray(target_ids, dtype=np.intp)
+    target_seq, target_ids = np.array(targets, dtype=np.intp).T
+    contexts = pool(model.embeddings, context_ids)  # a fully masked sequence pools to zeros
 
     weights = model.output_weights
     if want_grads:
@@ -178,11 +171,7 @@ def _loss_and_grads(model: MlmModel, batch: MaskedBatch, want_grads: bool):
     scale = 1.0 / n_targets
     grad_out *= scale
     grad_contexts *= scale
-    grad_emb = np.zeros_like(model.embeddings)
-    for ids, grad_context in zip(context_ids, grad_contexts):
-        if ids:
-            # np.add.at, not fancy-index +=: a sequence can repeat a piece id
-            np.add.at(grad_emb, ids, grad_context / len(ids))
+    grad_emb = pool_grad(model.embeddings.shape, context_ids, grad_contexts)
     return total * scale, grad_emb, grad_out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import load_arrays, save_arrays
 from .corpus import Qrels
-from .dense import DenseEncoder, DenseIndex, build_dense_index, encode
+from .dense import DenseEncoder, DenseIndex, build_dense_index, pool
 from .errors import DependencyError, NumericError
 from .sparse import (
     DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, bm25_scores, idf, top_k_entries,
@@ -95,7 +95,7 @@ class FeatureExtractor:
         out[:, 0] = bm25[ordinals] if bm25 is not None else [
             bm25_score(self.index, query_terms, o, self.k1, self.b) for o in ordinals.tolist()]
         ids = tokenize(" ".join(query_terms), self.vocab, self.max_length)
-        qv = encode(self.encoder, ids) if ids else np.zeros(self.encoder.dim)
+        qv = pool(self.encoder.table, [ids])[0]
         # np.vecdot, unlike a mat-vec product, gives each row similarity()'s exact dot
         out[:, 1] = np.vecdot(self.dense_index.vectors[ordinals], qv)
         unique = sorted(set(query_terms))

@@ -103,10 +103,13 @@ class SubwordVocab:
 
     @classmethod
     def load(cls, path) -> "SubwordVocab":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("version") != 1:
-            raise ConfigError(f"unsupported vocab file version in {path}")
-        return cls(payload["chars"], [tuple(m) for m in payload["merges"]])
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            if payload.get("version") != 1:
+                raise ConfigError(f"unsupported vocab file version in {path}")
+            return cls(payload["chars"], [tuple(m) for m in payload["merges"]])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: corrupt vocab file ({exc!r})") from exc
 
 
 def _merge_pair(symbols: list[str], a: str, b: str) -> list[str]:

@@ -1,0 +1,72 @@
+"""The train-dense and dapt stages: one tokenization per document, and
+exit 2 with one stderr line for unusable triples or a corrupt vocab.json."""
+
+import json
+
+import pytest
+
+import ranklab.cli
+import ranklab.dense
+from ranklab.cli import EXIT_CONFIG, PipelineConfig, main, run_pipeline
+from ranklab.corpus import load_corpus, load_queries
+from ranklab.stopwords import ENGLISH_STOPWORDS
+from ranklab.weaksup import read_triples
+from test_cli import write_fixture_inputs
+
+
+@pytest.fixture
+def ingested(tmp_path):
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    common = ["--corpus", str(corpus), "--queries", str(queries), "--qrels", str(qrels),
+              "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600"]
+    assert main(["pipeline", "--stages", "ingest", *common]) == 0
+    return tmp_path / "w", common
+
+
+def test_train_dense_without_usable_triples_is_exit_2(ingested, tmp_path, capsys):
+    work, common = ingested
+    triples = tmp_path / "triples.jsonl"
+    triples.write_text(json.dumps({"query": "alpha", "pos_doc_id": "nope", "neg_doc_id": "nix"})
+                       + "\n")
+    capsys.readouterr()
+    assert main(["train-dense", "--triples-file", str(triples), *common]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: no usable triples in {triples}\n"
+    assert captured.out == ""
+    assert not (work / "encoder.ckpt").exists() and not (work / "dense_index.bin").exists()
+
+
+def test_corrupt_vocab_is_exit_2(ingested, capsys):
+    work, common = ingested
+    vocab = work / "vocab.json"
+    data = vocab.read_bytes()
+    cuts = [data[:n] for n in (0, 1, 9, len(data) // 2, len(data) - 2)]
+    for corrupt in [*cuts, b'{"version": 1}\n', b"[1]\n", b'{"version": 1, "chars": 5}\n',
+                    b'{"version": 1, "chars": ["a"], "merges": [["a"]]}\n']:
+        vocab.write_bytes(corrupt)
+        capsys.readouterr()
+        assert main(["dapt", "--set", "mlm_epochs=1", *common]) == EXIT_CONFIG, corrupt
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {vocab}: corrupt vocab file"), err
+        assert err.count("\n") == 1
+
+
+def test_train_dense_tokenizes_each_document_once(tmp_path, monkeypatch):
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    config = PipelineConfig(corpus_path=str(corpus), queries_path=str(queries),
+                            qrels_path=str(qrels), workdir=str(tmp_path / "w"),
+                            vocab_size=600, triples_count=8, dense_epochs=4)
+    run_pipeline(config, ["ingest", "index", "synth-weak"])
+    texts = []
+
+    def counting(tokenize):
+        return lambda text, *args: texts.append(text) or tokenize(text, *args)
+
+    monkeypatch.setattr(ranklab.cli, "tokenize", counting(ranklab.cli.tokenize))
+    monkeypatch.setattr(ranklab.dense, "tokenize", counting(ranklab.dense.tokenize))
+    run_pipeline(config, ["train-dense"])
+    docs = [d.text() for d in load_corpus(corpus)]
+    triple_queries = [t.query for t in read_triples(tmp_path / "w" / "weak_triples.jsonl")]
+    dev = [" ".join(q.processed_terms) for q in load_queries(queries, ENGLISH_STOPWORDS)]
+    evaluations = 2  # epochs 3 and 4 at eval_every_steps = 3
+    assert sorted(texts) == sorted(docs + triple_queries + dev * evaluations)
