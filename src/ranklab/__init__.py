@@ -6,7 +6,7 @@ weak-supervision synthesis and policy-gradient selection, depth-controlled
 feature reranking with fusion, and TREC-style residual-collection evaluation.
 """
 
-from .corpus import Document, Qrels, Query, date_filter, load_corpus, load_queries, preprocess_query
+from .corpus import Document, Qrels, Query, load_corpus, load_queries, preprocess_query
 from .dense import (
     DenseEncoder,
     DenseIndex,
@@ -35,7 +35,6 @@ from .mlm import MaskedBatch, MaskedSequence, MlmModel, make_masked_batch, mask_
 # ranklab.rerank remains importable
 from .rerank import (
     FeatureExtractor,
-    FusionConfig,
     Ranker,
     depth_sweep,
     fuse_base_union,

@@ -43,7 +43,7 @@ from .evaluation import (
     QuerySplit,
     Run,
     load_split,
-    ndcg_at_k,
+    mean_ndcg,
     old_new_report,
     read_qrels,
     read_run,
@@ -353,12 +353,17 @@ class StageRunner:
         for t in weak:
             if t.pos_doc_id not in pieces or t.neg_doc_id not in pieces:
                 continue
+            # a negative that tokenizes like the positive (a duplicate
+            # document) cannot be told apart from it
+            positive = pieces[t.pos_doc_id]
+            if pieces[t.neg_doc_id] == positive:
+                continue
             negatives = [t.neg_doc_id]
-            candidates = [d for d in all_ids if d not in (t.pos_doc_id, t.neg_doc_id)]
+            candidates = [d for d, p in pieces.items() if d != t.neg_doc_id and p != positive]
             while len(negatives) < self.config.negatives and candidates:
                 negatives.append(candidates.pop(int(rng.integers(len(candidates)))))
             triples.append(dense.TrainingTriple(
-                tuple(tokenize(t.query, vocab, max_len)), pieces[t.pos_doc_id],
+                tuple(tokenize(t.query, vocab, max_len)), positive,
                 tuple(pieces[n] for n in negatives)))
         if not triples:
             raise ConfigError(f"no usable triples in {triples_file}")
@@ -388,12 +393,11 @@ class StageRunner:
             self.write("dense_index"))
 
     def _dense_dev_ndcg(self, index, encoder, vocab, queries, qrels) -> float:
-        values = []
-        for query in queries:
-            ids = tokenize(" ".join(query.processed_terms), vocab, self.config.max_seq_len)
-            ranking = dense.dense_search_topk(index, encoder, ids, 10, query.query_id)
-            values.append(ndcg_at_k(ranking, qrels.judgments.get(query.query_id, {}), 10))
-        return sum(values) / len(values) if values else 0.0
+        max_len = self.config.max_seq_len
+        rankings = [dense.dense_search_topk(
+            index, encoder, tokenize(" ".join(q.processed_terms), vocab, max_len), 10, q.query_id)
+            for q in queries]
+        return mean_ndcg(rankings, qrels, 10)
 
     def stage_synth_weak(self):
         index = InvertedIndex.load(self.read("index"))

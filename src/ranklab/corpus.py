@@ -153,14 +153,3 @@ def load_queries(path, stopwords=ENGLISH_STOPWORDS) -> list[Query]:
             queries.append(Query.from_raw(query_id, parts[1], stopwords))
     return queries
 
-
-def date_filter(docs, cutoff: datetime.date) -> tuple[list[Document], float]:
-    """Keep documents published on/after `cutoff`; undated documents are kept.
-
-    Returns the kept documents and the excluded fraction of the input.
-    """
-    docs = list(docs)
-    kept = [d for d in docs if d.publish_date is None or d.publish_date >= cutoff]
-    if not docs:
-        return kept, 0.0
-    return kept, (len(docs) - len(kept)) / len(docs)

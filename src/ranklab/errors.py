@@ -14,12 +14,12 @@ class ParseError(ToolkitError):
         self.line_no = line_no
 
 
-class DuplicateDocumentError(ToolkitError):
-    """Two corpus records share a doc_id."""
-
-
 class ConfigError(ToolkitError):
     """Invalid configuration value or unusable input path (exit code 2)."""
+
+
+class DuplicateDocumentError(ConfigError):
+    """Two corpus records share a doc_id (exit code 2)."""
 
 
 class DependencyError(ToolkitError):
@@ -30,12 +30,12 @@ class NumericError(ToolkitError):
     """A loss or gradient became non-finite (exit code 4)."""
 
 
-class EmptyCorpusError(ToolkitError):
-    """An index was requested over zero documents."""
+class EmptyCorpusError(ConfigError):
+    """An index was requested over zero documents (exit code 2)."""
 
 
-class UndefinedMetricError(ToolkitError):
-    """A metric was requested over an empty set of judged queries."""
+class UndefinedMetricError(ConfigError):
+    """A metric was requested over an empty set of judged queries (exit code 2)."""
 
 
 class GenerationError(ToolkitError):

@@ -59,6 +59,13 @@ def precision_at_k(ranking: RankedList, qrels_entry, k: int) -> float:
     return hits / k
 
 
+def mean_ndcg(rankings, qrels: Qrels, k: int) -> float:
+    """Mean NDCG@k over every ranking, a query absent from `qrels` scoring 0;
+    0.0 when there are no rankings."""
+    values = [ndcg_at_k(r, qrels.judgments.get(r.query_id, {}), k) for r in rankings]
+    return sum(values) / len(values) if values else 0.0
+
+
 @dataclass
 class Run:
     """Per-query rankings plus the run tag used in TREC exchange files."""

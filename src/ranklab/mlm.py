@@ -45,12 +45,6 @@ class MaskedBatch:
     sequences: tuple[MaskedSequence, ...]
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def mask_tokens(piece_ids, mask_id: int, mask_rate: float = DEFAULT_MASK_RATE,
                 rng=0) -> MaskedSequence | None:
     """Mask round(mask_rate * n) distinct positions (min 1), chosen uniformly.
@@ -65,7 +59,7 @@ def mask_tokens(piece_ids, mask_id: int, mask_rate: float = DEFAULT_MASK_RATE,
         warnings.warn("skipping empty sequence in masking", ToolkitWarning, stacklevel=2)
         return None
     n_mask = max(1, round(mask_rate * n))
-    positions = sorted(_as_rng(rng).choice(n, size=n_mask, replace=False).tolist())
+    positions = sorted(np.random.default_rng(rng).choice(n, size=n_mask, replace=False).tolist())
     targets = tuple((p, ids[p]) for p in positions)
     for p in positions:
         ids[p] = mask_id
@@ -75,7 +69,7 @@ def mask_tokens(piece_ids, mask_id: int, mask_rate: float = DEFAULT_MASK_RATE,
 def make_masked_batch(sequences, mask_id: int, mask_rate: float = DEFAULT_MASK_RATE,
                       rng=0) -> MaskedBatch:
     """Mask every non-empty sequence with one shared random stream."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     masked = []
     for ids in sequences:
         entry = mask_tokens(ids, mask_id, mask_rate, rng)

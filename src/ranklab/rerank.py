@@ -12,7 +12,6 @@ matched when it is not a stopword and its tf in the document is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .checkpoint import load_arrays, save_arrays
 from .corpus import Qrels
 from .dense import DenseEncoder, DenseIndex, build_dense_index, pool
 from .errors import DependencyError, NumericError
+from .evaluation import QuerySplit, Run, old_new_report
 from .sparse import (
     DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, bm25_scores, idf, top_k_entries,
 )
@@ -186,21 +186,6 @@ def pairwise_train_step(ranker: Ranker, feature_pairs, learning_rate: float) -> 
     return ranker, total * scale
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    strategy: str = "rerank-interpolation"  # rerank-interpolation | base-union | rrf
-    alpha: float = DEFAULT_ALPHA
-    rrf_k: int = DEFAULT_RRF_K
-
-    def __post_init__(self):
-        if self.strategy not in ("rerank-interpolation", "base-union", "rrf"):
-            raise ValueError(f"unknown fusion strategy {self.strategy!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.rrf_k < 1:
-            raise ValueError(f"rrf_k must be >= 1, got {self.rrf_k}")
-
-
 def _minmax_normalize(scores: dict[str, float]) -> dict[str, float]:
     if not scores:
         return {}
@@ -254,27 +239,17 @@ def fuse_base_union(bm25_list: RankedList, dense_list: RankedList, k: int,
 
 def depth_sweep(ranker: Ranker, base_runs, depths, qrels: Qrels, features_by_query,
                 k: int = 10) -> dict[int, dict[str, float]]:
-    """Evaluate NDCG@k and P@5 of reranking at each depth; one row per depth."""
-    from .evaluation import ndcg_at_k, precision_at_k
+    """Evaluate NDCG@k and P@5 of reranking at each depth; one row per depth.
 
+    Each row is the overall line of old_new_report over the queries in
+    `qrels`; a judged query with no base list scores 0."""
     if not depths:
         raise ValueError("depths must be non-empty")
+    split = QuerySplit.from_ids((), qrels.query_ids())
     table: dict[int, dict[str, float]] = {}
-    query_ids = qrels.query_ids()
     for depth in depths:
-        ndcgs, precs = [], []
-        for query_id in query_ids:
-            base = base_runs.get(query_id)
-            entry = qrels.judgments[query_id]
-            if base is None:
-                ndcgs.append(0.0)
-                precs.append(0.0)
-                continue
-            reranked = rerank(ranker, base, depth, features_by_query[query_id])
-            ndcgs.append(ndcg_at_k(reranked, entry, k))
-            precs.append(precision_at_k(reranked, entry, 5))
-        table[depth] = {
-            f"ndcg@{k}": sum(ndcgs) / len(ndcgs) if ndcgs else 0.0,
-            "p@5": sum(precs) / len(precs) if precs else 0.0,
-        }
+        run = Run({qid: rerank(ranker, base_runs[qid], depth, features_by_query[qid])
+                   for qid in qrels.query_ids() if qid in base_runs})
+        overall = old_new_report(run, qrels, split, k).overall
+        table[depth] = {f"ndcg@{k}": overall.ndcg, "p@5": overall.precision}
     return table

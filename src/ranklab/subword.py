@@ -51,13 +51,10 @@ class SubwordVocab:
     def __init__(self, chars: list[str], merges: list[tuple[str, str]]):
         self.chars = sorted(chars)
         self.merges = [tuple(m) for m in merges]
-        pieces = [MASK_PIECE, UNK_PIECE] + self.chars
-        for a, b in self.merges:
-            merged = a + b
-            if merged not in pieces:
-                pieces.append(merged)
-        self.pieces = pieces
-        self.piece_ids = {p: i for i, p in enumerate(pieces)}
+        self.piece_ids: dict[str, int] = {}
+        for piece in [MASK_PIECE, UNK_PIECE, *self.chars, *(a + b for a, b in self.merges)]:
+            self.piece_ids.setdefault(piece, len(self.piece_ids))
+        self.pieces = list(self.piece_ids)
         self._merge_ranks: dict[tuple[str, str], list[int]] = {}
         for rank, pair in enumerate(self.merges):
             self._merge_ranks.setdefault(pair, []).append(rank)

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     ToolkitWarning,
 )
-from .evaluation import ndcg_at_k
+from .evaluation import mean_ndcg
 from .rerank import FeatureExtractor, Ranker, pairwise_train_step, rerank
 from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, idf, search_topk
 from .stopwords import ENGLISH_STOPWORDS
@@ -301,11 +301,8 @@ class SelectionContext:
         return self.instance_featurizer.pair_features(triple)
 
     def dev_ndcg(self, ranker: Ranker) -> float:
-        values = []
-        for query_id, base in self.base.items():
-            reranked = rerank(ranker, base, self.depth, self.features[query_id])
-            values.append(ndcg_at_k(reranked, self.qrels.judgments.get(query_id, {}), self.k))
-        return sum(values) / len(values) if values else 0.0
+        return mean_ndcg((rerank(ranker, base, self.depth, self.features[query_id])
+                          for query_id, base in self.base.items()), self.qrels, self.k)
 
 
 def reinfoselect_step(policy: SelectorPolicy, batch, ranker: Ranker,

@@ -510,3 +510,36 @@ def test_only_input_passes_config_paths_on():
                         and ast.unparse(arg.value) == "self.config"):
                     offenders.append(f"{method.name}: {ast.unparse(call)}")
     assert offenders == []
+
+
+def _one_line_exit_2(argv, capsys, message):
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err, err
+    assert err.count("\n") == 1
+
+
+def test_repeated_doc_id_is_one_line_exit_2(tmp_path, capsys):
+    corpus, _, _ = write_fixture_inputs(tmp_path)
+    lines = corpus.read_text().splitlines()
+    corpus.write_text("\n".join([*lines, lines[0]]) + "\n")
+    _one_line_exit_2(["index", "--corpus", str(corpus), "--workdir", str(tmp_path / "w")],
+                     capsys, "duplicate doc_id 't00d00'")
+
+
+def test_empty_corpus_is_one_line_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n")
+    _one_line_exit_2(["index", "--corpus", str(corpus), "--workdir", str(tmp_path / "w")],
+                     capsys, "empty corpus")
+
+
+def test_analyze_without_relevant_documents_is_one_line_exit_2(tmp_path, capsys):
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    qrels.write_text("".join(line.rsplit(" ", 1)[0] + " 0\n"
+                             for line in qrels.read_text().splitlines()))
+    _one_line_exit_2(["pipeline", "--stages", "ingest,index,analyze", "--corpus", str(corpus),
+                      "--queries", str(queries), "--qrels", str(qrels),
+                      "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600"],
+                     capsys, "no judged queries with relevant documents")

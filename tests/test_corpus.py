@@ -6,7 +6,6 @@ import pytest
 from ranklab.corpus import (
     Document,
     Query,
-    date_filter,
     load_corpus,
     load_queries,
     preprocess_query,
@@ -108,36 +107,6 @@ class TestQueries:
         path.write_text("zero\tcoronavirus\n")
         with pytest.raises(ParseError, match=":1"):
             load_queries(path)
-
-
-class TestDateFilter:
-    def test_nothing_excluded(self):
-        docs = [Document(f"d{i}", "t", "a", datetime.date(2020, 1, i + 1)) for i in range(3)]
-        kept, frac = date_filter(docs, datetime.date(2020, 1, 1))
-        assert len(kept) == 3 and frac == 0.0
-
-    def test_eighty_percent_excluded(self):
-        pre = [Document(f"p{i}", "t", "a", datetime.date(2019, 6, 1)) for i in range(8)]
-        post = [Document(f"q{i}", "t", "a", datetime.date(2020, 6, 1)) for i in range(2)]
-        kept, frac = date_filter(pre + post, datetime.date(2020, 1, 1))
-        assert [d.doc_id for d in kept] == ["q0", "q1"]
-        assert frac == 0.8
-
-    def test_missing_date_kept(self):
-        docs = [Document("d", "t", "a", None)]
-        kept, frac = date_filter(docs, datetime.date(2020, 1, 1))
-        assert kept == docs and frac == 0.0
-
-    def test_partition_exact(self):
-        docs = (
-            [Document(f"a{i}", "t", "a", datetime.date(2019, 1, 1)) for i in range(3)]
-            + [Document(f"b{i}", "t", "a", datetime.date(2021, 1, 1)) for i in range(4)]
-            + [Document("c", "t", "a", None)]
-        )
-        kept, frac = date_filter(docs, datetime.date(2020, 1, 1))
-        excluded = [d for d in docs if d not in kept]
-        assert len(kept) + len(excluded) == len(docs)
-        assert frac == len(excluded) / len(docs)
 
 
 def test_stopword_file_override(tmp_path):

@@ -1,0 +1,168 @@
+"""Every ranking figure comes from evaluation: depth_sweep through
+old_new_report, and the dev NDCG of select-train and train-dense through
+mean_ndcg, each against the loop it replaced.
+
+The former loops are kept here as oracles and every comparison is bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from ranklab.cli import PipelineConfig, StageRunner
+from ranklab.corpus import Qrels
+from ranklab.dense import DenseEncoder, build_dense_index, dense_search_topk
+from ranklab.errors import ConfigError
+from ranklab.evaluation import mean_ndcg, ndcg_at_k, precision_at_k
+from ranklab.rerank import Ranker, depth_sweep, rerank
+from ranklab.sparse import RankedList
+from ranklab.subword import tokenize
+from ranklab.weaksup import SelectionContext
+
+DOCS = [f"d{i}" for i in range(8)]
+QUERY_IDS = [1, 2, 3, 4, 5]
+
+
+# -- the former loops -------------------------------------------------------
+
+def reference_depth_sweep(ranker, base_runs, depths, qrels, features_by_query, k=10):
+    table = {}
+    query_ids = qrels.query_ids()
+    for depth in depths:
+        ndcgs, precs = [], []
+        for query_id in query_ids:
+            base = base_runs.get(query_id)
+            entry = qrels.judgments[query_id]
+            if base is None:
+                ndcgs.append(0.0)
+                precs.append(0.0)
+                continue
+            reranked = rerank(ranker, base, depth, features_by_query[query_id])
+            ndcgs.append(ndcg_at_k(reranked, entry, k))
+            precs.append(precision_at_k(reranked, entry, 5))
+        table[depth] = {
+            f"ndcg@{k}": sum(ndcgs) / len(ndcgs) if ndcgs else 0.0,
+            "p@5": sum(precs) / len(precs) if precs else 0.0,
+        }
+    return table
+
+
+def reference_dev_ndcg(context, ranker):
+    """SelectionContext.dev_ndcg before it called mean_ndcg."""
+    values = []
+    for query_id, base in context.base.items():
+        reranked = rerank(ranker, base, context.depth, context.features[query_id])
+        values.append(ndcg_at_k(reranked, context.qrels.judgments.get(query_id, {}), context.k))
+    return sum(values) / len(values) if values else 0.0
+
+
+def reference_dense_dev_ndcg(index, encoder, vocab, queries, qrels, max_length):
+    """StageRunner._dense_dev_ndcg before it called mean_ndcg."""
+    values = []
+    for query in queries:
+        ids = tokenize(" ".join(query.processed_terms), vocab, max_length)
+        ranking = dense_search_topk(index, encoder, ids, 10, query.query_id)
+        values.append(ndcg_at_k(ranking, qrels.judgments.get(query.query_id, {}), 10))
+    return sum(values) / len(values) if values else 0.0
+
+
+# -- depth_sweep ------------------------------------------------------------
+
+@st.composite
+def sweep_inputs(draw):
+    """Judged queries with and without base lists, unjudged queries with base
+    lists, grades of 0 only, and empty qrels all occur."""
+    judged = draw(st.lists(st.sampled_from(QUERY_IDS), unique=True))
+    qrels = Qrels()
+    for qid in judged:
+        for doc in draw(st.lists(st.sampled_from(DOCS), min_size=1, unique=True)):
+            qrels.add(qid, doc, draw(st.integers(0, 3)))
+    listed = draw(st.lists(st.sampled_from(QUERY_IDS), unique=True))
+    score = st.floats(-5, 5, allow_nan=False)
+    base_runs, features = {}, {}
+    for qid in listed:
+        docs = draw(st.lists(st.sampled_from(DOCS), unique=True))
+        base_runs[qid] = RankedList.from_scores(qid, [(d, draw(score)) for d in docs])
+        features[qid] = {d: np.array([draw(score) for _ in range(6)]) for d in docs}
+    weights = draw(st.lists(score, min_size=6, max_size=6))
+    depths = draw(st.lists(st.integers(1, 10), min_size=1, max_size=4, unique=True))
+    return qrels, base_runs, features, Ranker(weights), depths, draw(st.integers(1, 10))
+
+
+def _bundle(judged, listed, k=10):
+    qrels = Qrels()
+    for qid, grades in judged.items():
+        for doc, grade in grades.items():
+            qrels.add(qid, doc, grade)
+    base_runs = {qid: RankedList.from_scores(qid, [(d, -float(i)) for i, d in enumerate(DOCS)])
+                 for qid in listed}
+    features = {qid: {d: np.array([float(i % 3), 0, 0, 0, 0, 1.0]) for i, d in enumerate(DOCS)}
+                for qid in listed}
+    return qrels, base_runs, features, Ranker([1.0, 0, 0, 0, 0, 0]), [1, 3, 8], k
+
+
+@given(sweep_inputs())
+@example(_bundle({}, [1, 2]))  # empty qrels
+@example(_bundle({1: {"d2": 1}, 2: {"d5": 2, "d0": 0}}, [1, 4]))  # 2 has no list, 4 unjudged
+@example(_bundle({3: {"d1": 0}}, [3], k=1))  # judged, nothing relevant
+def test_depth_sweep_matches_the_former_loop(inputs):
+    qrels, base_runs, features, ranker, depths, k = inputs
+    assert (depth_sweep(ranker, base_runs, depths, qrels, features, k)
+            == reference_depth_sweep(ranker, base_runs, depths, qrels, features, k))
+
+
+def test_depth_sweep_rejects_empty_depths():
+    qrels, base_runs, features, ranker, _, k = _bundle({1: {"d1": 1}}, [1])
+    with pytest.raises(ValueError, match="depths must be non-empty"):
+        depth_sweep(ranker, base_runs, [], qrels, features, k)
+
+
+# -- mean_ndcg --------------------------------------------------------------
+
+def _partial_qrels(qrels, drop):
+    """`qrels` without the judgments of the queries in `drop`."""
+    return Qrels({qid: dict(j) for qid, j in qrels.judgments.items() if qid not in drop})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dev_ndcg_matches_the_former_loop(separable, seed):
+    docs, vocab, index = separable["docs"], separable["vocab"], separable["index"]
+    queries = separable["queries"][:6]
+    qrels = _partial_qrels(separable["qrels"], {queries[1].query_id, queries[4].query_id})
+    encoder = DenseEncoder.init(len(vocab), 16, seed=seed)
+    context = SelectionContext(index, docs, encoder, vocab, queries, qrels, depth=20)
+    rng = np.random.default_rng(seed)
+    for ranker in (Ranker(), Ranker(rng.normal(size=6)), Ranker(rng.normal(size=6))):
+        assert context.dev_ndcg(ranker) == reference_dev_ndcg(context, ranker)
+    empty = SelectionContext(index, docs, encoder, vocab, [], qrels, depth=20)
+    assert empty.dev_ndcg(Ranker()) == reference_dev_ndcg(empty, Ranker()) == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dense_dev_ndcg_matches_the_former_loop(separable, seed):
+    docs, vocab = separable["docs"], separable["vocab"]
+    queries = separable["queries"]
+    qrels = _partial_qrels(separable["qrels"], {queries[0].query_id, queries[-1].query_id})
+    config = PipelineConfig(max_seq_len=12)
+    encoder = DenseEncoder.init(len(vocab), 16, seed=seed)
+    index = build_dense_index(encoder, docs, vocab, config.max_seq_len)
+    runner = StageRunner(config)
+    for subset in (queries, queries[:1], []):
+        assert (runner._dense_dev_ndcg(index, encoder, vocab, subset, qrels)
+                == reference_dense_dev_ndcg(index, encoder, vocab, subset, qrels,
+                                            config.max_seq_len))
+
+
+def test_mean_ndcg_scores_an_unjudged_query_zero():
+    qrels = Qrels({1: {"a": 1}})
+    rankings = [RankedList.from_scores(1, [("a", 1.0)]), RankedList.from_scores(2, [("a", 1.0)])]
+    assert mean_ndcg(rankings, qrels, 10) == 0.5
+    assert mean_ndcg([], qrels, 10) == 0.0
+
+
+# -- the fusion bounds PipelineConfig declares -----------------------------
+
+def test_rrf_k_zero_is_config_error():
+    with pytest.raises(ConfigError, match="rrf_k must be >= 1"):
+        PipelineConfig(rrf_k=0).validate()

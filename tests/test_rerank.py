@@ -8,7 +8,6 @@ from ranklab.dense import DenseEncoder, DenseIndex, build_dense_index
 from ranklab.errors import DependencyError
 from ranklab.rerank import (
     FeatureExtractor,
-    FusionConfig,
     Ranker,
     depth_sweep,
     fuse_base_union,
@@ -206,17 +205,6 @@ class TestRrf:
     def test_mixed_query_ids_rejected(self):
         with pytest.raises(ValueError):
             reciprocal_rank_fusion([base_list(1, ["a"]), base_list(2, ["a"])], 1)
-
-
-class TestFusionConfig:
-    def test_validation(self):
-        FusionConfig("rrf", 0.3, 10)
-        with pytest.raises(ValueError):
-            FusionConfig("blend")
-        with pytest.raises(ValueError):
-            FusionConfig(alpha=1.5)
-        with pytest.raises(ValueError):
-            FusionConfig(rrf_k=0)
 
 
 class TestDepthSweep:

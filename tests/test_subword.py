@@ -270,3 +270,32 @@ def test_subword_ratio_equals_reference_loop(train_texts, texts):
     vocab = train_subword_vocab(train_texts or ["ab"], 12)
     assert subword_ratio(texts, vocab) == reference_subword_ratio(texts, vocab)
     assert subword_ratio(texts * 3, vocab) == reference_subword_ratio(texts * 3, vocab)
+
+
+def reference_piece_inventory(chars, merges):
+    """The former SubwordVocab.__init__ loop, kept as the oracle: each merged
+    piece is looked up in the piece list before it is appended."""
+    pieces = [MASK_PIECE, UNK_PIECE] + sorted(chars)
+    for a, b in merges:
+        merged = a + b
+        if merged not in pieces:
+            pieces.append(merged)
+    return pieces, {p: i for i, p in enumerate(pieces)}
+
+
+# a four-letter alphabet makes repeated merges, and merged pieces that equal
+# earlier ones ("ab" from a + b and from "" + "ab"), common
+fragments = st.text(alphabet="abcd", max_size=3)
+
+
+@given(st.lists(st.sampled_from("abcd[]"), unique=True),
+       st.lists(st.tuples(fragments, fragments), max_size=30))
+@example([], [])
+@example(["a", "b"], [("a", "b"), ("a", "b"), ("", "ab"), ("ab", "a"), ("a", "ba")])
+@example(["M", "["], [("[MA", "SK]"), ("[", "UNK]")])
+def test_piece_inventory_equals_reference_loop(chars, merges):
+    vocab = SubwordVocab(chars, merges)
+    pieces, piece_ids = reference_piece_inventory(chars, merges)
+    assert vocab.pieces == pieces
+    assert vocab.piece_ids == piece_ids
+    assert len(vocab) == len(pieces)

@@ -70,3 +70,35 @@ def test_train_dense_tokenizes_each_document_once(tmp_path, monkeypatch):
     dev = [" ".join(q.processed_terms) for q in load_queries(queries, ENGLISH_STOPWORDS)]
     evaluations = 2  # epochs 3 and 4 at eval_every_steps = 3
     assert sorted(texts) == sorted(docs + triple_queries + dev * evaluations)
+
+
+def test_duplicate_documents_are_not_contrasted(tmp_path, capsys):
+    """A negative that tokenizes like its positive, given or drawn at random,
+    is never trained against it: such a given negative drops the triple, and
+    random negatives are drawn from the documents that differ."""
+    docs = [("d1", "remdesivir trial", "patients cohort"),
+            ("d2", "remdesivir trial", "patients cohort"),
+            ("d3", "vaccine antibody", "response titers"),
+            ("d4", "mask filtration", "aerosol spread")]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"doc_id": d, "title": t, "abstract": a}) + "\n"
+                              for d, t, a in docs))
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("1\tremdesivir trial\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("1 0 d1 1\n1 0 d3 0\n")
+    common = ["--corpus", str(corpus), "--queries", str(queries), "--qrels", str(qrels),
+              "--workdir", str(tmp_path / "w")]
+    assert main(["ingest", *common]) == 0
+    triples = tmp_path / "triples.jsonl"
+    duplicate = {"query": "remdesivir", "pos_doc_id": "d1", "neg_doc_id": "d2"}
+    triples.write_text(json.dumps(duplicate) + "\n")
+    train = ["train-dense", "--triples-file", str(triples), "--epochs", "1",
+             "--negatives", "3", *common]
+    capsys.readouterr()
+    assert main(train) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: no usable triples in {triples}\n"
+    good = {"query": "remdesivir", "pos_doc_id": "d1", "neg_doc_id": "d3"}
+    triples.write_text(json.dumps(duplicate) + "\n" + json.dumps(good) + "\n")
+    assert main(train) == 0
+    assert (tmp_path / "w" / "dense_index.bin").is_file()
