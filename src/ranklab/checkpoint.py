@@ -1,4 +1,4 @@
-"""Versioned binary container for checkpoints and indexes.
+"""Artifact I/O: checkpoint and index container, atomic writes, text input lines.
 
 Layout: magic "RLCK", 4-byte kind tag, u32 version, u32 JSON-meta length,
 meta bytes, then each array as (u16 name length, name, 16-byte dtype tag,
@@ -8,10 +8,15 @@ written by write_atomic: to a temporary name, then renamed into place, so a
 reader never sees a half-written file. A checkpoint cut short by other means
 is rejected with ConfigError, as is one that lacks an array its reader
 requires.
+
+Every text input (corpus, queries, qrels, split, stopwords, triples, reference
+texts, config files, runs) is read through read_lines, which rejects a byte
+that is not UTF-8 as a ParseError at its line.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -20,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 MAGIC = b"RLCK"
 VERSION = 1
@@ -37,13 +42,29 @@ def write_atomic(path, data) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def read_lines(path):
+    """Yield (line_no, line) for each non-blank line of a UTF-8 text file, numbered
+    from 1 and split at LF, CRLF or CR, each ending in one LF as text-mode
+    iteration gives it; a byte that is not UTF-8 is a ParseError at its line."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")  # checked whole: a bad byte stops a reader before any line
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        raise ParseError(path, head.count("\n") + 1, f"not UTF-8 ({exc.reason})") from exc
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                yield line_no, line
+
+
 def save_arrays(path, kind: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
     if len(kind) != 4:
         raise ValueError("kind tag must be 4 characters")
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     chunks = [MAGIC, kind.encode("ascii"), struct.pack("<II", VERSION, len(meta_bytes)), meta_bytes]
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name])
         dtype = arr.dtype.newbyteorder("<")
         name_bytes = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(name_bytes)))

@@ -29,15 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dense, mlm, rerank, weaksup
-from .checkpoint import write_atomic
+from .checkpoint import read_lines, write_atomic
 from .corpus import load_corpus, load_queries
-from .errors import (
-    ConfigError,
-    DependencyError,
-    NumericError,
-    ParseError,
-    ToolkitError,
-)
+from .errors import ConfigError, DependencyError, NumericError, ParseError, ToolkitError
 from .evaluation import (
     GAIN_FUNCTIONS,
     QuerySplit,
@@ -185,15 +179,14 @@ class PipelineConfig:
     def from_file(cls, path) -> "PipelineConfig":
         """Parse a flat "key = value" config file."""
         values: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+        for line_no, line in read_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+            key, value = line.split("=", 1)
+            values[key.strip()] = value.strip()
         return cls().with_overrides(values)
 
     def with_overrides(self, values: dict) -> "PipelineConfig":
@@ -322,8 +315,9 @@ class StageRunner:
     def stage_dapt(self):
         vocab = SubwordVocab.load(self.read("vocab"))
         docs = self.load_docs()
-        sequences = [tokenize(d.text(), vocab, self.config.max_seq_len) for d in docs]
-        sequences = [s for s in sequences if s]
+        sequences = [s for d in docs if (s := tokenize(d.text(), vocab, self.config.max_seq_len))]
+        if not sequences:
+            raise ConfigError(f"no document in {self.config.corpus_path} has a piece to mask")
         model = mlm.MlmModel.init(len(vocab), self.config.dim, self.config.seed)
         rng = np.random.default_rng(self.config.seed)
         for epoch in range(self.config.mlm_epochs):
@@ -530,8 +524,7 @@ class StageRunner:
             n_external = len(weaksup.read_triples(self.input("external_triples")))
         reference = None
         if self.config.reference_texts_path:
-            reference = Path(self.input("reference_texts")).read_text(
-                encoding="utf-8").splitlines()
+            reference = [line for _, line in read_lines(self.input("reference_texts"))]
         report = analyze_domain_gap(self.config, docs, queries, qrels, vocab, index,
                                     n_external, reference)
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -1,6 +1,7 @@
 """Corpus ingestion and text preprocessing.
 
-Interchange formats:
+Interchange formats, all UTF-8 text read line by line through
+checkpoint.read_lines, which ignores blank lines:
   corpus   - one JSON record per line: {"doc_id", "title", "abstract", "date"?}
   queries  - tab-separated "query_id<TAB>raw_text"
   qrels    - whitespace-separated "query_id 0 doc_id grade"
@@ -13,8 +14,8 @@ import json
 import re
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from .checkpoint import read_lines
 from .errors import DuplicateDocumentError, ParseError, ToolkitWarning
 from .stopwords import ENGLISH_STOPWORDS
 
@@ -95,37 +96,32 @@ def load_corpus(path) -> list[Document]:
     """Read a line-delimited corpus file, rejecting duplicate doc_ids."""
     docs: list[Document] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    for line_no, line in read_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+        if not isinstance(record, dict):
+            raise ParseError(path, line_no, "record is not an object")
+        try:
+            doc_id, title, abstract = record["doc_id"], record["title"], record["abstract"]
+        except KeyError as exc:
+            raise ParseError(path, line_no, f"missing field {exc.args[0]!r}") from exc
+        if not isinstance(doc_id, str) or not doc_id:
+            raise ParseError(path, line_no, "doc_id must be a non-empty string")
+        if doc_id in seen:
+            raise DuplicateDocumentError(
+                f"{path}:{line_no}: duplicate doc_id {doc_id!r} "
+                f"(first seen on line {seen[doc_id]})"
+            )
+        seen[doc_id] = line_no
+        date = None
+        if record.get("date"):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(path, line_no, "record is not an object")
-            try:
-                doc_id = record["doc_id"]
-                title = record["title"]
-                abstract = record["abstract"]
-            except KeyError as exc:
-                raise ParseError(path, line_no, f"missing field {exc.args[0]!r}") from exc
-            if not isinstance(doc_id, str) or not doc_id:
-                raise ParseError(path, line_no, "doc_id must be a non-empty string")
-            if doc_id in seen:
-                raise DuplicateDocumentError(
-                    f"{path}:{line_no}: duplicate doc_id {doc_id!r} "
-                    f"(first seen on line {seen[doc_id]})"
-                )
-            seen[doc_id] = line_no
-            date = None
-            if record.get("date"):
-                try:
-                    date = datetime.date.fromisoformat(record["date"])
-                except ValueError as exc:
-                    raise ParseError(path, line_no, f"bad date {record['date']!r}") from exc
-            docs.append(Document(doc_id, str(title), str(abstract), date))
+                date = datetime.date.fromisoformat(record["date"])
+            except ValueError as exc:
+                raise ParseError(path, line_no, f"bad date {record['date']!r}") from exc
+        docs.append(Document(doc_id, str(title), str(abstract), date))
     return docs
 
 
@@ -133,23 +129,19 @@ def load_queries(path, stopwords=ENGLISH_STOPWORDS) -> list[Query]:
     """Read tab-separated "query_id<TAB>raw_text" lines."""
     queries: list[Query] = []
     seen: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise ParseError(path, line_no, "expected 'query_id<TAB>raw_text'")
-            try:
-                query_id = int(parts[0])
-            except ValueError as exc:
-                raise ParseError(path, line_no, f"bad query_id {parts[0]!r}") from exc
-            if query_id <= 0:
-                raise ParseError(path, line_no, f"query_id must be positive, got {query_id}")
-            if query_id in seen:
-                raise ParseError(path, line_no, f"duplicate query_id {query_id}")
-            seen.add(query_id)
-            queries.append(Query.from_raw(query_id, parts[1], stopwords))
+    for line_no, line in read_lines(path):
+        parts = line.rstrip("\n").split("\t", 1)
+        if len(parts) != 2:
+            raise ParseError(path, line_no, "expected 'query_id<TAB>raw_text'")
+        try:
+            query_id = int(parts[0])
+        except ValueError as exc:
+            raise ParseError(path, line_no, f"bad query_id {parts[0]!r}") from exc
+        if query_id <= 0:
+            raise ParseError(path, line_no, f"query_id must be positive, got {query_id}")
+        if query_id in seen:
+            raise ParseError(path, line_no, f"duplicate query_id {query_id}")
+        seen.add(query_id)
+        queries.append(Query.from_raw(query_id, parts[1], stopwords))
     return queries
 

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .checkpoint import write_atomic
+from .checkpoint import read_lines, write_atomic
 from .corpus import Qrels
 from .errors import ParseError, ToolkitWarning
 from .sparse import RankedList
@@ -232,21 +232,18 @@ def read_run(path) -> Run:
     """Parse a TREC run file; rankings are re-sorted by (score desc, doc_id asc)."""
     by_query: dict[int, list[tuple[int, str, float]]] = {}
     tag = "external"
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParseError(path, line_no, f"expected 6 fields, got {len(parts)}")
-            try:
-                query_id = int(parts[0])
-                rank = int(parts[3])
-                score = float(parts[4])
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            tag = parts[5]
-            by_query.setdefault(query_id, []).append((rank, parts[2], score))
+    for line_no, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError(path, line_no, f"expected 6 fields, got {len(parts)}")
+        try:
+            query_id = int(parts[0])
+            rank = int(parts[3])
+            score = float(parts[4])
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
+        tag = parts[5]
+        by_query.setdefault(query_id, []).append((rank, parts[2], score))
     rankings: dict[int, RankedList] = {}
     for query_id in sorted(by_query):
         rows = sorted(by_query[query_id], key=lambda r: r[0])
@@ -269,43 +266,37 @@ def read_run(path) -> Run:
 def read_qrels(path) -> Qrels:
     """Parse TREC qrels "query_id 0 doc_id grade"; duplicate pairs keep the last grade."""
     qrels = Qrels()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(path, line_no, f"expected 4 fields, got {len(parts)}")
-            try:
-                query_id = int(parts[0])
-                grade = int(parts[3])
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            if grade < 0:
-                raise ParseError(path, line_no, f"negative grade {grade}")
-            doc_id = parts[2]
-            if doc_id in qrels.judgments.get(query_id, {}):
-                warnings.warn(
-                    f"{path}:{line_no}: duplicate judgment for ({query_id}, {doc_id}); last wins",
-                    ToolkitWarning, stacklevel=2,
-                )
-            qrels.add(query_id, doc_id, grade)
+    for line_no, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(path, line_no, f"expected 4 fields, got {len(parts)}")
+        try:
+            query_id = int(parts[0])
+            grade = int(parts[3])
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
+        if grade < 0:
+            raise ParseError(path, line_no, f"negative grade {grade}")
+        doc_id = parts[2]
+        if doc_id in qrels.judgments.get(query_id, {}):
+            warnings.warn(
+                f"{path}:{line_no}: duplicate judgment for ({query_id}, {doc_id}); last wins",
+                ToolkitWarning, stacklevel=2,
+            )
+        qrels.add(query_id, doc_id, grade)
     return qrels
 
 
 def load_split(path) -> QuerySplit:
     """Parse "query_id old|new" lines into a QuerySplit."""
     old, new = set(), set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2 or parts[1] not in ("old", "new"):
-                raise ParseError(path, line_no, "expected 'query_id old|new'")
-            try:
-                query_id = int(parts[0])
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            (old if parts[1] == "old" else new).add(query_id)
+    for line_no, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 2 or parts[1] not in ("old", "new"):
+            raise ParseError(path, line_no, "expected 'query_id old|new'")
+        try:
+            query_id = int(parts[0])
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
+        (old if parts[1] == "old" else new).add(query_id)
     return QuerySplit.from_ids(old, new)

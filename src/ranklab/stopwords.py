@@ -1,6 +1,6 @@
 """Built-in English stopword list, overridable from a file (one word per line)."""
 
-from pathlib import Path
+from .checkpoint import read_lines
 
 ENGLISH_STOPWORDS: frozenset[str] = frozenset("""
 a about above across after afterwards again against all almost alone along
@@ -34,9 +34,4 @@ why will with within without would yet you your yours yourself yourselves
 
 def load_stopwords(path) -> frozenset[str]:
     """Read a stopword list, one word per line; blank lines are skipped."""
-    words = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip().lower()
-        if word:
-            words.append(word)
-    return frozenset(words)
+    return frozenset(line.strip().lower() for _, line in read_lines(path))

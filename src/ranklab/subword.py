@@ -104,7 +104,13 @@ class SubwordVocab:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
             if payload.get("version") != 1:
                 raise ConfigError(f"unsupported vocab file version in {path}")
-            return cls(payload["chars"], [tuple(m) for m in payload["merges"]])
+            chars, merges = payload["chars"], [tuple(m) for m in payload["merges"]]
+            # a training run lists each character once and merges non-empty pieces
+            if len(set(chars)) < len(chars) or any(len(c) != 1 for c in chars):
+                raise ConfigError(f"{path}: vocab chars must be distinct single characters")
+            if not all(isinstance(part, str) and part for m in merges for part in m):
+                raise ConfigError(f"{path}: vocab merges must join non-empty strings")
+            return cls(chars, merges)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: corrupt vocab file ({exc!r})") from exc
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import write_atomic
+from .checkpoint import read_lines, write_atomic
 from .corpus import Document, Qrels, text_terms
 from .dense import DenseEncoder, DenseIndex
 from .errors import (
@@ -189,17 +189,14 @@ def write_triples(triples, path) -> None:
 
 def read_triples(path) -> list[WeakTriple]:
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                triples.append(WeakTriple(
-                    record["query"], record["pos_doc_id"], record["neg_doc_id"],
-                    record.get("source", "external")))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
+    for line_no, line in read_lines(path):
+        try:
+            record = json.loads(line)
+            triples.append(WeakTriple(
+                record["query"], record["pos_doc_id"], record["neg_doc_id"],
+                record.get("source", "external")))
+        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
     return triples
 
 

@@ -1,0 +1,158 @@
+"""Bad text inputs, vocab files and corpora end in exit 2 with one stderr line."""
+
+import json
+import shutil
+
+import pytest
+
+from ranklab.cli import EXIT_CONFIG, main
+from ranklab.errors import ConfigError
+from ranklab.subword import SubwordVocab, train_subword_vocab
+
+from test_cli import write_fixture_inputs
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """Fixture inputs and a work directory holding vocab, index and run.trec."""
+    root = tmp_path_factory.mktemp("base")
+    corpus, queries, qrels = write_fixture_inputs(root)
+    common = ["--corpus", str(corpus), "--queries", str(queries), "--qrels", str(qrels),
+              "--workdir", str(root / "w"), "--set", "vocab_size=600"]
+    assert main(["pipeline", "--stages", "ingest,index,evaluate", *common]) == 0
+    return root
+
+
+def _inject_bad_byte(path, line_no):
+    """Put a 0xff byte after the first byte of line `line_no`."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line_no - 1] = lines[line_no - 1][:1] + b"\xff" + lines[line_no - 1][1:]
+    path.write_bytes(b"".join(lines))
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+# each case writes (or picks) the one file to corrupt and names the command
+# that reads it, after the fixture's own inputs
+def _corpus(root):
+    return root / "corpus.jsonl", ["index"]
+
+
+def _queries(root):
+    return root / "queries.tsv", ["ingest"]
+
+
+def _qrels(root):
+    return root / "qrels.txt", ["evaluate"]
+
+
+def _prior_qrels(root):
+    path = _write(root / "prior.txt", (root / "qrels.txt").read_text())
+    return path, ["evaluate", "--residual", "--prior-qrels", str(path)]
+
+
+def _split(root):
+    path = _write(root / "split.txt", "1 old\n2 new\n3 old\n4 new\n")
+    return path, ["evaluate", "--split-file", str(path)]
+
+
+def _stopwords(root):
+    path = _write(root / "stop.txt", "the\nof\nand\n")
+    return path, ["ingest", "--stopwords", str(path)]
+
+
+def _triples(root):
+    lines = [json.dumps({"query": "q", "pos_doc_id": "t00d00", "neg_doc_id": f"t01d0{i}",
+                         "source": "external"}) for i in range(3)]
+    path = _write(root / "triples.jsonl", "\n".join(lines) + "\n")
+    return path, ["train-dense", "--triples-file", str(path)]
+
+
+def _reference_texts(root):
+    path = _write(root / "reference.txt", "viral spike protein\n\nantibody response\n")
+    return path, ["analyze", "--reference-texts", str(path)]
+
+
+def _config(root):
+    path = _write(root / "config.txt", f"# fixture\nvocab_size = 600\nworkdir = {root / 'w'}\n")
+    return path, ["index", "--config", str(path)]
+
+
+def _run(root):
+    return root / "w" / "run.trec", ["evaluate"]
+
+
+@pytest.mark.parametrize("case, line_no", [
+    (_corpus, 3), (_queries, 2), (_qrels, 4), (_prior_qrels, 2), (_split, 3),
+    (_stopwords, 2), (_triples, 2), (_reference_texts, 3), (_config, 2), (_run, 5),
+])
+def test_non_utf8_byte_is_one_line_exit_2(base, tmp_path, capsys, case, line_no):
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    path, command = case(root)
+    _inject_bad_byte(path, line_no)
+    capsys.readouterr()
+    code = main([*command, "--corpus", str(root / "corpus.jsonl"),
+                 "--queries", str(root / "queries.tsv"), "--qrels", str(root / "qrels.txt"),
+                 "--workdir", str(root / "w"), "--set", "vocab_size=600"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"input error: {path}:{line_no}: not UTF-8 (invalid start byte)\n")
+
+
+def test_corpus_without_pieces_fails_dapt_with_one_line(tmp_path, capsys):
+    corpus = _write(tmp_path / "corpus.jsonl", "".join(
+        json.dumps({"doc_id": f"d{i}", "title": "?!", "abstract": "..."}) + "\n"
+        for i in range(2)))
+    queries = _write(tmp_path / "queries.tsv", "1\tspike protein\n")
+    qrels = _write(tmp_path / "qrels.txt", "1 0 d0 1\n")
+    code = main(["pipeline", "--stages", "ingest,index,dapt", "--corpus", str(corpus),
+                 "--queries", str(queries), "--qrels", str(qrels),
+                 "--workdir", str(tmp_path / "w")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: no document in {corpus} has a piece to mask\n"
+    assert not (tmp_path / "w" / "mlm_embeddings.ckpt").exists()
+
+
+@pytest.fixture
+def vocab_file(tmp_path):
+    """A trained vocab.json, rewritten by each case."""
+    path = tmp_path / "vocab.json"
+    train_subword_vocab(["abc abd cab"], 12).save(path)
+    return path
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p["chars"].append(p["chars"][0]), "distinct single characters"),
+    (lambda p: p["chars"].append("zz"), "distinct single characters"),
+    (lambda p: p["chars"].append(""), "distinct single characters"),
+    (lambda p: p["merges"].append(["", "a"]), "non-empty strings"),
+    (lambda p: p["merges"].append(["a", 1]), "non-empty strings"),
+], ids=["repeated-char", "two-chars", "empty-char", "empty-merge-part", "int-merge-part"])
+def test_vocab_no_training_run_writes_is_config_error(vocab_file, edit, message):
+    payload = json.loads(vocab_file.read_text())
+    edit(payload)
+    vocab_file.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=message) as info:
+        SubwordVocab.load(vocab_file)
+    assert str(vocab_file) in str(info.value)
+
+
+def test_train_dense_on_malformed_vocab_is_one_line_exit_2(base, tmp_path, capsys):
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    vocab = root / "w" / "vocab.json"
+    payload = json.loads(vocab.read_text())
+    payload["chars"].append(payload["chars"][0])
+    vocab.write_text(json.dumps(payload))
+    triples, _ = _triples(root)
+    capsys.readouterr()
+    code = main(["train-dense", "--triples-file", str(triples),
+                 "--corpus", str(root / "corpus.jsonl"), "--workdir", str(root / "w")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {vocab}: vocab chars must be distinct single characters\n")

@@ -1,0 +1,109 @@
+"""Property tests: what each writer writes, its reader reads back."""
+
+import warnings
+
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from ranklab.checkpoint import load_arrays, save_arrays
+from ranklab.corpus import Qrels, text_terms
+from ranklab.errors import ToolkitWarning
+from ranklab.evaluation import QuerySplit, Run, read_qrels, read_run, residual_filter, write_run
+from ranklab.sparse import RankedList
+from ranklab.subword import SubwordVocab, train_subword_vocab
+from ranklab.weaksup import WEAK_SOURCES, WeakTriple, read_triples, write_triples
+
+# identifiers hold no whitespace, as the whitespace-separated formats require
+ids = st.text(alphabet="abxyz019-_.éß日", min_size=1, max_size=6)
+query_ids = st.integers(1, 6)
+runs = st.dictionaries(
+    query_ids, st.dictionaries(ids, st.floats(-1e6, 1e6, allow_nan=False), min_size=1,
+                               max_size=8), max_size=4,
+).map(lambda by_query: {qid: RankedList.from_scores(qid, list(scored.items()))
+                        for qid, scored in by_query.items()})
+judgments = st.lists(st.tuples(query_ids, ids, st.integers(0, 3)), max_size=20)
+
+triples = st.lists(
+    st.tuples(st.text(min_size=1, max_size=12), ids, ids, st.sampled_from(WEAK_SOURCES))
+    .filter(lambda t: t[1] != t[2]).map(lambda t: WeakTriple(*t)), max_size=6)
+
+
+@given(triples)
+def test_triples_round_trip(tmp_path_factory, triples):
+    path = tmp_path_factory.mktemp("triples") / "triples.jsonl"
+    write_triples(triples, path)
+    assert read_triples(path) == triples
+
+
+@given(st.lists(st.text(alphabet="abcé9 -", max_size=16), max_size=8), st.integers(0, 12))
+def test_trained_vocab_round_trip(tmp_path_factory, texts, extra):
+    chars = {c for text in texts for word in text_terms(text) for c in word}
+    vocab = train_subword_vocab(texts, len(chars) + 2 + extra)
+    path = tmp_path_factory.mktemp("vocab") / "vocab.json"
+    vocab.save(path)
+    loaded = SubwordVocab.load(path)
+    assert (loaded.chars, loaded.merges, loaded.pieces) == (vocab.chars, vocab.merges,
+                                                            vocab.pieces)
+
+
+@given(runs, st.text(alphabet="abc-_1", min_size=1, max_size=5))
+def test_run_round_trip_rounds_scores_to_six_decimals(tmp_path_factory, rankings, tag):
+    path = tmp_path_factory.mktemp("run") / "run.trec"
+    write_run(Run(rankings, tag), path)
+    loaded = read_run(path)
+    assert loaded.tag == (tag if rankings else "external")
+    assert loaded.rankings == {
+        qid: RankedList.from_scores(qid, [(doc, float(f"{score:.6f}"))
+                                          for doc, score in ranking.entries])
+        for qid, ranking in rankings.items()}
+
+
+@given(judgments, st.sampled_from(["", "\n", " \t\n", "\r\n"]))
+def test_qrels_last_duplicate_wins(tmp_path_factory, judged, blank):
+    path = tmp_path_factory.mktemp("qrels") / "qrels.txt"
+    path.write_text(blank.join(f"{qid} 0\t{doc}  {grade}\n" for qid, doc, grade in judged),
+                    encoding="utf-8")
+    expected: dict[int, dict[str, int]] = {}
+    for qid, doc, grade in judged:
+        expected.setdefault(qid, {})[doc] = grade
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        qrels = read_qrels(path)
+    assert qrels.judgments == expected
+    duplicates = len(judged) - sum(len(docs) for docs in expected.values())
+    assert [w.category for w in caught] == [ToolkitWarning] * duplicates
+
+
+array_names = st.text(min_size=1, max_size=8)
+stored_arrays = st.dictionaries(array_names, st.sampled_from(
+    ["<f8", "<f4", "<i8", "<i4", "<u2", "|u1", "|b1"]).flatmap(
+    lambda dtype: arrays(dtype, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))),
+    max_size=4)
+metadata = st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=6) | st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), max_size=3), max_size=4)
+
+
+@given(stored_arrays, metadata)
+def test_arrays_round_trip(tmp_path_factory, stored, meta):
+    path = tmp_path_factory.mktemp("arrays") / "arrays.bin"
+    save_arrays(path, "TEST", stored, meta)
+    loaded, loaded_meta = load_arrays(path, "TEST", required=list(stored))
+    assert loaded_meta == meta
+    assert sorted(loaded) == sorted(stored)
+    for name, array in stored.items():
+        assert loaded[name].dtype == array.dtype and loaded[name].shape == array.shape
+        assert loaded[name].tobytes() == array.tobytes()
+
+
+@given(runs, judgments, st.sets(query_ids))
+def test_residual_filter_is_idempotent(rankings, judged, old):
+    prior = Qrels()
+    for qid, doc, grade in judged:
+        prior.add(qid, doc, grade)
+    split = QuerySplit.from_ids(old, set(rankings) - old)
+    once = residual_filter(Run(rankings, "t"), prior, split)
+    twice = residual_filter(once, prior, split)
+    assert twice.rankings == once.rankings
+    for qid in old & set(rankings):
+        assert not set(once.rankings[qid].doc_ids()) & prior.judged_docs(qid)
