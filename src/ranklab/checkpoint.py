@@ -10,8 +10,8 @@ is rejected with ConfigError, as is one that lacks an array its reader
 requires.
 
 Every text input (corpus, queries, qrels, split, stopwords, triples, reference
-texts, config files, runs) is read through read_lines, which rejects a byte
-that is not UTF-8 as a ParseError at its line.
+texts, config files, runs) is read through read_lines, which drops a leading
+byte-order mark and rejects a byte that is not UTF-8 as a ParseError at its line.
 """
 
 from __future__ import annotations
@@ -45,14 +45,15 @@ def write_atomic(path, data) -> None:
 def read_lines(path):
     """Yield (line_no, line) for each non-blank line of a UTF-8 text file, numbered
     from 1 and split at LF, CRLF or CR, each ending in one LF as text-mode
-    iteration gives it; a byte that is not UTF-8 is a ParseError at its line."""
+    iteration gives it, less a leading byte-order mark; a byte that is not UTF-8 is
+    a ParseError at its line."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")  # checked whole: a bad byte stops a reader before any line
     except UnicodeDecodeError as exc:
         head = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         raise ParseError(path, head.count("\n") + 1, f"not UTF-8 ({exc.reason})") from exc
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 yield line_no, line

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -51,7 +52,7 @@ from .subword import (
 )
 
 STAGES = (
-    "ingest", "index", "dapt", "train-dense", "synth-weak",
+    "ingest", "index", "dapt", "synth-weak", "train-dense",
     "select-train", "rerank", "evaluate", "depth-sweep", "analyze",
 )
 
@@ -639,7 +640,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "supervision, reranking, TREC-style evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {stage: sub.add_parser(stage, help=f"run the {stage} stage") for stage in STAGES}
+    # subcommands are listed in the stage table's order; STAGES is the order that runs
+    commands = {s: sub.add_parser(s, help=f"run the {s} stage") for s in StageRunner.STAGE_FUNCTIONS}
     commands["pipeline"] = sub.add_parser("pipeline", help="run several stages in order")
     for p in commands.values():
         p.add_argument("--config", help="flat key = value config file")
@@ -685,7 +687,12 @@ def main(argv=None) -> int:
             stages = [s.strip() for s in args.stages.split(",") if s.strip()]
         else:
             stages = [args.command]
-        run_pipeline(config, stages)
+        # full collections then skip the objects imports made, which the run never frees
+        gc.freeze()
+        try:
+            run_pipeline(config, stages)
+        finally:
+            gc.unfreeze()
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,12 +5,14 @@ the MASK piece. Each masked piece is predicted from the mean embedding of the
 sequence's unmasked positions through a full softmax over the vocabulary. The
 trained embedding table warm-starts the dense encoder.
 
-The loss and its gradients are computed in one batched pass: the context mean
-of every sequence is built once, and the flattened masked targets are walked
-in fixed chunks of TARGET_CHUNK rows. Each chunk takes one logits block, a
-row-wise stable log-softmax and two matrix products for the gradients, so the
-largest temporaries are TARGET_CHUNK x vocab_size (about 0.7 MB at a
-1,400-piece vocabulary) whatever the number of targets.
+The loss and its gradients are computed in one batched pass over fixed chunks
+of SEQ_CHUNK sequences. All targets of a sequence are predicted from its one
+context mean, so they share one logits row and one stable log-softmax per
+sequence is exact: with c_s targets in sequence s, the loss is sum_s c_s * logZ_s
+less the target logits, and the logits gradient is c_s * softmax_s less one at
+each target (a repeated id once per target). The largest temporaries are
+SEQ_CHUNK x vocab_size (about 0.7 MB at a 1,400-piece vocabulary) whatever the
+number of targets.
 
 The context means come from dense.pool and their gradient from dense.pool_grad,
 which add in the order of a per-sequence mean and np.add.at (see dense).
@@ -28,8 +30,8 @@ from .dense import DenseEncoder, pool, pool_grad
 from .errors import NumericError, ToolkitWarning
 
 DEFAULT_MASK_RATE = 0.15
-# targets per logits block; bounds the softmax temporaries to this many vocab rows
-TARGET_CHUNK = 64
+# sequences per logits block; bounds the softmax temporaries to this many vocab rows
+SEQ_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -126,38 +128,41 @@ def masked_prediction_loss(model: MlmModel, batch: MaskedBatch) -> float:
 
 
 def _loss_and_grads(model: MlmModel, batch: MaskedBatch, want_grads: bool):
-    context_ids, targets = [], []
-    for s, seq in enumerate(batch.sequences):
+    context_ids, target_ids = [], []
+    for seq in batch.sequences:
         masked_positions = {p for p, _ in seq.targets}
         context_ids.append([i for p, i in enumerate(seq.ids) if p not in masked_positions])
-        targets += [(s, original) for _, original in seq.targets]
-    n_targets = len(targets)
-    if not n_targets:
+        target_ids += [original for _, original in seq.targets]
+    if not target_ids:
         raise ValueError("batch has no masked targets")
-    target_seq, target_ids = np.array(targets, dtype=np.intp).T
+    counts = np.array([len(seq.targets) for seq in batch.sequences], dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(counts)))  # targets of sequence s: offsets[s:s+2]
+    target_ids = np.array(target_ids, dtype=np.intp)
     contexts = pool(model.embeddings, context_ids)  # a fully masked sequence pools to zeros
 
     weights = model.output_weights
     if want_grads:
         grad_out = np.zeros_like(weights)
-        grad_contexts = np.zeros_like(contexts)
+        grad_contexts = np.empty_like(contexts)
     total = 0.0
-    for start in range(0, n_targets, TARGET_CHUNK):
-        seq_idx = target_seq[start : start + TARGET_CHUNK]
-        original = target_ids[start : start + TARGET_CHUNK]
-        rows = np.arange(len(original))
-        c = contexts[seq_idx]
+    n_seqs, n_targets = len(counts), len(target_ids)
+    for start in range(0, n_seqs, SEQ_CHUNK):
+        stop = min(start + SEQ_CHUNK, n_seqs)
+        count = counts[start:stop]
+        rows = np.repeat(np.arange(stop - start), count)
+        original = target_ids[offsets[start] : offsets[stop]]
+        c = contexts[start:stop]
         logits = c @ weights.T
         shift = logits.max(axis=1, keepdims=True)
         exp = np.exp(logits - shift)
         norm = exp.sum(axis=1)
         log_norm = np.log(norm) + shift[:, 0]
-        total += float((log_norm - logits[rows, original]).sum())
+        total += float(count @ log_norm - logits[rows, original].sum())
         if want_grads:
-            dlogits = exp / norm[:, None]
-            dlogits[rows, original] -= 1.0
+            dlogits = exp * (count / norm)[:, None]
+            np.subtract.at(dlogits, (rows, original), 1.0)
             grad_out += dlogits.T @ c
-            np.add.at(grad_contexts, seq_idx, dlogits @ weights)
+            grad_contexts[start:stop] = dlogits @ weights
     if not np.isfinite(total):
         raise NumericError("non-finite masked-prediction loss")
     if not want_grads:

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import gc
 import inspect
 import json
 import os
@@ -15,6 +16,7 @@ from ranklab.cli import (
     EXIT_CONFIG,
     EXIT_DEPENDENCY,
     EXIT_NUMERIC,
+    STAGES,
     PipelineConfig,
     StageRunner,
     _build_parser,
@@ -27,7 +29,7 @@ from ranklab.errors import ConfigError, DependencyError
 from ranklab.evaluation import read_qrels
 from ranklab.sparse import InvertedIndex, coverage_at_k, search_topk
 from ranklab.subword import SubwordVocab
-from ranklab.synthetic import make_separable_corpus
+from ranklab.synthetic import DEFAULT_DOCS_PER_TOPIC, DEFAULT_TOPICS, make_separable_corpus
 
 
 def write_fixture_inputs(root, n_topics=4, docs_per_topic=6):
@@ -543,3 +545,30 @@ def test_analyze_without_relevant_documents_is_one_line_exit_2(tmp_path, capsys)
                       "--queries", str(queries), "--qrels", str(qrels),
                       "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600"],
                      capsys, "no judged queries with relevant documents")
+
+
+def test_every_stage_in_listed_order_runs(tmp_path, monkeypatch):
+    corpus, queries, qrels = write_fixture_inputs(tmp_path, DEFAULT_TOPICS, DEFAULT_DOCS_PER_TOPIC)
+    frozen = []
+    run = StageRunner.run
+
+    def run_and_record(self, stage):
+        frozen.append(gc.get_freeze_count())
+        return run(self, stage)
+
+    monkeypatch.setattr(StageRunner, "run", run_and_record)
+    assert main(["pipeline", "--stages", ",".join(STAGES), "--corpus", str(corpus),
+                 "--queries", str(queries), "--qrels", str(qrels),
+                 "--workdir", str(tmp_path / "w")]) == 0
+    # every stage runs with the startup heap frozen, and main gives the heap back
+    assert len(frozen) == len(STAGES) and min(frozen) > 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_input_error_unfreezes_the_heap(tmp_path, capsys):
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    qrels.write_text("1 0 t00d00 x\n")
+    assert main(["ingest", "--corpus", str(corpus), "--queries", str(queries),
+                 "--qrels", str(qrels), "--workdir", str(tmp_path / "w")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("input error:")
+    assert gc.get_freeze_count() == 0

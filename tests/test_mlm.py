@@ -7,7 +7,7 @@ import pytest
 from ranklab.dense import DenseEncoder, encode
 from ranklab.errors import NumericError, ToolkitWarning
 from ranklab.mlm import (
-    TARGET_CHUNK,
+    SEQ_CHUNK,
     MaskedBatch,
     MaskedSequence,
     MlmModel,
@@ -203,11 +203,24 @@ class TestBatchedStep:
         rng = np.random.default_rng(4)
         seqs = [rng.integers(1, 40, size=int(rng.integers(1, 30))).tolist() for _ in range(60)]
         batch = make_masked_batch(seqs, MASK, 0.15, rng=5)
-        assert sum(len(s.targets) for s in batch.sequences) > 2 * TARGET_CHUNK
+        assert sum(len(s.targets) for s in batch.sequences) > 2 * SEQ_CHUNK
         return batch
 
+    @staticmethod
+    def multi_seq_chunk_batch():
+        rng = np.random.default_rng(6)
+        seqs = [rng.integers(1, 40, size=int(rng.integers(1, 30))).tolist()
+                for _ in range(2 * SEQ_CHUNK + 17)]
+        masked = list(make_masked_batch(seqs, MASK, 0.15, rng=7).sequences)
+        # the first chunk ends on one target id repeated, the second opens fully masked
+        masked[SEQ_CHUNK - 1] = MaskedSequence((MASK, 5, MASK, 5, MASK),
+                                               ((0, 12), (2, 12), (4, 12)))
+        masked[SEQ_CHUNK] = MaskedSequence((MASK, MASK), ((0, 3), (1, 9)))
+        assert len(masked) > 2 * SEQ_CHUNK and len(masked) % SEQ_CHUNK
+        return MaskedBatch(tuple(masked))
+
     @pytest.mark.parametrize("make_batch", ["repeated_ids_batch", "empty_context_batch",
-                                            "multi_chunk_batch"])
+                                            "multi_chunk_batch", "multi_seq_chunk_batch"])
     def test_matches_per_target_reference(self, make_batch):
         batch = getattr(self, make_batch)()
         model = _perturbed_model(40, 8)

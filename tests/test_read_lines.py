@@ -7,7 +7,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ranklab.checkpoint import read_lines
+from ranklab.cli import PipelineConfig
+from ranklab.corpus import load_corpus, load_queries
 from ranklab.errors import ParseError
+from ranklab.evaluation import load_split, read_qrels, read_run
+from ranklab.stopwords import load_stopwords
+from ranklab.weaksup import read_triples
 
 
 def _former_loop(path):
@@ -50,3 +55,26 @@ def test_lines_keep_their_newline_and_number(tmp_path):
     path = tmp_path / "input.txt"
     path.write_bytes(b"one\r\n\r\n  \ntwo\rthree")
     assert list(read_lines(path)) == [(1, "one\n"), (4, "two\n"), (5, "three")]
+
+
+# every reader built on read_lines, with one line it accepts
+READERS = {
+    "lines": (lambda path: list(read_lines(path)), "a\n"),
+    "corpus": (load_corpus, '{"doc_id": "d1", "title": "t", "abstract": "a"}\n'),
+    "queries": (load_queries, "1\tcovid vaccine\n"),
+    "qrels": (read_qrels, "1 0 d1 1\n"),
+    "run": (read_run, "1 Q0 d1 1 2.5 sysA\n"),
+    "split": (load_split, "1 old\n"),
+    "stopwords": (load_stopwords, "the\n"),
+    "triples": (read_triples, '{"query": "q", "pos_doc_id": "d1", "neg_doc_id": "d2"}\n'),
+    "config": (PipelineConfig.from_file, "seed = 3\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_leading_byte_order_mark_is_dropped(tmp_path, name):
+    reader, text = READERS[name]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert reader(marked) == reader(plain)
