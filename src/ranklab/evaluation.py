@@ -1,5 +1,6 @@
 """Ranking metrics, TREC run/qrels exchange, residual-collection filtering,
-and the old/new query report.
+and the old/new query report. Run files store each score as its shortest
+round-trip decimal, so a run file reads back exactly as it was written.
 
 NDCG uses linear gain and the log2(r + 1) discount by default; exponential
 gain (2^g - 1) is available behind the `gain` flag. Queries with no relevant
@@ -221,9 +222,9 @@ def old_new_report(run: Run, qrels: Qrels, split: QuerySplit, k: int = 10,
 
 
 def write_run(run: Run, path) -> None:
-    """Serialize as TREC run lines "query_id Q0 doc_id rank score tag"."""
+    """Serialize as TREC run lines "query_id Q0 doc_id rank score tag"; scores as repr(float)."""
     write_atomic(path, "".join(
-        f"{query_id} Q0 {doc_id} {rank} {score:.6f} {run.tag}\n"
+        f"{query_id} Q0 {doc_id} {rank} {float(score)!r} {run.tag}\n"
         for query_id in sorted(run.rankings)
         for rank, (doc_id, score) in enumerate(run.rankings[query_id].entries, start=1)))
 
@@ -242,6 +243,8 @@ def read_run(path) -> Run:
             score = float(parts[4])
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from exc
+        if math.isnan(score):
+            raise ParseError(path, line_no, "score is not a number")
         tag = parts[5]
         by_query.setdefault(query_id, []).append((rank, parts[2], score))
     rankings: dict[int, RankedList] = {}

@@ -33,10 +33,6 @@ DEFAULT_DEPTH = 100
 DEFAULT_ALPHA = 0.5
 DEFAULT_RRF_K = 60
 
-# minimum score gap enforced so reranked lists strictly decrease; one step of
-# the 6-decimal run serialization so the gap survives a write/read round trip
-_TIE_EPS = 1e-6
-
 
 class Ranker:
     """Linear scorer over the fixed query-document feature vector."""
@@ -124,32 +120,22 @@ class FeatureExtractor:
         return ranked, dict(zip(doc_ids, rows))
 
 
-def _strictly_decreasing(entries):
-    """Nudge any non-decreasing score onto a strictly decreasing staircase."""
-    out = []
-    prev = None
-    for doc_id, score in entries:
-        if prev is not None and score >= prev:
-            score = prev - _TIE_EPS
-        out.append((doc_id, score))
-        prev = score
-    return out
-
-
 def rerank(ranker: Ranker, candidates: RankedList, depth: int, features) -> RankedList:
     """Rescore the top-`depth` candidates; the rest keep base order below them.
 
-    `features` maps doc_id -> feature vector (or is a callable doc_id -> vector)
-    for at least the top-`depth` candidates.
+    `features` maps doc_id -> feature vector for at least the top-`depth`
+    candidates. Tied ranker scores stay equal and keep doc-id order. Raises
+    NumericError when a rescored candidate's score is non-finite.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not candidates.entries:
         return candidates
-    feature_of = features if callable(features) else features.__getitem__
     block = [doc_id for doc_id, _ in candidates.entries[:depth]]
-    scores = np.vecdot(np.array([feature_of(d) for d in block]), ranker.weights)
-    rescored = _strictly_decreasing(sorted(zip(block, scores.tolist()), key=lambda e: (-e[1], e[0])))
+    scores = np.vecdot(np.array([features[d] for d in block]), ranker.weights)
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("non-finite score in reranking")
+    rescored = sorted(zip(block, scores.tolist()), key=lambda e: (-e[1], e[0]))
     tail_start = rescored[-1][1] - 1.0
     tail = [(doc_id, tail_start - i) for i, (doc_id, _) in enumerate(candidates.entries[depth:])]
     return RankedList(candidates.query_id, tuple(rescored + tail))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ranklab.corpus import Document, Query
 from ranklab.dense import DenseEncoder, encode, similarity
-from ranklab.rerank import FeatureExtractor, Ranker, _strictly_decreasing, rerank
+from ranklab.rerank import FeatureExtractor, Ranker, rerank
 from ranklab.sparse import RankedList, bm25_scores, build_index, idf, search_topk
 from ranklab.subword import tokenize, train_subword_vocab
 
@@ -100,7 +100,6 @@ def reference_rerank(ranker, candidates, depth, features):
     block = candidates.entries[:depth]
     rescored = sorted(((d, ranker.score(features[d])) for d, _ in block),
                       key=lambda e: (-e[1], e[0]))
-    rescored = _strictly_decreasing(rescored)
     tail_start = rescored[-1][1] - 1.0
     tail = [(d, tail_start - i) for i, (d, _) in enumerate(candidates.entries[depth:])]
     return RankedList(candidates.query_id, tuple(rescored + tail))
@@ -117,7 +116,6 @@ def test_rerank_equals_scoring_row_by_row(n, depth, seed):
     features = dict(zip(docs, rows))
     expected = reference_rerank(Ranker(weights), candidates, depth, features)
     assert rerank(Ranker(weights), candidates, depth, features) == expected
-    assert rerank(Ranker(weights), candidates, depth, features.__getitem__) == expected
 
 
 def test_features_without_scores_call_bm25_score(monkeypatch):

@@ -18,10 +18,10 @@ from ranklab.synthetic import DEFAULT_DOCS_PER_TOPIC, DEFAULT_TOPICS
 from test_cli import write_fixture_inputs
 
 RUN_SHA256 = {
-    "none": "bd24b34de3e68f1fb33ff9adf75f07c7a6a5cd99f7210c4418e9717aea8f6a77",
-    "union": "0cd5fc66f4c3062c7466d19a343377a06e57097b794f2826725038aa2934a2c1",
-    "interp": "8979dae10575980680c404366fd0997f922fe027c016f1d15906915a55d3c1c9",
-    "rrf": "9cf98fd1289ab8caa6838f3f5226385e843139438c94fcc494abd5d686b1c175",
+    "none": "7e5a5d7b697351579da1f8cd3b6a7f2ae06fc5f7cce0abbc36b09da53e796be4",
+    "union": "41e2fd93937e53693de6cc07a2f2ef531ddab5461af2637f57bc97a8ec19ad9f",
+    "interp": "76ed0cc567bd3cef4f110165661e8e9a622bca35b0ae6c34c316bcfbf76d6876",
+    "rrf": "28d748ca2f155831b84c84ab9a20af55fb03102e3dd87753aed4f3331e165a94",
 }
 ARTIFACT_SHA256 = {
     "depth_sweep.tsv": "c57c051f7347c10cdad86f09cbaffad7202a2704876c85f34a0db7feba7e8488",

@@ -6,6 +6,7 @@ import pytest
 from ranklab.corpus import Qrels
 from ranklab.dense import DenseEncoder, DenseIndex, build_dense_index
 from ranklab.errors import DependencyError
+from ranklab.evaluation import Run, read_run, write_run
 from ranklab.rerank import (
     FeatureExtractor,
     Ranker,
@@ -66,12 +67,15 @@ class TestRerank:
             out = rerank_op(BM25_ONLY, candidates, depth, features)
             assert set(out.doc_ids()) == set(docs)
 
-    def test_scores_strictly_decrease_even_with_ties(self):
-        candidates = base_list(1, ["a", "b", "c", "d", "e"])
-        features = feature_table({"a": 1.0, "b": 1.0, "c": 1.0})  # tied ranker scores
+    def test_tied_scores_stay_equal_in_doc_id_order(self, tmp_path):
+        candidates = base_list(1, ["c", "a", "b", "e", "d"])
+        features = feature_table({"c": 1.0, "a": 1.0, "b": 1.0})  # tied ranker scores
         out = rerank_op(BM25_ONLY, candidates, 3, features)
-        scores = [s for _, s in out.entries]
-        assert all(x > y for x, y in zip(scores, scores[1:]))
+        assert out.entries[:3] == (("a", 1.0), ("b", 1.0), ("c", 1.0))
+        assert out.doc_ids()[3:] == ["e", "d"]
+        assert all(score < 1.0 for _, score in out.entries[3:])
+        write_run(Run({1: out}, "t"), tmp_path / "run.trec")
+        assert read_run(tmp_path / "run.trec").rankings == {1: out}
 
     def test_tail_below_block_minimum(self):
         candidates = base_list(1, ["a", "b", "c", "d"])

@@ -2,7 +2,8 @@
 
 import warnings
 
-from hypothesis import given
+import numpy as np
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -47,16 +48,39 @@ def test_trained_vocab_round_trip(tmp_path_factory, texts, extra):
                                                             vocab.pieces)
 
 
-@given(runs, st.text(alphabet="abc-_1", min_size=1, max_size=5))
-def test_run_round_trip_rounds_scores_to_six_decimals(tmp_path_factory, rankings, tag):
+# any finite float, -0.0, subnormals and +-1e308 among them; each query draws its
+# scores from a pool of at most three, so exact ties are common
+finite_scores = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1])
+exact_runs = st.dictionaries(query_ids, st.lists(finite_scores, min_size=1, max_size=3).flatmap(
+    lambda pool: st.dictionaries(ids, st.tuples(st.sampled_from(pool), st.booleans()),
+                                 min_size=1, max_size=8)), max_size=4).map(
+    # the flag stores a score as np.float64, as rankings built from arrays do
+    lambda by_query: {qid: RankedList(qid, tuple(
+        (doc, np.float64(score) if wrap else score)
+        for doc, (score, wrap) in sorted(scored.items(), key=lambda e: (-e[1][0], e[0]))))
+        for qid, scored in by_query.items()})
+
+
+def score_bits(rankings):
+    return {qid: [(doc, type(score), float(score).hex()) for doc, score in ranking.entries]
+            for qid, ranking in rankings.items()}
+
+
+@example({1: RankedList(1, (("a", np.float64(1e308)), ("b", 0.1), ("c", np.float64(0.1)),
+                            ("d", 5e-324), ("e", 0.0), ("f", -0.0), ("g", -1e308)))}, "t")
+@given(exact_runs, st.text(alphabet="abc-_1", min_size=1, max_size=5))
+def test_run_round_trip_is_exact(tmp_path_factory, rankings, tag):
     path = tmp_path_factory.mktemp("run") / "run.trec"
     write_run(Run(rankings, tag), path)
+    written = [line.split()[4] for line in path.read_text(encoding="utf-8").splitlines()]
+    assert written == [repr(float(score)) for qid in sorted(rankings)
+                       for _, score in rankings[qid].entries]
     loaded = read_run(path)
     assert loaded.tag == (tag if rankings else "external")
-    assert loaded.rankings == {
-        qid: RankedList.from_scores(qid, [(doc, float(f"{score:.6f}"))
-                                          for doc, score in ranking.entries])
-        for qid, ranking in rankings.items()}
+    assert score_bits(loaded.rankings) == {
+        qid: [(doc, float, bits) for doc, _, bits in entries]
+        for qid, entries in score_bits(rankings).items()}
 
 
 @given(judgments, st.sampled_from(["", "\n", " \t\n", "\r\n"]))

@@ -1,0 +1,61 @@
+"""run.trec carries the reranker's exact ranking: evaluate scores what rerank
+made, and a score that is not a number ends the run with one stderr line."""
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from ranklab.cli import EXIT_CONFIG, EXIT_NUMERIC, main
+from ranklab.dense import DenseIndex
+
+from test_cli import write_fixture_inputs
+
+STAGES = "ingest,index,synth-weak,train-dense,select-train,rerank,evaluate,depth-sweep"
+
+
+def command(root, *argv):
+    return [*argv, "--corpus", str(root / "corpus.jsonl"), "--queries", str(root / "queries.tsv"),
+            "--qrels", str(root / "qrels.txt"), "--workdir", str(root / "w")]
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """Every ranking stage on the 24-doc fixture at default config."""
+    root = tmp_path_factory.mktemp("runs")
+    write_fixture_inputs(root)
+    assert main(command(root, "pipeline", "--stages", STAGES)) == 0
+    return root
+
+
+@pytest.fixture
+def copy_of(default_run, tmp_path):
+    return shutil.copytree(default_run, tmp_path / "root")
+
+
+def test_evaluate_scores_the_ranking_rerank_made(default_run):
+    work = default_run / "w"
+    overall = json.loads((work / "report.jsonl").read_text().splitlines()[0])
+    assert overall["group"] == "overall"
+    rows = (line.split("\t") for line in (work / "depth_sweep.tsv").read_text().splitlines())
+    sweep = {depth: ndcg for depth, ndcg, _ in rows}
+    assert f"{overall['ndcg@10']:.6f}" == sweep["100"]
+
+
+def test_non_finite_rerank_score_is_exit_4(copy_of, capsys):
+    path = copy_of / "w" / "dense_index.bin"
+    index = DenseIndex.load(path)
+    index.vectors[0] = np.nan
+    index.save(path)
+    capsys.readouterr()
+    assert main(command(copy_of, "rerank")) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric error: non-finite score in reranking\n"
+
+
+def test_nan_score_in_run_file_is_exit_2(copy_of, capsys):
+    path = copy_of / "w" / "run.trec"
+    path.write_text("1 Q0 t00d01 1 2.5 t\n1 Q0 t00d00 2 nan t\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(command(copy_of, "evaluate")) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"input error: {path}:2: score is not a number\n"
