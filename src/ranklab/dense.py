@@ -1,5 +1,6 @@
 """Trainable dense retriever: mean-pooled embedding encoder, dot-product
-similarity, softmax contrastive loss over m negatives, and exact top-k search.
+similarity, softmax contrastive loss over m negatives (a training step pools
+its whole batch once), and exact top-k search.
 
 The optimizer is plain gradient descent with a fixed rate so analytic
 gradients can be checked against finite differences exactly.
@@ -137,21 +138,37 @@ class TrainingTriple:
         )
 
 
-def _triple_similarities(encoder: DenseEncoder, triple: TrainingTriple):
-    qv = encode(encoder, triple.query_ids)
-    pv = encode(encoder, triple.positive_ids)
-    nvs = [encode(encoder, n) for n in triple.negative_ids]
-    sims = np.array([similarity(qv, pv)] + [similarity(qv, nv) for nv in nvs])
-    return qv, pv, nvs, sims
+def _loss_and_row_grads(table: np.ndarray, batch) -> tuple[float, list, np.ndarray]:
+    """A batch's mean contrastive loss, its sequences (each triple's query,
+    positive and negatives) and the loss gradient of each one's pool() row."""
+    sequences = [s for t in batch for s in (t.query_ids, t.positive_ids, *t.negative_ids)]
+    if not all(sequences):
+        warnings.warn("encoding an empty id sequence yields the zero vector",
+                      ToolkitWarning, stacklevel=3)
+    vectors = pool(table, sequences)
+    row_grads = np.empty_like(vectors)
+    scale, total_loss, start = 1.0 / len(batch), 0.0, 0
+    for triple in batch:
+        end = start + 2 + len(triple.negative_ids)
+        qv, dvs = vectors[start], vectors[start + 1:end]
+        sims = np.vecdot(dvs, qv)  # each row's similarity(), bit for bit
+        if not np.all(np.isfinite(sims)):
+            raise NumericError("non-finite similarity in contrastive loss")
+        shift = sims.max()
+        exp = np.exp(sims - shift)
+        total_loss += float(np.log(exp.sum()) + shift - sims[0])
+        dsims = exp / exp.sum()  # dloss/dsim = softmax - onehot(positive)
+        dsims[0] -= 1.0
+        dq = dsims[0] * dvs[0] + sum(d * nv for d, nv in zip(dsims[1:], dvs[1:]))
+        row_grads[start] = scale * dq
+        row_grads[start + 1:end] = (scale * dsims)[:, None] * qv
+        start = end
+    return total_loss * scale, sequences, row_grads
 
 
 def contrastive_loss(encoder: DenseEncoder, triple: TrainingTriple) -> float:
     """Negative log-softmax of the positive similarity against the negatives."""
-    _, _, _, sims = _triple_similarities(encoder, triple)
-    if not np.all(np.isfinite(sims)):
-        raise NumericError("non-finite similarity in contrastive loss")
-    shift = sims.max()
-    return float(np.log(np.exp(sims - shift).sum()) + shift - sims[0])
+    return _loss_and_row_grads(encoder.table, [triple])[0]
 
 
 def train_step(encoder: DenseEncoder, batch, learning_rate: float) -> tuple[DenseEncoder, float]:
@@ -159,28 +176,12 @@ def train_step(encoder: DenseEncoder, batch, learning_rate: float) -> tuple[Dens
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be non-empty")
-    sequences, row_grads = [], []
-    total_loss = 0.0
-    scale = 1.0 / len(batch)
-    for triple in batch:
-        qv, pv, nvs, sims = _triple_similarities(encoder, triple)
-        if not np.all(np.isfinite(sims)):
-            raise NumericError("non-finite similarity during training")
-        shift = sims.max()
-        exp = np.exp(sims - shift)
-        probs = exp / exp.sum()
-        total_loss += float(np.log(exp.sum()) + shift - sims[0])
-        # dloss/dsim = probs - onehot(positive)
-        dsims = probs.copy()
-        dsims[0] -= 1.0
-        dq = dsims[0] * pv + sum(d * nv for d, nv in zip(dsims[1:], nvs))
-        sequences += [triple.query_ids, triple.positive_ids, *triple.negative_ids]
-        row_grads += [scale * dq, scale * dsims[0] * qv, *(scale * d * qv for d in dsims[1:])]
+    loss, sequences, row_grads = _loss_and_row_grads(encoder.table, batch)
     grad = pool_grad(encoder.table.shape, sequences, row_grads)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient in dense training step")
     encoder.table -= learning_rate * grad
-    return encoder, total_loss * scale
+    return encoder, loss
 
 
 class DenseIndex:

@@ -124,8 +124,9 @@ def rerank(ranker: Ranker, candidates: RankedList, depth: int, features) -> Rank
     """Rescore the top-`depth` candidates; the rest keep base order below them.
 
     `features` maps doc_id -> feature vector for at least the top-`depth`
-    candidates. Tied ranker scores stay equal and keep doc-id order. Raises
-    NumericError when a rescored candidate's score is non-finite.
+    candidates. Tied ranker scores stay equal and keep doc-id order; the tail
+    scores block minimum - 1, - 2, ... Raises NumericError when a rescored
+    score is non-finite or a tail score would reach 2**52 in magnitude.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -136,8 +137,10 @@ def rerank(ranker: Ranker, candidates: RankedList, depth: int, features) -> Rank
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite score in reranking")
     rescored = sorted(zip(block, scores.tolist()), key=lambda e: (-e[1], e[0]))
-    tail_start = rescored[-1][1] - 1.0
-    tail = [(doc_id, tail_start - i) for i, (doc_id, _) in enumerate(candidates.entries[depth:])]
+    tail_start, tail = rescored[-1][1] - 1.0, candidates.entries[depth:]
+    if tail and abs(tail_start) + len(tail) >= 2.0**52:  # where steps of 1.0 can round away
+        raise NumericError("reranked scores too large to rank the tail below them")
+    tail = [(doc_id, tail_start - i) for i, (doc_id, _) in enumerate(tail)]
     return RankedList(candidates.query_id, tuple(rescored + tail))
 
 

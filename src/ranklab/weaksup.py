@@ -200,25 +200,12 @@ def read_triples(path) -> list[WeakTriple]:
     return triples
 
 
-class InstanceFeaturizer(FeatureExtractor):
-    """Fixed-order instance features for the selection policy, read off the
-    ranker features of the triple's two documents.
-
-    Order: BM25(q, d+), BM25(q, d-), BM25 difference, dense-similarity
-    difference, query length, bias.
-    """
-
-    def pair_features(self, triple: WeakTriple) -> tuple[np.ndarray, np.ndarray]:
-        terms = triple.query.split()
-        return self.features(terms, triple.pos_doc_id), self.features(terms, triple.neg_doc_id)
-
-    @staticmethod
-    def from_pair_features(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-        """The instance vector of a triple whose ranker features are (pos, neg)."""
-        return np.array([pos[0], neg[0], pos[0] - neg[0], pos[1] - neg[1], pos[4], 1.0])
-
-    def __call__(self, triple: WeakTriple) -> np.ndarray:
-        return self.from_pair_features(*self.pair_features(triple))
+def instance_features(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """The policy's instance rows, (n, 6) or (6,), of triples whose documents
+    have the ranker feature rows `pos` and `neg`: BM25(q, d+), BM25(q, d-),
+    BM25 difference, dense-similarity difference, query length, bias."""
+    return np.stack([pos[..., 0], neg[..., 0], pos[..., 0] - neg[..., 0],
+                     pos[..., 1] - neg[..., 1], pos[..., 4], np.ones_like(pos[..., 5])], axis=-1)
 
 
 class SelectorPolicy:
@@ -273,10 +260,10 @@ class SelectionContext:
 
     Precomputes BM25(k1, b) base candidate lists for the dev queries and
     reranker features for every (query, candidate) pair, so each step only
-    rescores. One InstanceFeaturizer serves both the dev features and the
-    policy's instance features, reading document vectors from `dense_index`
-    (built from `docs` when none is given) and tokenizing queries to at most
-    `max_length` pieces.
+    rescores. One FeatureExtractor serves the dev features and pair_features,
+    reading document vectors from `dense_index` (built from `docs` when none
+    is given) and tokenizing queries to at most `max_length` pieces. dev_ndcg
+    keeps the values of the last two rankers, a step's and its trial's.
     """
 
     def __init__(self, index: InvertedIndex, docs, encoder: DenseEncoder,
@@ -288,18 +275,29 @@ class SelectionContext:
         self.qrels = qrels
         self.k = k
         self.depth = depth
-        self.instance_featurizer = InstanceFeaturizer(
+        self.extractor = FeatureExtractor(
             index, docs, encoder, vocab, dense_index, k1, b, stopwords, max_length)
-        lists = {q.query_id: self.instance_featurizer.candidates(q, depth) for q in dev_queries}
+        lists = {q.query_id: self.extractor.candidates(q, depth) for q in dev_queries}
         self.base: dict[int, RankedList] = {qid: base for qid, (base, _) in lists.items()}
         self.features: dict[int, dict[str, np.ndarray]] = {qid: f for qid, (_, f) in lists.items()}
+        self._dev_memo: dict[bytes, float] = {}
 
     def pair_features(self, triple: WeakTriple) -> tuple[np.ndarray, np.ndarray]:
-        return self.instance_featurizer.pair_features(triple)
+        ordinal_of = self.extractor.index.ordinal_of
+        return tuple(self.extractor.features_matrix(
+            triple.query.split(), [ordinal_of[triple.pos_doc_id], ordinal_of[triple.neg_doc_id]]))
+
+    def instance_featurizer(self, triple: WeakTriple) -> np.ndarray:
+        return instance_features(*self.pair_features(triple))
 
     def dev_ndcg(self, ranker: Ranker) -> float:
-        return mean_ndcg((rerank(ranker, base, self.depth, self.features[query_id])
-                          for query_id, base in self.base.items()), self.qrels, self.k)
+        key = ranker.weights.tobytes()
+        value = self._dev_memo.pop(key, None)
+        if value is None:
+            value = mean_ndcg((rerank(ranker, base, self.depth, self.features[query_id])
+                               for query_id, base in self.base.items()), self.qrels, self.k)
+        self._dev_memo = {**dict(list(self._dev_memo.items())[-1:]), key: value}
+        return value
 
 
 def reinfoselect_step(policy: SelectorPolicy, batch, ranker: Ranker,
@@ -316,24 +314,21 @@ def reinfoselect_step(policy: SelectorPolicy, batch, ranker: Ranker,
     if not batch:
         raise ValueError("batch must be non-empty")
     pairs = [context.pair_features(t) for t in batch]
-    features = [InstanceFeaturizer.from_pair_features(pos, neg) for pos, neg in pairs]
+    features = instance_features(*np.array(pairs).transpose(1, 0, 2))
     probs = np.array([policy.selection_probability(x) for x in features])
     actions = policy.rng.random(len(batch)) < probs
     selected = [pair for pair, a in zip(pairs, actions) if a]
 
     before = context.dev_ndcg(ranker)
+    trial, reward = ranker, 0.0
     if selected:
         trial = ranker.copy()
         pairwise_train_step(trial, selected, ranker_lr)
         reward = context.dev_ndcg(trial) - before
-    else:
-        trial = ranker
-        reward = 0.0
 
     advantage = reward - policy.baseline
-    grad = np.zeros(N_INSTANCE_FEATURES)
-    for x, p, a in zip(features, probs, actions):
-        grad += (float(a) - p) * x
+    # summed over rows in batch order, as a running += would add them
+    grad = ((actions - probs)[:, None] * features).sum(axis=0)
     policy.weights += policy_lr * advantage * grad
     policy.record_reward(reward)
 

@@ -1,9 +1,10 @@
 """dense.pool and dense.pool_grad against the per-sequence loops they replaced.
 
 The former loops are kept here as oracles: build_dense_index's one `encode`
-per document, dense's `_accumulate` (one `+=` per piece id) inside the former
-train_step, and the masked-language step's per-sequence context means and
-per-sequence `np.add.at` scatter. Every comparison is bit for bit.
+per document, the former train_step's per-triple `encode`s and `similarity`s
+and its `_accumulate` (one `+=` per piece id), the former per-triple
+contrastive loss, and the masked-language step's per-sequence context means
+and per-sequence `np.add.at` scatter. Every comparison is bit for bit.
 """
 
 import warnings
@@ -17,11 +18,12 @@ from ranklab.corpus import Document
 from ranklab.dense import (
     DenseEncoder,
     TrainingTriple,
-    _triple_similarities,
     build_dense_index,
+    contrastive_loss,
     encode,
     pool,
     pool_grad,
+    similarity,
     train_step,
 )
 from ranklab.errors import NumericError, ToolkitWarning
@@ -50,12 +52,28 @@ def reference_accumulate(grad, ids, vec):
         grad[i] += contribution
 
 
+def reference_triple_similarities(encoder, triple):
+    qv = encode(encoder, triple.query_ids)
+    pv = encode(encoder, triple.positive_ids)
+    nvs = [encode(encoder, n) for n in triple.negative_ids]
+    sims = np.array([similarity(qv, pv)] + [similarity(qv, nv) for nv in nvs])
+    return qv, pv, nvs, sims
+
+
+def reference_contrastive_loss(encoder, triple):
+    _, _, _, sims = reference_triple_similarities(encoder, triple)
+    if not np.all(np.isfinite(sims)):
+        raise NumericError("non-finite similarity in contrastive loss")
+    shift = sims.max()
+    return float(np.log(np.exp(sims - shift).sum()) + shift - sims[0])
+
+
 def reference_train_step(encoder, batch, learning_rate):
     grad = np.zeros_like(encoder.table)
     total_loss = 0.0
     scale = 1.0 / len(batch)
     for triple in batch:
-        qv, pv, nvs, sims = _triple_similarities(encoder, triple)
+        qv, pv, nvs, sims = reference_triple_similarities(encoder, triple)
         if not np.all(np.isfinite(sims)):
             raise NumericError("non-finite similarity during training")
         shift = sims.max()
@@ -197,6 +215,17 @@ def test_train_step_matches_the_accumulate_loop(batch, dim, seed):
         expected, expected_loss = reference_train_step(DenseEncoder(table.copy()), batch, 0.5)
     assert got.table.tobytes() == expected.table.tobytes()
     assert loss == expected_loss
+
+
+@given(triples, st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_contrastive_loss_matches_the_per_triple_loss(triple, dim, seed):
+    # the strategy draws one to four negatives of ragged lengths
+    table = np.random.default_rng(seed).normal(0, 0.3, size=(VOCAB, dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ToolkitWarning)
+        loss = contrastive_loss(DenseEncoder(table), triple)
+        assert loss == reference_contrastive_loss(DenseEncoder(table), triple)
+    assert isinstance(loss, float)
 
 
 def test_train_step_with_an_empty_query_leaves_no_query_gradient():

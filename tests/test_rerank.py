@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ranklab.corpus import Qrels
 from ranklab.dense import DenseEncoder, DenseIndex, build_dense_index
-from ranklab.errors import DependencyError
+from ranklab.errors import DependencyError, NumericError
 from ranklab.evaluation import Run, read_run, write_run
 from ranklab.rerank import (
     FeatureExtractor,
@@ -84,6 +86,26 @@ class TestRerank:
         block_min = min(s for d, s in out.entries[:2])
         for _, score in out.entries[2:]:
             assert score < block_min
+
+    @pytest.mark.parametrize("low, high", [(1e17, 2e17), (-1e308, -0.9e308)])
+    def test_tail_that_cannot_fall_below_the_block_is_numeric_error(self, low, high):
+        # block_min - 1.0 rounds back onto block_min at these magnitudes
+        candidates = base_list(1, ["y", "z", "a", "b"])
+        with pytest.raises(NumericError, match="too large"):
+            rerank_op(BM25_ONLY, candidates, 2, feature_table({"y": low, "z": high}))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+           st.integers(0, 3))
+    def test_tail_strictly_decreases_below_any_finite_block(self, block_scores, tail_len):
+        docs = [f"d{i}" for i in range(len(block_scores) + tail_len)]
+        features = feature_table(dict(zip(docs, block_scores)))
+        try:
+            out = rerank_op(BM25_ONLY, base_list(1, docs), len(block_scores), features)
+        except NumericError:  # only where the float spacing can reach 1.0
+            assert tail_len and abs(min(block_scores) - 1.0) + tail_len >= 2.0**52
+            return
+        tail = [score for _, score in out.entries[len(block_scores):]]
+        assert all(a > b for a, b in zip([min(block_scores), *tail], tail))
 
 
 class TestPairwiseTraining:

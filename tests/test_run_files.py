@@ -9,6 +9,7 @@ import pytest
 
 from ranklab.cli import EXIT_CONFIG, EXIT_NUMERIC, main
 from ranklab.dense import DenseIndex
+from ranklab.rerank import Ranker
 
 from test_cli import write_fixture_inputs
 
@@ -51,6 +52,15 @@ def test_non_finite_rerank_score_is_exit_4(copy_of, capsys):
     capsys.readouterr()
     assert main(command(copy_of, "rerank")) == EXIT_NUMERIC
     assert capsys.readouterr().err == "numeric error: non-finite score in reranking\n"
+
+
+def test_tail_that_cannot_fall_below_the_block_is_exit_4(copy_of, capsys):
+    # every block score is 1e17, where 1e17 - 1.0 rounds back to 1e17
+    Ranker(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1e17])).save(copy_of / "w" / "ranker.ckpt")
+    capsys.readouterr()
+    assert main(command(copy_of, "rerank", "--depth", "2")) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric error: reranked scores too large to rank the tail below them\n")
 
 
 def test_nan_score_in_run_file_is_exit_2(copy_of, capsys):

@@ -3,8 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ranklab.corpus import Document, text_terms
+from ranklab import weaksup
+from ranklab.corpus import Document, Qrels, text_terms
 from ranklab.dense import DenseEncoder
 from ranklab.errors import ConfigError, DegeneratePairError, GenerationError, ToolkitWarning
 from ranklab.rerank import Ranker
@@ -13,11 +16,11 @@ from ranklab.stopwords import ENGLISH_STOPWORDS
 from ranklab.subword import train_subword_vocab
 from ranklab.synthetic import make_selection_pool, make_separable_corpus
 from ranklab.weaksup import (
-    InstanceFeaturizer,
     SalienceQueryGenerator,
     SelectionContext,
     SelectorPolicy,
     WeakTriple,
+    instance_features,
     read_triples,
     reinfoselect_step,
     synthesize_triples,
@@ -172,6 +175,31 @@ class TestWeakTriple:
             WeakTriple("q", "a", "b", "mystery")
 
 
+def instance_featurizer(index, docs, encoder, vocab):
+    """What gives one triple's policy instance features: a context's, with no dev queries."""
+    return SelectionContext(index, docs, encoder, vocab, [], Qrels()).instance_featurizer
+
+
+def reference_from_pair_features(pos, neg):
+    """The former InstanceFeaturizer.from_pair_features, kept as the oracle."""
+    return np.array([pos[0], neg[0], pos[0] - neg[0], pos[1] - neg[1], pos[4], 1.0])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(st.lists(finite, min_size=6, max_size=6),
+                          st.lists(finite, min_size=6, max_size=6)), min_size=1, max_size=8))
+def test_instance_features_rows_match_the_former_vector(pairs):
+    pos, neg = np.array([p for p, _ in pairs]), np.array([n for _, n in pairs])
+    with np.errstate(over="ignore"):
+        rows = instance_features(pos, neg)
+        expected = [reference_from_pair_features(p, n) for p, n in zip(pos, neg)]
+    assert rows.shape == (len(pairs), 6)
+    assert [r.tobytes() for r in rows] == [e.tobytes() for e in expected]
+    assert instance_features(pos[0], neg[0]).tobytes() == expected[0].tobytes()
+
+
 class TestInstanceFeatures:
     def test_identical_text_docs_zero_differences(self):
         docs = [
@@ -182,7 +210,7 @@ class TestInstanceFeatures:
         index = build_index(docs)
         vocab = train_subword_vocab([d.text() for d in docs], 100)
         encoder = DenseEncoder.init(len(vocab), 8, seed=0)
-        featurize = InstanceFeaturizer(index, docs, encoder, vocab)
+        featurize = instance_featurizer(index, docs, encoder, vocab)
         feats = featurize(WeakTriple("same words", "a", "b"))
         assert feats[2] == pytest.approx(0.0, abs=1e-12)  # bm25 difference
         assert feats[3] == pytest.approx(0.0, abs=1e-12)  # dense sim difference
@@ -194,7 +222,7 @@ class TestInstanceFeatures:
 
         index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
         encoder = DenseEncoder.init(len(vocab), 16, seed=5)
-        featurize = InstanceFeaturizer(index, docs, encoder, vocab)
+        featurize = instance_featurizer(index, docs, encoder, vocab)
         triple = WeakTriple("t0w1 t0w2", docs[0].doc_id, docs[25].doc_id, "external")
         feats = featurize(triple)
         terms = ["t0w1", "t0w2"]
@@ -213,7 +241,7 @@ class TestInstanceFeatures:
     def test_feature_order_stable(self, separable):
         index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
         encoder = DenseEncoder.init(len(vocab), 16, seed=5)
-        featurize = InstanceFeaturizer(index, docs, encoder, vocab)
+        featurize = instance_featurizer(index, docs, encoder, vocab)
         triple = WeakTriple("t1w1", docs[20].doc_id, docs[0].doc_id, "external")
         np.testing.assert_array_equal(featurize(triple), featurize(triple))
 
@@ -226,7 +254,8 @@ def selection_setup():
     encoder = DenseEncoder.init(len(vocab), 64, seed=3)
     context = SelectionContext(index, docs, encoder, vocab, queries, qrels, depth=50)
     clean, noisy = make_selection_pool(docs, queries, qrels, 40, 40, seed=47)
-    return {"context": context, "clean": clean, "noisy": noisy}
+    return {"context": context, "clean": clean, "noisy": noisy,
+            "args": (index, docs, encoder, vocab, queries, qrels)}
 
 
 def test_selection_context_uses_its_bm25_parameters(separable):
@@ -330,7 +359,7 @@ class TestReinfoSelect:
 
     def test_step_features_each_triple_once(self, selection_setup, monkeypatch):
         ctx = selection_setup["context"]
-        featurizer = ctx.instance_featurizer
+        extractor = ctx.extractor
         pool = selection_setup["clean"] + selection_setup["noisy"]
         expected_policy, expected_ranker = SelectorPolicy(seed=4), Ranker()
         for start in range(0, 30, 10):
@@ -338,23 +367,50 @@ class TestReinfoSelect:
                 expected_policy, pool[start:start + 10], expected_ranker, ctx, 0.5)
 
         calls = []
-        features = featurizer.features
+        features_matrix = extractor.features_matrix
 
-        def counted_features(*args):
+        def counted_features_matrix(*args):
             calls.append(args)
-            return features(*args)
+            return features_matrix(*args)
 
-        monkeypatch.setattr(featurizer, "features", counted_features)
+        monkeypatch.setattr(extractor, "features_matrix", counted_features_matrix)
         policy, ranker = SelectorPolicy(seed=4), Ranker()
         for start in range(0, 30, 10):
             calls.clear()
             policy, ranker, _ = reinfoselect_step(
                 policy, pool[start:start + 10], ranker, ctx, ranker_lr=0.5)
-            assert len(calls) == 2 * 10
+            assert len(calls) == 10
         np.testing.assert_array_equal(policy.weights, expected_policy.weights)
         np.testing.assert_array_equal(ranker.weights, expected_ranker.weights)
         assert policy.baseline == expected_policy.baseline
         assert np.any(ranker.weights != 0.0)  # some step selected and kept an update
+
+
+def test_each_distinct_ranker_is_scored_on_dev_once(selection_setup, monkeypatch):
+    # the select-train loop: a step, then a progress line scoring the kept ranker
+    ctx = SelectionContext(*selection_setup["args"], depth=50)
+    scored, computed = [], []
+    dev_ndcg, mean_ndcg = SelectionContext.dev_ndcg, weaksup.mean_ndcg
+
+    def recorded_dev_ndcg(self, ranker):
+        scored.append(ranker.weights.tobytes())
+        return dev_ndcg(self, ranker)
+
+    def counted_mean_ndcg(*args):
+        computed.append(args)
+        return mean_ndcg(*args)
+
+    monkeypatch.setattr(SelectionContext, "dev_ndcg", recorded_dev_ndcg)
+    monkeypatch.setattr(weaksup, "mean_ndcg", counted_mean_ndcg)
+    pool = selection_setup["noisy"] + selection_setup["clean"]
+    policy, ranker, rewards = SelectorPolicy(seed=2), Ranker(), []
+    for step in range(12):
+        policy, ranker, reward = reinfoselect_step(
+            policy, pool[(step * 6) % len(pool):][:6], ranker, ctx, ranker_lr=0.5)
+        rewards.append(reward)
+        ctx.dev_ndcg(ranker)
+    assert min(rewards) < 0.0 < max(rewards)  # steps kept and rolled back a trial
+    assert len(computed) == len(set(scored)) < len(scored)
 
 
 def reference_reinfoselect_step(policy, batch, ranker, context, ranker_lr):
