@@ -6,8 +6,9 @@ u32 ndim, u64 dims..., raw little-endian C-order data). Serialization is
 byte-deterministic for identical inputs. Every artifact, binary or text, is
 written by write_atomic: to a temporary name, then renamed into place, so a
 reader never sees a half-written file. A checkpoint cut short by other means
-is rejected with ConfigError, as is one that lacks an array its reader
-requires.
+is rejected with ConfigError, as is one that holds a non-numeric array, or
+that lacks an array or metadata key its reader requires, or whose arrays have
+another ndim or shape than its reader expects.
 
 Every text input (corpus, queries, qrels, split, stopwords, triples, reference
 texts, config files, runs) is read through read_lines, which drops a leading
@@ -77,8 +78,10 @@ def save_arrays(path, kind: str, arrays: dict[str, np.ndarray], meta: dict) -> N
     write_atomic(path, b"".join(chunks))
 
 
-def load_arrays(path, kind: str, required=()) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint written by save_arrays; `required` names arrays it must hold."""
+def load_arrays(path, kind: str, required=(), meta_keys=()) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint written by save_arrays. `required` names arrays it must
+    hold, or maps each to its ndim; `meta_keys` names keys its metadata object
+    must hold. Only numeric arrays are read."""
     data = Path(path).read_bytes()
     offset = 0
 
@@ -102,6 +105,8 @@ def load_arrays(path, kind: str, required=()) -> tuple[dict[str, np.ndarray], di
         meta = json.loads(meta_bytes.decode("utf-8"))
     except ValueError as exc:
         raise ConfigError(f"{path}: corrupt checkpoint metadata") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: checkpoint metadata is not a JSON object")
     arrays: dict[str, np.ndarray] = {}
     while offset < len(data):
         (name_len,) = struct.unpack("<H", take(2))
@@ -112,6 +117,8 @@ def load_arrays(path, kind: str, required=()) -> tuple[dict[str, np.ndarray], di
             dtype = np.dtype(dtype_tag.rstrip(b"\0").decode("ascii"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: corrupt checkpoint array header") from exc
+        if dtype.kind not in "biuf":
+            raise ConfigError(f"{path}: array {name!r} has non-numeric dtype {dtype.str!r}")
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         count = math.prod(shape)
@@ -119,4 +126,19 @@ def load_arrays(path, kind: str, required=()) -> tuple[dict[str, np.ndarray], di
     missing = [name for name in required if name not in arrays]
     if missing:
         raise ConfigError(f"{path}: checkpoint lacks array(s) {', '.join(missing)}")
+    missing = [key for key in meta_keys if key not in meta]
+    if missing:
+        raise ConfigError(f"{path}: checkpoint metadata lacks key(s) {', '.join(missing)}")
+    for name, ndim in (required.items() if isinstance(required, dict) else ()):
+        if arrays[name].ndim != ndim:
+            raise ConfigError(f"{path}: array {name!r} is {arrays[name].ndim}-d, expected {ndim}-d")
     return arrays, meta
+
+
+def checked(path, make, *args):
+    """make(*args) over a checkpoint's contents; the ValueError or TypeError that
+    contents of the wrong shape or type raise becomes a ConfigError naming `path`."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed checkpoint ({exc})") from exc

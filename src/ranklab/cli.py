@@ -8,10 +8,15 @@ that train-dense writes, and their document terms from index.bin. Exit codes:
 
 A stage opens its files through StageRunner.read (a work-directory artifact),
 input (a file a config key names) and write (an artifact it produces), and its
-manifest line lists exactly those files. A new config key is one annotated
-PipelineConfig field: its default, and through _key its flag, the subcommands
-that take it and its bound or choices, from which the parsers and validate
-are built.
+manifest line lists exactly those files. Stages still exchange only files, but
+they parse them through StageRunner.load: within one pipeline run, a file that
+has not changed since a stage parsed it is not parsed again, and a rewritten
+file, whose size, mtime or inode differs, is. index.bin alone is loaded afresh
+by every stage that reads it.
+
+A new config key is one annotated PipelineConfig field: its default, and
+through _key its flag, the subcommands that take it and its bound or choices,
+from which the parsers and validate are built.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dense, mlm, rerank, weaksup
-from .checkpoint import read_lines, write_atomic
+from .checkpoint import checked, read_lines, write_atomic
 from .corpus import load_corpus, load_queries
 from .errors import ConfigError, DependencyError, NumericError, ParseError, ToolkitError
 from .evaluation import (
@@ -219,6 +224,12 @@ class PipelineConfig:
         return dataclasses.replace(self, **updates)
 
 
+def file_identity(path) -> tuple:
+    """(path, size, mtime, inode): a rewrite, in place or by rename, changes it."""
+    st = os.stat(path)
+    return (Path(path), st.st_size, st.st_mtime_ns, st.st_ino)
+
+
 class StageRunner:
     """Executes stages in a locked work directory and appends manifest lines."""
 
@@ -228,6 +239,7 @@ class StageRunner:
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
         self.digests: dict[tuple, str] = {}
+        self.parsed: dict[tuple, tuple] = {}  # (path, parse, args) -> (identity, result)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -259,12 +271,18 @@ class StageRunner:
         return path
 
     def sha256(self, path: Path) -> str:
-        """The file's sha256, hashed again only when its size, mtime or inode changes."""
-        st = path.stat()
-        key = (path, st.st_size, st.st_mtime_ns, st.st_ino)
+        """The file's sha256, hashed again only when its identity changes."""
+        key = file_identity(path)
         if key not in self.digests:
             self.digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
         return self.digests[key]
+
+    def load(self, path, parse, *args):
+        """parse(path, *args), parsed again only when the file's identity changes."""
+        key, identity = (Path(path), parse, args), file_identity(path)
+        if key not in self.parsed or self.parsed[key][0] != identity:
+            self.parsed[key] = (identity, parse(path, *args))
+        return self.parsed[key][1]
 
     def run(self, stage: str) -> list[Path]:
         """Run one stage and append its manifest line; returns its outputs.
@@ -288,16 +306,16 @@ class StageRunner:
     def stopwords(self):
         if not self.config.stopwords_path:
             return ENGLISH_STOPWORDS
-        return load_stopwords(self.input("stopwords"))
+        return self.load(self.input("stopwords"), load_stopwords)
 
     def load_docs(self):
-        return load_corpus(self.input("corpus"))
+        return self.load(self.input("corpus"), load_corpus)
 
     def load_queries(self):
-        return load_queries(self.input("queries"), self.stopwords())
+        return self.load(self.input("queries"), load_queries, self.stopwords())
 
-    def load_qrels(self):
-        return read_qrels(self.input("qrels"))
+    def load_qrels(self, key: str = "qrels"):
+        return self.load(self.input(key), read_qrels)
 
     # -- stages -------------------------------------------------------------
 
@@ -314,7 +332,7 @@ class StageRunner:
         index.save(self.write("index"))
 
     def stage_dapt(self):
-        vocab = SubwordVocab.load(self.read("vocab"))
+        vocab = self.load(self.read("vocab"), SubwordVocab.load)
         docs = self.load_docs()
         sequences = [s for d in docs if (s := tokenize(d.text(), vocab, self.config.max_seq_len))]
         if not sequences:
@@ -334,10 +352,10 @@ class StageRunner:
         return self.read("weak_triples", "run synth-weak or set external_triples_path")
 
     def stage_train_dense(self):
-        vocab = SubwordVocab.load(self.read("vocab"))
+        vocab = self.load(self.read("vocab"), SubwordVocab.load)
         docs = self.load_docs()
         triples_file = self._triples_file()
-        weak = weaksup.read_triples(triples_file)
+        weak = self.load(triples_file, weaksup.read_triples)
         if not weak:
             raise ConfigError(f"no training triples in {triples_file}")
         max_len = self.config.max_seq_len
@@ -364,8 +382,9 @@ class StageRunner:
             raise ConfigError(f"no usable triples in {triples_file}")
         encoder = dense.DenseEncoder.init(len(vocab), self.config.dim, self.config.seed)
         if self.config.warm_start:
-            pretrained = dense.DenseEncoder.load(self.read("mlm_embeddings"))
-            encoder = mlm.warm_start(encoder, pretrained.table)
+            path = self.read("mlm_embeddings")
+            table = self.load(path, dense.DenseEncoder.load).table
+            encoder = checked(path, mlm.warm_start, encoder, table)
         dev_queries = self.load_queries() if self.config.queries_path else []
         qrels = self.load_qrels() if self.config.qrels_path else None
         order = np.arange(len(triples))
@@ -407,8 +426,9 @@ class StageRunner:
         """A FeatureExtractor at this config over index.bin, vocab, encoder and dense index."""
         return rerank.FeatureExtractor(
             InvertedIndex.load(self.read("index")), None,
-            dense.DenseEncoder.load(self.read("encoder")), SubwordVocab.load(self.read("vocab")),
-            dense.DenseIndex.load(self.read("dense_index")),
+            self.load(self.read("encoder"), dense.DenseEncoder.load),
+            self.load(self.read("vocab"), SubwordVocab.load),
+            self.load(self.read("dense_index"), dense.DenseIndex.load),
             self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
 
     def stage_select_train(self):
@@ -417,7 +437,7 @@ class StageRunner:
         qrels = self.load_qrels()
         triples_file = self._triples_file()
         ordinal_of = extractor.index.ordinal_of
-        pool = [t for t in weaksup.read_triples(triples_file)
+        pool = [t for t in self.load(triples_file, weaksup.read_triples)
                 if t.pos_doc_id in ordinal_of and t.neg_doc_id in ordinal_of]
         if not pool:
             raise ConfigError(f"no usable triples in {triples_file}")
@@ -445,7 +465,7 @@ class StageRunner:
 
     def stage_rerank(self):
         extractor = self._feature_extractor()
-        ranker = rerank.Ranker.load(self.read("ranker"))
+        ranker = self.load(self.read("ranker"), rerank.Ranker.load)
         topk, rrf_k = self.config.topk, self.config.rrf_k
         run = Run({}, self.config.run_tag)
         for query in self.load_queries():
@@ -491,7 +511,7 @@ class StageRunner:
         if self.config.residual:
             if not self.config.prior_qrels_path:
                 raise ConfigError("residual evaluation requires prior_qrels_path")
-            run = residual_filter(run, read_qrels(self.input("prior_qrels")), split)
+            run = residual_filter(run, self.load_qrels("prior_qrels"), split)
         report = old_new_report(run, qrels, split, self.config.eval_k,
                                 self.config.skip_unjudgeable, self.config.gain)
         write_atomic(self.write("report_text"), report.to_text())
@@ -500,7 +520,7 @@ class StageRunner:
 
     def stage_depth_sweep(self):
         extractor = self._feature_extractor()
-        ranker = rerank.Ranker.load(self.read("ranker"))
+        ranker = self.load(self.read("ranker"), rerank.Ranker.load)
         lists = {q.query_id: extractor.candidates(q, self.config.topk) for q in self.load_queries()}
         qrels = self.load_qrels()
         base_runs = {qid: base for qid, (base, _) in lists.items()}
@@ -515,14 +535,14 @@ class StageRunner:
         print("\n".join(lines))
 
     def stage_analyze(self):
-        vocab = SubwordVocab.load(self.read("vocab"))
+        vocab = self.load(self.read("vocab"), SubwordVocab.load)
         index = InvertedIndex.load(self.read("index"))
         docs = self.load_docs()
         queries = self.load_queries()
         qrels = self.load_qrels()
         n_external = 0
         if self.config.external_triples_path:
-            n_external = len(weaksup.read_triples(self.input("external_triples")))
+            n_external = len(self.load(self.input("external_triples"), weaksup.read_triples))
         reference = None
         if self.config.reference_texts_path:
             reference = [line for _, line in read_lines(self.input("reference_texts"))]

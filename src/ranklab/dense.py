@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import checked, load_arrays, save_arrays
 from .errors import NumericError, ToolkitWarning
 from .sparse import RankedList, doc_id_ranks, top_k_entries
 from .subword import DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, tokenize
@@ -53,7 +53,7 @@ class DenseEncoder:
 
     @classmethod
     def load(cls, path) -> "DenseEncoder":
-        arrays, _ = load_arrays(path, "DENC", required=("table",))
+        arrays, _ = load_arrays(path, "DENC", required={"table": 2})
         return cls(arrays["table"])
 
 
@@ -208,8 +208,8 @@ class DenseIndex:
 
     @classmethod
     def load(cls, path) -> "DenseIndex":
-        arrays, meta = load_arrays(path, "DIDX", required=("vectors",))
-        return cls(arrays["vectors"], meta["doc_ids"])
+        arrays, meta = load_arrays(path, "DIDX", {"vectors": 2}, ("doc_ids",))
+        return checked(path, cls, arrays["vectors"], meta["doc_ids"])
 
 
 def build_dense_index(encoder: DenseEncoder, docs, vocab: SubwordVocab,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import checked, load_arrays, save_arrays
 from .dense import DenseEncoder, pool, pool_grad
 from .errors import NumericError, ToolkitWarning
 
@@ -117,8 +117,8 @@ class MlmModel:
 
     @classmethod
     def load(cls, path) -> "MlmModel":
-        arrays, _ = load_arrays(path, "MLMM", required=("embeddings", "output_weights"))
-        return cls(arrays["embeddings"], arrays["output_weights"])
+        arrays, _ = load_arrays(path, "MLMM", required={"embeddings": 2, "output_weights": 2})
+        return checked(path, cls, arrays["embeddings"], arrays["output_weights"])
 
 
 def masked_prediction_loss(model: MlmModel, batch: MaskedBatch) -> float:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import checked, load_arrays, save_arrays
 from .corpus import Qrels
 from .dense import DenseEncoder, DenseIndex, build_dense_index, pool
 from .errors import DependencyError, NumericError
@@ -55,8 +55,8 @@ class Ranker:
 
     @classmethod
     def load(cls, path) -> "Ranker":
-        arrays, _ = load_arrays(path, "RNKR", required=("weights",))
-        return cls(arrays["weights"])
+        arrays, _ = load_arrays(path, "RNKR", required={"weights": 1})
+        return checked(path, cls, arrays["weights"])
 
 
 class FeatureExtractor:

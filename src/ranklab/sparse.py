@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import checked, load_arrays, save_arrays
 from .corpus import Qrels, Query, text_terms
 from .errors import EmptyCorpusError, UndefinedMetricError
 
@@ -76,6 +76,8 @@ class InvertedIndex:
     """CSR postings, document lengths, and corpus statistics for BM25."""
 
     def __init__(self, terms, offsets, ordinals, tfs, lengths, doc_ids):
+        if (len(offsets), len(tfs), len(lengths)) != (len(terms) + 1, len(ordinals), len(doc_ids)):
+            raise ValueError("posting arrays do not match the term and document counts")
         self.terms: list[str] = terms
         self.offsets, self.ordinals, self.tfs, self.lengths = offsets, ordinals, tfs, lengths
         self.doc_ids: list[str] = doc_ids
@@ -127,8 +129,9 @@ class InvertedIndex:
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":
-        arrays, meta = load_arrays(path, "SIDX", required=INDEX_ARRAYS)
-        return cls(meta["terms"], *(arrays[name] for name in INDEX_ARRAYS), meta["doc_ids"])
+        arrays, meta = load_arrays(
+            path, "SIDX", dict.fromkeys(INDEX_ARRAYS, 1), ("terms", "doc_ids"))
+        return checked(path, cls, meta["terms"], *(arrays[n] for n in INDEX_ARRAYS), meta["doc_ids"])
 
 
 def doc_id_ranks(doc_ids) -> np.ndarray:

@@ -247,11 +247,14 @@ class SelectorPolicy:
 
     @classmethod
     def load(cls, path) -> "SelectorPolicy":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        policy = cls(np.asarray(payload["weights"]), seed=payload["seed"])
-        policy.baseline = payload["baseline"]
-        policy.reward_count = payload["reward_count"]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            policy = cls(np.asarray(payload["weights"]), seed=payload["seed"])
+            policy.baseline = payload["baseline"]
+            policy.reward_count = payload["reward_count"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: corrupt policy file ({exc!r})") from exc
         return policy
 
 
