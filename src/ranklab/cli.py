@@ -12,7 +12,8 @@ manifest line lists exactly those files. Stages still exchange only files, but
 they parse them through StageRunner.load: within one pipeline run, a file that
 has not changed since a stage parsed it is not parsed again, and a rewritten
 file, whose size, mtime or inode differs, is. index.bin alone is loaded afresh
-by every stage that reads it.
+by every stage that reads it. dapt and train-dense share the tokenized corpus,
+kept the same way under the corpus file, the vocab and max_seq_len.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
@@ -22,6 +23,7 @@ from which the parsers and validate are built.
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
 import gc
 import hashlib
@@ -239,7 +241,7 @@ class StageRunner:
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
         self.digests: dict[tuple, str] = {}
-        self.parsed: dict[tuple, tuple] = {}  # (path, parse, args) -> (identity, result)
+        self.parsed: dict[tuple, tuple] = {}  # (path, parse) -> ((identity, args), result)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -278,8 +280,8 @@ class StageRunner:
         return self.digests[key]
 
     def load(self, path, parse, *args):
-        """parse(path, *args), parsed again only when the file's identity changes."""
-        key, identity = (Path(path), parse, args), file_identity(path)
+        """parse(path, *args), parsed again only when the file's identity or args change."""
+        key, identity = (Path(path), parse), (file_identity(path), args)
         if key not in self.parsed or self.parsed[key][0] != identity:
             self.parsed[key] = (identity, parse(path, *args))
         return self.parsed[key][1]
@@ -317,6 +319,14 @@ class StageRunner:
     def load_qrels(self, key: str = "qrels"):
         return self.load(self.input(key), read_qrels)
 
+    def tokenized_corpus(self) -> tuple[SubwordVocab, dict[str, tuple[int, ...]]]:
+        """The vocab, and doc id -> piece ids of each document in corpus order."""
+        vocab = self.load(self.read("vocab"), SubwordVocab.load)
+        return vocab, self.load(self.input("corpus"), self._tokenize, vocab, self.config.max_seq_len)
+
+    def _tokenize(self, path, vocab, max_len):
+        return {d.doc_id: tuple(tokenize(d.text(), vocab, max_len)) for d in self.load(path, load_corpus)}
+
     # -- stages -------------------------------------------------------------
 
     def stage_ingest(self):
@@ -332,9 +342,8 @@ class StageRunner:
         index.save(self.write("index"))
 
     def stage_dapt(self):
-        vocab = self.load(self.read("vocab"), SubwordVocab.load)
-        docs = self.load_docs()
-        sequences = [s for d in docs if (s := tokenize(d.text(), vocab, self.config.max_seq_len))]
+        vocab, pieces = self.tokenized_corpus()
+        sequences = [s for s in pieces.values() if s]
         if not sequences:
             raise ConfigError(f"no document in {self.config.corpus_path} has a piece to mask")
         model = mlm.MlmModel.init(len(vocab), self.config.dim, self.config.seed)
@@ -352,32 +361,13 @@ class StageRunner:
         return self.read("weak_triples", "run synth-weak or set external_triples_path")
 
     def stage_train_dense(self):
-        vocab = self.load(self.read("vocab"), SubwordVocab.load)
-        docs = self.load_docs()
+        vocab, pieces = self.tokenized_corpus()
         triples_file = self._triples_file()
         weak = self.load(triples_file, weaksup.read_triples)
         if not weak:
             raise ConfigError(f"no training triples in {triples_file}")
-        max_len = self.config.max_seq_len
-        pieces = {d.doc_id: tuple(tokenize(d.text(), vocab, max_len)) for d in docs}
-        all_ids = list(pieces)
         rng = np.random.default_rng(self.config.seed)
-        triples = []
-        for t in weak:
-            if t.pos_doc_id not in pieces or t.neg_doc_id not in pieces:
-                continue
-            # a negative that tokenizes like the positive (a duplicate
-            # document) cannot be told apart from it
-            positive = pieces[t.pos_doc_id]
-            if pieces[t.neg_doc_id] == positive:
-                continue
-            negatives = [t.neg_doc_id]
-            candidates = [d for d, p in pieces.items() if d != t.neg_doc_id and p != positive]
-            while len(negatives) < self.config.negatives and candidates:
-                negatives.append(candidates.pop(int(rng.integers(len(candidates)))))
-            triples.append(dense.TrainingTriple(
-                tuple(tokenize(t.query, vocab, max_len)), positive,
-                tuple(pieces[n] for n in negatives)))
+        triples = training_triples(weak, pieces, vocab, self.config, rng)
         if not triples:
             raise ConfigError(f"no usable triples in {triples_file}")
         encoder = dense.DenseEncoder.init(len(vocab), self.config.dim, self.config.seed)
@@ -387,6 +377,8 @@ class StageRunner:
             encoder = checked(path, mlm.warm_start, encoder, table)
         dev_queries = self.load_queries() if self.config.queries_path else []
         qrels = self.load_qrels() if self.config.qrels_path else None
+        dev = bool(dev_queries) and qrels is not None
+        index = dense.DenseIndex(np.empty((len(pieces), encoder.dim)), pieces)  # pooled below
         order = np.arange(len(triples))
         for epoch in range(self.config.dense_epochs):
             rng.shuffle(order)
@@ -397,14 +389,15 @@ class StageRunner:
                 losses.append(loss)
             if (epoch + 1) % self.config.eval_every_steps == 0 or epoch == self.config.dense_epochs - 1:
                 message = f"[train-dense] epoch {epoch + 1} loss {np.mean(losses):.6f}"
-                if dev_queries and qrels is not None:
-                    index = dense.DenseIndex(dense.pool(encoder.table, pieces.values()), all_ids)
+                if dev:
+                    index.vectors = dense.pool(encoder.table, pieces.values())
                     ndcg = self._dense_dev_ndcg(index, encoder, vocab, dev_queries, qrels)
                     message += f" dev-ndcg@10 {ndcg:.6f}"
                 print(message)
         encoder.save(self.write("encoder"))
-        dense.DenseIndex(dense.pool(encoder.table, pieces.values()), all_ids).save(
-            self.write("dense_index"))
+        if not dev:  # else the final epoch's evaluation pooled it from this encoder
+            index.vectors = dense.pool(encoder.table, pieces.values())
+        index.save(self.write("dense_index"))
 
     def _dense_dev_ndcg(self, index, encoder, vocab, queries, qrels) -> float:
         max_len = self.config.max_seq_len
@@ -579,6 +572,31 @@ class StageRunner:
         "depth-sweep": stage_depth_sweep,
         "analyze": stage_analyze,
     }
+
+
+def training_triples(weak, pieces: dict, vocab, config: PipelineConfig, rng) -> list:
+    """A dense.TrainingTriple per weak triple whose documents are in `pieces` (doc id
+    -> piece ids) and differ, plus up to config.negatives - 1 drawn from the documents
+    unlike the positive: a draw's index steps past each sorted ordinal not allowed."""
+    seqs, ordinal, alike = list(pieces.values()), {d: i for i, d in enumerate(pieces)}, {}
+    for i, seq in enumerate(seqs):
+        alike.setdefault(seq, []).append(i)
+    triples = []
+    for t in weak:
+        positive, negative = pieces.get(t.pos_doc_id), pieces.get(t.neg_doc_id)
+        if positive is None or negative is None or negative == positive:
+            continue  # a document alike to the positive cannot be told apart from it
+        drawn = [ordinal[t.neg_doc_id]]
+        removed = sorted([*drawn, *alike[positive]])
+        while len(drawn) < config.negatives and len(removed) < len(seqs):
+            pick = int(rng.integers(len(seqs) - len(removed)))
+            for r in removed:
+                pick += r <= pick
+            drawn.append(pick)
+            bisect.insort(removed, pick)
+        triples.append(dense.TrainingTriple(
+            tuple(tokenize(t.query, vocab, config.max_seq_len)), positive, tuple(seqs[i] for i in drawn)))
+    return triples
 
 
 def analyze_domain_gap(config: PipelineConfig, docs, queries, qrels, vocab, index,

@@ -140,30 +140,36 @@ class TrainingTriple:
 
 def _loss_and_row_grads(table: np.ndarray, batch) -> tuple[float, list, np.ndarray]:
     """A batch's mean contrastive loss, its sequences (each triple's query,
-    positive and negatives) and the loss gradient of each one's pool() row."""
+    positive and negatives) and the loss gradient of each one's pool() row.
+
+    Triples with m negatives are one (b, 2 + m, dim) stack of rows taken in one
+    pass, in the per-triple order and so bit-equal: each row's vecdot, max, exp
+    and sum, dq = dsims[0] * pos + (((0 + dsims[1] * n1) + dsims[2] * n2) + ...)."""
     sequences = [s for t in batch for s in (t.query_ids, t.positive_ids, *t.negative_ids)]
     if not all(sequences):
         warnings.warn("encoding an empty id sequence yields the zero vector",
                       ToolkitWarning, stacklevel=3)
     vectors = pool(table, sequences)
     row_grads = np.empty_like(vectors)
-    scale, total_loss, start = 1.0 / len(batch), 0.0, 0
-    for triple in batch:
-        end = start + 2 + len(triple.negative_ids)
-        qv, dvs = vectors[start], vectors[start + 1:end]
-        sims = np.vecdot(dvs, qv)  # each row's similarity(), bit for bit
+    widths = np.array([2 + len(t.negative_ids) for t in batch])
+    starts, losses, scale = np.cumsum(widths) - widths, np.empty(len(batch)), 1.0 / len(batch)
+    for width in np.unique(widths).tolist():
+        members = np.flatnonzero(widths == width)
+        rows = starts[members, None] + np.arange(width)
+        qv, dvs = vectors[rows[:, 0]], vectors[rows[:, 1:]]
+        sims = np.vecdot(dvs, qv[:, None])  # each row's similarity(), bit for bit
         if not np.all(np.isfinite(sims)):
             raise NumericError("non-finite similarity in contrastive loss")
-        shift = sims.max()
-        exp = np.exp(sims - shift)
-        total_loss += float(np.log(exp.sum()) + shift - sims[0])
-        dsims = exp / exp.sum()  # dloss/dsim = softmax - onehot(positive)
-        dsims[0] -= 1.0
-        dq = dsims[0] * dvs[0] + sum(d * nv for d, nv in zip(dsims[1:], dvs[1:]))
-        row_grads[start] = scale * dq
-        row_grads[start + 1:end] = (scale * dsims)[:, None] * qv
-        start = end
-    return total_loss * scale, sequences, row_grads
+        shift = sims.max(axis=1)
+        exp = np.exp(sims - shift[:, None])
+        norm = exp.sum(axis=1)
+        losses[members] = np.log(norm) + shift - sims[:, 0]
+        dsims = exp / norm[:, None]  # dloss/dsim = softmax - onehot(positive)
+        dsims[:, 0] -= 1.0
+        negative_sum = sum(dsims[:, j, None] * dvs[:, j] for j in range(1, width - 1))
+        row_grads[rows[:, 0]] = scale * (dsims[:, :1] * dvs[:, 0] + negative_sum)
+        row_grads[rows[:, 1:]] = (scale * dsims)[:, :, None] * qv[:, None]
+    return sum(losses.tolist()) * scale, sequences, row_grads
 
 
 def contrastive_loss(encoder: DenseEncoder, triple: TrainingTriple) -> float:

@@ -78,6 +78,9 @@ class FeatureExtractor:
             raise DependencyError(
                 "stale artifact: the dense index and the sparse index hold different "
                 "documents; rerun train-dense on the corpus the index was built from")
+        if encoder.dim != dense_index.dim or encoder.vocab_size < len(vocab):
+            raise DependencyError("stale artifact: the encoder does not fit the dense index's "
+                                  "width or the vocab's pieces; rerun train-dense")
         self.index, self.dense_index, self.encoder, self.vocab = index, dense_index, encoder, vocab
         self.k1, self.b, self.stopwords, self.max_length = k1, b, stopwords, max_length
 

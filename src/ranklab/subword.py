@@ -58,7 +58,7 @@ class SubwordVocab:
         self._merge_ranks: dict[tuple[str, str], list[int]] = {}
         for rank, pair in enumerate(self.merges):
             self._merge_ranks.setdefault(pair, []).append(rank)
-        self._word_cache: dict[str, list[str]] = {}
+        self._word_cache: dict[str, tuple[list[str], tuple[int, ...]]] = {}  # (pieces, ids)
 
     @property
     def mask_id(self) -> int:
@@ -75,7 +75,7 @@ class SubwordVocab:
         """Split one normalized word into pieces; unseen characters become UNK."""
         cached = self._word_cache.get(word)
         if cached is not None:
-            return cached
+            return cached[0]
         symbols = [c if c in self.piece_ids else UNK_PIECE for c in word]
         last = -1
         while len(symbols) > 1:
@@ -91,7 +91,7 @@ class SubwordVocab:
                 break
             symbols = _merge_pair(symbols, *self.merges[best])
             last = best
-        self._word_cache[word] = symbols
+        self._word_cache[word] = symbols, tuple(map(self.piece_ids.__getitem__, symbols))
         return symbols
 
     def save(self, path) -> None:
@@ -188,13 +188,16 @@ def train_subword_vocab(texts, target_size: int) -> SubwordVocab:
 
 
 def tokenize(text: str, vocab: SubwordVocab, max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH) -> list[int]:
-    """Map text to piece ids, truncated to max_length. Never fails."""
+    """Map text to piece ids, truncated to max_length; each word's ids come
+    from the vocab's cache of word_pieces results. Never fails."""
     ids: list[int] = []
+    cache = vocab._word_cache
     for word in text_terms(text):
-        for piece in vocab.word_pieces(word):
-            ids.append(vocab.piece_ids[piece])
-            if len(ids) >= max_length:
-                return ids
+        if word not in cache:
+            vocab.word_pieces(word)
+        ids += cache[word][1]
+        if len(ids) >= max_length:
+            return ids[:max_length]
     return ids
 
 
