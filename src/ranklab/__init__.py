@@ -49,6 +49,7 @@ from .weaksup import (
     SelectionContext,
     SelectorPolicy,
     WeakTriple,
+    pair_features,
     reinfoselect_step,
     synthesize_triples,
     synthesize_with_provenance,

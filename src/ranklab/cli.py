@@ -3,8 +3,10 @@
 Stages communicate only through files in the work directory, so any stage can
 be replaced by an external tool that produces the same format. select-train,
 rerank and depth-sweep read their document vectors from the dense_index.bin
-that train-dense writes, and their document terms from index.bin. Exit codes:
-0 success, 2 config error, 3 dependency error, 4 numeric error.
+that train-dense writes, and their document terms from index.bin, through one
+FeatureExtractor each. select-train draws all its batches first and featurizes
+each drawn weak triple once, its query processed as a dev query is. Exit
+codes: 0 success, 2 config error, 3 dependency error, 4 numeric error.
 
 A stage opens its files through StageRunner.read (a work-directory artifact),
 input (a file a config key names) and write (an artifact it produces), and its
@@ -377,7 +379,8 @@ class StageRunner:
             encoder = checked(path, mlm.warm_start, encoder, table)
         dev_queries = self.load_queries() if self.config.queries_path else []
         qrels = self.load_qrels() if self.config.qrels_path else None
-        dev = bool(dev_queries) and qrels is not None
+        dev = {q.query_id: tokenize(" ".join(q.processed_terms), vocab, self.config.max_seq_len)
+               for q in dev_queries} if qrels is not None else {}
         index = dense.DenseIndex(np.empty((len(pieces), encoder.dim)), pieces)  # pooled below
         order = np.arange(len(triples))
         for epoch in range(self.config.dense_epochs):
@@ -391,7 +394,7 @@ class StageRunner:
                 message = f"[train-dense] epoch {epoch + 1} loss {np.mean(losses):.6f}"
                 if dev:
                     index.vectors = dense.pool(encoder.table, pieces.values())
-                    ndcg = self._dense_dev_ndcg(index, encoder, vocab, dev_queries, qrels)
+                    ndcg = self._dense_dev_ndcg(index, encoder, dev, qrels)
                     message += f" dev-ndcg@10 {ndcg:.6f}"
                 print(message)
         encoder.save(self.write("encoder"))
@@ -399,11 +402,11 @@ class StageRunner:
             index.vectors = dense.pool(encoder.table, pieces.values())
         index.save(self.write("dense_index"))
 
-    def _dense_dev_ndcg(self, index, encoder, vocab, queries, qrels) -> float:
-        max_len = self.config.max_seq_len
-        rankings = [dense.dense_search_topk(
-            index, encoder, tokenize(" ".join(q.processed_terms), vocab, max_len), 10, q.query_id)
-            for q in queries]
+    @staticmethod
+    def _dense_dev_ndcg(index, encoder, query_pieces, qrels) -> float:
+        """Mean NDCG@10 of dense retrieval for query id -> piece ids."""
+        rankings = [dense.dense_search_topk(index, encoder, ids, 10, query_id)
+                    for query_id, ids in query_pieces.items()]
         return mean_ndcg(rankings, qrels, 10)
 
     def stage_synth_weak(self):
@@ -418,7 +421,7 @@ class StageRunner:
     def _feature_extractor(self):
         """A FeatureExtractor at this config over index.bin, vocab, encoder and dense index."""
         return rerank.FeatureExtractor(
-            InvertedIndex.load(self.read("index")), None,
+            InvertedIndex.load(self.read("index")),
             self.load(self.read("encoder"), dense.DenseEncoder.load),
             self.load(self.read("vocab"), SubwordVocab.load),
             self.load(self.read("dense_index"), dense.DenseIndex.load),
@@ -434,20 +437,20 @@ class StageRunner:
                 if t.pos_doc_id in ordinal_of and t.neg_doc_id in ordinal_of]
         if not pool:
             raise ConfigError(f"no usable triples in {triples_file}")
-        context = weaksup.SelectionContext(
-            extractor.index, None, extractor.encoder, extractor.vocab, queries, qrels,
-            depth=self.config.select_depth, stopwords=extractor.stopwords,
-            dense_index=extractor.dense_index, k1=self.config.k1, b=self.config.b,
-            max_length=self.config.max_seq_len)
+        context = weaksup.SelectionContext(extractor, queries, qrels, self.config.select_depth)
+        rng = np.random.default_rng(self.config.seed + 1)
+        size = min(self.config.select_batch, len(pool))
+        picks = np.array([rng.choice(len(pool), size=size, replace=False)
+                          for _ in range(self.config.select_steps)])
+        # each distinct drawn triple is featurized once; the inverse's shape
+        # differs across numpy 2.0.x releases, so it is reshaped to the draws'
+        drawn, inverse = np.unique(picks, return_inverse=True)
+        rows = weaksup.pair_features(extractor, [pool[i] for i in drawn.tolist()])
         policy = weaksup.SelectorPolicy(seed=self.config.seed)
         ranker = rerank.Ranker()
-        rng = np.random.default_rng(self.config.seed + 1)
-        for step in range(self.config.select_steps):
-            picks = rng.choice(len(pool), size=min(self.config.select_batch, len(pool)),
-                               replace=False)
-            batch = [pool[int(i)] for i in picks]
+        for step, batch in enumerate(inverse.reshape(picks.shape)):
             policy, ranker, reward = weaksup.reinfoselect_step(
-                policy, batch, ranker, context,
+                policy, rows[batch], ranker, context,
                 ranker_lr=self.config.ranker_lr, policy_lr=self.config.policy_lr,
                 keep_all_updates=self.config.keep_all_updates)
             if (step + 1) % self.config.eval_every_steps == 0 or step == self.config.select_steps - 1:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import checked, load_arrays, save_arrays
 from .corpus import Qrels
-from .dense import DenseEncoder, DenseIndex, build_dense_index, pool
+from .dense import DenseEncoder, DenseIndex, pool
 from .errors import DependencyError, NumericError
 from .evaluation import QuerySplit, Run, old_new_report
 from .sparse import (
@@ -62,18 +62,13 @@ class Ranker:
 class FeatureExtractor:
     """Computes the reranker's feature vectors for (query terms, documents).
 
-    Document vectors are rows of `dense_index`, built from `docs` with
-    build_dense_index when none is given (`docs` is read only then); document
-    terms are read from `index`. Queries and the fallback's documents are
-    tokenized to at most `max_length` pieces.
+    Document vectors are rows of `dense_index` and document terms are read
+    from `index`; queries are tokenized to at most `max_length` pieces.
     """
 
-    def __init__(self, index: InvertedIndex, docs, encoder: DenseEncoder,
-                 vocab: SubwordVocab, dense_index: DenseIndex | None = None,
-                 k1: float = DEFAULT_K1, b: float = DEFAULT_B, stopwords=ENGLISH_STOPWORDS,
-                 max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH):
-        if dense_index is None:
-            dense_index = build_dense_index(encoder, docs, vocab, max_length)
+    def __init__(self, index: InvertedIndex, encoder: DenseEncoder, vocab: SubwordVocab,
+                 dense_index: DenseIndex, k1: float = DEFAULT_K1, b: float = DEFAULT_B,
+                 stopwords=ENGLISH_STOPWORDS, max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH):
         if dense_index.doc_ids != index.doc_ids:
             raise DependencyError(
                 "stale artifact: the dense index and the sparse index hold different "

@@ -8,7 +8,9 @@ weak training data.
 
 Selection trains a logistic per-instance policy with REINFORCE: the reward is
 the change in dev-set NDCG@10 after a trial reranker update on the selected
-instances, against a running-mean baseline.
+instances, against a running-mean baseline. A step reads its batch as
+pair_features rows, so a caller featurizes each weak triple once however often
+it is drawn.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import read_lines, write_atomic
-from .corpus import Document, Qrels, text_terms
-from .dense import DenseEncoder, DenseIndex
+from .corpus import Document, Qrels, preprocess_query, text_terms
 from .errors import (
     ConfigError,
     DegeneratePairError,
@@ -32,10 +33,9 @@ from .errors import (
     ToolkitWarning,
 )
 from .evaluation import mean_ndcg
-from .rerank import FeatureExtractor, Ranker, pairwise_train_step, rerank
-from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, idf, search_topk
+from .rerank import N_FEATURES, FeatureExtractor, Ranker, pairwise_train_step, rerank
+from .sparse import InvertedIndex, RankedList, idf, search_topk
 from .stopwords import ENGLISH_STOPWORDS
-from .subword import DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab
 
 DEFAULT_MAX_QUERY_TERMS = 6
 DEFAULT_RETRIEVAL_DEPTH = 20
@@ -200,6 +200,16 @@ def read_triples(path) -> list[WeakTriple]:
     return triples
 
 
+def pair_features(extractor: FeatureExtractor, triples) -> np.ndarray:
+    """(n, 2, 6) ranker features of each triple's positive and negative
+    document, for its query's processed terms (as rerank features a query)."""
+    ordinal_of = extractor.index.ordinal_of
+    return np.array([extractor.features_matrix(
+        preprocess_query(t.query, extractor.stopwords),
+        [ordinal_of[t.pos_doc_id], ordinal_of[t.neg_doc_id]]) for t in triples]
+    ).reshape(-1, 2, N_FEATURES)
+
+
 def instance_features(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     """The policy's instance rows, (n, 6) or (6,), of triples whose documents
     have the ranker feature rows `pos` and `neg`: BM25(q, d+), BM25(q, d-),
@@ -259,39 +269,23 @@ class SelectorPolicy:
 
 
 class SelectionContext:
-    """Frozen target-evaluation setup shared across selection steps.
+    """Frozen dev-set evaluation shared across selection steps.
 
-    Precomputes BM25(k1, b) base candidate lists for the dev queries and
-    reranker features for every (query, candidate) pair, so each step only
-    rescores. One FeatureExtractor serves the dev features and pair_features,
-    reading document vectors from `dense_index` (built from `docs` when none
-    is given) and tokenizing queries to at most `max_length` pieces. dev_ndcg
-    keeps the values of the last two rankers, a step's and its trial's.
+    Holds the BM25 top-`depth` candidates of each dev query and their ranker
+    feature rows, both from `extractor`, so each step only rescores them.
+    dev_ndcg keeps the values of the last two rankers, a step's and its
+    trial's.
     """
 
-    def __init__(self, index: InvertedIndex, docs, encoder: DenseEncoder,
-                 vocab: SubwordVocab, dev_queries, qrels: Qrels,
-                 depth: int = 50, k: int = 10, stopwords=ENGLISH_STOPWORDS,
-                 dense_index: DenseIndex | None = None,
-                 k1: float = DEFAULT_K1, b: float = DEFAULT_B,
-                 max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH):
+    k = 10  # dev rankings are scored by NDCG@k
+
+    def __init__(self, extractor: FeatureExtractor, dev_queries, qrels: Qrels, depth: int = 50):
         self.qrels = qrels
-        self.k = k
         self.depth = depth
-        self.extractor = FeatureExtractor(
-            index, docs, encoder, vocab, dense_index, k1, b, stopwords, max_length)
-        lists = {q.query_id: self.extractor.candidates(q, depth) for q in dev_queries}
+        lists = {q.query_id: extractor.candidates(q, depth) for q in dev_queries}
         self.base: dict[int, RankedList] = {qid: base for qid, (base, _) in lists.items()}
         self.features: dict[int, dict[str, np.ndarray]] = {qid: f for qid, (_, f) in lists.items()}
         self._dev_memo: dict[bytes, float] = {}
-
-    def pair_features(self, triple: WeakTriple) -> tuple[np.ndarray, np.ndarray]:
-        ordinal_of = self.extractor.index.ordinal_of
-        return tuple(self.extractor.features_matrix(
-            triple.query.split(), [ordinal_of[triple.pos_doc_id], ordinal_of[triple.neg_doc_id]]))
-
-    def instance_featurizer(self, triple: WeakTriple) -> np.ndarray:
-        return instance_features(*self.pair_features(triple))
 
     def dev_ndcg(self, ranker: Ranker) -> float:
         key = ranker.weights.tobytes()
@@ -303,28 +297,28 @@ class SelectionContext:
         return value
 
 
-def reinfoselect_step(policy: SelectorPolicy, batch, ranker: Ranker,
+def reinfoselect_step(policy: SelectorPolicy, pairs, ranker: Ranker,
                       context: SelectionContext, ranker_lr: float = 0.1,
                       policy_lr: float = 1.0,
                       keep_all_updates: bool = False) -> tuple[SelectorPolicy, Ranker, float]:
-    """One selection step: sample a mask, trial-train the ranker on the selected
-    triples, reward = NDCG@10 change, REINFORCE update against the baseline.
+    """One selection step over a batch's (b, 2, 6) pair_features rows: sample
+    a mask, trial-train the ranker on the selected pairs, reward = NDCG@10
+    change, REINFORCE update against the baseline.
 
     The trial ranker is kept only when the reward is non-negative unless
     keep_all_updates is set.
     """
-    batch = list(batch)
-    if not batch:
+    pairs = np.asarray(pairs)
+    if not len(pairs):
         raise ValueError("batch must be non-empty")
-    pairs = [context.pair_features(t) for t in batch]
-    features = instance_features(*np.array(pairs).transpose(1, 0, 2))
+    features = instance_features(pairs[:, 0], pairs[:, 1])
     probs = np.array([policy.selection_probability(x) for x in features])
-    actions = policy.rng.random(len(batch)) < probs
-    selected = [pair for pair, a in zip(pairs, actions) if a]
+    actions = policy.rng.random(len(pairs)) < probs
+    selected = pairs[actions]
 
     before = context.dev_ndcg(ranker)
     trial, reward = ranker, 0.0
-    if selected:
+    if len(selected):
         trial = ranker.copy()
         pairwise_train_step(trial, selected, ranker_lr)
         reward = context.dev_ndcg(trial) - before

@@ -36,18 +36,21 @@ from ranklab.evaluation import (
     residual_filter,
 )
 from ranklab.mlm import MlmModel, make_masked_batch, mask_tokens, masked_prediction_loss, mlm_train_step
-from ranklab.rerank import Ranker, fuse_base_union, fuse_interpolate, pairwise_train_step
+from ranklab.rerank import FeatureExtractor, Ranker, fuse_base_union, fuse_interpolate, pairwise_train_step
 from ranklab.sparse import RankedList, bm25_score, build_index, search_topk
 from ranklab.stopwords import ENGLISH_STOPWORDS
 from ranklab.subword import train_subword_vocab, tokenize
-from ranklab.synthetic import make_selection_pool, make_separable_corpus, make_training_triples
+from ranklab.synthetic import make_separable_corpus
 from ranklab.weaksup import (
     SalienceQueryGenerator,
     SelectionContext,
     SelectorPolicy,
+    instance_features,
+    pair_features,
     reinfoselect_step,
     synthesize_with_provenance,
 )
+from fixture_triples import make_selection_pool, make_training_triples
 
 
 @contextmanager
@@ -293,7 +296,8 @@ def test_criterion_07_reinfoselect_separation(fixture_world):
     docs, queries, qrels, vocab, index = fixture_world
     with criterion(7, "clean/noisy selection separation and ranker quality", 120):
         encoder = DenseEncoder.init(len(vocab), 64, seed=3)
-        context = SelectionContext(index, docs, encoder, vocab, queries, qrels, depth=50)
+        extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
+        context = SelectionContext(extractor, queries, qrels, depth=50)
         clean, noisy = make_selection_pool(docs, queries, qrels, 200, 200, seed=47)
         pool = clean + noisy
 
@@ -307,19 +311,18 @@ def test_criterion_07_reinfoselect_separation(fixture_world):
         selected_ranker = Ranker()
         for batch in batches():
             policy, selected_ranker, _ = reinfoselect_step(
-                policy, batch, selected_ranker, context,
+                policy, pair_features(extractor, batch), selected_ranker, context,
                 ranker_lr=0.1, policy_lr=1.0)
 
-        p_clean = float(np.mean([
-            policy.selection_probability(context.instance_featurizer(t)) for t in clean]))
-        p_noisy = float(np.mean([
-            policy.selection_probability(context.instance_featurizer(t)) for t in noisy]))
+        p_clean = float(np.mean([policy.selection_probability(x) for x in instance_features(
+            *pair_features(extractor, clean).transpose(1, 0, 2))]))
+        p_noisy = float(np.mean([policy.selection_probability(x) for x in instance_features(
+            *pair_features(extractor, noisy).transpose(1, 0, 2))]))
         assert p_clean - p_noisy >= 0.15, (p_clean, p_noisy)
 
         all_data_ranker = Ranker()
         for batch in batches():
-            pairs = [context.pair_features(t) for t in batch]
-            pairwise_train_step(all_data_ranker, pairs, 0.1)
+            pairwise_train_step(all_data_ranker, pair_features(extractor, batch), 0.1)
         assert context.dev_ndcg(selected_ranker) >= context.dev_ndcg(all_data_ranker)
 
 

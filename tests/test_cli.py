@@ -30,6 +30,7 @@ from ranklab.evaluation import read_qrels
 from ranklab.sparse import InvertedIndex, coverage_at_k, search_topk
 from ranklab.subword import SubwordVocab
 from ranklab.synthetic import DEFAULT_DOCS_PER_TOPIC, DEFAULT_TOPICS, make_separable_corpus
+from ranklab.weaksup import read_triples, write_triples
 
 
 def write_fixture_inputs(root, n_topics=4, docs_per_topic=6):
@@ -572,3 +573,25 @@ def test_input_error_unfreezes_the_heap(tmp_path, capsys):
                  "--qrels", str(qrels), "--workdir", str(tmp_path / "w")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("input error:")
     assert gc.get_freeze_count() == 0
+
+
+def test_select_train_reads_weak_queries_as_processed_terms(tmp_path):
+    """A triples file whose queries are capitalised and punctuated copies of
+    synth-weak's trains the same ranker and policy, byte for byte."""
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    common = ["--corpus", str(corpus), "--queries", str(queries), "--qrels", str(qrels),
+              "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600",
+              "--set", "dense_epochs=4", "--set", "triples_count=8"]
+    stages = "ingest,index,synth-weak,train-dense,select-train"
+    assert main(["pipeline", "--stages", stages, *common]) == 0
+    work = tmp_path / "w"
+    outputs = ("ranker.ckpt", "policy.json")
+    expected = [(work / name).read_bytes() for name in outputs]
+    weak = read_triples(work / "weak_triples.jsonl")
+    shouted = [dataclasses.replace(t, query=", ".join(w.capitalize() for w in t.query.split()) + "?")
+               for t in weak]
+    assert all(s.query != t.query for s, t in zip(shouted, weak))
+    triples = tmp_path / "shouted.jsonl"
+    write_triples(shouted, triples)
+    assert main(["select-train", "--triples-file", str(triples), *common]) == 0
+    assert [(work / name).read_bytes() for name in outputs] == expected

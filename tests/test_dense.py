@@ -18,7 +18,8 @@ from ranklab.dense import (
 )
 from ranklab.errors import NumericError, ToolkitWarning
 from ranklab.subword import tokenize
-from ranklab.synthetic import make_separable_corpus, make_training_triples
+from ranklab.synthetic import make_separable_corpus
+from fixture_triples import make_training_triples
 
 
 def make_encoder(vocab_size=20, dim=6, scale=0.3, seed=11):

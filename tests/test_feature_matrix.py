@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ranklab.corpus import Document, Query
-from ranklab.dense import DenseEncoder, encode, similarity
+from ranklab.dense import DenseEncoder, build_dense_index, encode, similarity
 from ranklab.rerank import FeatureExtractor, Ranker, rerank
 from ranklab.sparse import RankedList, bm25_scores, build_index, idf, search_topk
 from ranklab.subword import tokenize, train_subword_vocab
@@ -24,7 +24,8 @@ query_terms = st.lists(st.sampled_from(WORDS + ["zzq", "xylo"]), max_size=6)
 
 def extractor_of(texts, max_length=64):
     docs = [Document(f"d{i}", t, "") for i, t in enumerate(texts)]
-    return FeatureExtractor(build_index(docs), docs, ENCODER, VOCAB, k1=1.1, b=0.3,
+    return FeatureExtractor(build_index(docs), ENCODER, VOCAB,
+                            build_dense_index(ENCODER, docs, VOCAB, max_length), k1=1.1, b=0.3,
                             stopwords=STOPWORDS, max_length=max_length)
 
 

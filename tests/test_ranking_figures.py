@@ -15,7 +15,7 @@ from ranklab.corpus import Qrels
 from ranklab.dense import DenseEncoder, build_dense_index, dense_search_topk
 from ranklab.errors import ConfigError
 from ranklab.evaluation import mean_ndcg, ndcg_at_k, precision_at_k
-from ranklab.rerank import Ranker, depth_sweep, rerank
+from ranklab.rerank import FeatureExtractor, Ranker, depth_sweep, rerank
 from ranklab.sparse import RankedList
 from ranklab.subword import tokenize
 from ranklab.weaksup import SelectionContext
@@ -131,11 +131,12 @@ def test_dev_ndcg_matches_the_former_loop(separable, seed):
     queries = separable["queries"][:6]
     qrels = _partial_qrels(separable["qrels"], {queries[1].query_id, queries[4].query_id})
     encoder = DenseEncoder.init(len(vocab), 16, seed=seed)
-    context = SelectionContext(index, docs, encoder, vocab, queries, qrels, depth=20)
+    extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
+    context = SelectionContext(extractor, queries, qrels, depth=20)
     rng = np.random.default_rng(seed)
     for ranker in (Ranker(), Ranker(rng.normal(size=6)), Ranker(rng.normal(size=6))):
         assert context.dev_ndcg(ranker) == reference_dev_ndcg(context, ranker)
-    empty = SelectionContext(index, docs, encoder, vocab, [], qrels, depth=20)
+    empty = SelectionContext(extractor, [], qrels, depth=20)
     assert empty.dev_ndcg(Ranker()) == reference_dev_ndcg(empty, Ranker()) == 0.0
 
 
@@ -149,7 +150,9 @@ def test_dense_dev_ndcg_matches_the_former_loop(separable, seed):
     index = build_dense_index(encoder, docs, vocab, config.max_seq_len)
     runner = StageRunner(config)
     for subset in (queries, queries[:1], []):
-        assert (runner._dense_dev_ndcg(index, encoder, vocab, subset, qrels)
+        pieces = {q.query_id: tokenize(" ".join(q.processed_terms), vocab, config.max_seq_len)
+                  for q in subset}
+        assert (runner._dense_dev_ndcg(index, encoder, pieces, qrels)
                 == reference_dense_dev_ndcg(index, encoder, vocab, subset, qrels,
                                             config.max_seq_len))
 

@@ -277,7 +277,7 @@ class TestFeatureExtractor:
     def test_feature_vector_contents(self, separable):
         index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
         encoder = DenseEncoder.init(len(vocab), 16, seed=1)
-        extractor = FeatureExtractor(index, docs, encoder, vocab)
+        extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
         query = separable["queries"][0]
         feats = extractor.features(query.processed_terms, docs[0].doc_id)
         assert feats.shape == (6,)
@@ -290,7 +290,7 @@ class TestFeatureExtractor:
 
         index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
         encoder = DenseEncoder.init(len(vocab), 16, seed=1)
-        extractor = FeatureExtractor(index, docs, encoder, vocab)
+        extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
         doc = docs[0]
         doc_terms = set(doc.text().split())
         present = sorted(doc_terms)[0]
@@ -307,7 +307,7 @@ class TestFeatureExtractor:
         # an 8-piece truncation gives vectors the default sequence length would not
         dense_index = build_dense_index(encoder, docs, vocab, 8)
         assert not np.allclose(dense_index.vectors, build_dense_index(encoder, docs, vocab).vectors)
-        extractor = FeatureExtractor(index, docs, encoder, vocab, dense_index)
+        extractor = FeatureExtractor(index, encoder, vocab, dense_index)
         query = separable["queries"][0]
         qv = encode(encoder, tokenize(" ".join(query.processed_terms), vocab))
         for row in (0, 37, 199):
@@ -325,18 +325,18 @@ class TestFeatureExtractor:
         assert len(tokenize(query, vocab)) > 2
         qv = encode(encoder, tokenize(query, vocab, 2))
         rows = build_dense_index(encoder, docs, vocab, 2).vectors
-        for dense_index in (None, DenseIndex(rows, [d.doc_id for d in docs])):
-            extractor = FeatureExtractor(index, docs, encoder, vocab, dense_index, max_length=2)
-            for row in (0, 37, 199):
-                feats = extractor.features(terms, docs[row].doc_id)
-                assert feats[1] == float(np.dot(qv, rows[row]))
+        dense_index = DenseIndex(rows, [d.doc_id for d in docs])
+        extractor = FeatureExtractor(index, encoder, vocab, dense_index, max_length=2)
+        for row in (0, 37, 199):
+            feats = extractor.features(terms, docs[row].doc_id)
+            assert feats[1] == float(np.dot(qv, rows[row]))
 
     def test_dense_index_of_other_documents_is_dependency_error(self, separable):
         index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
         encoder = DenseEncoder.init(len(vocab), 4, seed=1)
         stale = DenseIndex(np.zeros((len(docs) - 1, 4)), [d.doc_id for d in docs[1:]])
         with pytest.raises(DependencyError, match="rerun train-dense"):
-            FeatureExtractor(index, docs, encoder, vocab, stale)
+            FeatureExtractor(index, encoder, vocab, stale)
 
 
 def test_ranker_checkpoint_round_trip(tmp_path):

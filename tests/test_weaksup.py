@@ -7,26 +7,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ranklab import weaksup
-from ranklab.corpus import Document, Qrels, text_terms
-from ranklab.dense import DenseEncoder
+from ranklab.cli import PipelineConfig, run_pipeline
+from ranklab.corpus import Document, text_terms
+from ranklab.dense import DenseEncoder, build_dense_index
 from ranklab.errors import ConfigError, DegeneratePairError, GenerationError, ToolkitWarning
-from ranklab.rerank import Ranker
-from ranklab.sparse import DEFAULT_B, bm25_score, build_index, idf, search_topk
+from ranklab.rerank import FeatureExtractor, Ranker
+from ranklab.sparse import DEFAULT_B, InvertedIndex, bm25_score, build_index, idf, search_topk
 from ranklab.stopwords import ENGLISH_STOPWORDS
 from ranklab.subword import train_subword_vocab
-from ranklab.synthetic import make_selection_pool, make_separable_corpus
+from ranklab.synthetic import DEFAULT_DOCS_PER_TOPIC, DEFAULT_TOPICS, make_separable_corpus
 from ranklab.weaksup import (
     SalienceQueryGenerator,
     SelectionContext,
     SelectorPolicy,
     WeakTriple,
     instance_features,
+    pair_features,
     read_triples,
     reinfoselect_step,
     synthesize_triples,
     synthesize_with_provenance,
     write_triples,
 )
+from fixture_triples import make_selection_pool
+from test_cli import write_fixture_inputs
 
 
 def hand_tfidf(doc: Document, index, term: str) -> float:
@@ -175,9 +179,15 @@ class TestWeakTriple:
             WeakTriple("q", "a", "b", "mystery")
 
 
+def instance_row(extractor, triple):
+    """One triple's policy instance features, from its pair_features rows."""
+    return instance_features(*pair_features(extractor, [triple])[0])
+
+
 def instance_featurizer(index, docs, encoder, vocab):
-    """What gives one triple's policy instance features: a context's, with no dev queries."""
-    return SelectionContext(index, docs, encoder, vocab, [], Qrels()).instance_featurizer
+    """What gives one triple's policy instance features over these documents."""
+    extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
+    return lambda triple: instance_row(extractor, triple)
 
 
 def reference_from_pair_features(pos, neg):
@@ -252,25 +262,28 @@ def selection_setup():
     vocab = train_subword_vocab([d.text() for d in docs], 2000)
     index = build_index(docs)
     encoder = DenseEncoder.init(len(vocab), 64, seed=3)
-    context = SelectionContext(index, docs, encoder, vocab, queries, qrels, depth=50)
+    extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
+    context = SelectionContext(extractor, queries, qrels, depth=50)
     clean, noisy = make_selection_pool(docs, queries, qrels, 40, 40, seed=47)
-    return {"context": context, "clean": clean, "noisy": noisy,
-            "args": (index, docs, encoder, vocab, queries, qrels)}
+    return {"context": context, "extractor": extractor, "clean": clean, "noisy": noisy,
+            "args": (extractor, queries, qrels)}
 
 
 def test_selection_context_uses_its_bm25_parameters(separable):
     index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
     queries = separable["queries"]
     encoder = DenseEncoder.init(len(vocab), 8, seed=3)
-    context = SelectionContext(index, docs, encoder, vocab, queries, separable["qrels"],
-                               depth=20, k1=1.5)
+    dense_index = build_dense_index(encoder, docs, vocab)
+    context = SelectionContext(FeatureExtractor(index, encoder, vocab, dense_index, k1=1.5),
+                               queries, separable["qrels"], depth=20)
     for query in queries:
         assert context.base[query.query_id] == search_topk(index, query, 20, 1.5, DEFAULT_B)
         doc_id, _ = context.base[query.query_id].entries[0]
         assert context.features[query.query_id][doc_id][0] == bm25_score(
             index, query.processed_terms, index.ordinal_of[doc_id], 1.5, DEFAULT_B)
     assert context.base != SelectionContext(
-        index, docs, encoder, vocab, queries, separable["qrels"], depth=20).base
+        FeatureExtractor(index, encoder, vocab, dense_index), queries, separable["qrels"],
+        depth=20).base
 
 
 class TestReinfoSelect:
@@ -280,8 +293,8 @@ class TestReinfoSelect:
         ranker = Ranker()
         # learning rate 0 freezes the ranker, so before == after and reward == 0
         policy, ranker, reward = reinfoselect_step(
-            policy, selection_setup["clean"][:8], ranker, ctx,
-            ranker_lr=0.0, policy_lr=1.0)
+            policy, pair_features(selection_setup["extractor"], selection_setup["clean"][:8]),
+            ranker, ctx, ranker_lr=0.0, policy_lr=1.0)
         assert reward == 0.0
         np.testing.assert_array_equal(policy.weights, np.zeros(6))
 
@@ -291,10 +304,11 @@ class TestReinfoSelect:
         for seed in range(30):
             policy = SelectorPolicy(seed=seed)
             ranker = Ranker()
-            features = ctx.instance_featurizer(triple)
+            features = instance_row(selection_setup["extractor"], triple)
             logit_before = float(np.dot(policy.weights, features))
             policy, _, reward = reinfoselect_step(
-                policy, [triple], ranker, ctx, ranker_lr=0.1, policy_lr=1.0)
+                policy, pair_features(selection_setup["extractor"], [triple]), ranker, ctx,
+                ranker_lr=0.1, policy_lr=1.0)
             if reward > 0:  # selected and improved: advantage positive on step 1
                 logit_after = float(np.dot(policy.weights, features))
                 assert logit_after > logit_before
@@ -309,7 +323,8 @@ class TestReinfoSelect:
         ranker = Ranker(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
         before = ranker.weights.copy()
         policy, ranker_out, reward = reinfoselect_step(
-            policy, selection_setup["clean"][:8], ranker, ctx)
+            policy, pair_features(selection_setup["extractor"], selection_setup["clean"][:8]),
+            ranker, ctx)
         assert reward == 0.0
         np.testing.assert_array_equal(ranker_out.weights, before)
 
@@ -322,10 +337,11 @@ class TestReinfoSelect:
         for _ in range(200):
             picks = rng.choice(len(pool), size=10, replace=False)
             batch = [pool[int(i)] for i in picks]
-            policy, ranker, _ = reinfoselect_step(policy, batch, ranker, ctx)
+            policy, ranker, _ = reinfoselect_step(
+                policy, pair_features(selection_setup["extractor"], batch), ranker, ctx)
         assert np.all(np.isfinite(policy.weights))
         for triple in pool:
-            p = policy.selection_probability(ctx.instance_featurizer(triple))
+            p = policy.selection_probability(instance_row(selection_setup["extractor"], triple))
             assert 0.0 < p < 1.0
 
     def test_negative_reward_rolls_back_by_default(self, selection_setup):
@@ -337,7 +353,8 @@ class TestReinfoSelect:
             batch = pool[(step * 4) % len(pool):][:4] or pool[:4]
             before = ranker.weights.copy()
             policy, ranker, reward = reinfoselect_step(
-                policy, batch, ranker, ctx, ranker_lr=0.5, policy_lr=0.5)
+                policy, pair_features(selection_setup["extractor"], batch), ranker, ctx,
+                ranker_lr=0.5, policy_lr=0.5)
             if reward < 0:
                 np.testing.assert_array_equal(ranker.weights, before)
                 return
@@ -351,39 +368,60 @@ class TestReinfoSelect:
             ranker = Ranker()
             for batch_start in range(0, 24, 8):
                 batch = selection_setup["clean"][batch_start:batch_start + 8]
-                policy, ranker, reward = reinfoselect_step(policy, batch, ranker, ctx)
+                policy, ranker, reward = reinfoselect_step(
+                    policy, pair_features(selection_setup["extractor"], batch), ranker, ctx)
             outs.append((policy.weights.copy(), ranker.weights.copy(), policy.baseline))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
         np.testing.assert_array_equal(outs[0][1], outs[1][1])
         assert outs[0][2] == outs[1][2]
 
-    def test_step_features_each_triple_once(self, selection_setup, monkeypatch):
-        ctx = selection_setup["context"]
-        extractor = ctx.extractor
+    def test_step_features_each_triple_once(self, selection_setup, monkeypatch, tmp_path):
+        # a step reads pair rows and featurizes nothing; it matches the former
+        # step, which featurized its triples itself
+        ctx, extractor = selection_setup["context"], selection_setup["extractor"]
         pool = selection_setup["clean"] + selection_setup["noisy"]
         expected_policy, expected_ranker = SelectorPolicy(seed=4), Ranker()
         for start in range(0, 30, 10):
             expected_policy, expected_ranker, _ = reference_reinfoselect_step(
-                expected_policy, pool[start:start + 10], expected_ranker, ctx, 0.5)
+                expected_policy, pool[start:start + 10], expected_ranker, ctx, extractor, 0.5)
 
         calls = []
-        features_matrix = extractor.features_matrix
+        features_matrix = FeatureExtractor.features_matrix
 
-        def counted_features_matrix(*args):
-            calls.append(args)
-            return features_matrix(*args)
+        def counted_features_matrix(self, query_terms, ordinals, bm25=None):
+            if bm25 is None:  # not a dev candidate list, whose BM25 scores are given
+                calls.append((tuple(query_terms), tuple(ordinals)))
+            return features_matrix(self, query_terms, ordinals, bm25)
 
-        monkeypatch.setattr(extractor, "features_matrix", counted_features_matrix)
+        monkeypatch.setattr(FeatureExtractor, "features_matrix", counted_features_matrix)
+        rows = pair_features(extractor, pool[:30])
+        calls.clear()
         policy, ranker = SelectorPolicy(seed=4), Ranker()
         for start in range(0, 30, 10):
-            calls.clear()
             policy, ranker, _ = reinfoselect_step(
-                policy, pool[start:start + 10], ranker, ctx, ranker_lr=0.5)
-            assert len(calls) == 10
+                policy, rows[start:start + 10], ranker, ctx, ranker_lr=0.5)
+        assert calls == []
         np.testing.assert_array_equal(policy.weights, expected_policy.weights)
         np.testing.assert_array_equal(ranker.weights, expected_ranker.weights)
         assert policy.baseline == expected_policy.baseline
         assert np.any(ranker.weights != 0.0)  # some step selected and kept an update
+
+        # a default-config select-train featurizes each distinct drawn triple once
+        corpus, queries, qrels = write_fixture_inputs(tmp_path, DEFAULT_TOPICS, DEFAULT_DOCS_PER_TOPIC)
+        config = PipelineConfig(corpus_path=str(corpus), queries_path=str(queries),
+                                qrels_path=str(qrels), workdir=str(tmp_path / "w"))
+        run_pipeline(config, ["ingest", "index", "synth-weak", "train-dense"])
+        calls.clear()
+        run_pipeline(config, ["select-train"])
+        weak = read_triples(tmp_path / "w" / "weak_triples.jsonl")
+        rng = np.random.default_rng(config.seed + 1)
+        drawn = np.unique([rng.choice(len(weak), size=min(config.select_batch, len(weak)),
+                                      replace=False) for _ in range(config.select_steps)])
+        assert config.select_steps * config.select_batch == 960 > len(drawn)
+        ordinal_of = InvertedIndex.load(tmp_path / "w" / "index.bin").ordinal_of
+        assert calls == [(tuple(weak[i].query.split()),
+                          (ordinal_of[weak[i].pos_doc_id], ordinal_of[weak[i].neg_doc_id]))
+                         for i in drawn.tolist()]
 
 
 def test_each_distinct_ranker_is_scored_on_dev_once(selection_setup, monkeypatch):
@@ -406,19 +444,21 @@ def test_each_distinct_ranker_is_scored_on_dev_once(selection_setup, monkeypatch
     policy, ranker, rewards = SelectorPolicy(seed=2), Ranker(), []
     for step in range(12):
         policy, ranker, reward = reinfoselect_step(
-            policy, pool[(step * 6) % len(pool):][:6], ranker, ctx, ranker_lr=0.5)
+            policy, pair_features(selection_setup["extractor"], pool[(step * 6) % len(pool):][:6]),
+            ranker, ctx, ranker_lr=0.5)
         rewards.append(reward)
         ctx.dev_ndcg(ranker)
     assert min(rewards) < 0.0 < max(rewards)  # steps kept and rolled back a trial
     assert len(computed) == len(set(scored)) < len(scored)
 
 
-def reference_reinfoselect_step(policy, batch, ranker, context, ranker_lr):
-    """The former selection step, kept as the oracle: it featurizes the
-    selected triples a second time for the trial update."""
+def reference_reinfoselect_step(policy, batch, ranker, context, extractor, ranker_lr):
+    """The former selection step, kept as the oracle: it featurizes each
+    triple of the batch, and the selected ones a second time for the trial
+    update."""
     from ranklab.rerank import pairwise_train_step
 
-    features = [context.instance_featurizer(t) for t in batch]
+    features = [instance_row(extractor, t) for t in batch]
     probs = np.array([policy.selection_probability(x) for x in features])
     actions = policy.rng.random(len(batch)) < probs
     selected = [t for t, a in zip(batch, actions) if a]
@@ -426,7 +466,8 @@ def reference_reinfoselect_step(policy, batch, ranker, context, ranker_lr):
     trial, reward = ranker, 0.0
     if selected:
         trial = ranker.copy()
-        pairwise_train_step(trial, [context.pair_features(t) for t in selected], ranker_lr)
+        pairwise_train_step(trial, [tuple(pair_features(extractor, [t])[0]) for t in selected],
+                            ranker_lr)
         reward = context.dev_ndcg(trial) - before
     grad = sum((float(a) - p) * x for x, p, a in zip(features, probs, actions))
     policy.weights += (reward - policy.baseline) * grad
