@@ -4,9 +4,13 @@ Stages communicate only through files in the work directory, so any stage can
 be replaced by an external tool that produces the same format. select-train,
 rerank and depth-sweep read their document vectors from the dense_index.bin
 that train-dense writes, and their document terms from index.bin, through one
-FeatureExtractor each. select-train draws all its batches first and featurizes
-each drawn weak triple once, its query processed as a dev query is. Exit
-codes: 0 success, 2 config error, 3 dependency error, 4 numeric error.
+FeatureExtractor each, whose candidates come with their feature rows in list
+order; rerank and depth-sweep rescore those rows, and select-train keeps its
+dev candidates as one stacked array. select-train draws all its batches first
+and featurizes each drawn weak triple once. Every stage that reads a weak
+triple's query (train-dense, select-train) reads its processed terms, as
+rerank reads a query. Exit codes: 0 success, 2 config error, 3 dependency
+error, 4 numeric error.
 
 A stage opens its files through StageRunner.read (a work-directory artifact),
 input (a file a config key names) and write (an artifact it produces), and its
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import dense, mlm, rerank, weaksup
 from .checkpoint import checked, read_lines, write_atomic
-from .corpus import load_corpus, load_queries
+from .corpus import load_corpus, load_queries, preprocess_query
 from .errors import ConfigError, DependencyError, NumericError, ParseError, ToolkitError
 from .evaluation import (
     GAIN_FUNCTIONS,
@@ -369,7 +373,7 @@ class StageRunner:
         if not weak:
             raise ConfigError(f"no training triples in {triples_file}")
         rng = np.random.default_rng(self.config.seed)
-        triples = training_triples(weak, pieces, vocab, self.config, rng)
+        triples = training_triples(weak, pieces, vocab, self.config, rng, self.stopwords())
         if not triples:
             raise ConfigError(f"no usable triples in {triples_file}")
         encoder = dense.DenseEncoder.init(len(vocab), self.config.dim, self.config.seed)
@@ -474,8 +478,8 @@ class StageRunner:
                 lambda base: rerank.fuse_base_union(base, dense_list, topk, rrf_k))
             base, features = extractor.candidates(query, topk, fuse)
             reranked = rerank.rerank(ranker, base, self.config.depth, features)
-            if self.config.fusion == "interp":
-                dense_scores = {doc_id: features[doc_id][1] for doc_id, _ in reranked.entries}
+            if self.config.fusion == "interp":  # the dense score is feature column 1
+                dense_scores = dict(zip(base.doc_ids(), features[:, 1]))
                 reranked = rerank.fuse_interpolate(
                     query.query_id, dict(reranked.entries), dense_scores, self.config.alpha)
             elif self.config.fusion == "rrf":
@@ -577,10 +581,12 @@ class StageRunner:
     }
 
 
-def training_triples(weak, pieces: dict, vocab, config: PipelineConfig, rng) -> list:
+def training_triples(weak, pieces: dict, vocab, config: PipelineConfig, rng,
+                     stopwords=ENGLISH_STOPWORDS) -> list:
     """A dense.TrainingTriple per weak triple whose documents are in `pieces` (doc id
     -> piece ids) and differ, plus up to config.negatives - 1 drawn from the documents
-    unlike the positive: a draw's index steps past each sorted ordinal not allowed."""
+    unlike the positive: a draw's index steps past each sorted ordinal not allowed.
+    The query is tokenized from its processed terms, as the ranking stages read it."""
     seqs, ordinal, alike = list(pieces.values()), {d: i for i, d in enumerate(pieces)}, {}
     for i, seq in enumerate(seqs):
         alike.setdefault(seq, []).append(i)
@@ -598,7 +604,8 @@ def training_triples(weak, pieces: dict, vocab, config: PipelineConfig, rng) -> 
             drawn.append(pick)
             bisect.insort(removed, pick)
         triples.append(dense.TrainingTriple(
-            tuple(tokenize(t.query, vocab, config.max_seq_len)), positive, tuple(seqs[i] for i in drawn)))
+            tuple(tokenize(" ".join(preprocess_query(t.query, stopwords)), vocab,
+                           config.max_seq_len)), positive, tuple(seqs[i] for i in drawn)))
     return triples
 
 

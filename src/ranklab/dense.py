@@ -67,20 +67,24 @@ def encode(encoder: DenseEncoder, piece_ids) -> np.ndarray:
     return encoder.table[ids].mean(axis=0)
 
 
-def _flatten(sequences) -> tuple[np.ndarray, np.ndarray]:
-    """The length of each id sequence and all their ids, concatenated."""
+def _flatten(sequences, lengths=None) -> tuple[np.ndarray, np.ndarray]:
+    """The length of each id sequence and all their ids, concatenated; given
+    `lengths`, `sequences` already is the concatenated ids."""
+    if lengths is not None:
+        return np.asarray(lengths, np.intp), np.asarray(sequences, np.intp)
     lengths = np.fromiter(map(len, sequences), np.intp, len(sequences))
     return lengths, np.fromiter(itertools.chain.from_iterable(sequences), np.intp, lengths.sum())
 
 
-def pool(table: np.ndarray, sequences) -> np.ndarray:
+def pool(table: np.ndarray, sequences, lengths=None) -> np.ndarray:
     """The mean table row of each id sequence; a zero row for an empty one.
+    With `lengths`, `sequences` is the sequences' ids concatenated.
 
     Adding position j of every sequence in one step, j = 0, 1, ..., sums each
     row's ids in order from 0.0, as numpy's table[ids].mean(axis=0) does for
     two or more columns (one column it sums pairwise): bit-equal. Not so
     np.add.reduceat, which adds in another order."""
-    lengths, ids = _flatten(sequences)
+    lengths, ids = _flatten(sequences, lengths)
     order = np.argsort(-lengths, kind="stable")  # longest first: rows still adding are a prefix
     starts = (np.cumsum(lengths) - lengths)[order]
     at_least = np.bincount(lengths)[::-1].cumsum()[::-1]  # [j]: how many have length >= j
@@ -90,13 +94,14 @@ def pool(table: np.ndarray, sequences) -> np.ndarray:
     return out[np.argsort(order)] / np.maximum(lengths, 1)[:, None]
 
 
-def pool_grad(shape, sequences, row_grads) -> np.ndarray:
+def pool_grad(shape, sequences, row_grads, lengths=None) -> np.ndarray:
     """The `shape` table's gradient from pool()'s row gradients: each
     row_grads[i] / len(sequences[i]) added at every id of sequence i. One
     np.bincount per column adds these shares in sequence order from 0.0
     (bit-equal to one += per id) without an (ids x dim) array of them, which
-    for one MLM step would be larger than its whole 16 MiB memory budget."""
-    lengths, ids = _flatten(sequences)
+    for one MLM step would be larger than its whole 16 MiB memory budget.
+    `sequences` and `lengths` are read as pool() reads them."""
+    lengths, ids = _flatten(sequences, lengths)
     owner = np.repeat(np.arange(len(lengths)), lengths)
     shares = np.reshape(row_grads, (len(lengths), shape[1])) / np.maximum(lengths, 1)[:, None]
     grad = np.empty(shape)

@@ -14,14 +14,18 @@ each target (a repeated id once per target). The largest temporaries are
 SEQ_CHUNK x vocab_size (about 0.7 MB at a 1,400-piece vocabulary) whatever the
 number of targets.
 
-The context means come from dense.pool and their gradient from dense.pool_grad,
-which add in the order of a per-sequence mean and np.add.at (see dense).
+A batch's context ids are what one flat boolean mask over all its ids (each
+target's position offset by its sequence's start) leaves, in order. The
+context means come from dense.pool and their gradient from dense.pool_grad,
+which take those ids flat and add in the order of a per-sequence mean and
+np.add.at (see dense).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -128,17 +132,24 @@ def masked_prediction_loss(model: MlmModel, batch: MaskedBatch) -> float:
 
 
 def _loss_and_grads(model: MlmModel, batch: MaskedBatch, want_grads: bool):
-    context_ids, target_ids = [], []
-    for seq in batch.sequences:
-        masked_positions = {p for p, _ in seq.targets}
-        context_ids.append([i for p, i in enumerate(seq.ids) if p not in masked_positions])
-        target_ids += [original for _, original in seq.targets]
-    if not target_ids:
+    seqs = batch.sequences
+    lengths = np.fromiter((len(seq.ids) for seq in seqs), np.intp, len(seqs))
+    counts = np.fromiter((len(seq.targets) for seq in seqs), np.intp, len(seqs))
+    if not counts.sum():
         raise ValueError("batch has no masked targets")
-    counts = np.array([len(seq.targets) for seq in batch.sequences], dtype=np.intp)
     offsets = np.concatenate(([0], np.cumsum(counts)))  # targets of sequence s: offsets[s:s+2]
-    target_ids = np.array(target_ids, dtype=np.intp)
-    contexts = pool(model.embeddings, context_ids)  # a fully masked sequence pools to zeros
+    ids = np.fromiter(chain.from_iterable(seq.ids for seq in seqs), np.intp, lengths.sum())
+    targets = np.fromiter(chain.from_iterable(chain.from_iterable(seq.targets for seq in seqs)),
+                          np.intp, 2 * offsets[-1]).reshape(-1, 2)
+    target_ids = targets[:, 1]
+    # one flat mask over the batch's ids; the context is every id it leaves, in order
+    masked = np.zeros(len(ids), dtype=bool)
+    masked[targets[:, 0] + np.repeat(np.cumsum(lengths) - lengths, counts)] = True
+    owner = np.repeat(np.arange(len(seqs)), lengths)
+    context_lengths = np.bincount(owner[~masked], minlength=len(seqs))
+    context_ids = ids[~masked]
+    # a fully masked sequence pools to zeros
+    contexts = pool(model.embeddings, context_ids, context_lengths)
 
     weights = model.output_weights
     if want_grads:
@@ -170,7 +181,7 @@ def _loss_and_grads(model: MlmModel, batch: MaskedBatch, want_grads: bool):
     scale = 1.0 / n_targets
     grad_out *= scale
     grad_contexts *= scale
-    grad_emb = pool_grad(model.embeddings.shape, context_ids, grad_contexts)
+    grad_emb = pool_grad(model.embeddings.shape, context_ids, grad_contexts, context_lengths)
     return total * scale, grad_emb, grad_out
 
 

@@ -21,7 +21,7 @@ from .dense import DenseEncoder, DenseIndex, pool
 from .errors import DependencyError, NumericError
 from .evaluation import QuerySplit, Run, old_new_report
 from .sparse import (
-    DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, bm25_scores, idf, top_k_entries,
+    DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, bm25_top_k, idf, ranked_entries,
 )
 from .stopwords import ENGLISH_STOPWORDS
 from .subword import DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, tokenize
@@ -106,32 +106,35 @@ class FeatureExtractor:
     def features(self, query_terms, doc_id: str) -> np.ndarray:
         return self.features_matrix(query_terms, [self.index.ordinal_of[doc_id]])[0]
 
-    def candidates(self, query, k: int, fuse=None) -> tuple[RankedList, dict[str, np.ndarray]]:
+    def candidates(self, query, k: int, fuse=None) -> tuple[RankedList, np.ndarray]:
         """The BM25 top-k of `query` (passed through `fuse` when given) and the
-        ranker features of each of its documents, keyed by doc id."""
-        index, terms = self.index, query.processed_terms
-        scores = bm25_scores(index, terms, self.k1, self.b)
-        ranked = RankedList(query.query_id, top_k_entries(scores, index.doc_ids, index.doc_rank, k))
-        ranked = fuse(ranked) if fuse is not None else ranked
-        doc_ids = ranked.doc_ids()
-        rows = self.features_matrix(terms, [index.ordinal_of[d] for d in doc_ids], scores)
-        return ranked, dict(zip(doc_ids, rows))
+        (n, 6) ranker feature rows of its documents, in the list's order. The
+        BM25 list stays ordinals until its entries are written; only a fused
+        list, which holds doc ids, is looked up again."""
+        terms = query.processed_terms
+        ordinals, scores = bm25_top_k(self.index, terms, k, self.k1, self.b)
+        ranked = RankedList(query.query_id, ranked_entries(self.index.doc_ids, ordinals, scores))
+        if fuse is not None:
+            ranked = fuse(ranked)
+            ordinals = [self.index.ordinal_of[d] for d in ranked.doc_ids()]
+        return ranked, self.features_matrix(terms, ordinals, scores)
 
 
 def rerank(ranker: Ranker, candidates: RankedList, depth: int, features) -> RankedList:
     """Rescore the top-`depth` candidates; the rest keep base order below them.
 
-    `features` maps doc_id -> feature vector for at least the top-`depth`
-    candidates. Tied ranker scores stay equal and keep doc-id order; the tail
-    scores block minimum - 1, - 2, ... Raises NumericError when a rescored
-    score is non-finite or a tail score would reach 2**52 in magnitude.
+    `features` holds the candidates' (n, 6) feature rows in list order, as
+    FeatureExtractor.candidates returns them; only the first `depth` are read.
+    Tied ranker scores stay equal and keep doc-id order; the tail scores block
+    minimum - 1, - 2, ... Raises NumericError when a rescored score is
+    non-finite or a tail score would reach 2**52 in magnitude.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not candidates.entries:
         return candidates
     block = [doc_id for doc_id, _ in candidates.entries[:depth]]
-    scores = np.vecdot(np.array([features[d] for d in block]), ranker.weights)
+    scores = np.vecdot(features[: len(block)], ranker.weights)
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite score in reranking")
     rescored = sorted(zip(block, scores.tolist()), key=lambda e: (-e[1], e[0]))
@@ -228,8 +231,10 @@ def depth_sweep(ranker: Ranker, base_runs, depths, qrels: Qrels, features_by_que
                 k: int = 10) -> dict[int, dict[str, float]]:
     """Evaluate NDCG@k and P@5 of reranking at each depth; one row per depth.
 
-    Each row is the overall line of old_new_report over the queries in
-    `qrels`; a judged query with no base list scores 0."""
+    `features_by_query` maps a query id to its base list's (n, 6) feature rows
+    in list order, as rerank reads them. Each row is the overall line of
+    old_new_report over the queries in `qrels`; a judged query with no base
+    list scores 0."""
     if not depths:
         raise ValueError("depths must be non-empty")
     split = QuerySplit.from_ids((), qrels.query_ids())

@@ -10,16 +10,26 @@ these arrays plus `doc_lengths`, and the term list and doc ids as metadata.
 slice, in query-term order: for every document that is the sequence of IEEE
 operations `bm25_score` performs, so both give bit-identical scores.
 
-Both BM25 and dense search cut their lists with `top_k_entries`, which equals
-taking the first k of the whole corpus sorted by (-score, doc_id) without
-sorting the corpus: `np.partition` finds the k-th largest score t, every
-ordinal scoring at least t is kept (so all documents tied with the k-th one
-stay candidates, and nothing outside the kept set can precede one inside it),
-and `np.lexsort` orders the kept ordinals by the same key, -score first, then
-the doc id's rank in Python string order. That rank is computed once per index
-by comparing the ids as Python strings, so it is the order `RankedList`
-checks (numpy's unicode dtype would drop trailing NULs). Scores must be
-finite: NaN compares as larger than every number in `np.partition`.
+Dense search cuts its lists with `top_k_entries`, which equals taking the
+first k of the whole corpus sorted by (-score, doc_id) without sorting the
+corpus: `np.partition` finds the k-th largest score t, every ordinal scoring
+at least t is kept (so all documents tied with the k-th one stay candidates,
+and nothing outside the kept set can precede one inside it), and `np.lexsort`
+orders the kept ordinals by the same key, -score first, then the doc id's rank
+in Python string order. That rank is computed once per index by comparing the
+ids as Python strings, so it is the order `RankedList` checks (numpy's unicode
+dtype would drop trailing NULs). Scores must be finite: NaN compares as larger
+than every number in `np.partition`.
+
+BM25 top-k (`bm25_top_k`, under both `search_topk` and the reranker's
+candidates) gives the same list without touching the zero-score tie set.
+With k1 >= 0 and b in [0, 1] every posting of a query term scores above zero
+(idf > 0, tf > 0, norm >= 0) and every other document scores exactly 0. So
+the documents scoring above zero are ranked as above, and when fewer than k
+of them exist the list is filled with zero-score documents in ascending doc-id
+order, read from `InvertedIndex.by_doc_id`, the ordinals in doc-id order
+computed once per index: among its first k ordinals at most as many score
+above zero as the list already holds, so the fill is there.
 """
 
 from __future__ import annotations
@@ -86,6 +96,7 @@ class InvertedIndex:
         self.term_index = {t: i for i, t in enumerate(terms)}
         self.ordinal_of = {d: i for i, d in enumerate(doc_ids)}
         self.doc_rank = doc_id_ranks(doc_ids)
+        self.by_doc_id = np.argsort(self.doc_rank)  # the ordinals in doc-id order
         self._norms: dict[tuple[float, float], np.ndarray] = {}
 
     @property
@@ -145,8 +156,8 @@ def doc_id_ranks(doc_ids) -> np.ndarray:
     return rank
 
 
-def top_k_entries(scores: np.ndarray, doc_ids, doc_rank: np.ndarray, k: int):
-    """(doc_id, score) of the k best ordinals by (score desc, doc_id asc).
+def top_k_order(scores: np.ndarray, doc_rank: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k best scores by (score desc, doc_rank asc).
 
     Exact for finite scores; see the module docstring for why it equals the
     full sort.
@@ -157,8 +168,17 @@ def top_k_entries(scores: np.ndarray, doc_ids, doc_rank: np.ndarray, k: int):
         kept = np.flatnonzero(scores >= kth)
     else:
         kept = np.arange(n)
-    top = kept[np.lexsort((doc_rank[kept], -scores[kept]))[:k]]
-    return tuple(zip([doc_ids[o] for o in top.tolist()], scores[top].tolist()))
+    return kept[np.lexsort((doc_rank[kept], -scores[kept]))[:k]]
+
+
+def ranked_entries(doc_ids, ordinals: np.ndarray, scores: np.ndarray) -> tuple:
+    """(doc_id, score) of each of `ordinals`, in order; `scores` covers the corpus."""
+    return tuple(zip([doc_ids[o] for o in ordinals.tolist()], scores[ordinals].tolist()))
+
+
+def top_k_entries(scores: np.ndarray, doc_ids, doc_rank: np.ndarray, k: int):
+    """(doc_id, score) of the k best ordinals by (score desc, doc_id asc)."""
+    return ranked_entries(doc_ids, top_k_order(scores, doc_rank, k), scores)
 
 
 def build_index(docs) -> InvertedIndex:
@@ -205,14 +225,30 @@ def bm25_scores(index: InvertedIndex, query_terms, k1: float = DEFAULT_K1,
     return scores
 
 
-def search_topk(index: InvertedIndex, query, k: int, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> RankedList:
-    """Exact top-k over the whole corpus (no pruning), tie-broken by doc_id."""
+def bm25_top_k(index: InvertedIndex, query_terms, k: int, k1: float = DEFAULT_K1,
+               b: float = DEFAULT_B) -> tuple[np.ndarray, np.ndarray]:
+    """The ordinals of the BM25 top-k by (score desc, doc_id asc), and the
+    whole corpus's bm25_scores. Only documents scoring above zero are ranked;
+    see the module docstring."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k1 < 0 or not 0 <= b <= 1:
+        raise ValueError(f"BM25 top-k needs k1 >= 0 and b in [0, 1], got k1={k1}, b={b}")
+    scores = bm25_scores(index, query_terms, k1, b)
+    scored = np.flatnonzero(scores)
+    top = scored[top_k_order(scores[scored], index.doc_rank[scored], k)]
+    if len(top) < k:
+        head = index.by_doc_id[:k]
+        top = np.concatenate((top, head[scores[head] == 0.0][: k - len(top)]))
+    return top, scores
+
+
+def search_topk(index: InvertedIndex, query, k: int, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> RankedList:
+    """Exact top-k over the whole corpus (no pruning), tie-broken by doc_id."""
     query_id = query.query_id if isinstance(query, Query) else 0
     terms = query.processed_terms if isinstance(query, Query) else query
-    scores = bm25_scores(index, terms, k1, b)
-    return RankedList(query_id, top_k_entries(scores, index.doc_ids, index.doc_rank, k))
+    top, scores = bm25_top_k(index, terms, k, k1, b)
+    return RankedList(query_id, ranked_entries(index.doc_ids, top, scores))
 
 
 def coverage_at_k(run, qrels: Qrels, k: int) -> float:

@@ -595,3 +595,23 @@ def test_select_train_reads_weak_queries_as_processed_terms(tmp_path):
     write_triples(shouted, triples)
     assert main(["select-train", "--triples-file", str(triples), *common]) == 0
     assert [(work / name).read_bytes() for name in outputs] == expected
+
+
+def test_train_dense_reads_weak_queries_as_processed_terms(tmp_path):
+    """A triples file whose queries are synth-weak's with "the ... of" added
+    trains the same encoder, byte for byte: train-dense drops stopwords from a
+    weak query as select-train and rerank do."""
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    common = ["--corpus", str(corpus), "--queries", str(queries), "--qrels", str(qrels),
+              "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600",
+              "--set", "dense_epochs=4", "--set", "triples_count=8"]
+    assert main(["pipeline", "--stages", "ingest,index,synth-weak,train-dense", *common]) == 0
+    work = tmp_path / "w"
+    expected = (work / "encoder.ckpt").read_bytes()
+    weak = read_triples(work / "weak_triples.jsonl")
+    wordy = [dataclasses.replace(t, query="the " + t.query.replace(" ", " of ", 1)) for t in weak]
+    assert all(w.query != t.query for w, t in zip(wordy, weak))
+    triples = tmp_path / "wordy.jsonl"
+    write_triples(wordy, triples)
+    assert main(["train-dense", "--triples-file", str(triples), *common]) == 0
+    assert (work / "encoder.ckpt").read_bytes() == expected

@@ -79,8 +79,8 @@ def test_candidates_are_the_bm25_list_and_its_features(texts, terms, k):
     query = Query(3, " ".join(terms), tuple(terms))
     ranked, features = extractor.candidates(query, k)
     assert ranked == search_topk(extractor.index, query, k, extractor.k1, extractor.b)
-    assert list(features) == ranked.doc_ids()
-    for doc_id, row in features.items():
+    assert features.shape == (len(ranked.entries), 6)
+    for doc_id, row in zip(ranked.doc_ids(), features):
         ordinal = extractor.index.ordinal_of[doc_id]
         assert bits(row) == bits(reference_features(extractor, terms, ordinal))
 
@@ -92,8 +92,8 @@ def test_candidates_feature_every_entry_of_the_fused_list():
     ranked, features = extractor.candidates(
         query, 2, lambda base: RankedList(base.query_id, base.entries + (extra,)))
     assert ranked.doc_ids()[-1] == "d1"
-    assert list(features) == ranked.doc_ids()
-    assert features["d1"][0] == 0.0 and features["d1"][1] != 0.0
+    assert features.shape == (len(ranked.entries), 6)
+    assert features[-1][0] == 0.0 and features[-1][1] != 0.0
 
 
 def reference_rerank(ranker, candidates, depth, features):
@@ -116,7 +116,8 @@ def test_rerank_equals_scoring_row_by_row(n, depth, seed):
     candidates = RankedList.from_scores(5, zip(docs, rng.normal(size=n)))
     features = dict(zip(docs, rows))
     expected = reference_rerank(Ranker(weights), candidates, depth, features)
-    assert rerank(Ranker(weights), candidates, depth, features) == expected
+    rows = np.array([features[d] for d in candidates.doc_ids()])
+    assert rerank(Ranker(weights), candidates, depth, rows) == expected
 
 
 def test_features_without_scores_call_bm25_score(monkeypatch):

@@ -11,14 +11,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ranklab.cli import PipelineConfig, StageRunner
-from ranklab.corpus import Qrels
+from ranklab.corpus import Qrels, Query
 from ranklab.dense import DenseEncoder, build_dense_index, dense_search_topk
-from ranklab.errors import ConfigError
+from ranklab.errors import ConfigError, NumericError
 from ranklab.evaluation import mean_ndcg, ndcg_at_k, precision_at_k
 from ranklab.rerank import FeatureExtractor, Ranker, depth_sweep, rerank
 from ranklab.sparse import RankedList
 from ranklab.subword import tokenize
 from ranklab.weaksup import SelectionContext
+from test_feature_matrix import WORDS, extractor_of
 
 DOCS = [f"d{i}" for i in range(8)]
 QUERY_IDS = [1, 2, 3, 4, 5]
@@ -48,12 +49,14 @@ def reference_depth_sweep(ranker, base_runs, depths, qrels, features_by_query, k
     return table
 
 
-def reference_dev_ndcg(context, ranker):
-    """SelectionContext.dev_ndcg before it called mean_ndcg."""
+def reference_dev_ndcg(extractor, queries, qrels, depth, ranker, k=10):
+    """SelectionContext.dev_ndcg before it called mean_ndcg or stacked its
+    lists: each dev query's candidates reranked one list at a time."""
     values = []
-    for query_id, base in context.base.items():
-        reranked = rerank(ranker, base, context.depth, context.features[query_id])
-        values.append(ndcg_at_k(reranked, context.qrels.judgments.get(query_id, {}), context.k))
+    for query in queries:
+        base, rows = extractor.candidates(query, depth)
+        reranked = rerank(ranker, base, depth, rows)
+        values.append(ndcg_at_k(reranked, qrels.judgments.get(query.query_id, {}), k))
     return sum(values) / len(values) if values else 0.0
 
 
@@ -84,7 +87,8 @@ def sweep_inputs(draw):
     for qid in listed:
         docs = draw(st.lists(st.sampled_from(DOCS), unique=True))
         base_runs[qid] = RankedList.from_scores(qid, [(d, draw(score)) for d in docs])
-        features[qid] = {d: np.array([draw(score) for _ in range(6)]) for d in docs}
+        rows = {d: np.array([draw(score) for _ in range(6)]) for d in docs}
+        features[qid] = np.array([rows[d] for d in base_runs[qid].doc_ids()]).reshape(-1, 6)
     weights = draw(st.lists(score, min_size=6, max_size=6))
     depths = draw(st.lists(st.integers(1, 10), min_size=1, max_size=4, unique=True))
     return qrels, base_runs, features, Ranker(weights), depths, draw(st.integers(1, 10))
@@ -97,8 +101,8 @@ def _bundle(judged, listed, k=10):
             qrels.add(qid, doc, grade)
     base_runs = {qid: RankedList.from_scores(qid, [(d, -float(i)) for i, d in enumerate(DOCS)])
                  for qid in listed}
-    features = {qid: {d: np.array([float(i % 3), 0, 0, 0, 0, 1.0]) for i, d in enumerate(DOCS)}
-                for qid in listed}
+    features = {qid: np.array([[float(i % 3), 0, 0, 0, 0, 1.0] for i in range(len(DOCS))])
+                for qid in listed}  # in base order: DOCS score 0, -1, -2, ...
     return qrels, base_runs, features, Ranker([1.0, 0, 0, 0, 0, 0]), [1, 3, 8], k
 
 
@@ -135,9 +139,37 @@ def test_dev_ndcg_matches_the_former_loop(separable, seed):
     context = SelectionContext(extractor, queries, qrels, depth=20)
     rng = np.random.default_rng(seed)
     for ranker in (Ranker(), Ranker(rng.normal(size=6)), Ranker(rng.normal(size=6))):
-        assert context.dev_ndcg(ranker) == reference_dev_ndcg(context, ranker)
+        assert context.dev_ndcg(ranker) == reference_dev_ndcg(extractor, queries, qrels, 20, ranker)
     empty = SelectionContext(extractor, [], qrels, depth=20)
-    assert empty.dev_ndcg(Ranker()) == reference_dev_ndcg(empty, Ranker()) == 0.0
+    assert empty.dev_ndcg(Ranker()) == reference_dev_ndcg(extractor, [], qrels, 20, Ranker()) == 0.0
+
+
+@given(st.lists(st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join), min_size=1,
+                max_size=13),
+       st.lists(st.lists(st.sampled_from(WORDS + ["unindexed"]), min_size=1, max_size=4),
+                max_size=4),
+       st.integers(1, 16), st.integers(0, 2**32 - 1))
+@example(["trial", "cohort trial"], [], 20, 0)  # no dev query
+@example(["trial", "cohort trial", "vaccine"], [["trial"], ["unindexed"]], 9, 1)  # depth > N
+def test_stacked_dev_ndcg_matches_the_former_loop(texts, query_terms, depth, seed):
+    """Dev sets of 0 to 4 queries over corpora of 1 to 13 documents (d10 on
+    sorts before d2), at depths below and above the corpus size; rankers with
+    tied, zero and random weights."""
+    extractor = extractor_of(texts)
+    rng = np.random.default_rng(seed)
+    queries = [Query(i + 1, " ".join(t), tuple(t)) for i, t in enumerate(query_terms)]
+    qrels = Qrels()
+    for query in queries:
+        for doc in rng.choice(len(texts), size=min(3, len(texts)), replace=False).tolist():
+            qrels.add(query.query_id, f"d{doc}", int(rng.integers(0, 3)))
+    context = SelectionContext(extractor, queries, qrels, depth)
+    assert context.features.shape == (len(queries), min(depth, len(texts)), 6)
+    for ranker in (Ranker(), Ranker([0, 0, 1.0, 0, 0, 0]), Ranker(rng.normal(size=6))):
+        assert (context.dev_ndcg(ranker)
+                == reference_dev_ndcg(extractor, queries, qrels, depth, ranker))
+    if queries:
+        with pytest.raises(NumericError, match="non-finite"):
+            context.dev_ndcg(Ranker([np.nan, 0, 0, 0, 0, 0]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

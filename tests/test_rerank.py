@@ -22,9 +22,11 @@ from ranklab.rerank import rerank as rerank_op
 from ranklab.sparse import RankedList
 
 
-def feature_table(doc_scores):
-    """Features that make the ranker score equal a chosen value per doc."""
-    return {doc: np.array([value, 0, 0, 0, 0, 0]) for doc, value in doc_scores.items()}
+def feature_table(doc_scores, candidates):
+    """Feature rows, in the candidates' order, that make the ranker score equal
+    a chosen value per doc; `doc_scores` covers the leading candidates."""
+    return np.array([[doc_scores[doc], 0, 0, 0, 0, 0]
+                     for doc in candidates.doc_ids()[: len(doc_scores)]], dtype=np.float64)
 
 
 BM25_ONLY = Ranker(np.array([1.0, 0, 0, 0, 0, 0]))
@@ -37,14 +39,14 @@ def base_list(query_id, docs):
 class TestRerank:
     def test_depth_one_keeps_order_and_membership(self):
         candidates = base_list(1, ["a", "b", "c", "d"])
-        features = feature_table({"a": 5.0})
+        features = feature_table({"a": 5.0}, candidates)
         out = rerank_op(BM25_ONLY, candidates, 1, features)
         assert out.doc_ids() == ["a", "b", "c", "d"]
         assert set(out.doc_ids()) == set(candidates.doc_ids())
 
     def test_full_depth_equals_sort_by_ranker(self):
         candidates = base_list(1, ["a", "b", "c"])
-        features = feature_table({"a": 1.0, "b": 9.0, "c": 4.0})
+        features = feature_table({"a": 1.0, "b": 9.0, "c": 4.0}, candidates)
         out = rerank_op(BM25_ONLY, candidates, 10, features)
         assert out.doc_ids() == ["b", "c", "a"]
 
@@ -52,8 +54,8 @@ class TestRerank:
         rng = np.random.default_rng(3)
         docs = [f"d{i:02d}" for i in range(30)]
         scores = {d: float(rng.normal()) for d in docs}
-        features = feature_table(scores)
         candidates = base_list(7, docs)
+        features = feature_table(scores, candidates)
         for depth in (5, 12, 30, 100):
             out = rerank_op(BM25_ONLY, candidates, depth, features)
             block = sorted(docs[:depth], key=lambda d: (-scores[d], d))
@@ -63,15 +65,15 @@ class TestRerank:
     def test_membership_preserved(self):
         rng = np.random.default_rng(4)
         docs = [f"d{i}" for i in range(20)]
-        features = feature_table({d: float(rng.normal()) for d in docs})
         candidates = base_list(1, docs)
+        features = feature_table({d: float(rng.normal()) for d in docs}, candidates)
         for depth in (1, 7, 20):
             out = rerank_op(BM25_ONLY, candidates, depth, features)
             assert set(out.doc_ids()) == set(docs)
 
     def test_tied_scores_stay_equal_in_doc_id_order(self, tmp_path):
         candidates = base_list(1, ["c", "a", "b", "e", "d"])
-        features = feature_table({"c": 1.0, "a": 1.0, "b": 1.0})  # tied ranker scores
+        features = feature_table({"c": 1.0, "a": 1.0, "b": 1.0}, candidates)  # tied ranker scores
         out = rerank_op(BM25_ONLY, candidates, 3, features)
         assert out.entries[:3] == (("a", 1.0), ("b", 1.0), ("c", 1.0))
         assert out.doc_ids()[3:] == ["e", "d"]
@@ -81,7 +83,7 @@ class TestRerank:
 
     def test_tail_below_block_minimum(self):
         candidates = base_list(1, ["a", "b", "c", "d"])
-        features = feature_table({"a": -5.0, "b": -7.0})
+        features = feature_table({"a": -5.0, "b": -7.0}, candidates)
         out = rerank_op(BM25_ONLY, candidates, 2, features)
         block_min = min(s for d, s in out.entries[:2])
         for _, score in out.entries[2:]:
@@ -92,15 +94,16 @@ class TestRerank:
         # block_min - 1.0 rounds back onto block_min at these magnitudes
         candidates = base_list(1, ["y", "z", "a", "b"])
         with pytest.raises(NumericError, match="too large"):
-            rerank_op(BM25_ONLY, candidates, 2, feature_table({"y": low, "z": high}))
+            rerank_op(BM25_ONLY, candidates, 2, feature_table({"y": low, "z": high}, candidates))
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
            st.integers(0, 3))
     def test_tail_strictly_decreases_below_any_finite_block(self, block_scores, tail_len):
         docs = [f"d{i}" for i in range(len(block_scores) + tail_len)]
-        features = feature_table(dict(zip(docs, block_scores)))
+        candidates = base_list(1, docs)
+        features = feature_table(dict(zip(docs, block_scores)), candidates)
         try:
-            out = rerank_op(BM25_ONLY, base_list(1, docs), len(block_scores), features)
+            out = rerank_op(BM25_ONLY, candidates, len(block_scores), features)
         except NumericError:  # only where the float spacing can reach 1.0
             assert tail_len and abs(min(block_scores) - 1.0) + tail_len >= 2.0**52
             return
@@ -240,7 +243,7 @@ class TestDepthSweep:
         base_runs = {1: base_list(1, docs), 2: base_list(2, docs)}
         rng = np.random.default_rng(2)
         features = {
-            qid: feature_table({d: float(rng.normal()) for d in docs})
+            qid: feature_table({d: float(rng.normal()) for d in docs}, base_runs[qid])
             for qid in (1, 2)
         }
         return qrels, base_runs, features

@@ -276,14 +276,18 @@ def test_selection_context_uses_its_bm25_parameters(separable):
     dense_index = build_dense_index(encoder, docs, vocab)
     context = SelectionContext(FeatureExtractor(index, encoder, vocab, dense_index, k1=1.5),
                                queries, separable["qrels"], depth=20)
-    for query in queries:
-        assert context.base[query.query_id] == search_topk(index, query, 20, 1.5, DEFAULT_B)
-        doc_id, _ = context.base[query.query_id].entries[0]
-        assert context.features[query.query_id][doc_id][0] == bm25_score(
+    for i, query in enumerate(queries):
+        base = search_topk(index, query, 20, 1.5, DEFAULT_B)
+        assert context.doc_ids[i].tolist() == base.doc_ids()
+        assert context.features[i, :, 0].tolist() == [score for _, score in base.entries]
+        doc_id = context.doc_ids[i, 0]
+        assert context.features[i, 0, 0] == bm25_score(
             index, query.processed_terms, index.ordinal_of[doc_id], 1.5, DEFAULT_B)
-    assert context.base != SelectionContext(
+    default = SelectionContext(
         FeatureExtractor(index, encoder, vocab, dense_index), queries, separable["qrels"],
-        depth=20).base
+        depth=20)
+    assert not (np.array_equal(context.doc_ids, default.doc_ids)
+                and np.array_equal(context.features[..., 0], default.features[..., 0]))
 
 
 class TestReinfoSelect:
