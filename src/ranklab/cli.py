@@ -2,15 +2,11 @@
 
 Stages communicate only through files in the work directory, so any stage can
 be replaced by an external tool that produces the same format. select-train,
-rerank and depth-sweep read their document vectors from the dense_index.bin
-that train-dense writes, and their document terms from index.bin, through one
-FeatureExtractor each, whose candidates come with their feature rows in list
-order; rerank and depth-sweep rescore those rows, and select-train keeps its
-dev candidates as one stacked array. select-train draws all its batches first
-and featurizes each drawn weak triple once. Every stage that reads a weak
-triple's query (train-dense, select-train) reads its processed terms, as
-rerank reads a query. Exit codes: 0 success, 2 config error, 3 dependency
-error, 4 numeric error.
+rerank and depth-sweep read document vectors from dense_index.bin and terms
+from index.bin through one FeatureExtractor each, stack all their queries'
+candidates in one call and rescore them with the one rerank.rerank.
+Every query is encoded by subword.tokenize_query. Exit codes: 0 success, 2
+config or input error, 3 dependency error, 4 numeric error.
 
 A stage opens its files through StageRunner.read (a work-directory artifact),
 input (a file a config key names) and write (an artifact it produces), and its
@@ -61,7 +57,8 @@ from .evaluation import (
 from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index, coverage_at_k, search_topk
 from .stopwords import ENGLISH_STOPWORDS, load_stopwords
 from .subword import (
-    DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, subword_ratio, tokenize, train_subword_vocab,
+    DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, subword_ratio, tokenize, tokenize_query,
+    train_subword_vocab,
 )
 
 STAGES = (
@@ -90,6 +87,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEPENDENCY = 3
 EXIT_NUMERIC = 4
+# the stderr prefix and exit code of the first error class that matches
+ERROR_EXITS = ((ConfigError, "config error", EXIT_CONFIG), (ParseError, "input error", EXIT_CONFIG),
+               (DependencyError, "dependency error", EXIT_DEPENDENCY),
+               (NumericError, "numeric error", EXIT_NUMERIC), (ToolkitError, "error", 1))
 
 COMMANDS = STAGES + ("pipeline",)
 
@@ -192,6 +193,8 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         """Parse a flat "key = value" config file."""
+        if not Path(path).is_file():
+            raise ConfigError(f"config file not found: {path}")
         values: dict[str, str] = {}
         for line_no, line in read_lines(path):
             line = line.split("#", 1)[0].strip()
@@ -211,16 +214,12 @@ class PipelineConfig:
                 raise ConfigError(f"unknown config key {key!r}")
             if raw is None:
                 continue
-            target = fields[key].type
             try:
-                if target == "bool" or isinstance(getattr(self, key), bool):
-                    if isinstance(raw, bool):
-                        updates[key] = raw
-                    else:
-                        lowered = str(raw).lower()
-                        if lowered not in ("true", "false", "1", "0", "yes", "no"):
-                            raise ValueError(f"bad boolean {raw!r}")
-                        updates[key] = lowered in ("true", "1", "yes")
+                if isinstance(getattr(self, key), bool):
+                    lowered = str(raw).lower()  # a flag's True reads "true"
+                    if lowered not in ("true", "false", "1", "0", "yes", "no"):
+                        raise ValueError(f"bad boolean {raw!r}")
+                    updates[key] = lowered in ("true", "1", "yes")
                 elif isinstance(getattr(self, key), int):
                     updates[key] = int(raw)
                 elif isinstance(getattr(self, key), float):
@@ -383,7 +382,7 @@ class StageRunner:
             encoder = checked(path, mlm.warm_start, encoder, table)
         dev_queries = self.load_queries() if self.config.queries_path else []
         qrels = self.load_qrels() if self.config.qrels_path else None
-        dev = {q.query_id: tokenize(" ".join(q.processed_terms), vocab, self.config.max_seq_len)
+        dev = {q.query_id: tokenize_query(q.processed_terms, vocab, self.config.max_seq_len)
                for q in dev_queries} if qrels is not None else {}
         index = dense.DenseIndex(np.empty((len(pieces), encoder.dim)), pieces)  # pooled below
         order = np.arange(len(triples))
@@ -466,26 +465,28 @@ class StageRunner:
     def stage_rerank(self):
         extractor = self._feature_extractor()
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
+        queries = self.load_queries()
         topk, rrf_k = self.config.topk, self.config.rrf_k
+        if self.config.fusion in ("union", "rrf"):
+            dense_lists = {q.query_id: dense.dense_search_topk(
+                extractor.dense_index, extractor.encoder,
+                tokenize_query(q.processed_terms, extractor.vocab, self.config.max_seq_len),
+                topk, q.query_id) for q in queries}
+        fuse = None if self.config.fusion != "union" else (
+            lambda base: rerank.fuse_base_union(base, dense_lists[base.query_id], topk, rrf_k))
+        candidates = extractor.candidates(queries, topk, fuse)
         run = Run({}, self.config.run_tag)
-        for query in self.load_queries():
-            if self.config.fusion in ("union", "rrf"):
-                query_ids = tokenize(" ".join(query.processed_terms), extractor.vocab,
-                                     self.config.max_seq_len)
-                dense_list = dense.dense_search_topk(
-                    extractor.dense_index, extractor.encoder, query_ids, topk, query.query_id)
-            fuse = None if self.config.fusion != "union" else (
-                lambda base: rerank.fuse_base_union(base, dense_list, topk, rrf_k))
-            base, features = extractor.candidates(query, topk, fuse)
-            reranked = rerank.rerank(ranker, base, self.config.depth, features)
+        rows = zip(candidates.query_ids, rerank.rerank(ranker, candidates, self.config.depth),
+                   candidates.doc_ids, candidates.features)
+        for query_id, reranked, doc_ids, features in rows:
             if self.config.fusion == "interp":  # the dense score is feature column 1
-                dense_scores = dict(zip(base.doc_ids(), features[:, 1]))
+                dense_scores = dict(zip(doc_ids.tolist(), features[:, 1]))
                 reranked = rerank.fuse_interpolate(
-                    query.query_id, dict(reranked.entries), dense_scores, self.config.alpha)
+                    query_id, dict(reranked.entries), dense_scores, self.config.alpha)
             elif self.config.fusion == "rrf":
                 reranked = rerank.reciprocal_rank_fusion(
-                    [reranked, dense_list], max(topk, len(reranked.entries)), rrf_k)
-            run.rankings[query.query_id] = reranked
+                    [reranked, dense_lists[query_id]], max(topk, len(reranked.entries)), rrf_k)
+            run.rankings[query_id] = reranked
         write_run(run, self.write("run"))
 
     def stage_evaluate(self):
@@ -505,7 +506,11 @@ class StageRunner:
             run = read_run(self.read("run", "run the rerank stage (or build an index for "
                                             "base-retrieval evaluation) first"))
         if self.config.split_path:
-            split = load_split(self.input("split"))
+            split = load_split(path := self.input("split"))
+            listed = split.old_query_ids | split.new_query_ids
+            uncovered = [q for q in qrels.query_ids() if q not in listed]
+            if uncovered:
+                raise ConfigError(f"split file {path} does not cover judged queries {uncovered}")
         else:
             split = QuerySplit.from_ids((), qrels.query_ids())
         if self.config.residual:
@@ -521,12 +526,9 @@ class StageRunner:
     def stage_depth_sweep(self):
         extractor = self._feature_extractor()
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
-        lists = {q.query_id: extractor.candidates(q, self.config.topk) for q in self.load_queries()}
-        qrels = self.load_qrels()
-        base_runs = {qid: base for qid, (base, _) in lists.items()}
-        features_by_query = {qid: features for qid, (_, features) in lists.items()}
-        table = rerank.depth_sweep(ranker, base_runs, self.config.depth_list(),
-                                   qrels, features_by_query, self.config.eval_k)
+        candidates = extractor.candidates(self.load_queries(), self.config.topk)
+        table = rerank.depth_sweep(ranker, candidates, self.config.depth_list(),
+                                   self.load_qrels(), self.config.eval_k)
         lines = [f"depth\tndcg@{self.config.eval_k}\tp@5"]
         for depth in self.config.depth_list():
             row = table[depth]
@@ -604,8 +606,8 @@ def training_triples(weak, pieces: dict, vocab, config: PipelineConfig, rng,
             drawn.append(pick)
             bisect.insort(removed, pick)
         triples.append(dense.TrainingTriple(
-            tuple(tokenize(" ".join(preprocess_query(t.query, stopwords)), vocab,
-                           config.max_seq_len)), positive, tuple(seqs[i] for i in drawn)))
+            tuple(tokenize_query(preprocess_query(t.query, stopwords), vocab, config.max_seq_len)),
+            positive, tuple(seqs[i] for i in drawn)))
     return triples
 
 
@@ -657,7 +659,10 @@ def run_pipeline(config: PipelineConfig, stages) -> dict[str, list[str]]:
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
     workdir = Path(config.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
+    try:
+        workdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # the path, or a directory above it, is a file
+        raise ConfigError(f"cannot make work directory {workdir}: {exc.strerror}") from exc
     lock = workdir / ".lock"
     for attempt in range(2):
         try:
@@ -742,21 +747,10 @@ def main(argv=None) -> int:
         finally:
             gc.unfreeze()
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DependencyError as exc:
-        print(f"dependency error: {exc}", file=sys.stderr)
-        return EXIT_DEPENDENCY
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        prefix, code = next((p, c) for kind, p, c in ERROR_EXITS if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

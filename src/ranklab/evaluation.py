@@ -291,7 +291,7 @@ def read_qrels(path) -> Qrels:
 
 
 def load_split(path) -> QuerySplit:
-    """Parse "query_id old|new" lines into a QuerySplit."""
+    """Parse "query_id old|new" lines into a QuerySplit; a query id may appear once."""
     old, new = set(), set()
     for line_no, line in read_lines(path):
         parts = line.split()
@@ -301,5 +301,7 @@ def load_split(path) -> QuerySplit:
             query_id = int(parts[0])
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from exc
+        if query_id in old or query_id in new:
+            raise ParseError(path, line_no, f"query_id {query_id} is already split")
         (old if parts[1] == "old" else new).add(query_id)
     return QuerySplit.from_ids(old, new)

@@ -7,11 +7,16 @@ overlap fraction, matched-idf sum, query length, bias. Document vectors come
 only from a DenseIndex (the one train-dense writes to dense_index.bin) and
 document terms only from the InvertedIndex (index.bin); a content term is
 matched when it is not a stopword and its tf in the document is positive.
+
+FeatureExtractor.candidates stacks a stage's candidate lists, all one length,
+with their feature rows; `rerank` rescores such a stack in one pass, for the
+rerank and depth-sweep stages and select-train's dev set alike.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +29,9 @@ from .sparse import (
     DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, bm25_top_k, idf, ranked_entries,
 )
 from .stopwords import ENGLISH_STOPWORDS
-from .subword import DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, tokenize
+from .subword import DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, tokenize_query
 
 N_FEATURES = 6
-FEATURE_NAMES = ("bm25", "dense_sim", "overlap", "matched_idf", "query_len", "bias")
 
 DEFAULT_DEPTH = 100
 DEFAULT_ALPHA = 0.5
@@ -59,6 +63,17 @@ class Ranker:
         return checked(path, cls, arrays["weights"])
 
 
+@dataclass(frozen=True)
+class Candidates:
+    """Candidate lists as (queries x n) `doc_ids`, their `ranks` in doc-id
+    order and their (queries x n x 6) ranker `features`, in list order."""
+
+    query_ids: list[int]
+    doc_ids: np.ndarray
+    ranks: np.ndarray
+    features: np.ndarray
+
+
 class FeatureExtractor:
     """Computes the reranker's feature vectors for (query terms, documents).
 
@@ -88,7 +103,7 @@ class FeatureExtractor:
         out = np.zeros((len(ordinals), N_FEATURES))
         out[:, 0] = bm25[ordinals] if bm25 is not None else [
             bm25_score(self.index, query_terms, o, self.k1, self.b) for o in ordinals.tolist()]
-        ids = tokenize(" ".join(query_terms), self.vocab, self.max_length)
+        ids = tokenize_query(query_terms, self.vocab, self.max_length)
         qv = pool(self.encoder.table, [ids])[0]
         # np.vecdot, unlike a mat-vec product, gives each row similarity()'s exact dot
         out[:, 1] = np.vecdot(self.dense_index.vectors[ordinals], qv)
@@ -106,43 +121,46 @@ class FeatureExtractor:
     def features(self, query_terms, doc_id: str) -> np.ndarray:
         return self.features_matrix(query_terms, [self.index.ordinal_of[doc_id]])[0]
 
-    def candidates(self, query, k: int, fuse=None) -> tuple[RankedList, np.ndarray]:
-        """The BM25 top-k of `query` (passed through `fuse` when given) and the
-        (n, 6) ranker feature rows of its documents, in the list's order. The
-        BM25 list stays ordinals until its entries are written; only a fused
-        list, which holds doc ids, is looked up again."""
-        terms = query.processed_terms
-        ordinals, scores = bm25_top_k(self.index, terms, k, self.k1, self.b)
-        ranked = RankedList(query.query_id, ranked_entries(self.index.doc_ids, ordinals, scores))
-        if fuse is not None:
-            ranked = fuse(ranked)
-            ordinals = [self.index.ordinal_of[d] for d in ranked.doc_ids()]
-        return ranked, self.features_matrix(terms, ordinals, scores)
+    def candidates(self, queries, k: int, fuse=None) -> Candidates:
+        """The BM25 top-k of every query, passed through `fuse` (RankedList to
+        RankedList) when given, and its feature rows. Every BM25 list fills to
+        n = min(k, corpus size), and a union-fused list is the RRF top-k of two
+        lists that long; only a fused list is looked up by doc id again."""
+        queries = list(queries)
+        ordinals = np.empty((len(queries), min(k, self.index.doc_count)), dtype=np.intp)
+        features = np.empty((*ordinals.shape, N_FEATURES))
+        for i, query in enumerate(queries):
+            terms = query.processed_terms
+            top, scores = bm25_top_k(self.index, terms, k, self.k1, self.b)
+            if fuse is not None:
+                base = RankedList(query.query_id, ranked_entries(self.index.doc_ids, top, scores))
+                top = [self.index.ordinal_of[d] for d in fuse(base).doc_ids()]
+            ordinals[i] = top
+            features[i] = self.features_matrix(terms, top, scores)
+        doc_ids = np.array(self.index.doc_ids, dtype=object)[ordinals]
+        return Candidates([q.query_id for q in queries], doc_ids, self.index.doc_rank[ordinals], features)
 
 
-def rerank(ranker: Ranker, candidates: RankedList, depth: int, features) -> RankedList:
-    """Rescore the top-`depth` candidates; the rest keep base order below them.
-
-    `features` holds the candidates' (n, 6) feature rows in list order, as
-    FeatureExtractor.candidates returns them; only the first `depth` are read.
-    Tied ranker scores stay equal and keep doc-id order; the tail scores block
-    minimum - 1, - 2, ... Raises NumericError when a rescored score is
-    non-finite or a tail score would reach 2**52 in magnitude.
-    """
+def rerank(ranker: Ranker, candidates: Candidates, depth: int) -> list[RankedList]:
+    """Each list with its top-`depth` candidates rescored by `ranker`, ordered
+    by (-score, doc id), so tied scores keep doc-id order, and the rest below
+    them in base order, scoring block minimum - 1, - 2, ... Raises NumericError
+    when a rescored score is non-finite or a tail score would reach 2**52."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if not candidates.entries:
-        return candidates
-    block = [doc_id for doc_id, _ in candidates.entries[:depth]]
-    scores = np.vecdot(features[: len(block)], ranker.weights)
+    scores = np.vecdot(candidates.features[:, :depth], ranker.weights)
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite score in reranking")
-    rescored = sorted(zip(block, scores.tolist()), key=lambda e: (-e[1], e[0]))
-    tail_start, tail = rescored[-1][1] - 1.0, candidates.entries[depth:]
-    if tail and abs(tail_start) + len(tail) >= 2.0**52:  # where steps of 1.0 can round away
+    order = np.lexsort((candidates.ranks[:, :depth], -scores), axis=-1)
+    scores = np.take_along_axis(scores, order, axis=-1)
+    block = np.take_along_axis(candidates.doc_ids[:, :depth], order, axis=-1)
+    tail_start, tail = scores[:, -1:] - 1.0, candidates.doc_ids[:, depth:]
+    if tail.size and np.any(np.abs(tail_start) + tail.shape[1] >= 2.0**52):  # 1.0 steps round away
         raise NumericError("reranked scores too large to rank the tail below them")
-    tail = [(doc_id, tail_start - i) for i, (doc_id, _) in enumerate(tail)]
-    return RankedList(candidates.query_id, tuple(rescored + tail))
+    doc_ids = np.concatenate((block, tail), axis=1)
+    scores = np.concatenate((scores, tail_start - np.arange(tail.shape[1])), axis=1)
+    return [RankedList(qid, tuple(zip(ids.tolist(), s.tolist())))
+            for qid, ids, s in zip(candidates.query_ids, doc_ids, scores)]
 
 
 def pairwise_train_step(ranker: Ranker, feature_pairs, learning_rate: float) -> tuple[Ranker, float]:
@@ -164,11 +182,10 @@ def pairwise_train_step(ranker: Ranker, feature_pairs, learning_rate: float) -> 
         # stable softplus(-margin)
         if margin >= 0:
             total += math.log1p(math.exp(-margin))
+            sig = 1.0 / (1.0 + math.exp(-margin))
         else:
             total += -margin + math.log1p(math.exp(margin))
-        sig = 1.0 / (1.0 + math.exp(-margin)) if margin >= 0 else (
-            math.exp(margin) / (1.0 + math.exp(margin))
-        )
+            sig = math.exp(margin) / (1.0 + math.exp(margin))
         grad += scale * (sig - 1.0) * diff
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient in pairwise training step")
@@ -227,21 +244,17 @@ def fuse_base_union(bm25_list: RankedList, dense_list: RankedList, k: int,
     return reciprocal_rank_fusion([bm25_list, dense_list], k, rrf_k)
 
 
-def depth_sweep(ranker: Ranker, base_runs, depths, qrels: Qrels, features_by_query,
+def depth_sweep(ranker: Ranker, candidates: Candidates, depths, qrels: Qrels,
                 k: int = 10) -> dict[int, dict[str, float]]:
-    """Evaluate NDCG@k and P@5 of reranking at each depth; one row per depth.
-
-    `features_by_query` maps a query id to its base list's (n, 6) feature rows
-    in list order, as rerank reads them. Each row is the overall line of
-    old_new_report over the queries in `qrels`; a judged query with no base
-    list scores 0."""
+    """Evaluate NDCG@k and P@5 of reranking `candidates` at each depth; one
+    row per depth. Each row is the overall line of old_new_report over the
+    queries in `qrels`; a judged query without candidates scores 0."""
     if not depths:
         raise ValueError("depths must be non-empty")
     split = QuerySplit.from_ids((), qrels.query_ids())
     table: dict[int, dict[str, float]] = {}
     for depth in depths:
-        run = Run({qid: rerank(ranker, base_runs[qid], depth, features_by_query[qid])
-                   for qid in qrels.query_ids() if qid in base_runs})
+        run = Run(dict(zip(candidates.query_ids, rerank(ranker, candidates, depth))))
         overall = old_new_report(run, qrels, split, k).overall
         table[depth] = {f"ndcg@{k}": overall.ndcg, "p@5": overall.precision}
     return table

@@ -201,6 +201,12 @@ def tokenize(text: str, vocab: SubwordVocab, max_length: int = DEFAULT_MAX_SEQUE
     return ids
 
 
+def tokenize_query(terms, vocab: SubwordVocab, max_length: int) -> list[int]:
+    """A query's piece ids, as every stage encodes a query: its processed terms
+    joined by spaces, tokenized and truncated at max_length."""
+    return tokenize(" ".join(terms), vocab, max_length)
+
+
 def detokenize(ids, vocab: SubwordVocab) -> str:
     """Concatenate the pieces for a single word's ids."""
     return "".join(vocab.pieces[i] for i in ids)

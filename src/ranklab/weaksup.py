@@ -29,13 +29,12 @@ from .errors import (
     ConfigError,
     DegeneratePairError,
     GenerationError,
-    NumericError,
     ParseError,
     ToolkitWarning,
 )
 from .evaluation import mean_ndcg
-from .rerank import N_FEATURES, FeatureExtractor, Ranker, pairwise_train_step
-from .sparse import InvertedIndex, RankedList, idf, search_topk
+from .rerank import N_FEATURES, FeatureExtractor, Ranker, pairwise_train_step, rerank
+from .sparse import InvertedIndex, idf, search_topk
 from .stopwords import ENGLISH_STOPWORDS
 
 DEFAULT_MAX_QUERY_TERMS = 6
@@ -272,39 +271,24 @@ class SelectorPolicy:
 class SelectionContext:
     """Frozen dev-set evaluation shared across selection steps.
 
-    Holds the BM25 top-`depth` candidates of each dev query, from `extractor`,
-    stacked in one layout of (queries x n), n = min(depth, corpus size), since
-    a BM25 list always fills to its k: `features` the (queries x n x 6) ranker
-    rows, `ranks` each document's position in doc-id order and `doc_ids`.
-    dev_ndcg scores every list with one product and orders each row by
-    (-score, doc id), as rerank orders a list it rescores whole; it keeps the
+    Holds the BM25 top-`depth` candidates of every dev query, from
+    `extractor`, as one stacked Candidates. dev_ndcg reranks them all at full
+    depth with rerank, the one rescoring the ranking stages use; it keeps the
     values of the last two rankers, a step's and its trial's.
     """
 
     k = 10  # dev rankings are scored by NDCG@k
 
     def __init__(self, extractor: FeatureExtractor, dev_queries, qrels: Qrels, depth: int = 50):
-        self.qrels = qrels
-        index = extractor.index
-        lists = [extractor.candidates(q, depth) for q in dev_queries]
-        shape = (len(lists), min(depth, index.doc_count))
-        self.query_ids = [base.query_id for base, _ in lists]
-        self.doc_ids = np.array([base.doc_ids() for base, _ in lists], dtype=object).reshape(shape)
-        self.ranks = index.doc_rank[[index.ordinal_of[d] for d in self.doc_ids.flat]].reshape(shape)
-        self.features = np.array([rows for _, rows in lists]).reshape(*shape, N_FEATURES)
+        self.qrels, self.depth = qrels, depth
+        self.candidates = extractor.candidates(dev_queries, depth)
         self._dev_memo: dict[bytes, float] = {}
 
     def dev_ndcg(self, ranker: Ranker) -> float:
         key = ranker.weights.tobytes()
         value = self._dev_memo.pop(key, None)
         if value is None:
-            scores = np.vecdot(self.features, ranker.weights)
-            if not np.all(np.isfinite(scores)):
-                raise NumericError("non-finite score in reranking")
-            top = np.lexsort((self.ranks, -scores), axis=-1)[:, : self.k]
-            rows = zip(self.query_ids, self.doc_ids, scores, top)
-            value = mean_ndcg((RankedList(qid, tuple(zip(ids[o].tolist(), s[o].tolist())))
-                               for qid, ids, s, o in rows), self.qrels, self.k)
+            value = mean_ndcg(rerank(ranker, self.candidates, self.depth), self.qrels, self.k)
         self._dev_memo = {**dict(list(self._dev_memo.items())[-1:]), key: value}
         return value
 

@@ -156,3 +156,56 @@ def test_train_dense_on_malformed_vocab_is_one_line_exit_2(base, tmp_path, capsy
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == (
         f"config error: {vocab}: vocab chars must be distinct single characters\n")
+
+
+# each case makes one bad path under the copied root and returns the argv
+# that names it, and the one stderr line it must end in
+def _config_missing(root):
+    path = root / "missing.txt"
+    return ["index", "--config", str(path)], f"config error: config file not found: {path}"
+
+
+def _config_directory(root):
+    path = root / "w"
+    return ["index", "--config", str(path)], f"config error: config file not found: {path}"
+
+
+def _workdir_is_a_file(root):
+    path = _write(root / "workfile", "")
+    return (["index", "--workdir", str(path)],
+            f"config error: cannot make work directory {path}: File exists")
+
+
+def _workdir_under_a_file(root):
+    path = _write(root / "workfile", "") / "w"
+    return (["index", "--workdir", str(path)],
+            f"config error: cannot make work directory {path}: Not a directory")
+
+
+def _split_misses_judged_queries(root):
+    path = _write(root / "split.txt", "1 old\n2 new\n")
+    return (["evaluate", "--split-file", str(path)],
+            f"config error: split file {path} does not cover judged queries [3, 4]")
+
+
+def _split_repeats_a_query(root):
+    path = _write(root / "split.txt", "1 old\n2 new\n3 old\n4 new\n2 old\n")
+    return (["evaluate", "--split-file", str(path)],
+            f"input error: {path}:5: query_id 2 is already split")
+
+
+@pytest.mark.parametrize("case", [
+    _config_missing, _config_directory, _workdir_is_a_file, _workdir_under_a_file,
+    _split_misses_judged_queries, _split_repeats_a_query,
+])
+def test_bad_path_or_split_is_one_line_exit_2(base, tmp_path, capsys, case):
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    argv, message = case(root)
+    capsys.readouterr()
+    # a --workdir the case gives comes after the fixture's and wins
+    code = main([*argv[:1], "--corpus", str(root / "corpus.jsonl"),
+                 "--queries", str(root / "queries.tsv"), "--qrels", str(root / "qrels.txt"),
+                 "--workdir", str(root / "w"), "--set", "vocab_size=600", *argv[1:]])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == message + "\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ranklab.corpus import Document, Query
 from ranklab.dense import DenseEncoder, build_dense_index, encode, similarity
-from ranklab.rerank import FeatureExtractor, Ranker, rerank
+from ranklab.rerank import Candidates, FeatureExtractor, Ranker, rerank
 from ranklab.sparse import RankedList, bm25_scores, build_index, idf, search_topk
 from ranklab.subword import tokenize, train_subword_vocab
 
@@ -27,6 +27,24 @@ def extractor_of(texts, max_length=64):
     return FeatureExtractor(build_index(docs), ENCODER, VOCAB,
                             build_dense_index(ENCODER, docs, VOCAB, max_length), k1=1.1, b=0.3,
                             stopwords=STOPWORDS, max_length=max_length)
+
+
+def stacked(lists, rows) -> Candidates:
+    """Hand-built ranked lists of one length and their feature rows in list
+    order, stacked as FeatureExtractor.candidates stacks its lists; the doc-id
+    ranks follow the ids' string order."""
+    lists, rows = list(lists), list(rows)
+    rank = {d: i for i, d in enumerate(sorted({d for r in lists for d in r.doc_ids()}))}
+    shape = (len(lists), len(lists[0].entries) if lists else 0)
+    doc_ids = np.array([r.doc_ids() for r in lists], dtype=object).reshape(shape)
+    ranks = np.array([[rank[d] for d in r.doc_ids()] for r in lists], dtype=np.intp).reshape(shape)
+    return Candidates([r.query_id for r in lists], doc_ids, ranks,
+                      np.array(rows, dtype=np.float64).reshape(*shape, 6))
+
+
+def rerank_one(ranker, candidates, depth, rows):
+    """rerank of one hand-built list and its rows in list order."""
+    return rerank(ranker, stacked([candidates], [rows]), depth)[0]
 
 
 def reference_features(extractor, query_terms, ordinal):
@@ -77,7 +95,9 @@ def test_features_matrix_rows_equal_former_features_bit_for_bit(texts, terms, da
 def test_candidates_are_the_bm25_list_and_its_features(texts, terms, k):
     extractor = extractor_of(texts)
     query = Query(3, " ".join(terms), tuple(terms))
-    ranked, features = extractor.candidates(query, k)
+    stack = extractor.candidates([query], k)
+    features = stack.features[0]
+    ranked = RankedList(3, tuple(zip(stack.doc_ids[0].tolist(), features[:, 0].tolist())))
     assert ranked == search_topk(extractor.index, query, k, extractor.k1, extractor.b)
     assert features.shape == (len(ranked.entries), 6)
     for doc_id, row in zip(ranked.doc_ids(), features):
@@ -89,10 +109,11 @@ def test_candidates_feature_every_entry_of_the_fused_list():
     extractor = extractor_of(["trial cohort", "vaccine", "antibody trial", "cohort"])
     query = Query(1, "trial", ("trial",))
     extra = ("d1", 0.0)
-    ranked, features = extractor.candidates(
-        query, 2, lambda base: RankedList(base.query_id, base.entries + (extra,)))
-    assert ranked.doc_ids()[-1] == "d1"
-    assert features.shape == (len(ranked.entries), 6)
+    stack = extractor.candidates(
+        [query], 2, lambda base: RankedList(base.query_id, base.entries[:-1] + (extra,)))
+    doc_ids, features = stack.doc_ids[0].tolist(), stack.features[0]
+    assert doc_ids[-1] == "d1"
+    assert features.shape == (len(doc_ids), 6)
     assert features[-1][0] == 0.0 and features[-1][1] != 0.0
 
 
@@ -117,7 +138,7 @@ def test_rerank_equals_scoring_row_by_row(n, depth, seed):
     features = dict(zip(docs, rows))
     expected = reference_rerank(Ranker(weights), candidates, depth, features)
     rows = np.array([features[d] for d in candidates.doc_ids()])
-    assert rerank(Ranker(weights), candidates, depth, rows) == expected
+    assert rerank_one(Ranker(weights), candidates, depth, rows) == expected
 
 
 def test_features_without_scores_call_bm25_score(monkeypatch):
@@ -129,7 +150,7 @@ def test_features_without_scores_call_bm25_score(monkeypatch):
     monkeypatch.setattr(ranklab.rerank, "bm25_score", lambda *a: calls.append(a) or real(*a))
     extractor.features(["trial"], "d1")
     assert len(calls) == 1
-    extractor.candidates(Query(1, "trial", ("trial",)), 2)
+    extractor.candidates([Query(1, "trial", ("trial",))], 2)
     assert len(calls) == 1
     with pytest.raises(KeyError):
         extractor.features(["trial"], "missing")

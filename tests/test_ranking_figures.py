@@ -15,11 +15,12 @@ from ranklab.corpus import Qrels, Query
 from ranklab.dense import DenseEncoder, build_dense_index, dense_search_topk
 from ranklab.errors import ConfigError, NumericError
 from ranklab.evaluation import mean_ndcg, ndcg_at_k, precision_at_k
-from ranklab.rerank import FeatureExtractor, Ranker, depth_sweep, rerank
-from ranklab.sparse import RankedList
+from ranklab.rerank import FeatureExtractor, Ranker, depth_sweep
+from ranklab.sparse import RankedList, search_topk
 from ranklab.subword import tokenize
 from ranklab.weaksup import SelectionContext
-from test_feature_matrix import WORDS, extractor_of
+from test_candidate_arrays import former_rerank
+from test_feature_matrix import WORDS, extractor_of, stacked
 
 DOCS = [f"d{i}" for i in range(8)]
 QUERY_IDS = [1, 2, 3, 4, 5]
@@ -39,7 +40,7 @@ def reference_depth_sweep(ranker, base_runs, depths, qrels, features_by_query, k
                 ndcgs.append(0.0)
                 precs.append(0.0)
                 continue
-            reranked = rerank(ranker, base, depth, features_by_query[query_id])
+            reranked = former_rerank(ranker, base, depth, features_by_query[query_id])
             ndcgs.append(ndcg_at_k(reranked, entry, k))
             precs.append(precision_at_k(reranked, entry, 5))
         table[depth] = {
@@ -54,8 +55,9 @@ def reference_dev_ndcg(extractor, queries, qrels, depth, ranker, k=10):
     lists: each dev query's candidates reranked one list at a time."""
     values = []
     for query in queries:
-        base, rows = extractor.candidates(query, depth)
-        reranked = rerank(ranker, base, depth, rows)
+        base = search_topk(extractor.index, query, depth, extractor.k1, extractor.b)
+        rows = extractor.candidates([query], depth).features[0]
+        reranked = former_rerank(ranker, base, depth, rows)
         values.append(ndcg_at_k(reranked, qrels.judgments.get(query.query_id, {}), k))
     return sum(values) / len(values) if values else 0.0
 
@@ -75,7 +77,8 @@ def reference_dense_dev_ndcg(index, encoder, vocab, queries, qrels, max_length):
 @st.composite
 def sweep_inputs(draw):
     """Judged queries with and without base lists, unjudged queries with base
-    lists, grades of 0 only, and empty qrels all occur."""
+    lists, grades of 0 only, and empty qrels all occur; the base lists share
+    one length, as stacked candidates do."""
     judged = draw(st.lists(st.sampled_from(QUERY_IDS), unique=True))
     qrels = Qrels()
     for qid in judged:
@@ -84,8 +87,9 @@ def sweep_inputs(draw):
     listed = draw(st.lists(st.sampled_from(QUERY_IDS), unique=True))
     score = st.floats(-5, 5, allow_nan=False)
     base_runs, features = {}, {}
+    n = draw(st.integers(0, len(DOCS)))
     for qid in listed:
-        docs = draw(st.lists(st.sampled_from(DOCS), unique=True))
+        docs = draw(st.lists(st.sampled_from(DOCS), min_size=n, max_size=n, unique=True))
         base_runs[qid] = RankedList.from_scores(qid, [(d, draw(score)) for d in docs])
         rows = {d: np.array([draw(score) for _ in range(6)]) for d in docs}
         features[qid] = np.array([rows[d] for d in base_runs[qid].doc_ids()]).reshape(-1, 6)
@@ -112,14 +116,14 @@ def _bundle(judged, listed, k=10):
 @example(_bundle({3: {"d1": 0}}, [3], k=1))  # judged, nothing relevant
 def test_depth_sweep_matches_the_former_loop(inputs):
     qrels, base_runs, features, ranker, depths, k = inputs
-    assert (depth_sweep(ranker, base_runs, depths, qrels, features, k)
+    assert (depth_sweep(ranker, stacked(base_runs.values(), features.values()), depths, qrels, k)
             == reference_depth_sweep(ranker, base_runs, depths, qrels, features, k))
 
 
 def test_depth_sweep_rejects_empty_depths():
     qrels, base_runs, features, ranker, _, k = _bundle({1: {"d1": 1}}, [1])
     with pytest.raises(ValueError, match="depths must be non-empty"):
-        depth_sweep(ranker, base_runs, [], qrels, features, k)
+        depth_sweep(ranker, stacked(base_runs.values(), features.values()), [], qrels, k)
 
 
 # -- mean_ndcg --------------------------------------------------------------
@@ -163,7 +167,7 @@ def test_stacked_dev_ndcg_matches_the_former_loop(texts, query_terms, depth, see
         for doc in rng.choice(len(texts), size=min(3, len(texts)), replace=False).tolist():
             qrels.add(query.query_id, f"d{doc}", int(rng.integers(0, 3)))
     context = SelectionContext(extractor, queries, qrels, depth)
-    assert context.features.shape == (len(queries), min(depth, len(texts)), 6)
+    assert context.candidates.features.shape == (len(queries), min(depth, len(texts)), 6)
     for ranker in (Ranker(), Ranker([0, 0, 1.0, 0, 0, 0]), Ranker(rng.normal(size=6))):
         assert (context.dev_ndcg(ranker)
                 == reference_dev_ndcg(extractor, queries, qrels, depth, ranker))

@@ -18,15 +18,17 @@ from ranklab.rerank import (
     pairwise_train_step,
     reciprocal_rank_fusion,
 )
-from ranklab.rerank import rerank as rerank_op
 from ranklab.sparse import RankedList
+from test_feature_matrix import rerank_one as rerank_op
+from test_feature_matrix import stacked
 
 
 def feature_table(doc_scores, candidates):
     """Feature rows, in the candidates' order, that make the ranker score equal
-    a chosen value per doc; `doc_scores` covers the leading candidates."""
-    return np.array([[doc_scores[doc], 0, 0, 0, 0, 0]
-                     for doc in candidates.doc_ids()[: len(doc_scores)]], dtype=np.float64)
+    a chosen value per doc; `doc_scores` covers the leading candidates, and
+    the rows below them, which rerank never reads, score 0."""
+    return np.array([[doc_scores.get(doc, 0.0), 0, 0, 0, 0, 0]
+                     for doc in candidates.doc_ids()], dtype=np.float64)
 
 
 BM25_ONLY = Ranker(np.array([1.0, 0, 0, 0, 0, 0]))
@@ -250,7 +252,8 @@ class TestDepthSweep:
 
     def test_three_rows(self):
         qrels, base_runs, features = self.setup_bundle()
-        table = depth_sweep(BM25_ONLY, base_runs, [20, 50, 100], qrels, features)
+        table = depth_sweep(BM25_ONLY, stacked(base_runs.values(), features.values()),
+                            [20, 50, 100], qrels)
         assert sorted(table) == [20, 50, 100]
         for row in table.values():
             assert set(row) == {"ndcg@10", "p@5"}
@@ -259,7 +262,7 @@ class TestDepthSweep:
         from ranklab.evaluation import ndcg_at_k, precision_at_k
 
         qrels, base_runs, features = self.setup_bundle()
-        table = depth_sweep(BM25_ONLY, base_runs, [4], qrels, features)
+        table = depth_sweep(BM25_ONLY, stacked(base_runs.values(), features.values()), [4], qrels)
         ndcgs, precs = [], []
         for qid in (1, 2):
             out = rerank_op(BM25_ONLY, base_runs[qid], 4, features[qid])
@@ -270,9 +273,10 @@ class TestDepthSweep:
 
     def test_rows_match_independent_runs(self):
         qrels, base_runs, features = self.setup_bundle()
-        combined = depth_sweep(BM25_ONLY, base_runs, [2, 6], qrels, features)
+        candidates = stacked(base_runs.values(), features.values())
+        combined = depth_sweep(BM25_ONLY, candidates, [2, 6], qrels)
         for depth in (2, 6):
-            single = depth_sweep(BM25_ONLY, base_runs, [depth], qrels, features)
+            single = depth_sweep(BM25_ONLY, candidates, [depth], qrels)
             assert combined[depth] == single[depth]
 
 

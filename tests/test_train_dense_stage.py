@@ -7,6 +7,7 @@ import pytest
 
 import ranklab.cli
 import ranklab.dense
+import ranklab.subword
 from ranklab.cli import EXIT_CONFIG, PipelineConfig, main, run_pipeline
 from ranklab.corpus import load_corpus, load_queries
 from ranklab.stopwords import ENGLISH_STOPWORDS
@@ -64,6 +65,8 @@ def test_train_dense_tokenizes_each_document_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ranklab.cli, "tokenize", counting(ranklab.cli.tokenize))
     monkeypatch.setattr(ranklab.dense, "tokenize", counting(ranklab.dense.tokenize))
+    # queries are tokenized through subword.tokenize_query
+    monkeypatch.setattr(ranklab.subword, "tokenize", counting(ranklab.subword.tokenize))
     run_pipeline(config, ["train-dense"])
     docs = [d.text() for d in load_corpus(corpus)]
     triple_queries = [t.query for t in read_triples(tmp_path / "w" / "weak_triples.jsonl")]

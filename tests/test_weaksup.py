@@ -278,16 +278,17 @@ def test_selection_context_uses_its_bm25_parameters(separable):
                                queries, separable["qrels"], depth=20)
     for i, query in enumerate(queries):
         base = search_topk(index, query, 20, 1.5, DEFAULT_B)
-        assert context.doc_ids[i].tolist() == base.doc_ids()
-        assert context.features[i, :, 0].tolist() == [score for _, score in base.entries]
-        doc_id = context.doc_ids[i, 0]
-        assert context.features[i, 0, 0] == bm25_score(
+        assert context.candidates.doc_ids[i].tolist() == base.doc_ids()
+        assert context.candidates.features[i, :, 0].tolist() == [score for _, score in base.entries]
+        doc_id = context.candidates.doc_ids[i, 0]
+        assert context.candidates.features[i, 0, 0] == bm25_score(
             index, query.processed_terms, index.ordinal_of[doc_id], 1.5, DEFAULT_B)
     default = SelectionContext(
         FeatureExtractor(index, encoder, vocab, dense_index), queries, separable["qrels"],
         depth=20)
-    assert not (np.array_equal(context.doc_ids, default.doc_ids)
-                and np.array_equal(context.features[..., 0], default.features[..., 0]))
+    assert not (np.array_equal(context.candidates.doc_ids, default.candidates.doc_ids)
+                and np.array_equal(context.candidates.features[..., 0],
+                                   default.candidates.features[..., 0]))
 
 
 class TestReinfoSelect:
