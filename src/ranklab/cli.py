@@ -14,8 +14,10 @@ manifest line lists exactly those files. Stages still exchange only files, but
 they parse them through StageRunner.load: within one pipeline run, a file that
 has not changed since a stage parsed it is not parsed again, and a rewritten
 file, whose size, mtime or inode differs, is. index.bin alone is loaded afresh
-by every stage that reads it. dapt and train-dense share the tokenized corpus,
-kept the same way under the corpus file, the vocab and max_seq_len.
+by every stage that reads it. dapt and train-dense share the corpus that
+subword.tokenize_corpus encodes, kept the same way under the corpus file, the
+vocab and max_seq_len; every dense index train-dense scores or saves pools it
+through dense.build_dense_index.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
@@ -57,7 +59,7 @@ from .evaluation import (
 from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index, coverage_at_k, search_topk
 from .stopwords import ENGLISH_STOPWORDS, load_stopwords
 from .subword import (
-    DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, subword_ratio, tokenize, tokenize_query,
+    DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, subword_ratio, tokenize_corpus, tokenize_query,
     train_subword_vocab,
 )
 
@@ -128,8 +130,8 @@ class PipelineConfig:
     vocab_size: int = _key(2000, "--vocab-size", ("ingest",), ">= 2")
     max_seq_len: int = _key(DEFAULT_MAX_SEQUENCE_LENGTH, bound=">= 1")
     # sparse retrieval
-    k1: float = _key(DEFAULT_K1, "--k1", ("index", "rerank"), ">= 0")
-    b: float = _key(DEFAULT_B, "--b", ("index", "rerank"), "in [0, 1]")
+    k1: float = _key(DEFAULT_K1, "--k1", ("rerank",), ">= 0")
+    b: float = _key(DEFAULT_B, "--b", ("rerank",), "in [0, 1]")
     topk: int = _key(100, "--topk", ("rerank", "depth-sweep"), ">= 1")
     # dense retrieval
     dim: int = _key(dense.DEFAULT_DIM, "--dim", ("dapt", "train-dense"), ">= 1")
@@ -176,6 +178,8 @@ class PipelineConfig:
         for f in dataclasses.fields(self):
             value, bound, choices = (
                 getattr(self, f.name), f.metadata.get("bound"), f.metadata.get("choices"))
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
             if bound and not BOUNDS[bound](value):
                 raise ConfigError(f"{f.name} must be {bound}")
             if choices and value not in choices:
@@ -330,7 +334,7 @@ class StageRunner:
         return vocab, self.load(self.input("corpus"), self._tokenize, vocab, self.config.max_seq_len)
 
     def _tokenize(self, path, vocab, max_len):
-        return {d.doc_id: tuple(tokenize(d.text(), vocab, max_len)) for d in self.load(path, load_corpus)}
+        return tokenize_corpus(self.load(path, load_corpus), vocab, max_len)
 
     # -- stages -------------------------------------------------------------
 
@@ -384,7 +388,6 @@ class StageRunner:
         qrels = self.load_qrels() if self.config.qrels_path else None
         dev = {q.query_id: tokenize_query(q.processed_terms, vocab, self.config.max_seq_len)
                for q in dev_queries} if qrels is not None else {}
-        index = dense.DenseIndex(np.empty((len(pieces), encoder.dim)), pieces)  # pooled below
         order = np.arange(len(triples))
         for epoch in range(self.config.dense_epochs):
             rng.shuffle(order)
@@ -396,21 +399,15 @@ class StageRunner:
             if (epoch + 1) % self.config.eval_every_steps == 0 or epoch == self.config.dense_epochs - 1:
                 message = f"[train-dense] epoch {epoch + 1} loss {np.mean(losses):.6f}"
                 if dev:
-                    index.vectors = dense.pool(encoder.table, pieces.values())
-                    ndcg = self._dense_dev_ndcg(index, encoder, dev, qrels)
-                    message += f" dev-ndcg@10 {ndcg:.6f}"
+                    index = dense.build_dense_index(encoder, pieces)
+                    rankings = [dense.dense_search_topk(index, encoder, ids, 10, query_id)
+                                for query_id, ids in dev.items()]
+                    message += f" dev-ndcg@10 {mean_ndcg(rankings, qrels, 10):.6f}"
                 print(message)
         encoder.save(self.write("encoder"))
-        if not dev:  # else the final epoch's evaluation pooled it from this encoder
-            index.vectors = dense.pool(encoder.table, pieces.values())
+        if not dev:  # else the final epoch's evaluation built it from this encoder
+            index = dense.build_dense_index(encoder, pieces)
         index.save(self.write("dense_index"))
-
-    @staticmethod
-    def _dense_dev_ndcg(index, encoder, query_pieces, qrels) -> float:
-        """Mean NDCG@10 of dense retrieval for query id -> piece ids."""
-        rankings = [dense.dense_search_topk(index, encoder, ids, 10, query_id)
-                    for query_id, ids in query_pieces.items()]
-        return mean_ndcg(rankings, qrels, 10)
 
     def stage_synth_weak(self):
         index = InvertedIndex.load(self.read("index"))
@@ -418,7 +415,7 @@ class StageRunner:
         triples = weaksup.synthesize_triples(
             docs, index, self.config.triples_count, self.config.seed,
             self.config.retrieval_depth, self.config.max_query_terms,
-            self.stopwords(), self.config.include_stage1)
+            self.stopwords(), self.config.include_stage1, k1=self.config.k1, b=self.config.b)
         weaksup.write_triples(triples, self.write("weak_triples"))
 
     def _feature_extractor(self):
@@ -717,13 +714,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> PipelineConfig:
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    for key in vars(args):
-        if key in ("command", "config", "set", "stages"):
-            continue
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
+    # an unset flag is None, which with_overrides skips
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("command", "config", "set", "stages")}
     for item in getattr(args, "set", []):
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

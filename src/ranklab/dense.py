@@ -2,6 +2,9 @@
 similarity, softmax contrastive loss over m negatives (a training step pools
 its whole batch once), and exact top-k search.
 
+Everything here works on piece ids: build_dense_index, the one source of
+document vectors, pools the corpus that subword.tokenize_corpus encodes.
+
 The optimizer is plain gradient descent with a fixed rate so analytic
 gradients can be checked against finite differences exactly.
 """
@@ -17,7 +20,6 @@ import numpy as np
 from .checkpoint import checked, load_arrays, save_arrays
 from .errors import NumericError, ToolkitWarning
 from .sparse import RankedList, doc_id_ranks, top_k_entries
-from .subword import DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, tokenize
 
 DEFAULT_DIM = 64
 DEFAULT_LEARNING_RATE = 0.05
@@ -133,15 +135,6 @@ class TrainingTriple:
         if self.positive_ids in self.negative_ids:
             raise ValueError("positive document also listed as a negative")
 
-    @classmethod
-    def from_texts(cls, query: str, positive: str, negatives, vocab: SubwordVocab,
-                   max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH) -> "TrainingTriple":
-        return cls(
-            tuple(tokenize(query, vocab, max_length)),
-            tuple(tokenize(positive, vocab, max_length)),
-            tuple(tuple(tokenize(n, vocab, max_length)) for n in negatives),
-        )
-
 
 def _loss_and_row_grads(table: np.ndarray, batch) -> tuple[float, list, np.ndarray]:
     """A batch's mean contrastive loss, its sequences (each triple's query,
@@ -223,12 +216,10 @@ class DenseIndex:
         return checked(path, cls, arrays["vectors"], meta["doc_ids"])
 
 
-def build_dense_index(encoder: DenseEncoder, docs, vocab: SubwordVocab,
-                      max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH) -> DenseIndex:
-    """Encode every document (title + abstract) into one vector row."""
-    docs = list(docs)
-    pieces = [tokenize(doc.text(), vocab, max_length) for doc in docs]
-    return DenseIndex(pool(encoder.table, pieces), [doc.doc_id for doc in docs])
+def build_dense_index(encoder: DenseEncoder, pieces: dict) -> DenseIndex:
+    """One pooled vector row per document of `pieces` (doc id -> piece ids, as
+    subword.tokenize_corpus encodes a corpus), in its order."""
+    return DenseIndex(pool(encoder.table, pieces.values()), pieces)
 
 
 def dense_search_topk(index: DenseIndex, encoder: DenseEncoder, query_ids, k: int,

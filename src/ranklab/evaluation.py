@@ -231,7 +231,7 @@ def write_run(run: Run, path) -> None:
 
 def read_run(path) -> Run:
     """Parse a TREC run file; rankings are re-sorted by (score desc, doc_id asc)."""
-    by_query: dict[int, list[tuple[int, str, float]]] = {}
+    by_query: dict[int, dict[str, tuple[int, float]]] = {}  # query id -> doc id -> (rank, score)
     tag = "external"
     for line_no, line in read_lines(path):
         parts = line.split()
@@ -246,10 +246,14 @@ def read_run(path) -> Run:
         if math.isnan(score):
             raise ParseError(path, line_no, "score is not a number")
         tag = parts[5]
-        by_query.setdefault(query_id, []).append((rank, parts[2], score))
+        listed = by_query.setdefault(query_id, {})
+        if parts[2] in listed:
+            raise ParseError(path, line_no, f"doc_id {parts[2]} is listed twice for query {query_id}")
+        listed[parts[2]] = (rank, score)
     rankings: dict[int, RankedList] = {}
     for query_id in sorted(by_query):
-        rows = sorted(by_query[query_id], key=lambda r: r[0])
+        rows = sorted(((rank, doc, score) for doc, (rank, score) in by_query[query_id].items()),
+                      key=lambda r: r[0])
         if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
             warnings.warn(
                 f"{path}: query {query_id} ranks not contiguous from 1; renumbering",

@@ -21,6 +21,9 @@ visited: the next one is the smallest rank (position in the merge list) above
 the last applied rank among the ranks of the word's adjacent pairs. A pair
 keeps every rank it holds, so a merge list that repeats a rule or lists rules
 out of order splits exactly as applying the whole list in order does.
+
+A document is encoded only by tokenize_corpus (doc id -> piece ids) and a
+query only by tokenize_query; every other module works on those piece ids.
 """
 
 from __future__ import annotations
@@ -199,6 +202,12 @@ def tokenize(text: str, vocab: SubwordVocab, max_length: int = DEFAULT_MAX_SEQUE
         if len(ids) >= max_length:
             return ids[:max_length]
     return ids
+
+
+def tokenize_corpus(docs, vocab: SubwordVocab,
+                    max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH) -> dict[str, tuple[int, ...]]:
+    """Doc id -> piece ids of each document, in corpus order: the one document encoding."""
+    return {doc.doc_id: tuple(tokenize(doc.text(), vocab, max_length)) for doc in docs}
 
 
 def tokenize_query(terms, vocab: SubwordVocab, max_length: int) -> list[int]:

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .evaluation import mean_ndcg
 from .rerank import N_FEATURES, FeatureExtractor, Ranker, pairwise_train_step, rerank
-from .sparse import InvertedIndex, idf, search_topk
+from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, idf, search_topk
 from .stopwords import ENGLISH_STOPWORDS
 
 DEFAULT_MAX_QUERY_TERMS = 6
@@ -123,8 +123,8 @@ class SynthesisRecord:
 def synthesize_with_provenance(docs, index: InvertedIndex, count: int, seed: int = 0,
                                retrieval_depth: int = DEFAULT_RETRIEVAL_DEPTH,
                                max_query_terms: int = DEFAULT_MAX_QUERY_TERMS,
-                               stopwords=ENGLISH_STOPWORDS,
-                               include_stage1: bool = False) -> list[SynthesisRecord]:
+                               stopwords=ENGLISH_STOPWORDS, include_stage1: bool = False,
+                               k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[SynthesisRecord]:
     """Run the two-stage pipeline until `count` triples exist or retries run out."""
     if count < 1:
         raise ConfigError(f"triple count must be >= 1, got {count}")
@@ -143,7 +143,7 @@ def synthesize_with_provenance(docs, index: InvertedIndex, count: int, seed: int
             stage1 = generator.generate(seed_doc)
         except GenerationError:
             continue
-        ranked = search_topk(index, stage1.split(), retrieval_depth)
+        ranked = search_topk(index, stage1.split(), retrieval_depth, k1, b)
         pool = ranked.entries[:retrieval_depth]
         half = len(pool) // 2
         pos_pool, neg_pool = pool[:half], pool[half:]
@@ -173,10 +173,10 @@ def synthesize_with_provenance(docs, index: InvertedIndex, count: int, seed: int
 def synthesize_triples(docs, index: InvertedIndex, count: int, seed: int = 0,
                        retrieval_depth: int = DEFAULT_RETRIEVAL_DEPTH,
                        max_query_terms: int = DEFAULT_MAX_QUERY_TERMS,
-                       stopwords=ENGLISH_STOPWORDS,
-                       include_stage1: bool = False) -> list[WeakTriple]:
+                       stopwords=ENGLISH_STOPWORDS, include_stage1: bool = False,
+                       k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[WeakTriple]:
     records = synthesize_with_provenance(
-        docs, index, count, seed, retrieval_depth, max_query_terms, stopwords, include_stage1)
+        docs, index, count, seed, retrieval_depth, max_query_terms, stopwords, include_stage1, k1, b)
     return [r.triple for r in records]
 
 

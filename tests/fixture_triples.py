@@ -5,7 +5,19 @@ experiments."""
 import numpy as np
 
 from ranklab.corpus import Qrels
+from ranklab.dense import TrainingTriple
+from ranklab.subword import DEFAULT_MAX_SEQUENCE_LENGTH, tokenize
 from ranklab.weaksup import WeakTriple
+
+
+def triple_from_texts(query: str, positive: str, negatives, vocab,
+                      max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH) -> TrainingTriple:
+    """A TrainingTriple of the texts' piece ids."""
+    return TrainingTriple(
+        tuple(tokenize(query, vocab, max_length)),
+        tuple(tokenize(positive, vocab, max_length)),
+        tuple(tuple(tokenize(n, vocab, max_length)) for n in negatives),
+    )
 
 
 def make_training_triples(docs, queries, qrels: Qrels, m: int = 4,

@@ -39,7 +39,7 @@ from ranklab.mlm import MlmModel, make_masked_batch, mask_tokens, masked_predict
 from ranklab.rerank import FeatureExtractor, Ranker, fuse_base_union, fuse_interpolate, pairwise_train_step
 from ranklab.sparse import RankedList, bm25_score, build_index, search_topk
 from ranklab.stopwords import ENGLISH_STOPWORDS
-from ranklab.subword import train_subword_vocab, tokenize
+from ranklab.subword import train_subword_vocab, tokenize, tokenize_corpus
 from ranklab.synthetic import make_separable_corpus
 from ranklab.weaksup import (
     SalienceQueryGenerator,
@@ -50,7 +50,7 @@ from ranklab.weaksup import (
     reinfoselect_step,
     synthesize_with_provenance,
 )
-from fixture_triples import make_selection_pool, make_training_triples
+from fixture_triples import make_selection_pool, make_training_triples, triple_from_texts
 
 
 @contextmanager
@@ -221,7 +221,7 @@ def test_criterion_03_gradient_checks():
 def test_criterion_04_dense_retrieval_learning(fixture_world):
     docs, queries, qrels, vocab, _ = fixture_world
     with criterion(4, "dense fixture reaches recall@10 >= 0.9, loss halved", 60):
-        triples = [TrainingTriple.from_texts(q, p, negs, vocab)
+        triples = [triple_from_texts(q, p, negs, vocab)
                    for q, p, negs in make_training_triples(docs, queries, qrels)]
         encoder = DenseEncoder.init(len(vocab), 64, seed=3)
         initial = float(np.mean([contrastive_loss(encoder, t) for t in triples]))
@@ -234,7 +234,7 @@ def test_criterion_04_dense_retrieval_learning(fixture_world):
         final = float(np.mean([contrastive_loss(encoder, t) for t in triples]))
         assert final <= 0.5 * initial, (initial, final)
 
-        index = build_dense_index(encoder, docs, vocab)
+        index = build_dense_index(encoder, tokenize_corpus(docs, vocab))
         recalls = []
         for query in queries:
             ids = tokenize(" ".join(query.processed_terms), vocab)
@@ -296,7 +296,8 @@ def test_criterion_07_reinfoselect_separation(fixture_world):
     docs, queries, qrels, vocab, index = fixture_world
     with criterion(7, "clean/noisy selection separation and ranker quality", 120):
         encoder = DenseEncoder.init(len(vocab), 64, seed=3)
-        extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
+        extractor = FeatureExtractor(
+            index, encoder, vocab, build_dense_index(encoder, tokenize_corpus(docs, vocab)))
         context = SelectionContext(extractor, queries, qrels, depth=50)
         clean, noisy = make_selection_pool(docs, queries, qrels, 200, 200, seed=47)
         pool = clean + noisy

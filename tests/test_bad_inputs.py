@@ -1,11 +1,12 @@
 """Bad text inputs, vocab files and corpora end in exit 2 with one stderr line."""
 
+import dataclasses
 import json
 import shutil
 
 import pytest
 
-from ranklab.cli import EXIT_CONFIG, main
+from ranklab.cli import EXIT_CONFIG, PipelineConfig, main
 from ranklab.errors import ConfigError
 from ranklab.subword import SubwordVocab, train_subword_vocab
 
@@ -209,3 +210,22 @@ def test_bad_path_or_split_is_one_line_exit_2(base, tmp_path, capsys, case):
                  "--workdir", str(root / "w"), "--set", "vocab_size=600", *argv[1:]])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == message + "\n"
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_key_is_one_line_exit_2(base, tmp_path, capsys, key, value):
+    """No stage runs on a float key that is not a number or is infinite."""
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    (root / "w" / "run.trec").unlink()  # evaluate would write BM25 scores at this k1 and b
+    capsys.readouterr()
+    code = main(["evaluate", "--corpus", str(root / "corpus.jsonl"),
+                 "--queries", str(root / "queries.tsv"), "--qrels", str(root / "qrels.txt"),
+                 "--workdir", str(root / "w"), "--set", f"{key}={value}"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {key} must be finite\n"
+    assert not (root / "w" / "run.trec").exists()

@@ -380,7 +380,7 @@ COMMON_FLAGS = {
 }
 STAGE_FLAGS = {
     "ingest": {"--vocab-size": ("vocab_size", "int", None, S, None)},
-    "index": {"--k1": ("k1", "float", None, S, None), "--b": ("b", "float", None, S, None)},
+    "index": {},
     "dapt": {"--mask-rate": ("mask_rate", "float", None, S, None),
              "--epochs": ("mlm_epochs", "int", None, S, None),
              "--lr": ("mlm_lr", "float", None, S, None),

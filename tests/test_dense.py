@@ -17,9 +17,9 @@ from ranklab.dense import (
     train_step,
 )
 from ranklab.errors import NumericError, ToolkitWarning
-from ranklab.subword import tokenize
+from ranklab.subword import tokenize, tokenize_corpus
 from ranklab.synthetic import make_separable_corpus
-from fixture_triples import make_training_triples
+from fixture_triples import make_training_triples, triple_from_texts
 
 
 def make_encoder(vocab_size=20, dim=6, scale=0.3, seed=11):
@@ -196,22 +196,22 @@ class TestDenseIndexAndSearch:
         doc = separable["docs"][0]
         vocab = separable["vocab"]
         enc = DenseEncoder.init(len(vocab), 16, seed=0)
-        index = build_dense_index(enc, [doc], vocab)
+        index = build_dense_index(enc, tokenize_corpus([doc], vocab))
         assert index.vectors.shape == (1, 16)
 
     def test_rebuild_identical(self, separable):
         vocab = separable["vocab"]
         docs = separable["docs"][:10]
         enc = DenseEncoder.init(len(vocab), 16, seed=0)
-        a = build_dense_index(enc, docs, vocab)
-        b = build_dense_index(enc, docs, vocab)
+        a = build_dense_index(enc, tokenize_corpus(docs, vocab))
+        b = build_dense_index(enc, tokenize_corpus(docs, vocab))
         np.testing.assert_array_equal(a.vectors, b.vectors)
 
     def test_rows_match_per_doc_encode(self, separable):
         vocab = separable["vocab"]
         docs = separable["docs"][:10]
         enc = DenseEncoder.init(len(vocab), 16, seed=0)
-        index = build_dense_index(enc, docs, vocab)
+        index = build_dense_index(enc, tokenize_corpus(docs, vocab))
         for row, doc in enumerate(docs):
             expected = encode(enc, tokenize(doc.text(), vocab))
             np.testing.assert_allclose(index.vectors[row], expected, atol=1e-15)
@@ -243,7 +243,7 @@ class TestDenseIndexAndSearch:
         vocab = separable["vocab"]
         docs = separable["docs"][:20]
         enc = DenseEncoder.init(len(vocab), 16, seed=1)
-        index = build_dense_index(enc, docs, vocab)
+        index = build_dense_index(enc, tokenize_corpus(docs, vocab))
         out = dense_search_topk(index, enc, tokenize(docs[0].text(), vocab), 20)
         assert len(out.entries) == 20
         scores = [s for _, s in out.entries]
@@ -254,10 +254,10 @@ class TestDenseIndexAndSearch:
         docs = separable["docs"][:30]
         enc = DenseEncoder.init(len(vocab), 16, seed=2)
         query = tokenize(docs[3].text(), vocab)
-        base_index = build_dense_index(enc, docs, vocab)
+        base_index = build_dense_index(enc, tokenize_corpus(docs, vocab))
         base = dense_search_topk(base_index, enc, query, 30)
         scaled_enc = DenseEncoder(enc.table * 2.0)
-        scaled_index = build_dense_index(scaled_enc, docs, vocab)
+        scaled_index = build_dense_index(scaled_enc, tokenize_corpus(docs, vocab))
         scaled = dense_search_topk(scaled_index, scaled_enc, query, 30)
         assert scaled.doc_ids() == base.doc_ids()
         for (_, s_base), (_, s_scaled) in zip(base.entries, scaled.entries):
@@ -326,7 +326,7 @@ def test_separable_fixture_learns():
     from ranklab.subword import train_subword_vocab
 
     vocab = train_subword_vocab([d.text() for d in docs], 2000)
-    triples = [TrainingTriple.from_texts(q, p, negs, vocab)
+    triples = [triple_from_texts(q, p, negs, vocab)
                for q, p, negs in make_training_triples(docs, queries, qrels)]
     enc = DenseEncoder.init(len(vocab), 64, seed=3)
     rng = np.random.default_rng(5)
@@ -335,7 +335,7 @@ def test_separable_fixture_learns():
         rng.shuffle(order)
         for start in range(0, len(order), 16):
             train_step(enc, [triples[i] for i in order[start:start + 16]], 0.5)
-    index = build_dense_index(enc, docs, vocab)
+    index = build_dense_index(enc, tokenize_corpus(docs, vocab))
     recalls = []
     for query in queries:
         ids = tokenize(" ".join(query.processed_terms), vocab)

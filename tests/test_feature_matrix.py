@@ -9,7 +9,7 @@ from ranklab.corpus import Document, Query
 from ranklab.dense import DenseEncoder, build_dense_index, encode, similarity
 from ranklab.rerank import Candidates, FeatureExtractor, Ranker, rerank
 from ranklab.sparse import RankedList, bm25_scores, build_index, idf, search_topk
-from ranklab.subword import tokenize, train_subword_vocab
+from ranklab.subword import tokenize, tokenize_corpus, train_subword_vocab
 
 WORDS = ["remdesivir", "trial", "vaccine", "antibody", "cohort", "the", "of"]
 STOPWORDS = frozenset({"the", "of"})
@@ -25,8 +25,8 @@ query_terms = st.lists(st.sampled_from(WORDS + ["zzq", "xylo"]), max_size=6)
 def extractor_of(texts, max_length=64):
     docs = [Document(f"d{i}", t, "") for i, t in enumerate(texts)]
     return FeatureExtractor(build_index(docs), ENCODER, VOCAB,
-                            build_dense_index(ENCODER, docs, VOCAB, max_length), k1=1.1, b=0.3,
-                            stopwords=STOPWORDS, max_length=max_length)
+                            build_dense_index(ENCODER, tokenize_corpus(docs, VOCAB, max_length)),
+                            k1=1.1, b=0.3, stopwords=STOPWORDS, max_length=max_length)
 
 
 def stacked(lists, rows) -> Candidates:

@@ -12,6 +12,7 @@ from ranklab.dense import DenseEncoder, DenseIndex, build_dense_index
 from ranklab.errors import ConfigError
 from ranklab.mlm import MlmModel
 from ranklab.sparse import InvertedIndex
+from ranklab.subword import tokenize_corpus
 from ranklab.weaksup import SelectorPolicy
 from test_cli import write_fixture_inputs
 
@@ -94,8 +95,9 @@ def test_load_arrays_reads_only_numeric_dtypes(tmp_path, tag):
 SHAPE_CASES = {
     "index.bin": (lambda f: f["index"], InvertedIndex, "SIDX",
                   lambda a, m: ({**a, "doc_lengths": a["doc_lengths"][:-1]}, m)),
-    "dense_index.bin": (lambda f: build_dense_index(
-        DenseEncoder.init(len(f["vocab"]), 4), f["docs"], f["vocab"]), DenseIndex, "DIDX",
+    "dense_index.bin": (lambda f: build_dense_index(DenseEncoder.init(len(f["vocab"]), 4),
+                                                    tokenize_corpus(f["docs"], f["vocab"])),
+                        DenseIndex, "DIDX",
         lambda a, m: (a, {**m, "doc_ids": m["doc_ids"][:-1]})),
     "mlm.ckpt": (lambda f: MlmModel.init(10, 4), MlmModel, "MLMM",
                  lambda a, m: ({**a, "output_weights": a["output_weights"][:-1]}, m)),

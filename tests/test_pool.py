@@ -28,7 +28,7 @@ from ranklab.dense import (
 )
 from ranklab.errors import NumericError, ToolkitWarning
 from ranklab.mlm import make_masked_batch
-from ranklab.subword import tokenize
+from ranklab.subword import tokenize, tokenize_corpus
 
 VOCAB = 40
 
@@ -155,7 +155,7 @@ def test_build_dense_index_matches_per_document_encode(separable):
     vocab = separable["vocab"]
     encoder = DenseEncoder(random_table(8, 6, len(vocab)))
     for max_length in (1, 7, 256):
-        index = build_dense_index(encoder, docs, vocab, max_length)
+        index = build_dense_index(encoder, tokenize_corpus(docs, vocab, max_length))
         expected = reference_build_dense_index_vectors(encoder, docs, vocab, max_length)
         assert index.vectors.tobytes() == expected.tobytes()
         assert index.doc_ids == [d.doc_id for d in docs]

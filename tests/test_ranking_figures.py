@@ -10,16 +10,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ranklab.cli import PipelineConfig, StageRunner
-from ranklab.corpus import Qrels, Query
-from ranklab.dense import DenseEncoder, build_dense_index, dense_search_topk
+import ranklab.cli
+from ranklab.cli import PipelineConfig, run_pipeline
+from ranklab.corpus import Qrels, Query, load_queries
+from ranklab.dense import DenseEncoder, DenseIndex, build_dense_index, dense_search_topk
 from ranklab.errors import ConfigError, NumericError
-from ranklab.evaluation import mean_ndcg, ndcg_at_k, precision_at_k
+from ranklab.evaluation import mean_ndcg, ndcg_at_k, precision_at_k, read_qrels
 from ranklab.rerank import FeatureExtractor, Ranker, depth_sweep
 from ranklab.sparse import RankedList, search_topk
-from ranklab.subword import tokenize
+from ranklab.stopwords import ENGLISH_STOPWORDS
+from ranklab.subword import SubwordVocab, tokenize, tokenize_corpus
 from ranklab.weaksup import SelectionContext
 from test_candidate_arrays import former_rerank
+from test_cli import write_fixture_inputs
 from test_feature_matrix import WORDS, extractor_of, stacked
 
 DOCS = [f"d{i}" for i in range(8)]
@@ -63,7 +66,7 @@ def reference_dev_ndcg(extractor, queries, qrels, depth, ranker, k=10):
 
 
 def reference_dense_dev_ndcg(index, encoder, vocab, queries, qrels, max_length):
-    """StageRunner._dense_dev_ndcg before it called mean_ndcg."""
+    """train-dense's dev NDCG before it called mean_ndcg."""
     values = []
     for query in queries:
         ids = tokenize(" ".join(query.processed_terms), vocab, max_length)
@@ -139,7 +142,8 @@ def test_dev_ndcg_matches_the_former_loop(separable, seed):
     queries = separable["queries"][:6]
     qrels = _partial_qrels(separable["qrels"], {queries[1].query_id, queries[4].query_id})
     encoder = DenseEncoder.init(len(vocab), 16, seed=seed)
-    extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
+    extractor = FeatureExtractor(
+        index, encoder, vocab, build_dense_index(encoder, tokenize_corpus(docs, vocab)))
     context = SelectionContext(extractor, queries, qrels, depth=20)
     rng = np.random.default_rng(seed)
     for ranker in (Ranker(), Ranker(rng.normal(size=6)), Ranker(rng.normal(size=6))):
@@ -177,20 +181,28 @@ def test_stacked_dev_ndcg_matches_the_former_loop(texts, query_terms, depth, see
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_dense_dev_ndcg_matches_the_former_loop(separable, seed):
-    docs, vocab = separable["docs"], separable["vocab"]
-    queries = separable["queries"]
-    qrels = _partial_qrels(separable["qrels"], {queries[0].query_id, queries[-1].query_id})
-    config = PipelineConfig(max_seq_len=12)
-    encoder = DenseEncoder.init(len(vocab), 16, seed=seed)
-    index = build_dense_index(encoder, docs, vocab, config.max_seq_len)
-    runner = StageRunner(config)
-    for subset in (queries, queries[:1], []):
-        pieces = {q.query_id: tokenize(" ".join(q.processed_terms), vocab, config.max_seq_len)
-                  for q in subset}
-        assert (runner._dense_dev_ndcg(index, encoder, pieces, qrels)
-                == reference_dense_dev_ndcg(index, encoder, vocab, subset, qrels,
-                                            config.max_seq_len))
+def test_dense_dev_ndcg_matches_the_former_loop(tmp_path, monkeypatch, seed):
+    """train-dense's last dev NDCG@10 is the former loop's over the encoder and
+    dense index it saves; two queries are unjudged."""
+    corpus, queries_path, qrels_path = write_fixture_inputs(tmp_path)
+    queries = load_queries(queries_path, ENGLISH_STOPWORDS)
+    qrels = _partial_qrels(read_qrels(qrels_path), {queries[0].query_id, queries[-1].query_id})
+    qrels_path.write_text("".join(f"{q} 0 {d} {g}\n" for q, judged in qrels.judgments.items()
+                                  for d, g in judged.items()))
+    config = PipelineConfig(corpus_path=str(corpus), queries_path=str(queries_path),
+                            qrels_path=str(qrels_path), workdir=str(tmp_path / "w"),
+                            vocab_size=600, max_seq_len=12, triples_count=8, dense_epochs=4,
+                            dim=16, seed=seed)
+    run_pipeline(config, ["ingest", "index", "synth-weak"])
+    figures = []
+    monkeypatch.setattr(ranklab.cli, "mean_ndcg",
+                        lambda *args: figures.append(mean_ndcg(*args)) or figures[-1])
+    run_pipeline(config, ["train-dense"])
+    work = tmp_path / "w"
+    assert len(figures) == 2  # epochs 3 and 4
+    assert figures[-1] == reference_dense_dev_ndcg(
+        DenseIndex.load(work / "dense_index.bin"), DenseEncoder.load(work / "encoder.ckpt"),
+        SubwordVocab.load(work / "vocab.json"), queries, qrels, config.max_seq_len)
 
 
 def test_mean_ndcg_scores_an_unjudged_query_zero():

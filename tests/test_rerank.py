@@ -19,6 +19,7 @@ from ranklab.rerank import (
     reciprocal_rank_fusion,
 )
 from ranklab.sparse import RankedList
+from ranklab.subword import tokenize_corpus
 from test_feature_matrix import rerank_one as rerank_op
 from test_feature_matrix import stacked
 
@@ -284,7 +285,8 @@ class TestFeatureExtractor:
     def test_feature_vector_contents(self, separable):
         index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
         encoder = DenseEncoder.init(len(vocab), 16, seed=1)
-        extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
+        extractor = FeatureExtractor(
+            index, encoder, vocab, build_dense_index(encoder, tokenize_corpus(docs, vocab)))
         query = separable["queries"][0]
         feats = extractor.features(query.processed_terms, docs[0].doc_id)
         assert feats.shape == (6,)
@@ -297,7 +299,8 @@ class TestFeatureExtractor:
 
         index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
         encoder = DenseEncoder.init(len(vocab), 16, seed=1)
-        extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
+        extractor = FeatureExtractor(
+            index, encoder, vocab, build_dense_index(encoder, tokenize_corpus(docs, vocab)))
         doc = docs[0]
         doc_terms = set(doc.text().split())
         present = sorted(doc_terms)[0]
@@ -312,8 +315,9 @@ class TestFeatureExtractor:
         index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
         encoder = DenseEncoder.init(len(vocab), 16, seed=1)
         # an 8-piece truncation gives vectors the default sequence length would not
-        dense_index = build_dense_index(encoder, docs, vocab, 8)
-        assert not np.allclose(dense_index.vectors, build_dense_index(encoder, docs, vocab).vectors)
+        dense_index = build_dense_index(encoder, tokenize_corpus(docs, vocab, 8))
+        assert not np.allclose(dense_index.vectors,
+                               build_dense_index(encoder, tokenize_corpus(docs, vocab)).vectors)
         extractor = FeatureExtractor(index, encoder, vocab, dense_index)
         query = separable["queries"][0]
         qv = encode(encoder, tokenize(" ".join(query.processed_terms), vocab))
@@ -331,7 +335,7 @@ class TestFeatureExtractor:
         query = " ".join(terms)
         assert len(tokenize(query, vocab)) > 2
         qv = encode(encoder, tokenize(query, vocab, 2))
-        rows = build_dense_index(encoder, docs, vocab, 2).vectors
+        rows = build_dense_index(encoder, tokenize_corpus(docs, vocab, 2)).vectors
         dense_index = DenseIndex(rows, [d.doc_id for d in docs])
         extractor = FeatureExtractor(index, encoder, vocab, dense_index, max_length=2)
         for row in (0, 37, 199):

@@ -69,3 +69,13 @@ def test_nan_score_in_run_file_is_exit_2(copy_of, capsys):
     capsys.readouterr()
     assert main(command(copy_of, "evaluate")) == EXIT_CONFIG
     assert capsys.readouterr().err == f"input error: {path}:2: score is not a number\n"
+
+
+def test_document_listed_twice_for_a_query_is_exit_2(copy_of, capsys):
+    path = copy_of / "w" / "run.trec"
+    path.write_text("1 Q0 t00d01 1 2.5 t\n1 Q0 t00d00 2 1.5 t\n2 Q0 t00d01 1 2.5 t\n"
+                    "1 Q0 t00d01 3 0.5 t\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(command(copy_of, "evaluate")) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"input error: {path}:4: doc_id t00d01 is listed twice for query 1\n")

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ranklab.cli
+import ranklab.subword
 from ranklab.cli import PipelineConfig, StageRunner, training_triples
 from ranklab.corpus import load_corpus
 from ranklab.dense import DenseEncoder, TrainingTriple, contrastive_loss, train_step
@@ -112,8 +113,8 @@ def test_a_mixed_width_batch_matches_the_per_triple_loops():
 def _count_document_tokenizations(monkeypatch, corpus_path):
     texts = {d.text() for d in load_corpus(corpus_path)}
     calls = []
-    real = ranklab.cli.tokenize
-    monkeypatch.setattr(ranklab.cli, "tokenize", lambda text, *args: (
+    real = ranklab.subword.tokenize
+    monkeypatch.setattr(ranklab.subword, "tokenize", lambda text, *args: (
         calls.append(text) if text in texts else None) or real(text, *args))
     return texts, calls
 

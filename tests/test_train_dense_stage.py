@@ -1,16 +1,19 @@
-"""The train-dense and dapt stages: one tokenization per document, and
-exit 2 with one stderr line for unusable triples or a corrupt vocab.json."""
+"""The train-dense and dapt stages: one tokenization per document, every
+dense index built by build_dense_index, and exit 2 with one stderr line for
+unusable triples or a corrupt vocab.json."""
 
+import dataclasses
 import json
 
 import pytest
 
-import ranklab.cli
 import ranklab.dense
 import ranklab.subword
 from ranklab.cli import EXIT_CONFIG, PipelineConfig, main, run_pipeline
 from ranklab.corpus import load_corpus, load_queries
+from ranklab.dense import DenseEncoder, build_dense_index
 from ranklab.stopwords import ENGLISH_STOPWORDS
+from ranklab.subword import SubwordVocab, tokenize_corpus
 from ranklab.weaksup import read_triples
 from test_cli import write_fixture_inputs
 
@@ -63,9 +66,7 @@ def test_train_dense_tokenizes_each_document_once(tmp_path, monkeypatch):
     def counting(tokenize):
         return lambda text, *args: texts.append(text) or tokenize(text, *args)
 
-    monkeypatch.setattr(ranklab.cli, "tokenize", counting(ranklab.cli.tokenize))
-    monkeypatch.setattr(ranklab.dense, "tokenize", counting(ranklab.dense.tokenize))
-    # queries are tokenized through subword.tokenize_query
+    # documents and queries are tokenized through subword.tokenize_corpus and tokenize_query
     monkeypatch.setattr(ranklab.subword, "tokenize", counting(ranklab.subword.tokenize))
     run_pipeline(config, ["train-dense"])
     docs = [d.text() for d in load_corpus(corpus)]
@@ -105,3 +106,29 @@ def test_duplicate_documents_are_not_contrasted(tmp_path, capsys):
     triples.write_text(json.dumps(duplicate) + "\n" + json.dumps(good) + "\n")
     assert main(train) == 0
     assert (tmp_path / "w" / "dense_index.bin").is_file()
+
+
+@pytest.mark.parametrize("dev", [True, False], ids=["dev", "no-dev"])
+def test_every_dense_index_is_built_by_build_dense_index(tmp_path, monkeypatch, dev):
+    """One build per dev evaluation (epochs 3 and 4), or one with no dev
+    queries; dense_index.bin is build_dense_index of the saved encoder over
+    tokenize_corpus of the corpus, bit for bit."""
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    config = PipelineConfig(corpus_path=str(corpus), queries_path=str(queries),
+                            qrels_path=str(qrels), workdir=str(tmp_path / "w"),
+                            vocab_size=600, triples_count=8, dense_epochs=4)
+    run_pipeline(config, ["ingest", "index", "synth-weak"])
+    if not dev:
+        config = dataclasses.replace(config, queries_path="", qrels_path="")
+    built = []
+    monkeypatch.setattr(ranklab.dense, "build_dense_index",
+                        lambda *args: built.append(build_dense_index(*args)) or built[-1])
+    run_pipeline(config, ["train-dense"])
+    work = tmp_path / "w"
+    assert len(built) == (2 if dev else 1)
+    expected = build_dense_index(
+        DenseEncoder.load(work / "encoder.ckpt"),
+        tokenize_corpus(load_corpus(corpus), SubwordVocab.load(work / "vocab.json"),
+                        config.max_seq_len))
+    expected.save(tmp_path / "expected.bin")
+    assert (work / "dense_index.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()

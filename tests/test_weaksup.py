@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from ranklab import weaksup
 from ranklab.cli import PipelineConfig, run_pipeline
-from ranklab.corpus import Document, text_terms
+from ranklab.corpus import Document, load_corpus, text_terms
 from ranklab.dense import DenseEncoder, build_dense_index
 from ranklab.errors import ConfigError, DegeneratePairError, GenerationError, ToolkitWarning
 from ranklab.rerank import FeatureExtractor, Ranker
 from ranklab.sparse import DEFAULT_B, InvertedIndex, bm25_score, build_index, idf, search_topk
 from ranklab.stopwords import ENGLISH_STOPWORDS
-from ranklab.subword import train_subword_vocab
+from ranklab.subword import tokenize_corpus, train_subword_vocab
 from ranklab.synthetic import DEFAULT_DOCS_PER_TOPIC, DEFAULT_TOPICS, make_separable_corpus
 from ranklab.weaksup import (
     SalienceQueryGenerator,
@@ -186,7 +186,8 @@ def instance_row(extractor, triple):
 
 def instance_featurizer(index, docs, encoder, vocab):
     """What gives one triple's policy instance features over these documents."""
-    extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
+    extractor = FeatureExtractor(
+        index, encoder, vocab, build_dense_index(encoder, tokenize_corpus(docs, vocab)))
     return lambda triple: instance_row(extractor, triple)
 
 
@@ -262,7 +263,8 @@ def selection_setup():
     vocab = train_subword_vocab([d.text() for d in docs], 2000)
     index = build_index(docs)
     encoder = DenseEncoder.init(len(vocab), 64, seed=3)
-    extractor = FeatureExtractor(index, encoder, vocab, build_dense_index(encoder, docs, vocab))
+    extractor = FeatureExtractor(
+        index, encoder, vocab, build_dense_index(encoder, tokenize_corpus(docs, vocab)))
     context = SelectionContext(extractor, queries, qrels, depth=50)
     clean, noisy = make_selection_pool(docs, queries, qrels, 40, 40, seed=47)
     return {"context": context, "extractor": extractor, "clean": clean, "noisy": noisy,
@@ -273,7 +275,7 @@ def test_selection_context_uses_its_bm25_parameters(separable):
     index, docs, vocab = separable["index"], separable["docs"], separable["vocab"]
     queries = separable["queries"]
     encoder = DenseEncoder.init(len(vocab), 8, seed=3)
-    dense_index = build_dense_index(encoder, docs, vocab)
+    dense_index = build_dense_index(encoder, tokenize_corpus(docs, vocab))
     context = SelectionContext(FeatureExtractor(index, encoder, vocab, dense_index, k1=1.5),
                                queries, separable["qrels"], depth=20)
     for i, query in enumerate(queries):
@@ -289,6 +291,17 @@ def test_selection_context_uses_its_bm25_parameters(separable):
     assert not (np.array_equal(context.candidates.doc_ids, default.candidates.doc_ids)
                 and np.array_equal(context.candidates.features[..., 0],
                                    default.candidates.features[..., 0]))
+
+
+def test_synth_weak_retrieves_with_the_configured_bm25_parameters(tmp_path):
+    corpus, queries, qrels = write_fixture_inputs(tmp_path, DEFAULT_TOPICS, DEFAULT_DOCS_PER_TOPIC)
+    config = PipelineConfig(corpus_path=str(corpus), workdir=str(tmp_path / "w"), k1=3.0, b=1.0)
+    run_pipeline(config, ["index", "synth-weak"])
+    written = read_triples(tmp_path / "w" / "weak_triples.jsonl")
+    docs, index = load_corpus(corpus), InvertedIndex.load(tmp_path / "w" / "index.bin")
+    count, seed = config.triples_count, config.seed
+    assert written == synthesize_triples(docs, index, count, seed, k1=3.0, b=1.0)
+    assert written != synthesize_triples(docs, index, count, seed)
 
 
 class TestReinfoSelect:
