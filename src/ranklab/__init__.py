@@ -43,7 +43,7 @@ from .rerank import (
     reciprocal_rank_fusion,
 )
 from .sparse import InvertedIndex, RankedList, bm25_score, build_index, coverage_at_k, search_topk
-from .subword import SubwordVocab, detokenize, subword_ratio, tokenize, tokenize_corpus, train_subword_vocab
+from .subword import SubwordVocab, subword_ratio, tokenize, tokenize_corpus, train_subword_vocab
 from .weaksup import (
     SalienceQueryGenerator,
     SelectionContext,

@@ -1,7 +1,9 @@
 """Pipeline orchestration: composable stages over a shared flat config.
 
-Stages communicate only through files in the work directory, so any stage can
-be replaced by an external tool that produces the same format. select-train,
+STAGES is the one stage order; StageRunner.STAGE_FUNCTIONS maps each name to
+its stage_<name> method, and the subcommands are listed in that order. Stages
+communicate only through files in the work directory, so any stage can be
+replaced by an external tool that produces the same format. select-train,
 rerank and depth-sweep read document vectors from dense_index.bin and terms
 from index.bin through one FeatureExtractor each, stack all their queries'
 candidates in one call and rescore them with the one rerank.rerank.
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import dense, mlm, rerank, weaksup
 from .checkpoint import checked, read_lines, write_atomic
-from .corpus import load_corpus, load_queries, preprocess_query
+from .corpus import is_token, load_corpus, load_queries, preprocess_query
 from .errors import ConfigError, DependencyError, NumericError, ParseError, ToolkitError
 from .evaluation import (
     GAIN_FUNCTIONS,
@@ -171,7 +173,7 @@ class PipelineConfig:
     coverage_k: int = _key(100, "--coverage-k", ("analyze",), ">= 1")
     depths: str = _key("20,50,100", "--depths", ("depth-sweep",))
     # shared
-    seed: int = _key(0, "--seed", COMMANDS, help="random seed")
+    seed: int = _key(0, "--seed", COMMANDS, ">= 0", help="random seed")
     eval_every_steps: int = _key(3, bound=">= 1")
 
     def validate(self) -> None:
@@ -184,6 +186,8 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be {bound}")
             if choices and value not in choices:
                 raise ConfigError(f"{f.name} must be one of {choices}")
+        if not is_token(self.run_tag):  # a field of every run line
+            raise ConfigError("run_tag must be one token")
         try:
             depths = self.depth_list()
         except ValueError:
@@ -481,8 +485,7 @@ class StageRunner:
                 reranked = rerank.fuse_interpolate(
                     query_id, dict(reranked.entries), dense_scores, self.config.alpha)
             elif self.config.fusion == "rrf":
-                reranked = rerank.reciprocal_rank_fusion(
-                    [reranked, dense_lists[query_id]], max(topk, len(reranked.entries)), rrf_k)
+                reranked = rerank.reciprocal_rank_fusion([reranked, dense_lists[query_id]], topk, rrf_k)
             run.rankings[query_id] = reranked
         write_run(run, self.write("run"))
 
@@ -566,22 +569,13 @@ class StageRunner:
         write_atomic(self.write("analysis_text"), text)
         print(text)
 
-    STAGE_FUNCTIONS = {
-        "ingest": stage_ingest,
-        "index": stage_index,
-        "dapt": stage_dapt,
-        "train-dense": stage_train_dense,
-        "synth-weak": stage_synth_weak,
-        "select-train": stage_select_train,
-        "rerank": stage_rerank,
-        "evaluate": stage_evaluate,
-        "depth-sweep": stage_depth_sweep,
-        "analyze": stage_analyze,
-    }
+
+# stage name -> StageRunner method, in STAGES order; run() looks each stage up here,
+# so a tracer can rebind an entry
+StageRunner.STAGE_FUNCTIONS = {s: getattr(StageRunner, f"stage_{s.replace('-', '_')}") for s in STAGES}
 
 
-def training_triples(weak, pieces: dict, vocab, config: PipelineConfig, rng,
-                     stopwords=ENGLISH_STOPWORDS) -> list:
+def training_triples(weak, pieces: dict, vocab, config: PipelineConfig, rng, stopwords) -> list:
     """A dense.TrainingTriple per weak triple whose documents are in `pieces` (doc id
     -> piece ids) and differ, plus up to config.negatives - 1 drawn from the documents
     unlike the positive: a draw's index steps past each sorted ordinal not allowed.
@@ -611,27 +605,20 @@ def training_triples(weak, pieces: dict, vocab, config: PipelineConfig, rng,
 def analyze_domain_gap(config: PipelineConfig, docs, queries, qrels, vocab, index,
                        n_external: int = 0, reference_lines=None) -> dict:
     """The domain-gap measurements: subword ratios, label counts, coverage@k."""
-    query_texts = [q.raw_text for q in queries]
-    doc_texts = [d.text() for d in docs]
-    reference_ratio = None
-    if reference_lines is not None:
-        reference_ratio = subword_ratio(reference_lines, vocab)
-    run = {
-        q.query_id: search_topk(index, q, config.coverage_k, config.k1, config.b)
-        for q in queries
-    }
-    coverage = coverage_at_k(run, qrels, config.coverage_k)
+    run = {q.query_id: search_topk(index, q, config.coverage_k, config.k1, config.b)
+           for q in queries}
     return {
         "n_documents": len(docs),
         "n_queries": len(queries),
         "n_judged_queries": len(qrels.query_ids()),
         "n_judgments": sum(len(v) for v in qrels.judgments.values()),
         "n_external_weak_triples": n_external,
-        "subword_ratio_queries": subword_ratio(query_texts, vocab),
-        "subword_ratio_corpus": subword_ratio(doc_texts, vocab),
-        "subword_ratio_reference": reference_ratio,
+        "subword_ratio_queries": subword_ratio([q.raw_text for q in queries], vocab),
+        "subword_ratio_corpus": subword_ratio([d.text() for d in docs], vocab),
+        "subword_ratio_reference":
+            None if reference_lines is None else subword_ratio(reference_lines, vocab),
         "coverage_k": config.coverage_k,
-        "coverage_at_k": coverage,
+        "coverage_at_k": coverage_at_k(run, qrels, config.coverage_k),
     }
 
 
@@ -690,8 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "supervision, reranking, TREC-style evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # subcommands are listed in the stage table's order; STAGES is the order that runs
-    commands = {s: sub.add_parser(s, help=f"run the {s} stage") for s in StageRunner.STAGE_FUNCTIONS}
+    commands = {s: sub.add_parser(s, help=f"run the {s} stage") for s in STAGES}
     commands["pipeline"] = sub.add_parser("pipeline", help="run several stages in order")
     for p in commands.values():
         p.add_argument("--config", help="flat key = value config file")

@@ -22,6 +22,12 @@ from .stopwords import ENGLISH_STOPWORDS
 _TERM_RE = re.compile(r"[a-z0-9]+")
 
 
+def is_token(value) -> bool:
+    """True for UTF-8 text with no whitespace, as a field of a run or qrels line."""
+    return (isinstance(value, str) and value.split() == [value]
+            and value.encode("utf-8", "replace").decode("utf-8") == value)
+
+
 def text_terms(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs."""
     return _TERM_RE.findall(text.lower())
@@ -107,8 +113,8 @@ def load_corpus(path) -> list[Document]:
             doc_id, title, abstract = record["doc_id"], record["title"], record["abstract"]
         except KeyError as exc:
             raise ParseError(path, line_no, f"missing field {exc.args[0]!r}") from exc
-        if not isinstance(doc_id, str) or not doc_id:
-            raise ParseError(path, line_no, "doc_id must be a non-empty string")
+        if not is_token(doc_id):
+            raise ParseError(path, line_no, f"doc_id {doc_id!r} must be one token")
         if doc_id in seen:
             raise DuplicateDocumentError(
                 f"{path}:{line_no}: duplicate doc_id {doc_id!r} "

@@ -6,13 +6,14 @@ sequence's unmasked positions through a full softmax over the vocabulary. The
 trained embedding table warm-starts the dense encoder.
 
 The loss and its gradients are computed in one batched pass over fixed chunks
-of SEQ_CHUNK sequences. All targets of a sequence are predicted from its one
-context mean, so they share one logits row and one stable log-softmax per
-sequence is exact: with c_s targets in sequence s, the loss is sum_s c_s * logZ_s
-less the target logits, and the logits gradient is c_s * softmax_s less one at
-each target (a repeated id once per target). The largest temporaries are
-SEQ_CHUNK x vocab_size (about 0.7 MB at a 1,400-piece vocabulary) whatever the
-number of targets.
+of SEQ_CHUNK sequences; masked_prediction_loss is that pass's mean, the loss
+mlm_train_step reports and descends. All targets of a sequence are predicted
+from its one context mean, so they share one logits row and one stable
+log-softmax per sequence is exact: with c_s targets in sequence s, the loss is
+sum_s c_s * logZ_s less the target logits, and the logits gradient is
+c_s * softmax_s less one at each target (a repeated id once per target). The
+largest temporaries are SEQ_CHUNK x vocab_size (about 0.7 MB at a 1,400-piece
+vocabulary) whatever the number of targets.
 
 A batch's context ids are what one flat boolean mask over all its ids (each
 target's position offset by its sequence's start) leaves, in order. The
@@ -126,12 +127,11 @@ class MlmModel:
 
 
 def masked_prediction_loss(model: MlmModel, batch: MaskedBatch) -> float:
-    """Mean cross-entropy over all masked targets (no parameter update)."""
-    total, count = _loss_and_grads(model, batch, want_grads=False)
-    return total / count
+    """Mean cross-entropy over all masked targets, as mlm_train_step reports it."""
+    return _loss_and_grads(model, batch)[0]
 
 
-def _loss_and_grads(model: MlmModel, batch: MaskedBatch, want_grads: bool):
+def _loss_and_grads(model: MlmModel, batch: MaskedBatch):
     seqs = batch.sequences
     lengths = np.fromiter((len(seq.ids) for seq in seqs), np.intp, len(seqs))
     counts = np.fromiter((len(seq.targets) for seq in seqs), np.intp, len(seqs))
@@ -152,9 +152,8 @@ def _loss_and_grads(model: MlmModel, batch: MaskedBatch, want_grads: bool):
     contexts = pool(model.embeddings, context_ids, context_lengths)
 
     weights = model.output_weights
-    if want_grads:
-        grad_out = np.zeros_like(weights)
-        grad_contexts = np.empty_like(contexts)
+    grad_out = np.zeros_like(weights)
+    grad_contexts = np.empty_like(contexts)
     total = 0.0
     n_seqs, n_targets = len(counts), len(target_ids)
     for start in range(0, n_seqs, SEQ_CHUNK):
@@ -169,15 +168,12 @@ def _loss_and_grads(model: MlmModel, batch: MaskedBatch, want_grads: bool):
         norm = exp.sum(axis=1)
         log_norm = np.log(norm) + shift[:, 0]
         total += float(count @ log_norm - logits[rows, original].sum())
-        if want_grads:
-            dlogits = exp * (count / norm)[:, None]
-            np.subtract.at(dlogits, (rows, original), 1.0)
-            grad_out += dlogits.T @ c
-            grad_contexts[start:stop] = dlogits @ weights
+        dlogits = exp * (count / norm)[:, None]
+        np.subtract.at(dlogits, (rows, original), 1.0)
+        grad_out += dlogits.T @ c
+        grad_contexts[start:stop] = dlogits @ weights
     if not np.isfinite(total):
         raise NumericError("non-finite masked-prediction loss")
-    if not want_grads:
-        return total, n_targets
     scale = 1.0 / n_targets
     grad_out *= scale
     grad_contexts *= scale
@@ -187,7 +183,7 @@ def _loss_and_grads(model: MlmModel, batch: MaskedBatch, want_grads: bool):
 
 def mlm_train_step(model: MlmModel, batch: MaskedBatch, learning_rate: float) -> tuple[MlmModel, float]:
     """One descent step on the mean masked-target cross-entropy."""
-    loss, grad_emb, grad_out = _loss_and_grads(model, batch, want_grads=True)
+    loss, grad_emb, grad_out = _loss_and_grads(model, batch)
     if not (np.all(np.isfinite(grad_emb)) and np.all(np.isfinite(grad_out))):
         raise NumericError("non-finite gradient in masked-language training")
     model.embeddings -= learning_rate * grad_emb

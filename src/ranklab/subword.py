@@ -67,10 +67,6 @@ class SubwordVocab:
     def mask_id(self) -> int:
         return 0
 
-    @property
-    def unk_id(self) -> int:
-        return 1
-
     def __len__(self) -> int:
         return len(self.pieces)
 
@@ -214,11 +210,6 @@ def tokenize_query(terms, vocab: SubwordVocab, max_length: int) -> list[int]:
     """A query's piece ids, as every stage encodes a query: its processed terms
     joined by spaces, tokenized and truncated at max_length."""
     return tokenize(" ".join(terms), vocab, max_length)
-
-
-def detokenize(ids, vocab: SubwordVocab) -> str:
-    """Concatenate the pieces for a single word's ids."""
-    return "".join(vocab.pieces[i] for i in ids)
 
 
 def subword_ratio(texts, vocab: SubwordVocab) -> float:

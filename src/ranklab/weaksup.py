@@ -143,8 +143,7 @@ def synthesize_with_provenance(docs, index: InvertedIndex, count: int, seed: int
             stage1 = generator.generate(seed_doc)
         except GenerationError:
             continue
-        ranked = search_topk(index, stage1.split(), retrieval_depth, k1, b)
-        pool = ranked.entries[:retrieval_depth]
+        pool = search_topk(index, stage1.split(), retrieval_depth, k1, b).entries
         half = len(pool) // 2
         pos_pool, neg_pool = pool[:half], pool[half:]
         if not pos_pool or not neg_pool:

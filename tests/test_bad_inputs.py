@@ -229,3 +229,53 @@ def test_non_finite_float_key_is_one_line_exit_2(base, tmp_path, capsys, key, va
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {key} must be finite\n"
     assert not (root / "w" / "run.trec").exists()
+
+
+@pytest.mark.parametrize("argv", [["dapt", "--seed", "-1"], ["synth-weak", "--set", "seed=-3"]],
+                         ids=["flag", "set"])
+def test_negative_seed_is_one_line_exit_2(base, tmp_path, capsys, argv):
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    capsys.readouterr()
+    code = main([*argv, "--corpus", str(root / "corpus.jsonl"),
+                 "--queries", str(root / "queries.tsv"), "--qrels", str(root / "qrels.txt"),
+                 "--workdir", str(root / "w"), "--set", "vocab_size=600"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+    assert not (root / "w" / "mlm_embeddings.ckpt").exists()
+    assert not (root / "w" / "weak_triples.jsonl").exists()
+
+
+@pytest.mark.parametrize("doc_id", [
+    "t00 d00", "t00\td00", " t00d00", "t00d00\xa0", "t00\x1cd00", "t00\x85d00", "t00\u2028d00",
+    "t00\u3000d00", "t00\ud800"])
+def test_doc_id_not_one_token_is_one_line_exit_2(tmp_path, capsys, doc_id):
+    """A doc id that read_run or read_qrels would not read back as one field."""
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    lines[2] = json.dumps({**record, "doc_id": doc_id}) + "\n"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["pipeline", "--stages", "ingest,index,evaluate", "--corpus", str(corpus),
+                 "--queries", str(queries), "--qrels", str(qrels),
+                 "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"input error: {corpus}:3: doc_id {doc_id!r} must be one token\n")
+    assert not (tmp_path / "w" / "run.trec").exists()
+
+
+# an argv byte that is not UTF-8 reaches the tag as a lone surrogate
+@pytest.mark.parametrize("tag", ["my tag", "", "rank\tlab", "rank\x85lab", "rank\udcfflab"])
+def test_run_tag_not_one_token_is_one_line_exit_2(base, tmp_path, capsys, tag):
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    (root / "w" / "run.trec").unlink()  # evaluate would write a BM25 run under the tag
+    capsys.readouterr()
+    code = main(["evaluate", "--corpus", str(root / "corpus.jsonl"),
+                 "--queries", str(root / "queries.tsv"), "--qrels", str(root / "qrels.txt"),
+                 "--workdir", str(root / "w"), "--set", f"run_tag={tag}"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: run_tag must be one token\n"
+    assert not (root / "w" / "run.trec").exists()

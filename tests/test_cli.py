@@ -385,16 +385,16 @@ STAGE_FLAGS = {
              "--epochs": ("mlm_epochs", "int", None, S, None),
              "--lr": ("mlm_lr", "float", None, S, None),
              "--dim": ("dim", "int", None, S, None)},
+    "synth-weak": {"--triples": ("triples_count", "int", None, S, None),
+                   "--retrieval-depth": ("retrieval_depth", "int", None, S, None),
+                   "--max-query-terms": ("max_query_terms", "int", None, S, None),
+                   "--include-stage1": ("include_stage1", "str", None, C, True)},
     "train-dense": {"--dim": ("dim", "int", None, S, None),
                     "--negatives": ("negatives", "int", None, S, None),
                     "--epochs": ("dense_epochs", "int", None, S, None),
                     "--lr": ("dense_lr", "float", None, S, None),
                     "--triples-file": ("external_triples_path", "str", None, S, None),
                     "--warm-start": ("warm_start", "str", None, C, True)},
-    "synth-weak": {"--triples": ("triples_count", "int", None, S, None),
-                   "--retrieval-depth": ("retrieval_depth", "int", None, S, None),
-                   "--max-query-terms": ("max_query_terms", "int", None, S, None),
-                   "--include-stage1": ("include_stage1", "str", None, C, True)},
     "select-train": {"--policy-lr": ("policy_lr", "float", None, S, None),
                      "--ranker-lr": ("ranker_lr", "float", None, S, None),
                      "--steps": ("select_steps", "int", None, S, None),

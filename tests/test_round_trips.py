@@ -1,5 +1,6 @@
 """Property tests: what each writer writes, its reader reads back."""
 
+import json
 import warnings
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from ranklab.checkpoint import load_arrays, save_arrays
-from ranklab.corpus import Qrels, text_terms
-from ranklab.errors import ToolkitWarning
+from ranklab.cli import PipelineConfig
+from ranklab.corpus import Qrels, load_corpus, text_terms
+from ranklab.errors import ConfigError, ParseError, ToolkitWarning
 from ranklab.evaluation import QuerySplit, Run, read_qrels, read_run, residual_filter, write_run
 from ranklab.sparse import RankedList
 from ranklab.subword import SubwordVocab, train_subword_vocab
@@ -81,6 +83,57 @@ def test_run_round_trip_is_exact(tmp_path_factory, rankings, tag):
     assert score_bits(loaded.rankings) == {
         qid: [(doc, float, bits) for doc, _, bits in entries]
         for qid, entries in score_bits(rankings).items()}
+
+
+# any text, with Unicode whitespace, line boundaries and a lone surrogate drawn often
+any_text = st.text(st.characters() | st.sampled_from(
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u2029\u3000\ud800"), max_size=5)
+
+
+def corpus_accepts(doc_id, path) -> bool:
+    path.write_text(json.dumps({"doc_id": doc_id, "title": "t", "abstract": "a"}) + "\n",
+                    encoding="utf-8")
+    try:
+        return [d.doc_id for d in load_corpus(path)] == [doc_id]
+    except ParseError:
+        return False
+
+
+def validate_accepts(tag) -> bool:
+    try:
+        PipelineConfig(run_tag=tag).validate()
+    except ConfigError:
+        return False
+    return True
+
+
+def run_survives(doc_ids, tag, path) -> bool:
+    """Whether write_run then read_run give back these doc ids, in order, and the tag."""
+    entries = tuple((d, float(len(doc_ids) - i)) for i, d in enumerate(doc_ids))
+    run = Run({1: RankedList(1, entries)}, tag)
+    try:
+        write_run(run, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ToolkitWarning)
+            loaded = read_run(path)
+    except (ParseError, UnicodeEncodeError):
+        return False
+    return (loaded.rankings, loaded.tag) == (run.rankings, run.tag)
+
+
+@example(["t00", "t00 d00", "t00\x1cd00", "t00\x85d00", "t00\xa0d00", " t00", ""], "my tag")
+@example(["d\ud800"], "ranklab\x85")
+@given(st.lists(any_text, max_size=6, unique=True), any_text)
+def test_accepted_doc_ids_and_run_tag_survive_a_run_file(tmp_path_factory, doc_ids, tag):
+    """load_corpus and validate accept exactly the doc ids and run tags that come
+    back from write_run and read_run, and accepted ones come back together."""
+    root = tmp_path_factory.mktemp("tokens")
+    accepted = [d for d in doc_ids if corpus_accepts(d, root / "corpus.jsonl")]
+    for doc_id in doc_ids:
+        assert (doc_id in accepted) == run_survives([doc_id], "ranklab", root / "run.trec")
+    assert validate_accepts(tag) == run_survives(["d"], tag, root / "run.trec")
+    if accepted and validate_accepts(tag):
+        assert run_survives(accepted, tag, root / "run.trec")
 
 
 @given(judgments, st.sampled_from(["", "\n", " \t\n", "\r\n"]))

@@ -11,7 +11,6 @@ from ranklab.subword import (
     MASK_PIECE,
     UNK_PIECE,
     SubwordVocab,
-    detokenize,
     subword_ratio,
     tokenize,
     train_subword_vocab,
@@ -126,7 +125,7 @@ class TestTokenize:
     def test_unseen_character_maps_to_unk(self):
         vocab = train_subword_vocab(["abc"], 10)
         ids = tokenize("aqc", vocab)
-        assert vocab.unk_id in ids
+        assert vocab.piece_ids[UNK_PIECE] in ids
 
     def test_total_over_arbitrary_text(self):
         vocab = train_subword_vocab(["some training words"], 30)
@@ -139,7 +138,7 @@ class TestTokenize:
         words = {w for d in separable["docs"] for w in text_terms(d.text())}
         for word in sorted(words):
             ids = tokenize(word, vocab)
-            assert detokenize(ids, vocab) == word
+            assert "".join(vocab.pieces[i] for i in ids) == word
 
 
 class TestSubwordRatio:

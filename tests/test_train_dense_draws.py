@@ -17,6 +17,7 @@ from ranklab.cli import PipelineConfig, StageRunner, training_triples
 from ranklab.corpus import load_corpus
 from ranklab.dense import DenseEncoder, TrainingTriple, contrastive_loss, train_step
 from ranklab.errors import ToolkitWarning
+from ranklab.stopwords import ENGLISH_STOPWORDS
 from ranklab.subword import SubwordVocab, tokenize, train_subword_vocab
 from ranklab.weaksup import WeakTriple
 from test_pool import VOCAB, reference_contrastive_loss, reference_train_step
@@ -67,7 +68,8 @@ def draw_inputs(draw):
 def test_negative_draws_match_the_corpus_scan(inputs):
     pieces, weak, negatives, seed = inputs
     rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = training_triples(weak, pieces, QUERY_VOCAB, _config_of(negatives), rng)
+    got = training_triples(weak, pieces, QUERY_VOCAB, _config_of(negatives), rng,
+                           ENGLISH_STOPWORDS)
     assert got == former_training_triples(weak, pieces, QUERY_VOCAB, 8, negatives, expected_rng)
     # the same calls to rng: the shuffles after the draws see the same stream
     assert rng.bit_generator.state == expected_rng.bit_generator.state
@@ -79,7 +81,8 @@ def test_draws_skip_documents_alike_and_stop_when_the_corpus_runs_out():
             WeakTriple("fever", "n", "other")]
     for negatives in (1, 2, 3, 9):
         rng, expected_rng = np.random.default_rng(7), np.random.default_rng(7)
-        got = training_triples(weak, pieces, QUERY_VOCAB, _config_of(negatives), rng)
+        got = training_triples(weak, pieces, QUERY_VOCAB, _config_of(negatives), rng,
+                               ENGLISH_STOPWORDS)
         assert got == former_training_triples(weak, pieces, QUERY_VOCAB, 8, negatives,
                                               expected_rng)
         # the twin of the positive is never a negative, and "p -> twin" is dropped
