@@ -491,6 +491,10 @@ class StageRunner:
 
     def stage_evaluate(self):
         qrels = self.load_qrels()
+        if self.config.gain == "exp":  # from grade 1024 on, 2**g - 1 overflows a float
+            top = max((g for entry in qrels.judgments.values() for g in entry.values()), default=0)
+            if top >= 1024:
+                raise ConfigError(f"{self.config.qrels_path}: grade {top} is too large for --gain exp")
         if not self.artifact("run").is_file() and self.artifact("index").is_file():
             # no reranked run yet: score base BM25 retrieval directly
             queries = self.load_queries()

@@ -121,13 +121,17 @@ def load_corpus(path) -> list[Document]:
                 f"(first seen on line {seen[doc_id]})"
             )
         seen[doc_id] = line_no
-        date = None
-        if record.get("date"):
-            try:
-                date = datetime.date.fromisoformat(record["date"])
-            except ValueError as exc:
-                raise ParseError(path, line_no, f"bad date {record['date']!r}") from exc
-        docs.append(Document(doc_id, str(title), str(abstract), date))
+        if not (isinstance(title, str) and isinstance(abstract, str)):
+            name, value = ("abstract", abstract) if isinstance(title, str) else ("title", title)
+            raise ParseError(path, line_no, f"{name} {value!r} must be a string")
+        date = record.get("date")
+        if date is not None and not isinstance(date, str):
+            raise ParseError(path, line_no, f"date {date!r} must be an ISO date string")
+        try:
+            date = datetime.date.fromisoformat(date) if date else None
+        except ValueError as exc:
+            raise ParseError(path, line_no, f"bad date {date!r}") from exc
+        docs.append(Document(doc_id, title, abstract, date))
     return docs
 
 

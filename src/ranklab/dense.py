@@ -5,8 +5,9 @@ its whole batch once), and exact top-k search.
 Everything here works on piece ids: build_dense_index, the one source of
 document vectors, pools the corpus that subword.tokenize_corpus encodes.
 
-The optimizer is plain gradient descent with a fixed rate so analytic
-gradients can be checked against finite differences exactly.
+Every trained parameter (MLM tables, encoder, ranker, selection policy) takes
+plain gradient descent at a fixed rate, checkable against finite differences,
+through `descend`, which writes nothing unless every result is finite.
 """
 
 from __future__ import annotations
@@ -175,16 +176,25 @@ def contrastive_loss(encoder: DenseEncoder, triple: TrainingTriple) -> float:
     return _loss_and_row_grads(encoder.table, [triple])[0]
 
 
+def descend(what: str, learning_rate: float, *pairs) -> None:
+    """param - learning_rate * grad for each (param, grad) pair, written in
+    place only when every result is finite (bit-equal to param -= ...)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # each step's own buffer takes its result
+        results = [np.subtract(p, step := learning_rate * g, out=step) for p, g in pairs]
+    if not all(np.isfinite(result).all() for result in results):
+        raise NumericError(f"non-finite parameters in {what}")
+    for (param, _), result in zip(pairs, results):
+        param[...] = result
+
+
 def train_step(encoder: DenseEncoder, batch, learning_rate: float) -> tuple[DenseEncoder, float]:
     """One gradient-descent step on the mean contrastive loss of the batch."""
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be non-empty")
     loss, sequences, row_grads = _loss_and_row_grads(encoder.table, batch)
-    grad = pool_grad(encoder.table.shape, sequences, row_grads)
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("non-finite gradient in dense training step")
-    encoder.table -= learning_rate * grad
+    descend("dense training step", learning_rate,
+            (encoder.table, pool_grad(encoder.table.shape, sequences, row_grads)))
     return encoder, loss
 
 
@@ -226,14 +236,9 @@ def dense_search_topk(index: DenseIndex, encoder: DenseEncoder, query_ids, k: in
                       query_id: int = 0) -> RankedList:
     """Exact top-k by dot product over all document vectors.
 
-    Raises NumericError when any score is non-finite.
+    Raises NumericError (from top_k_order) when any score is non-finite.
     """
     if index.dim != encoder.dim:
         raise ValueError(f"index dim {index.dim} does not match encoder dim {encoder.dim}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    qv = encode(encoder, query_ids)
-    scores = index.vectors @ qv
-    if not np.all(np.isfinite(scores)):
-        raise NumericError("non-finite score in dense search")
+    scores = index.vectors @ encode(encoder, query_ids)
     return RankedList(query_id, top_k_entries(scores, index.doc_ids, index.doc_rank, k))

@@ -280,8 +280,11 @@ def read_qrels(path) -> Qrels:
         try:
             query_id = int(parts[0])
             grade = int(parts[3])
+            float(grade)  # as NDCG's linear gain reads it
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from exc
+        except OverflowError as exc:
+            raise ParseError(path, line_no, "grade is too large for a float") from exc
         if grade < 0:
             raise ParseError(path, line_no, f"negative grade {grade}")
         doc_id = parts[2]

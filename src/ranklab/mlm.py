@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .checkpoint import checked, load_arrays, save_arrays
-from .dense import DenseEncoder, pool, pool_grad
+from .dense import DenseEncoder, descend, pool, pool_grad
 from .errors import NumericError, ToolkitWarning
 
 DEFAULT_MASK_RATE = 0.15
@@ -184,10 +184,8 @@ def _loss_and_grads(model: MlmModel, batch: MaskedBatch):
 def mlm_train_step(model: MlmModel, batch: MaskedBatch, learning_rate: float) -> tuple[MlmModel, float]:
     """One descent step on the mean masked-target cross-entropy."""
     loss, grad_emb, grad_out = _loss_and_grads(model, batch)
-    if not (np.all(np.isfinite(grad_emb)) and np.all(np.isfinite(grad_out))):
-        raise NumericError("non-finite gradient in masked-language training")
-    model.embeddings -= learning_rate * grad_emb
-    model.output_weights -= learning_rate * grad_out
+    descend("masked-language training", learning_rate,
+            (model.embeddings, grad_emb), (model.output_weights, grad_out))
     return model, loss
 
 

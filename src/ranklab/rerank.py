@@ -22,7 +22,7 @@ import numpy as np
 
 from .checkpoint import checked, load_arrays, save_arrays
 from .corpus import Qrels
-from .dense import DenseEncoder, DenseIndex, pool
+from .dense import DenseEncoder, DenseIndex, descend, pool
 from .errors import DependencyError, NumericError
 from .evaluation import QuerySplit, Run, old_new_report
 from .sparse import (
@@ -163,6 +163,12 @@ def rerank(ranker: Ranker, candidates: Candidates, depth: int) -> list[RankedLis
             for qid, ids, s in zip(candidates.query_ids, doc_ids, scores)]
 
 
+def logistic(z: float) -> float:
+    """1 / (1 + e^-z) by math.exp of an exponent <= 0 (np.exp's last bit varies by CPU)."""
+    e = math.exp(-abs(z))
+    return (1.0 if z >= 0 else e) / (1.0 + e)
+
+
 def pairwise_train_step(ranker: Ranker, feature_pairs, learning_rate: float) -> tuple[Ranker, float]:
     """One descent step on the mean pairwise logistic loss ln(1 + e^-(s+ - s-)).
 
@@ -179,17 +185,9 @@ def pairwise_train_step(ranker: Ranker, feature_pairs, learning_rate: float) -> 
     for pos, neg in pairs:
         diff = pos - neg
         margin = float(np.dot(ranker.weights, diff))
-        # stable softplus(-margin)
-        if margin >= 0:
-            total += math.log1p(math.exp(-margin))
-            sig = 1.0 / (1.0 + math.exp(-margin))
-        else:
-            total += -margin + math.log1p(math.exp(margin))
-            sig = math.exp(margin) / (1.0 + math.exp(margin))
-        grad += scale * (sig - 1.0) * diff
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("non-finite gradient in pairwise training step")
-    ranker.weights -= learning_rate * grad
+        total += max(-margin, 0.0) + math.log1p(math.exp(-abs(margin)))  # stable softplus(-margin)
+        grad += scale * (logistic(margin) - 1.0) * diff
+    descend("pairwise training step", learning_rate, (ranker.weights, grad))
     return ranker, total * scale
 
 

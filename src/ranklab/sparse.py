@@ -18,8 +18,9 @@ and nothing outside the kept set can precede one inside it), and `np.lexsort`
 orders the kept ordinals by the same key, -score first, then the doc id's rank
 in Python string order. That rank is computed once per index by comparing the
 ids as Python strings, so it is the order `RankedList` checks (numpy's unicode
-dtype would drop trailing NULs). Scores must be finite: NaN compares as larger
-than every number in `np.partition`.
+dtype would drop trailing NULs). Scores must be finite (NaN compares as larger
+than every number in `np.partition`), so `top_k_order`, the top-k step under
+both BM25 and dense search, rejects a non-finite score with NumericError.
 
 BM25 top-k (`bm25_top_k`, under both `search_topk` and the reranker's
 candidates) gives the same list without touching the zero-score tie set.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .checkpoint import checked, load_arrays, save_arrays
 from .corpus import Qrels, Query, text_terms
-from .errors import EmptyCorpusError, UndefinedMetricError
+from .errors import EmptyCorpusError, NumericError, UndefinedMetricError
 
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
@@ -159,9 +160,13 @@ def doc_id_ranks(doc_ids) -> np.ndarray:
 def top_k_order(scores: np.ndarray, doc_rank: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k best scores by (score desc, doc_rank asc).
 
-    Exact for finite scores; see the module docstring for why it equals the
-    full sort.
+    Raises NumericError on a non-finite score; see the module docstring for
+    why it equals the full sort.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not np.isfinite(scores).all():
+        raise NumericError("non-finite score in top-k search")
     n = len(scores)
     if k < n:
         kth = np.partition(scores, n - k)[n - k]
@@ -218,10 +223,11 @@ def bm25_scores(index: InvertedIndex, query_terms, k1: float = DEFAULT_K1,
                 b: float = DEFAULT_B) -> np.ndarray:
     """BM25 of every document against a bag of query terms, as bm25_score gives it."""
     scores = np.zeros(index.doc_count)
-    norms = index.length_norms(k1, b)
-    for term in query_terms:
-        docs, tfs = index.posting(term)
-        scores[docs] += idf(index, term) * tfs * (k1 + 1.0) / (tfs + norms[docs])
+    with np.errstate(over="ignore", invalid="ignore"):  # top_k_order rejects what overflows
+        norms = index.length_norms(k1, b)
+        for term in query_terms:
+            docs, tfs = index.posting(term)
+            scores[docs] += idf(index, term) * tfs * (k1 + 1.0) / (tfs + norms[docs])
     return scores
 
 
@@ -230,8 +236,6 @@ def bm25_top_k(index: InvertedIndex, query_terms, k: int, k1: float = DEFAULT_K1
     """The ordinals of the BM25 top-k by (score desc, doc_id asc), and the
     whole corpus's bm25_scores. Only documents scoring above zero are ranked;
     see the module docstring."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if k1 < 0 or not 0 <= b <= 1:
         raise ValueError(f"BM25 top-k needs k1 >= 0 and b in [0, 1], got k1={k1}, b={b}")
     scores = bm25_scores(index, query_terms, k1, b)

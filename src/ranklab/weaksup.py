@@ -16,7 +16,6 @@ it is drawn.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ import numpy as np
 
 from .checkpoint import read_lines, write_atomic
 from .corpus import Document, Qrels, preprocess_query, text_terms
+from .dense import descend
 from .errors import (
     ConfigError,
     DegeneratePairError,
@@ -33,7 +33,7 @@ from .errors import (
     ToolkitWarning,
 )
 from .evaluation import mean_ndcg
-from .rerank import N_FEATURES, FeatureExtractor, Ranker, pairwise_train_step, rerank
+from .rerank import N_FEATURES, FeatureExtractor, Ranker, logistic, pairwise_train_step, rerank
 from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, idf, search_topk
 from .stopwords import ENGLISH_STOPWORDS
 
@@ -191,10 +191,15 @@ def read_triples(path) -> list[WeakTriple]:
     for line_no, line in read_lines(path):
         try:
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("record is not an object")
+            fields = {"source": "external", **record}
+            for name in ("query", "pos_doc_id", "neg_doc_id", "source"):
+                if not isinstance(fields[name], str):
+                    raise ValueError(f"{name} must be a string")
             triples.append(WeakTriple(
-                record["query"], record["pos_doc_id"], record["neg_doc_id"],
-                record.get("source", "external")))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                fields["query"], fields["pos_doc_id"], fields["neg_doc_id"], fields["source"]))
+        except (KeyError, ValueError) as exc:
             raise ParseError(path, line_no, str(exc)) from exc
     return triples
 
@@ -231,12 +236,7 @@ class SelectorPolicy:
         self.reward_count = 0
 
     def selection_probability(self, features) -> float:
-        z = float(np.dot(self.weights, features))
-        if z >= 0:
-            p = 1.0 / (1.0 + math.exp(-z))
-        else:
-            e = math.exp(z)
-            p = e / (1.0 + e)
+        p = logistic(float(np.dot(self.weights, features)))
         # keep the probability strictly inside (0, 1) even when the sigmoid
         # saturates in floating point
         return min(max(p, 1e-12), 1.0 - 1e-12)
@@ -321,7 +321,7 @@ def reinfoselect_step(policy: SelectorPolicy, pairs, ranker: Ranker,
     advantage = reward - policy.baseline
     # summed over rows in batch order, as a running += would add them
     grad = ((actions - probs)[:, None] * features).sum(axis=0)
-    policy.weights += policy_lr * advantage * grad
+    descend("selection policy", -(policy_lr * advantage), (policy.weights, grad))  # ascent
     policy.record_reward(reward)
 
     updated = trial if (keep_all_updates or reward >= 0.0) else ranker

@@ -279,3 +279,75 @@ def test_run_tag_not_one_token_is_one_line_exit_2(base, tmp_path, capsys, tag):
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: run_tag must be one token\n"
     assert not (root / "w" / "run.trec").exists()
+
+
+TRIPLE = {"query": "spike protein", "pos_doc_id": "t00d00", "neg_doc_id": "t00d01"}
+
+
+@pytest.mark.parametrize("record, message", [
+    ([1, 2], "record is not an object"),
+    ({**TRIPLE, "query": 5}, "query must be a string"),
+    ({**TRIPLE, "pos_doc_id": ["t00d00"]}, "pos_doc_id must be a string"),
+], ids=["list", "int-query", "list-doc-id"])
+def test_weak_triple_of_wrong_type_is_one_line_exit_2(base, tmp_path, capsys, record, message):
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    path = _write(root / "triples.jsonl", json.dumps(TRIPLE) + "\n" + json.dumps(record) + "\n")
+    capsys.readouterr()
+    code = main(["train-dense", "--triples-file", str(path), "--corpus", str(root / "corpus.jsonl"),
+                 "--workdir", str(root / "w")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"input error: {path}:2: {message}\n"
+    assert not (root / "w" / "encoder.ckpt").exists()
+
+
+def _evaluate_with_grade(root, capsys, grade, *flags):
+    """evaluate after a judgment of `grade` is added to the qrels as line 25."""
+    qrels = root / "qrels.txt"
+    _write(qrels, qrels.read_text() + f"99 0 t00d00 {grade}\n")
+    capsys.readouterr()
+    code = main(["evaluate", *flags, "--corpus", str(root / "corpus.jsonl"),
+                 "--queries", str(root / "queries.tsv"), "--qrels", str(qrels),
+                 "--workdir", str(root / "w")])
+    return code, capsys.readouterr().err, qrels
+
+
+@pytest.mark.parametrize("grade, flags, message", [
+    ("1" + "0" * 400, [], "input error: {qrels}:25: grade is too large for a float"),
+    ("1024", ["--gain", "exp"], "config error: {qrels}: grade 1024 is too large for --gain exp"),
+], ids=["huge", "exp-1024"])
+def test_grade_a_gain_cannot_hold_is_one_line_exit_2(base, tmp_path, capsys, grade, flags, message):
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    before = (root / "w" / "report.txt").read_bytes()
+    code, err, qrels = _evaluate_with_grade(root, capsys, grade, *flags)
+    assert code == EXIT_CONFIG
+    assert err == message.format(qrels=qrels) + "\n"
+    assert (root / "w" / "report.txt").read_bytes() == before
+
+
+@pytest.mark.parametrize("grade, flags", [("1023", ["--gain", "exp"]), ("1024", [])])
+def test_grade_a_gain_holds_still_scores(base, tmp_path, capsys, grade, flags):
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    code, err, _ = _evaluate_with_grade(root, capsys, grade, *flags)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("date", 20200101), ("date", ["2020-01-01"]), ("date", False),
+    ("title", None), ("title", 7), ("abstract", ["a"]),
+])
+def test_corpus_field_of_wrong_type_is_one_line_exit_2(tmp_path, capsys, field, value):
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = json.dumps({**json.loads(lines[2]), field: value}) + "\n"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["pipeline", "--stages", "ingest,index", "--corpus", str(corpus),
+                 "--queries", str(queries), "--qrels", str(qrels),
+                 "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600"])
+    assert code == EXIT_CONFIG
+    kind = "an ISO date string" if field == "date" else "a string"
+    assert capsys.readouterr().err == f"input error: {corpus}:3: {field} {value!r} must be {kind}\n"
+    assert not (tmp_path / "w" / "vocab.json").exists()
