@@ -19,7 +19,8 @@ file, whose size, mtime or inode differs, is. index.bin alone is loaded afresh
 by every stage that reads it. dapt and train-dense share the corpus that
 subword.tokenize_corpus encodes, kept the same way under the corpus file, the
 vocab and max_seq_len; every dense index train-dense scores or saves pools it
-through dense.build_dense_index.
+through dense.build_dense_index. rerank keeps the run it writes, as read_run
+parses it back, for evaluate, and its unfused candidates for depth-sweep.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
@@ -292,11 +293,11 @@ class StageRunner:
             self.digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
         return self.digests[key]
 
-    def load(self, path, parse, *args):
-        """parse(path, *args), parsed again only when the file's identity or args change."""
+    def load(self, path, parse, *args, make=None):
+        """parse(path, *args) or make(), done again only when the file's identity or args change."""
         key, identity = (Path(path), parse), (file_identity(path), args)
         if key not in self.parsed or self.parsed[key][0] != identity:
-            self.parsed[key] = (identity, parse(path, *args))
+            self.parsed[key] = (identity, make() if make else parse(path, *args))
         return self.parsed[key][1]
 
     def run(self, stage: str) -> list[Path]:
@@ -431,6 +432,13 @@ class StageRunner:
             self.load(self.read("dense_index"), dense.DenseIndex.load),
             self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
 
+    def _candidates(self, extractor):
+        """extractor.candidates at topk, kept under every file the stage has read and its settings."""
+        queries, c = self.load_queries(), self.config
+        return self.load(self.input("queries"), rerank.FeatureExtractor.candidates,
+                         frozenset(map(file_identity, self.inputs)), c.k1, c.b, c.max_seq_len,
+                         c.topk, make=lambda: extractor.candidates(queries, c.topk))
+
     def stage_select_train(self):
         extractor = self._feature_extractor()
         queries = self.load_queries()
@@ -475,7 +483,7 @@ class StageRunner:
                 topk, q.query_id) for q in queries}
         fuse = None if self.config.fusion != "union" else (
             lambda base: rerank.fuse_base_union(base, dense_lists[base.query_id], topk, rrf_k))
-        candidates = extractor.candidates(queries, topk, fuse)
+        candidates = extractor.candidates(queries, topk, fuse) if fuse else self._candidates(extractor)
         run = Run({}, self.config.run_tag)
         rows = zip(candidates.query_ids, rerank.rerank(ranker, candidates, self.config.depth),
                    candidates.doc_ids, candidates.features)
@@ -487,7 +495,10 @@ class StageRunner:
             elif self.config.fusion == "rrf":
                 reranked = rerank.reciprocal_rank_fusion([reranked, dense_lists[query_id]], topk, rrf_k)
             run.rankings[query_id] = reranked
-        write_run(run, self.write("run"))
+        write_run(run, path := self.write("run"))
+        # evaluate takes the run as read_run parses this file back
+        kept = {q: r for q, r in sorted(run.rankings.items()) if r.entries}
+        self.parsed[path, read_run] = ((file_identity(path), ()), Run(kept, run.tag if kept else "external"))
 
     def stage_evaluate(self):
         qrels = self.load_qrels()
@@ -507,8 +518,8 @@ class StageRunner:
             )
             write_run(run, self.write("run"))
         else:
-            run = read_run(self.read("run", "run the rerank stage (or build an index for "
-                                            "base-retrieval evaluation) first"))
+            run = self.load(self.read("run", "run the rerank stage (or build an index for "
+                                             "base-retrieval evaluation) first"), read_run)
         if self.config.split_path:
             split = load_split(path := self.input("split"))
             listed = split.old_query_ids | split.new_query_ids
@@ -530,7 +541,7 @@ class StageRunner:
     def stage_depth_sweep(self):
         extractor = self._feature_extractor()
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
-        candidates = extractor.candidates(self.load_queries(), self.config.topk)
+        candidates = self._candidates(extractor)
         table = rerank.depth_sweep(ranker, candidates, self.config.depth_list(),
                                    self.load_qrels(), self.config.eval_k)
         lines = [f"depth\tndcg@{self.config.eval_k}\tp@5"]

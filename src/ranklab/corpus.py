@@ -64,6 +64,18 @@ class Query:
         return cls(query_id, raw_text, tuple(preprocess_query(raw_text, stopwords)))
 
 
+class Judgments(dict):
+    """One query's doc id -> grade, whose `ideal` keeps ndcg_at_k's ideal DCG
+    per (k, gain) until Qrels.add changes it; pickling leaves it out."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ideal: dict[tuple[int, str], float] = {}
+
+    def __reduce__(self):
+        return Judgments, (dict(self),)
+
+
 @dataclass
 class Qrels:
     """Graded relevance judgments: query_id -> doc_id -> grade (0 = not relevant)."""
@@ -73,7 +85,9 @@ class Qrels:
     def add(self, query_id: int, doc_id: str, grade: int) -> None:
         if grade < 0:
             raise ValueError(f"grade must be >= 0, got {grade}")
-        self.judgments.setdefault(query_id, {})[doc_id] = grade
+        entry = self.judgments.get(query_id) or self.judgments.setdefault(query_id, Judgments())
+        entry[doc_id] = grade
+        getattr(entry, "ideal", {}).clear()  # an entry given as a plain dict keeps no memo
 
     def query_ids(self) -> list[int]:
         return sorted(self.judgments)

@@ -5,7 +5,7 @@ round-trip decimal, so a run file reads back exactly as it was written.
 NDCG uses linear gain and the log2(r + 1) discount by default; exponential
 gain (2^g - 1) is available behind the `gain` flag. Queries with no relevant
 document score 0 and are flagged; they stay in means unless explicitly
-skipped.
+skipped. An ideal DCG that overflows a float raises NumericError, not nan.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .checkpoint import read_lines, write_atomic
 from .corpus import Qrels
-from .errors import ParseError, ToolkitWarning
+from .errors import NumericError, ParseError, ToolkitWarning
 from .sparse import RankedList
 
 GAIN_FUNCTIONS = {
@@ -36,13 +36,18 @@ def _gain_fn(gain: str):
 def ndcg_at_k(ranking: RankedList, qrels_entry, k: int, gain: str = "linear") -> float:
     """DCG@k / ideal DCG@k with gain(rel)/log2(rank+1); 0 if nothing relevant.
 
-    Documents absent from the qrels entry count as grade 0.
-    """
+    Documents absent from the qrels entry count as grade 0. A Qrels entry
+    keeps its ideal DCGs until Qrels.add changes it; one that overflows a
+    float raises NumericError."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     g = _gain_fn(gain)
-    ideal = sorted((g(v) for v in qrels_entry.values()), reverse=True)[:k]
-    idcg = sum(v / math.log2(r + 1) for r, v in enumerate(ideal, start=1))
+    ideal = getattr(qrels_entry, "ideal", {})  # a corpus.Judgments entry's memo
+    if (k, gain) not in ideal:
+        top = sorted((g(v) for v in qrels_entry.values()), reverse=True)[:k]
+        ideal[k, gain] = sum(v / math.log2(r + 1) for r, v in enumerate(top, start=1))
+    if not math.isfinite(idcg := ideal[k, gain]):
+        raise NumericError(f"ideal DCG@{k} of query {ranking.query_id} overflows a float")
     if idcg == 0.0:
         return 0.0
     dcg = sum(

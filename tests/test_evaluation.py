@@ -27,13 +27,13 @@ def ranking(query_id, docs):
     return RankedList.from_scores(query_id, [(d, float(-i)) for i, d in enumerate(docs)])
 
 
-def oracle_ndcg(ranked_docs, grades, k):
-    """Brute-force NDCG with linear gain and log2(r+1) discount."""
+def oracle_ndcg(ranked_docs, grades, k, gain=lambda g: g):
+    """Brute-force NDCG with `gain` (default linear) and log2(r+1) discount."""
     dcg = 0.0
     for r, doc in enumerate(ranked_docs[:k], start=1):
-        dcg += grades.get(doc, 0) / math.log2(r + 1)
+        dcg += gain(grades.get(doc, 0)) / math.log2(r + 1)
     ideal = sorted(grades.values(), reverse=True)[:k]
-    idcg = sum(g / math.log2(r + 1) for r, g in enumerate(ideal, start=1))
+    idcg = sum(gain(g) / math.log2(r + 1) for r, g in enumerate(ideal, start=1))
     return dcg / idcg if idcg > 0 else 0.0
 
 

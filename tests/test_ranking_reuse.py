@@ -1,0 +1,177 @@
+"""Within one StageRunner, evaluate and depth-sweep reuse what rerank built.
+
+rerank keeps the run it writes as read_run would parse run.trec back, and its
+unfused candidates under the queries file and the extractor's inputs, so
+evaluate parses no run and depth-sweep builds no candidates while those files
+and settings are the same; a rewritten file or another setting is read or
+built again, as every memoized result is. A query's ideal DCG is summed once
+per (k, gain) and dropped when Qrels.add changes its judgments.
+"""
+
+import dataclasses
+import shutil
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ranklab import rerank
+from ranklab.cli import EXIT_NUMERIC, STAGES, StageRunner, main
+from ranklab.corpus import Qrels
+from ranklab.errors import NumericError
+from ranklab.evaluation import ndcg_at_k, read_run
+from ranklab.sparse import RankedList
+from test_evaluation import oracle_ndcg
+from test_stage_memo import _config, _counting
+
+def _run_stages(runner, stages):
+    for stage in stages:
+        runner.run(stage)
+
+
+def _count_candidates(monkeypatch, calls):
+    real = rerank.FeatureExtractor.candidates
+    monkeypatch.setattr(rerank.FeatureExtractor, "candidates",
+                        lambda self, *args: calls.append(args[1]) or real(self, *args))
+
+
+def test_evaluate_parses_no_run_after_rerank(tmp_path, monkeypatch):
+    calls = []
+    _counting(monkeypatch, "read_run", calls)
+    _run_stages(StageRunner(_config(tmp_path)), STAGES)
+    assert calls == []
+
+
+def test_a_run_rewritten_after_rerank_is_parsed_and_scored(tmp_path, monkeypatch):
+    config = _config(tmp_path)
+    calls = []
+    _counting(monkeypatch, "read_run", calls)
+    runner = StageRunner(config)
+    _run_stages(runner, STAGES[:STAGES.index("evaluate") + 1])
+    report = tmp_path / "work" / "report.txt"
+    before = report.read_bytes()
+    run = tmp_path / "work" / "run.trec"
+    first = run.read_text().split()[0]
+    run.write_text("".join(line + "\n" for line in run.read_text().splitlines()
+                           if line.split()[0] == first))
+    runner.run("evaluate")
+    assert calls == ["read_run"]
+    rescored = report.read_bytes()
+    assert rescored != before
+    StageRunner(config).run("evaluate")
+    assert report.read_bytes() == rescored
+
+
+@pytest.mark.parametrize("fusion", ["none", "interp", "union", "rrf", "no queries"])
+def test_the_kept_run_is_what_read_run_parses(tmp_path, fusion):
+    config = _config(tmp_path, fusion="none" if fusion == "no queries" else fusion)
+    runner = StageRunner(config)
+    _run_stages(runner, STAGES[:STAGES.index("rerank")])
+    if fusion == "no queries":
+        Path(config.queries_path).write_text("")
+    runner.run("rerank")
+    path = tmp_path / "work" / "run.trec"
+    kept, parsed = runner.parsed[path, read_run][1], read_run(path)
+    assert kept == parsed
+    assert list(kept.rankings) == list(parsed.rankings)
+    assert kept.tag == parsed.tag == ("external" if fusion == "no queries" else config.run_tag)
+
+
+@pytest.mark.parametrize("fusion, builds", [("none", 1), ("interp", 1), ("union", 2), ("rrf", 1)])
+def test_the_ranking_stages_build_one_candidate_set(tmp_path, monkeypatch, fusion, builds):
+    runner = StageRunner(_config(tmp_path, fusion=fusion))
+    _run_stages(runner, STAGES[:STAGES.index("rerank")])
+    calls = []
+    _count_candidates(monkeypatch, calls)
+    _run_stages(runner, STAGES[STAGES.index("rerank"):])
+    assert calls == [runner.config.topk] * builds
+
+
+def _rewrite_queries(runner):
+    path = Path(runner.config.queries_path)
+    path.write_text("".join(line + "\n" for line in path.read_text().splitlines()[1:]))
+
+
+def _set_topk(runner):
+    runner.config = dataclasses.replace(runner.config, topk=7)
+
+
+@pytest.mark.parametrize("change", [_set_topk, _rewrite_queries], ids=["topk", "queries"])
+def test_depth_sweep_builds_candidates_again_when_an_input_changes(tmp_path, monkeypatch, change):
+    runner = StageRunner(_config(tmp_path))
+    _run_stages(runner, STAGES[:STAGES.index("rerank") + 1])
+    change(runner)
+    calls = []
+    _count_candidates(monkeypatch, calls)
+    runner.run("depth-sweep")
+    assert calls == [runner.config.topk]
+    sweep = tmp_path / "work" / "depth_sweep.tsv"
+    kept = sweep.read_bytes()
+    StageRunner(runner.config).run("depth-sweep")
+    assert sweep.read_bytes() == kept
+
+
+DOCS = [f"d{i}" for i in range(12)]
+ORACLE_GAINS = {"linear": lambda g: g, "exp": lambda g: 2**g - 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(grades=st.dictionaries(st.sampled_from(DOCS), st.integers(0, 40), min_size=1),
+       ranked=st.permutations(DOCS), k=st.integers(1, 14),
+       gain=st.sampled_from(sorted(ORACLE_GAINS)),
+       added=st.tuples(st.sampled_from(DOCS), st.integers(0, 40)))
+def test_the_kept_ideal_dcg_scores_as_the_oracle(grades, ranked, k, gain, added):
+    qrels = Qrels()
+    for doc_id, grade in grades.items():
+        qrels.add(1, doc_id, grade)
+    ranking = RankedList.from_scores(1, [(d, float(-i)) for i, d in enumerate(ranked)])
+    g = ORACLE_GAINS[gain]
+    for _ in range(2):  # the second call reads the kept ideal DCG
+        assert ndcg_at_k(ranking, qrels.judgments[1], k, gain) == oracle_ndcg(ranked, grades, k, g)
+    qrels.add(1, *added)
+    grades = {**grades, added[0]: added[1]}
+    assert ndcg_at_k(ranking, qrels.judgments[1], k, gain) == oracle_ndcg(ranked, grades, k, g)
+
+
+@pytest.mark.parametrize("grade, gain", [(1023, "exp"), (10**308, "linear")], ids=["exp-1023", "linear-1e308"])
+def test_an_ideal_dcg_that_overflows_is_a_numeric_error(grade, gain):
+    ranking = RankedList.from_scores(7, [("a", 1.0)])
+    with pytest.raises(NumericError, match="query 7"):
+        ndcg_at_k(ranking, {"a": grade, "b": grade, "c": grade}, 10, gain)
+    assert ndcg_at_k(ranking, {"a": grade}, 10, gain) == 1.0
+
+
+@pytest.fixture(scope="module")
+def ranked(tmp_path_factory):
+    """Fixture inputs and a work directory holding every artifact up to run.trec."""
+    root = tmp_path_factory.mktemp("ranked")
+    config = _config(root)
+    _run_stages(StageRunner(config), STAGES[:STAGES.index("rerank") + 1])
+    return root
+
+
+@pytest.mark.parametrize("stage, grade, flags, report", [
+    ("evaluate", "1023", ["--gain", "exp"], "report.txt"),
+    ("depth-sweep", "1" + "0" * 308, [], "depth_sweep.tsv"),
+], ids=["evaluate-exp", "depth-sweep-linear"])
+def test_overflowing_ndcg_is_one_line_exit_4(ranked, tmp_path, capsys, stage, grade, flags, report):
+    root = tmp_path / "root"
+    shutil.copytree(ranked, root)
+    qrels = root / "qrels.txt"
+    qrels.write_text(qrels.read_text() + "".join(f"99 0 t00d0{i} {grade}\n" for i in range(3)))
+    capsys.readouterr()
+    code = main([stage, *flags, "--corpus", str(root / "corpus.jsonl"),
+                 "--queries", str(root / "queries.tsv"), "--qrels", str(qrels),
+                 "--workdir", str(root / "work")])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert err == "numeric error: ideal DCG@10 of query 99 overflows a float\n"
+    assert not (root / "work" / report).exists()
+
+
+def test_an_entry_given_as_a_plain_dict_takes_more_grades():
+    qrels = Qrels({1: {"a": 1}})
+    qrels.add(1, "b", 2)
+    ranking = RankedList.from_scores(1, [("b", 1.0), ("a", 0.0)])
+    assert ndcg_at_k(ranking, qrels.judgments[1], 10) == 1.0

@@ -99,7 +99,7 @@ def test_no_stage_mutates_a_memoized_object(tmp_path):
     assert {key[0].name for key, _ in first_seen} == {
         "corpus.jsonl", "queries.tsv", "qrels.txt", "stopwords.txt", "vocab.json",
         "weak_triples.jsonl", "mlm_embeddings.ckpt", "encoder.ckpt", "dense_index.bin",
-        "ranker.ckpt"}
+        "ranker.ckpt", "run.trec"}
 
 
 def _relative(manifest, workdir):
@@ -108,7 +108,7 @@ def _relative(manifest, workdir):
              for side in ("inputs", "outputs")} | {"stage": line["stage"]} for line in lines]
 
 
-@pytest.mark.parametrize("fusion", ["none", "rrf"])
+@pytest.mark.parametrize("fusion", ["none", "interp", "union", "rrf"])
 def test_memo_writes_what_a_fresh_parse_per_stage_writes(tmp_path, fusion):
     cached = StageRunner(_config(tmp_path, "cached", fusion=fusion, warm_start=True))
     fresh = StageRunner(_config(tmp_path, "fresh", fusion=fusion, warm_start=True))
