@@ -357,13 +357,13 @@ class StageRunner:
 
     def stage_dapt(self):
         vocab, pieces = self.tokenized_corpus()
-        sequences = [s for s in pieces.values() if s]
-        if not sequences:
+        lengths, ids = dense.flatten([s for s in pieces.values() if s])
+        if not len(lengths):
             raise ConfigError(f"no document in {self.config.corpus_path} has a piece to mask")
         model = mlm.MlmModel.init(len(vocab), self.config.dim, self.config.seed)
         rng = np.random.default_rng(self.config.seed)
         for epoch in range(self.config.mlm_epochs):
-            batch = mlm.make_masked_batch(sequences, vocab.mask_id, self.config.mask_rate, rng)
+            batch = mlm.make_masked_batch(ids, vocab.mask_id, self.config.mask_rate, rng, lengths)
             model, loss = mlm.mlm_train_step(model, batch, self.config.mlm_lr)
             if (epoch + 1) % self.config.eval_every_steps == 0 or epoch == self.config.mlm_epochs - 1:
                 print(f"[dapt] epoch {epoch + 1} loss {loss:.6f}")
@@ -432,12 +432,28 @@ class StageRunner:
             self.load(self.read("dense_index"), dense.DenseIndex.load),
             self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
 
+    def _dense_lists(self, extractor, queries) -> dict:
+        """Each query's dense top-k: the second list of union and rrf fusion."""
+        return {q.query_id: dense.dense_search_topk(
+            extractor.dense_index, extractor.encoder,
+            tokenize_query(q.processed_terms, extractor.vocab, self.config.max_seq_len),
+            self.config.topk, q.query_id) for q in queries}
+
     def _candidates(self, extractor):
-        """extractor.candidates at topk, kept under every file the stage has read and its settings."""
+        """extractor.candidates at topk, union-fused with the dense top-k under
+        --fusion union, kept under every file the stage has read and its settings."""
         queries, c = self.load_queries(), self.config
+        union = c.rrf_k if c.fusion == "union" else None
+
+        def make():
+            if union is None:
+                return extractor.candidates(queries, c.topk)
+            lists = self._dense_lists(extractor, queries)
+            return extractor.candidates(queries, c.topk, lambda base: rerank.fuse_base_union(
+                base, lists[base.query_id], c.topk, union))
         return self.load(self.input("queries"), rerank.FeatureExtractor.candidates,
                          frozenset(map(file_identity, self.inputs)), c.k1, c.b, c.max_seq_len,
-                         c.topk, make=lambda: extractor.candidates(queries, c.topk))
+                         c.topk, union, make=make)
 
     def stage_select_train(self):
         extractor = self._feature_extractor()
@@ -476,14 +492,9 @@ class StageRunner:
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
         queries = self.load_queries()
         topk, rrf_k = self.config.topk, self.config.rrf_k
-        if self.config.fusion in ("union", "rrf"):
-            dense_lists = {q.query_id: dense.dense_search_topk(
-                extractor.dense_index, extractor.encoder,
-                tokenize_query(q.processed_terms, extractor.vocab, self.config.max_seq_len),
-                topk, q.query_id) for q in queries}
-        fuse = None if self.config.fusion != "union" else (
-            lambda base: rerank.fuse_base_union(base, dense_lists[base.query_id], topk, rrf_k))
-        candidates = extractor.candidates(queries, topk, fuse) if fuse else self._candidates(extractor)
+        if self.config.fusion == "rrf":
+            dense_lists = self._dense_lists(extractor, queries)
+        candidates = self._candidates(extractor)
         run = Run({}, self.config.run_tag)
         rows = zip(candidates.query_ids, rerank.rerank(ranker, candidates, self.config.depth),
                    candidates.doc_ids, candidates.features)

@@ -70,7 +70,7 @@ def encode(encoder: DenseEncoder, piece_ids) -> np.ndarray:
     return encoder.table[ids].mean(axis=0)
 
 
-def _flatten(sequences, lengths=None) -> tuple[np.ndarray, np.ndarray]:
+def flatten(sequences, lengths=None) -> tuple[np.ndarray, np.ndarray]:
     """The length of each id sequence and all their ids, concatenated; given
     `lengths`, `sequences` already is the concatenated ids."""
     if lengths is not None:
@@ -87,7 +87,7 @@ def pool(table: np.ndarray, sequences, lengths=None) -> np.ndarray:
     row's ids in order from 0.0, as numpy's table[ids].mean(axis=0) does for
     two or more columns (one column it sums pairwise): bit-equal. Not so
     np.add.reduceat, which adds in another order."""
-    lengths, ids = _flatten(sequences, lengths)
+    lengths, ids = flatten(sequences, lengths)
     order = np.argsort(-lengths, kind="stable")  # longest first: rows still adding are a prefix
     starts = (np.cumsum(lengths) - lengths)[order]
     at_least = np.bincount(lengths)[::-1].cumsum()[::-1]  # [j]: how many have length >= j
@@ -104,7 +104,7 @@ def pool_grad(shape, sequences, row_grads, lengths=None) -> np.ndarray:
     (bit-equal to one += per id) without an (ids x dim) array of them, which
     for one MLM step would be larger than its whole 16 MiB memory budget.
     `sequences` and `lengths` are read as pool() reads them."""
-    lengths, ids = _flatten(sequences, lengths)
+    lengths, ids = flatten(sequences, lengths)
     owner = np.repeat(np.arange(len(lengths)), lengths)
     shares = np.reshape(row_grads, (len(lengths), shape[1])) / np.maximum(lengths, 1)[:, None]
     grad = np.empty(shape)

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ranklab.dense import DenseEncoder, encode
 from ranklab.errors import NumericError, ToolkitWarning
@@ -50,6 +53,17 @@ def _reference_loss_and_grads(model, batch):
             for i in context_ids:
                 grad_emb[i] += dc
     return total * scale, grad_emb, grad_out
+
+
+def _batch(sequences):
+    """The MaskedBatch whose `.sequences` are the given MaskedSequences."""
+    sequences = list(sequences)
+    targets = [t for seq in sequences for t in seq.targets]
+    return MaskedBatch(np.array([i for seq in sequences for i in seq.ids], dtype=np.intp),
+                       np.array([len(seq.ids) for seq in sequences], dtype=np.intp),
+                       np.array([len(seq.targets) for seq in sequences], dtype=np.intp),
+                       np.array([p for p, _ in targets], dtype=np.intp),
+                       np.array([i for _, i in targets], dtype=np.intp))
 
 
 def _perturbed_model(vocab_size, dim, seed=1):
@@ -111,6 +125,51 @@ class TestMaskTokens:
         a = mask_tokens(list(range(2, 30)), MASK, 0.15, rng=42)
         b = mask_tokens(list(range(2, 30)), MASK, 0.15, rng=42)
         assert a == b
+
+
+def _choice_sequences(sequences, mask_rate, rng):
+    """Masking one sequence at a time, with one Generator.choice each."""
+    out = []
+    for ids in sequences:
+        if not ids:
+            continue
+        positions = sorted(rng.choice(len(ids), size=max(1, round(mask_rate * len(ids))),
+                                      replace=False).tolist())
+        masked = list(ids)
+        for p in positions:
+            masked[p] = MASK
+        out.append(MaskedSequence(tuple(masked), tuple((p, ids[p]) for p in positions)))
+    return tuple(out)
+
+
+class TestMaskedBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(lengths=st.lists(st.one_of(st.integers(0, 40), st.integers(1, 10_000)), max_size=6),
+           mask_rate=st.floats(0.001, 0.99), seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[1, 0, 3, 0, 0, 50], mask_rate=0.99, seed=0)  # k = n; empty sequences between
+    @example(lengths=[10_000, 1, 7], mask_rate=0.001, seed=1)  # k = 1 but for the longest
+    @example(lengths=[10_000], mask_rate=0.99, seed=2)
+    def test_draws_as_one_choice_per_sequence(self, lengths, mask_rate, seed):
+        ids = np.random.default_rng(seed).integers(1, 500, size=sum(lengths))
+        sequences = [ids[e - n:e].tolist() for e, n in zip(np.cumsum(lengths).tolist(), lengths)]
+        reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _choice_sequences(sequences, mask_rate, reference)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = make_masked_batch(sequences, MASK, mask_rate, rng)
+            flat = make_masked_batch(ids, MASK, mask_rate, seed, lengths=lengths)
+        assert [w.category for w in caught] == [ToolkitWarning] * (2 * lengths.count(0))
+        assert batch.sequences == flat.sequences == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_sequences_round_trip_through_the_flat_arrays(self):
+        rng = np.random.default_rng(11)
+        seqs = [rng.integers(1, 40, size=int(rng.integers(1, 30))).tolist() for _ in range(50)]
+        batch = make_masked_batch(seqs, MASK, 0.15, rng=12)
+        again = _batch(batch.sequences)
+        for field in ("ids", "lengths", "counts", "positions", "target_ids"):
+            np.testing.assert_array_equal(getattr(again, field), getattr(batch, field))
+        assert again.sequences == batch.sequences
 
 
 class TestMlmTraining:
@@ -186,14 +245,14 @@ class TestMlmTraining:
 class TestBatchedStep:
     @staticmethod
     def repeated_ids_batch():
-        return MaskedBatch((
+        return _batch((
             MaskedSequence((4, MASK, 4, 9, 4, MASK, 9), ((1, 9), (5, 4))),
             MaskedSequence((7, 7, MASK, 7), ((2, 3),)),
         ))
 
     @staticmethod
     def empty_context_batch():
-        return MaskedBatch((
+        return _batch((
             MaskedSequence((MASK,), ((0, 5),)),
             MaskedSequence((2, 3, MASK, 11), ((2, 8),)),
         ))
@@ -217,7 +276,7 @@ class TestBatchedStep:
                                                ((0, 12), (2, 12), (4, 12)))
         masked[SEQ_CHUNK] = MaskedSequence((MASK, MASK), ((0, 3), (1, 9)))
         assert len(masked) > 2 * SEQ_CHUNK and len(masked) % SEQ_CHUNK
-        return MaskedBatch(tuple(masked))
+        return _batch(masked)
 
     @pytest.mark.parametrize("make_batch", ["repeated_ids_batch", "empty_context_batch",
                                             "multi_chunk_batch", "multi_seq_chunk_batch"])
@@ -237,9 +296,9 @@ class TestBatchedStep:
     def test_empty_batch_rejected(self):
         model = MlmModel.init(10, 4)
         with pytest.raises(ValueError):
-            masked_prediction_loss(model, MaskedBatch(()))
+            masked_prediction_loss(model, _batch(()))
         with pytest.raises(ValueError):
-            mlm_train_step(model, MaskedBatch(()), 0.5)
+            mlm_train_step(model, _batch(()), 0.5)
 
     def test_peak_memory_bounded_by_chunk(self):
         vocab_size, dim = 1400, 64

@@ -1,11 +1,12 @@
 """Within one StageRunner, evaluate and depth-sweep reuse what rerank built.
 
 rerank keeps the run it writes as read_run would parse run.trec back, and its
-unfused candidates under the queries file and the extractor's inputs, so
-evaluate parses no run and depth-sweep builds no candidates while those files
-and settings are the same; a rewritten file or another setting is read or
-built again, as every memoized result is. A query's ideal DCG is summed once
-per (k, gain) and dropped when Qrels.add changes its judgments.
+candidates (union-fused under --fusion union) under the queries file and the
+extractor's inputs, so evaluate parses no run and depth-sweep builds no
+candidates while those files and settings are the same; a rewritten file or
+another setting is read or built again, as every memoized result is. A
+query's ideal DCG is summed once per (k, gain) and dropped when Qrels.add
+changes its judgments.
 """
 
 import dataclasses
@@ -78,7 +79,7 @@ def test_the_kept_run_is_what_read_run_parses(tmp_path, fusion):
     assert kept.tag == parsed.tag == ("external" if fusion == "no queries" else config.run_tag)
 
 
-@pytest.mark.parametrize("fusion, builds", [("none", 1), ("interp", 1), ("union", 2), ("rrf", 1)])
+@pytest.mark.parametrize("fusion, builds", [("none", 1), ("interp", 1), ("union", 1), ("rrf", 1)])
 def test_the_ranking_stages_build_one_candidate_set(tmp_path, monkeypatch, fusion, builds):
     runner = StageRunner(_config(tmp_path, fusion=fusion))
     _run_stages(runner, STAGES[:STAGES.index("rerank")])
@@ -86,6 +87,27 @@ def test_the_ranking_stages_build_one_candidate_set(tmp_path, monkeypatch, fusio
     _count_candidates(monkeypatch, calls)
     _run_stages(runner, STAGES[STAGES.index("rerank"):])
     assert calls == [runner.config.topk] * builds
+
+
+def test_a_union_depth_sweep_sweeps_the_fused_candidates(tmp_path, monkeypatch):
+    config = _config(tmp_path, fusion="union")
+    runner = StageRunner(config)
+    _run_stages(runner, STAGES[:STAGES.index("rerank")])
+    runner.run("rerank")
+    fused = runner.parsed[Path(config.queries_path), rerank.FeatureExtractor.candidates][1]
+    swept = []
+    real = rerank.depth_sweep
+    monkeypatch.setattr(rerank, "depth_sweep", lambda r, candidates, *args:
+                        swept.append(candidates.doc_ids) or real(r, candidates, *args))
+    _run_stages(runner, STAGES[STAGES.index("rerank") + 1:])
+    sweep = tmp_path / "work" / "depth_sweep.tsv"
+    kept = sweep.read_bytes()
+    StageRunner(config).run("depth-sweep")  # alone, in a new runner
+    assert sweep.read_bytes() == kept
+    StageRunner(dataclasses.replace(config, fusion="none")).run("depth-sweep")
+    in_pipeline, alone, unfused = swept
+    assert (in_pipeline == fused.doc_ids).all() and (alone == fused.doc_ids).all()
+    assert not (unfused == fused.doc_ids).all()
 
 
 def _rewrite_queries(runner):
