@@ -20,7 +20,14 @@ by every stage that reads it. dapt and train-dense share the corpus that
 subword.tokenize_corpus encodes, kept the same way under the corpus file, the
 vocab and max_seq_len; every dense index train-dense scores or saves pools it
 through dense.build_dense_index. rerank keeps the run it writes, as read_run
-parses it back, for evaluate, and its unfused candidates for depth-sweep.
+parses it back, for evaluate, and its candidates for depth-sweep: the BM25
+lists, or under --fusion union the lists fused with the dense ones.
+
+Fusion runs on arrays: one dense.dense_top_k call per stage gives the dense
+lists of union and rrf, and train-dense's dev rankings, as doc-id ranks, and
+rerank.rrf_top_k fuses them, so rerank builds one RankedList per query, the
+run's own. A manifest line also holds the config, its sha256 without workdir,
+and the package version.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
@@ -43,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dense, mlm, rerank, weaksup
+from . import __version__, dense, mlm, rerank, weaksup
 from .checkpoint import checked, read_lines, write_atomic
 from .corpus import is_token, load_corpus, load_queries, preprocess_query
 from .errors import ConfigError, DependencyError, NumericError, ParseError, ToolkitError
@@ -59,7 +66,9 @@ from .evaluation import (
     residual_filter,
     write_run,
 )
-from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index, coverage_at_k, search_topk
+from .sparse import (
+    DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, build_index, coverage_at_k, search_topk,
+)
 from .stopwords import ENGLISH_STOPWORDS, load_stopwords
 from .subword import (
     DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, subword_ratio, tokenize_corpus, tokenize_query,
@@ -308,12 +317,17 @@ class StageRunner:
         start = time.perf_counter()
         self.STAGE_FUNCTIONS[stage](self)
         wall = time.perf_counter() - start
+        config = dataclasses.asdict(self.config)
+        snapshot = json.dumps({k: v for k, v in config.items() if k != "workdir"}, sort_keys=True)
         line = {
             "stage": stage,
             "inputs": {str(p): self.sha256(p) for p in self.inputs},
             "outputs": {str(p): self.sha256(p) for p in self.outputs},
             "seed": self.config.seed,
             "wall_time_s": round(wall, 6),
+            "config": config,
+            "config_sha256": hashlib.sha256(snapshot.encode()).hexdigest(),
+            "version": __version__,
         }
         with open(self.workdir / "manifest.jsonl", "a", encoding="utf-8") as fh:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
@@ -405,8 +419,9 @@ class StageRunner:
                 message = f"[train-dense] epoch {epoch + 1} loss {np.mean(losses):.6f}"
                 if dev:
                     index = dense.build_dense_index(encoder, pieces)
-                    rankings = [dense.dense_search_topk(index, encoder, ids, 10, query_id)
-                                for query_id, ids in dev.items()]
+                    ranks, scores = dense.dense_top_k(index, encoder, dev.values(), 10)
+                    rankings = [RankedList.from_arrays(q, index.by_rank[r], s)
+                                for q, r, s in zip(dev, ranks, scores)]
                     message += f" dev-ndcg@10 {mean_ndcg(rankings, qrels, 10):.6f}"
                 print(message)
         encoder.save(self.write("encoder"))
@@ -432,12 +447,12 @@ class StageRunner:
             self.load(self.read("dense_index"), dense.DenseIndex.load),
             self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
 
-    def _dense_lists(self, extractor, queries) -> dict:
-        """Each query's dense top-k: the second list of union and rrf fusion."""
-        return {q.query_id: dense.dense_search_topk(
-            extractor.dense_index, extractor.encoder,
-            tokenize_query(q.processed_terms, extractor.vocab, self.config.max_seq_len),
-            self.config.topk, q.query_id) for q in queries}
+    def _dense_ranks(self, extractor, queries) -> np.ndarray:
+        """Each query's dense top-k as doc-id ranks, in query order: the second
+        list of union and rrf fusion."""
+        return dense.dense_top_k(extractor.dense_index, extractor.encoder, [
+            tokenize_query(q.processed_terms, extractor.vocab, self.config.max_seq_len)
+            for q in queries], self.config.topk)[0]
 
     def _candidates(self, extractor):
         """extractor.candidates at topk, union-fused with the dense top-k under
@@ -448,9 +463,9 @@ class StageRunner:
         def make():
             if union is None:
                 return extractor.candidates(queries, c.topk)
-            lists = self._dense_lists(extractor, queries)
-            return extractor.candidates(queries, c.topk, lambda base: rerank.fuse_base_union(
-                base, lists[base.query_id], c.topk, union))
+            dense_ranks = self._dense_ranks(extractor, queries)
+            return extractor.candidates(queries, c.topk, lambda i, ranks: rerank.rrf_top_k(
+                (ranks, dense_ranks[i]), c.topk, union)[0])
         return self.load(self.input("queries"), rerank.FeatureExtractor.candidates,
                          frozenset(map(file_identity, self.inputs)), c.k1, c.b, c.max_seq_len,
                          c.topk, union, make=make)
@@ -491,20 +506,23 @@ class StageRunner:
         extractor = self._feature_extractor()
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
         queries = self.load_queries()
-        topk, rrf_k = self.config.topk, self.config.rrf_k
         if self.config.fusion == "rrf":
-            dense_lists = self._dense_lists(extractor, queries)
+            dense_ranks = self._dense_ranks(extractor, queries)
         candidates = self._candidates(extractor)
+        ranking = rerank.rerank(ranker, candidates, self.config.depth)
         run = Run({}, self.config.run_tag)
-        rows = zip(candidates.query_ids, rerank.rerank(ranker, candidates, self.config.depth),
-                   candidates.doc_ids, candidates.features)
-        for query_id, reranked, doc_ids, features in rows:
+        for i, query_id in enumerate(ranking.query_ids):
             if self.config.fusion == "interp":  # the dense score is feature column 1
-                dense_scores = dict(zip(doc_ids.tolist(), features[:, 1]))
                 reranked = rerank.fuse_interpolate(
-                    query_id, dict(reranked.entries), dense_scores, self.config.alpha)
+                    query_id, dict(zip(ranking.doc_ids[i].tolist(), ranking.scores[i].tolist())),
+                    dict(zip(candidates.doc_ids[i].tolist(), candidates.features[i, :, 1])),
+                    self.config.alpha)
             elif self.config.fusion == "rrf":
-                reranked = rerank.reciprocal_rank_fusion([reranked, dense_lists[query_id]], topk, rrf_k)
+                ranks, scores = rerank.rrf_top_k(
+                    (ranking.ranks[i], dense_ranks[i]), self.config.topk, self.config.rrf_k)
+                reranked = RankedList.from_arrays(query_id, extractor.dense_index.by_rank[ranks], scores)
+            else:
+                reranked = ranking[i]
             run.rankings[query_id] = reranked
         write_run(run, path := self.write("run"))
         # evaluate takes the run as read_run parses this file back

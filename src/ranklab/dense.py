@@ -5,6 +5,11 @@ its whole batch once), and exact top-k search.
 Everything here works on piece ids: build_dense_index, the one source of
 document vectors, pools the corpus that subword.tokenize_corpus encodes.
 
+Search is one stacked exact top-k, dense_top_k: it pools all of a stage's
+queries in one pool() call and returns (queries x k) doc ranks and scores,
+which reciprocal-rank fusion keys on without building a list per query.
+dense_search_topk is its one-query case, as a RankedList.
+
 Every trained parameter (MLM tables, encoder, ranker, selection policy) takes
 plain gradient descent at a fixed rate, checkable against finite differences,
 through `descend`, which writes nothing unless every result is finite.
@@ -20,7 +25,7 @@ import numpy as np
 
 from .checkpoint import checked, load_arrays, save_arrays
 from .errors import NumericError, ToolkitWarning
-from .sparse import RankedList, doc_id_ranks, top_k_entries
+from .sparse import RankedList, doc_id_ranks, top_k_order
 
 DEFAULT_DIM = 64
 DEFAULT_LEARNING_RATE = 0.05
@@ -207,6 +212,8 @@ class DenseIndex:
         if self.vectors.shape[0] != len(self.doc_ids):
             raise ValueError("vector row count does not match doc_ids")
         self.doc_rank = doc_id_ranks(self.doc_ids)
+        # by_rank[r] is the doc id of doc-id rank r
+        self.by_rank = np.array(self.doc_ids, dtype=object)[np.argsort(self.doc_rank)]
 
     @property
     def doc_count(self) -> int:
@@ -232,13 +239,38 @@ def build_dense_index(encoder: DenseEncoder, pieces: dict) -> DenseIndex:
     return DenseIndex(pool(encoder.table, pieces.values()), pieces)
 
 
-def dense_search_topk(index: DenseIndex, encoder: DenseEncoder, query_ids, k: int,
-                      query_id: int = 0) -> RankedList:
-    """Exact top-k by dot product over all document vectors.
+def dense_top_k(index: DenseIndex, encoder: DenseEncoder, sequences,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(queries x min(k, docs)) doc ranks and scores of each id sequence's exact
+    top-k by dot product, ordered by (score desc, doc_id asc).
 
-    Raises NumericError (from top_k_order) when any score is non-finite.
+    The sequences are pooled in one pool() call, bit-equal to encode() from
+    dim 2 on (at dim 1, encode's mean sums pairwise and pool in order). Each is
+    scored with its own gemv, index.vectors @ vector, so a query scores as it
+    would alone and no queries x documents matrix is built. Any empty sequence
+    gives one ToolkitWarning per call, all from one line. Raises NumericError
+    (from top_k_order) when any score is non-finite.
     """
     if index.dim != encoder.dim:
         raise ValueError(f"index dim {index.dim} does not match encoder dim {encoder.dim}")
-    scores = index.vectors @ encode(encoder, query_ids)
-    return RankedList(query_id, top_k_entries(scores, index.doc_ids, index.doc_rank, k))
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    sequences = list(sequences)
+    if not all(sequences):
+        warnings.warn("encoding an empty id sequence yields the zero vector", ToolkitWarning)
+    ranks = np.empty((len(sequences), min(k, index.doc_count)), dtype=np.intp)
+    scores = np.empty(ranks.shape)
+    for i, qv in enumerate(pool(encoder.table, sequences)):
+        row = index.vectors @ qv
+        top = top_k_order(row, index.doc_rank, k)
+        ranks[i], scores[i] = index.doc_rank[top], row[top]
+    return ranks, scores
+
+
+def dense_search_topk(index: DenseIndex, encoder: DenseEncoder, query_ids, k: int,
+                      query_id: int = 0) -> RankedList:
+    """Exact top-k by dot product over all document vectors: dense_top_k of one
+    query. Raises NumericError (from top_k_order) when any score is non-finite.
+    """
+    ranks, scores = dense_top_k(index, encoder, [list(query_ids)], k)
+    return RankedList.from_arrays(query_id, index.by_rank[ranks[0]], scores[0])

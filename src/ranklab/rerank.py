@@ -9,13 +9,24 @@ document terms only from the InvertedIndex (index.bin); a content term is
 matched when it is not a stopword and its tf in the document is positive.
 
 FeatureExtractor.candidates stacks a stage's candidate lists, all one length,
-with their feature rows; `rerank` rescores such a stack in one pass, for the
-rerank and depth-sweep stages and select-train's dev set alike.
+with their feature rows, pooling the stage's queries in one call for the
+dense column; `rerank` rescores such a stack in one pass, for the rerank and
+depth-sweep stages and select-train's dev set alike, into one Ranking: the
+ordered doc ids, doc-id ranks and scores as arrays, a RankedList per query
+only when one is read.
+
+Reciprocal-rank fusion is one array operation, `rrf_top_k`, keyed on doc-id
+ranks: np.unique finds the documents of the lists, np.bincount adds each
+one's 1 / (rrf_k + rank) from 0.0 in list order, as a dict loop over the
+lists would, and np.lexsort orders them by (-score, doc-id rank).
+`reciprocal_rank_fusion` and `fuse_base_union` apply it to RankedLists.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +37,7 @@ from .dense import DenseEncoder, DenseIndex, descend, pool
 from .errors import DependencyError, NumericError
 from .evaluation import QuerySplit, Run, old_new_report
 from .sparse import (
-    DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, bm25_top_k, idf, ranked_entries,
+    DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, bm25_top_k, idf,
 )
 from .stopwords import ENGLISH_STOPWORDS
 from .subword import DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, tokenize_query
@@ -74,6 +85,24 @@ class Candidates:
     features: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class Ranking(Sequence):
+    """Ranked lists as (queries x n) arrays, each row in list order: the doc
+    ids, their doc-id `ranks` and their `scores`. Item i is query i's
+    RankedList, built when it is read."""
+
+    query_ids: list[int]
+    doc_ids: np.ndarray
+    ranks: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.query_ids)
+
+    def __getitem__(self, i: int) -> RankedList:
+        return RankedList.from_arrays(self.query_ids[i], self.doc_ids[i], self.scores[i])
+
+
 class FeatureExtractor:
     """Computes the reranker's feature vectors for (query terms, documents).
 
@@ -94,17 +123,26 @@ class FeatureExtractor:
         self.index, self.dense_index, self.encoder, self.vocab = index, dense_index, encoder, vocab
         self.k1, self.b, self.stopwords, self.max_length = k1, b, stopwords, max_length
 
+    def query_vectors(self, term_lists) -> np.ndarray:
+        """The pooled vector of each query's terms, tokenized as rerank reads
+        a query, in one pool call."""
+        return pool(self.encoder.table,
+                    [tokenize_query(terms, self.vocab, self.max_length) for terms in term_lists])
+
     def features_matrix(self, query_terms, ordinals, bm25=None) -> np.ndarray:
         """(n, 6) ranker features of the documents at `ordinals`. `bm25` holds
         bm25_scores of the whole corpus at this extractor's k1 and b; without it
         each document is scored with bm25_score."""
         query_terms = list(query_terms)
         ordinals = np.asarray(ordinals, dtype=np.intp)
-        out = np.zeros((len(ordinals), N_FEATURES))
-        out[:, 0] = bm25[ordinals] if bm25 is not None else [
+        column = bm25[ordinals] if bm25 is not None else [
             bm25_score(self.index, query_terms, o, self.k1, self.b) for o in ordinals.tolist()]
-        ids = tokenize_query(query_terms, self.vocab, self.max_length)
-        qv = pool(self.encoder.table, [ids])[0]
+        return self._rows(query_terms, ordinals, column, self.query_vectors([query_terms])[0])
+
+    def _rows(self, query_terms, ordinals: np.ndarray, bm25, qv: np.ndarray) -> np.ndarray:
+        """features_matrix's rows from the documents' BM25 scores and the query's pooled vector."""
+        out = np.zeros((len(ordinals), N_FEATURES))
+        out[:, 0] = bm25
         # np.vecdot, unlike a mat-vec product, gives each row similarity()'s exact dot
         out[:, 1] = np.vecdot(self.dense_index.vectors[ordinals], qv)
         unique = sorted(set(query_terms))
@@ -122,26 +160,29 @@ class FeatureExtractor:
         return self.features_matrix(query_terms, [self.index.ordinal_of[doc_id]])[0]
 
     def candidates(self, queries, k: int, fuse=None) -> Candidates:
-        """The BM25 top-k of every query, passed through `fuse` (RankedList to
-        RankedList) when given, and its feature rows. Every BM25 list fills to
-        n = min(k, corpus size), and a union-fused list is the RRF top-k of two
-        lists that long; only a fused list is looked up by doc id again."""
+        """The BM25 top-k of every query, passed through `fuse` when given, and
+        its feature rows; the queries are pooled in one call. `fuse(i, ranks)`
+        maps query i's list, as doc-id ranks, to the doc-id ranks of its fused
+        list. Every BM25 list fills to n = min(k, corpus size), and a
+        union-fused list is the RRF top-k of two lists that long."""
         queries = list(queries)
+        vectors = self.query_vectors(q.processed_terms for q in queries)
         ordinals = np.empty((len(queries), min(k, self.index.doc_count)), dtype=np.intp)
         features = np.empty((*ordinals.shape, N_FEATURES))
         for i, query in enumerate(queries):
             terms = query.processed_terms
             top, scores = bm25_top_k(self.index, terms, k, self.k1, self.b)
             if fuse is not None:
-                base = RankedList(query.query_id, ranked_entries(self.index.doc_ids, top, scores))
-                top = [self.index.ordinal_of[d] for d in fuse(base).doc_ids()]
+                top = self.index.by_doc_id[fuse(i, self.index.doc_rank[top])]
             ordinals[i] = top
-            features[i] = self.features_matrix(terms, top, scores)
-        doc_ids = np.array(self.index.doc_ids, dtype=object)[ordinals]
-        return Candidates([q.query_id for q in queries], doc_ids, self.index.doc_rank[ordinals], features)
+            features[i] = self._rows(terms, top, scores[top], vectors[i])
+        ranks = self.index.doc_rank[ordinals]
+        # the dense index holds the sparse index's doc ids (checked in __init__)
+        return Candidates([q.query_id for q in queries], self.dense_index.by_rank[ranks], ranks,
+                          features)
 
 
-def rerank(ranker: Ranker, candidates: Candidates, depth: int) -> list[RankedList]:
+def rerank(ranker: Ranker, candidates: Candidates, depth: int) -> Ranking:
     """Each list with its top-`depth` candidates rescored by `ranker`, ordered
     by (-score, doc id), so tied scores keep doc-id order, and the rest below
     them in base order, scoring block minimum - 1, - 2, ... Raises NumericError
@@ -153,14 +194,15 @@ def rerank(ranker: Ranker, candidates: Candidates, depth: int) -> list[RankedLis
         raise NumericError("non-finite score in reranking")
     order = np.lexsort((candidates.ranks[:, :depth], -scores), axis=-1)
     scores = np.take_along_axis(scores, order, axis=-1)
-    block = np.take_along_axis(candidates.doc_ids[:, :depth], order, axis=-1)
-    tail_start, tail = scores[:, -1:] - 1.0, candidates.doc_ids[:, depth:]
-    if tail.size and np.any(np.abs(tail_start) + tail.shape[1] >= 2.0**52):  # 1.0 steps round away
+    tail_start, tail = scores[:, -1:] - 1.0, max(candidates.ranks.shape[1] - depth, 0)
+    if tail and np.any(np.abs(tail_start) + tail >= 2.0**52):  # 1.0 steps round away
         raise NumericError("reranked scores too large to rank the tail below them")
-    doc_ids = np.concatenate((block, tail), axis=1)
-    scores = np.concatenate((scores, tail_start - np.arange(tail.shape[1])), axis=1)
-    return [RankedList(qid, tuple(zip(ids.tolist(), s.tolist())))
-            for qid, ids, s in zip(candidates.query_ids, doc_ids, scores)]
+
+    def reordered(a):  # the block in its new order, then the tail as it was
+        return np.concatenate((np.take_along_axis(a[:, :depth], order, axis=-1), a[:, depth:]), axis=1)
+    scores = np.concatenate((scores, tail_start - np.arange(tail)), axis=1)
+    return Ranking(candidates.query_ids, reordered(candidates.doc_ids), reordered(candidates.ranks),
+                   scores)
 
 
 def logistic(z: float) -> float:
@@ -218,8 +260,29 @@ def fuse_interpolate(query_id: int, ranker_scores, dense_scores, alpha: float = 
     return RankedList.from_scores(query_id, fused.items())
 
 
+@functools.cache
+def _rrf_shares(n: int, rrf_k: int) -> np.ndarray:
+    """1 / (rrf_k + rank) for rank = 1..n, each one Python division (exact
+    for any int rrf_k), read-only since every caller shares it."""
+    shares = np.array([1.0 / (rrf_k + rank) for rank in range(1, n + 1)])
+    shares.flags.writeable = False
+    return shares
+
+
+def rrf_top_k(lists, k: int, rrf_k: int = DEFAULT_RRF_K) -> tuple[np.ndarray, np.ndarray]:
+    """The doc-id ranks and scores of the RRF top k of `lists`, 1-D arrays of
+    doc-id ranks in list order (see the module docstring)."""
+    keys = np.concatenate(lists)
+    shares = np.concatenate([_rrf_shares(len(ranks), rrf_k) for ranks in lists])
+    docs, slots = np.unique(keys, return_inverse=True)
+    scores = np.bincount(slots, weights=shares)
+    top = np.lexsort((docs, -scores))[:k]
+    return docs[top], scores[top]
+
+
 def reciprocal_rank_fusion(lists, k: int, rrf_k: int = DEFAULT_RRF_K) -> RankedList:
-    """Combine ranked lists by summed 1 / (rrf_k + rank); uses ranks only."""
+    """Combine ranked lists by summed 1 / (rrf_k + rank); uses ranks only.
+    rrf_top_k of the lists, their doc ids ranked in Python string order."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     lists = list(lists)
@@ -228,12 +291,12 @@ def reciprocal_rank_fusion(lists, k: int, rrf_k: int = DEFAULT_RRF_K) -> RankedL
     query_ids = {rl.query_id for rl in lists}
     if len(query_ids) != 1:
         raise ValueError(f"cannot fuse lists for different queries: {sorted(query_ids)}")
-    scores: dict[str, float] = {}
-    for rl in lists:
-        for rank, (doc_id, _) in enumerate(rl.entries, start=1):
-            scores[doc_id] = scores.get(doc_id, 0.0) + 1.0 / (rrf_k + rank)
-    fused = RankedList.from_scores(query_ids.pop(), scores.items())
-    return fused.top(k)
+    # an object array's np.unique sorts and compares the ids as Python strings
+    names, keys = np.unique(np.array([d for rl in lists for d, _ in rl.entries], dtype=object),
+                            return_inverse=True)
+    ranks, scores = rrf_top_k(np.split(keys, np.cumsum([len(rl.entries) for rl in lists])[:-1]),
+                              k, rrf_k)
+    return RankedList.from_arrays(query_ids.pop(), names[ranks], scores)
 
 
 def fuse_base_union(bm25_list: RankedList, dense_list: RankedList, k: int,

@@ -10,7 +10,7 @@ these arrays plus `doc_lengths`, and the term list and doc ids as metadata.
 slice, in query-term order: for every document that is the sequence of IEEE
 operations `bm25_score` performs, so both give bit-identical scores.
 
-Dense search cuts its lists with `top_k_entries`, which equals taking the
+Dense search cuts its lists with `top_k_order`, which equals taking the
 first k of the whole corpus sorted by (-score, doc_id) without sorting the
 corpus: `np.partition` finds the k-th largest score t, every ordinal scoring
 at least t is kept (so all documents tied with the k-th one stay candidates,
@@ -75,6 +75,11 @@ class RankedList:
         """Sort (doc_id, score) pairs with the global tie-break rule."""
         ordered = sorted(scored, key=lambda e: (-e[1], e[0]))
         return cls(query_id, tuple((d, float(s)) for d, s in ordered))
+
+    @classmethod
+    def from_arrays(cls, query_id: int, doc_ids: np.ndarray, scores: np.ndarray) -> "RankedList":
+        """The list of an array of doc ids and one of their scores, already in order."""
+        return cls(query_id, tuple(zip(doc_ids.tolist(), scores.tolist())))
 
     def doc_ids(self) -> list[str]:
         return [d for d, _ in self.entries]
@@ -176,16 +181,6 @@ def top_k_order(scores: np.ndarray, doc_rank: np.ndarray, k: int) -> np.ndarray:
     return kept[np.lexsort((doc_rank[kept], -scores[kept]))[:k]]
 
 
-def ranked_entries(doc_ids, ordinals: np.ndarray, scores: np.ndarray) -> tuple:
-    """(doc_id, score) of each of `ordinals`, in order; `scores` covers the corpus."""
-    return tuple(zip([doc_ids[o] for o in ordinals.tolist()], scores[ordinals].tolist()))
-
-
-def top_k_entries(scores: np.ndarray, doc_ids, doc_rank: np.ndarray, k: int):
-    """(doc_id, score) of the k best ordinals by (score desc, doc_id asc)."""
-    return ranked_entries(doc_ids, top_k_order(scores, doc_rank, k), scores)
-
-
 def build_index(docs) -> InvertedIndex:
     """Index documents in corpus order; term frequencies equal brute-force counts."""
     docs = list(docs)
@@ -252,7 +247,8 @@ def search_topk(index: InvertedIndex, query, k: int, k1: float = DEFAULT_K1, b: 
     query_id = query.query_id if isinstance(query, Query) else 0
     terms = query.processed_terms if isinstance(query, Query) else query
     top, scores = bm25_top_k(index, terms, k, k1, b)
-    return RankedList(query_id, ranked_entries(index.doc_ids, top, scores))
+    return RankedList(query_id, tuple(zip([index.doc_ids[o] for o in top.tolist()],
+                                          scores[top].tolist())))
 
 
 def coverage_at_k(run, qrels: Qrels, k: int) -> float:

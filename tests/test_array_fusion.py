@@ -1,0 +1,152 @@
+"""Fusion on arrays: the array reciprocal-rank fusion against the former dict
+loop, the stacked dense top-k against dense_search_topk, and counts of the
+RankedLists the fusing stages build."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ranklab.cli import STAGES, StageRunner
+from ranklab.dense import DenseEncoder, DenseIndex, dense_search_topk, dense_top_k, encode
+from ranklab.errors import ToolkitWarning
+from ranklab.evaluation import read_run
+from ranklab.rerank import fuse_base_union, reciprocal_rank_fusion
+from ranklab.sparse import RankedList
+from ranklab.subword import tokenize_query
+from test_dense import few_values, reference_dense_search_topk, tricky_doc_ids
+from test_stage_memo import _config
+
+
+def former_reciprocal_rank_fusion(lists, k, rrf_k=60):
+    """The former dict-loop fusion, kept as the oracle."""
+    lists = list(lists)
+    scores: dict[str, float] = {}
+    for rl in lists:
+        for rank, (doc_id, _) in enumerate(rl.entries, start=1):
+            scores[doc_id] = scores.get(doc_id, 0.0) + 1.0 / (rrf_k + rank)
+    return RankedList.from_scores(lists[0].query_id, scores.items()).top(k)
+
+
+def exact(ranking):
+    """Doc ids and score bytes, so -0.0 and 0.0 or a last-bit change differ."""
+    return [(d, np.float64(s).tobytes()) for d, s in ranking.entries]
+
+
+@st.composite
+def ranked_lists(draw):
+    """One to three lists of one query over a shared pool of tricky ids: a
+    list may share documents with another or have none in common."""
+    pool = draw(tricky_doc_ids)
+    lists = []
+    for _ in range(draw(st.integers(1, 3))):
+        docs = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+        lists.append(RankedList.from_scores(4, [(d, float(-i)) for i, d in enumerate(docs)]))
+    return lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_lists(), st.integers(1, 20), st.integers(1, 100))
+def test_array_rrf_equals_the_dict_loop(lists, k, rrf_k):
+    expected = former_reciprocal_rank_fusion(lists, k, rrf_k)
+    assert exact(reciprocal_rank_fusion(lists, k, rrf_k)) == exact(expected)
+    if len(lists) == 2:
+        assert exact(fuse_base_union(*lists, k, rrf_k)) == exact(expected)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_tied_fused_scores_keep_doc_id_order(k):
+    # every document holds the same ranks in mirrored lists: each rank's pair ties
+    a = RankedList.from_scores(1, [("b", 3.0), ("d", 2.0), ("c", 1.0)])
+    b = RankedList.from_scores(1, [("d\x00", 3.0), ("a", 2.0), ("c\x00", 1.0)])
+    fused = fuse_base_union(a, b, k, 1)
+    assert exact(fused) == exact(former_reciprocal_rank_fusion([a, b], k, 1))
+    assert fused.doc_ids() == ["b", "d\x00", "a", "d", "c", "c\x00"][:k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tricky_doc_ids, st.integers(2, 4), st.data())
+def test_stacked_top_k_equals_dense_search_topk(doc_ids, dim, data):
+    n = len(doc_ids)
+    vectors = data.draw(st.lists(few_values, min_size=n * dim, max_size=n * dim))
+    index = DenseIndex(np.reshape(vectors, (n, dim)), doc_ids)
+    rows = data.draw(st.lists(few_values, min_size=3 * dim, max_size=3 * dim))
+    encoder = DenseEncoder(np.reshape(rows, (3, dim)))
+    queries = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=9),
+                                 min_size=1, max_size=4))
+    for k in (1, max(1, n // 2), n, n + 2):
+        ranks, scores = dense_top_k(index, encoder, queries, k)
+        assert ranks.shape == scores.shape == (len(queries), min(k, n))
+        for query, row_ranks, row_scores in zip(queries, ranks, scores):
+            stacked = RankedList.from_arrays(0, index.by_rank[row_ranks], row_scores)
+            assert exact(stacked) == exact(dense_search_topk(index, encoder, query, k))
+            # from dim 2 on, the pooled scores are encode()'s bit for bit
+            former = RankedList(0, reference_dense_search_topk(index, encoder, query, k))
+            assert exact(stacked) == exact(former)
+
+
+def test_empty_queries_warn_once_per_stack():
+    rng = np.random.default_rng(3)
+    index = DenseIndex(rng.normal(size=(6, 3)), [f"d{i}" for i in rng.permutation(6)])
+    encoder = DenseEncoder(rng.normal(size=(4, 3)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ranks, scores = dense_top_k(index, encoder, [[], [1, 2], []], 4)
+    assert [w.category for w in caught] == [ToolkitWarning]
+    assert not scores[0].any() and not scores[2].any()
+    assert ranks[0].tolist() == ranks[2].tolist() == [0, 1, 2, 3]  # all tie: doc-id order
+    with pytest.warns(ToolkitWarning):
+        assert not any(s for _, s in dense_search_topk(index, encoder, (), 3).entries)
+
+
+def test_dim_one_scores_match_encode_closely():
+    # at dim 1 encode's mean sums pairwise and pool in order; positive rows
+    # keep the sums free of cancellation, so the relative gap stays at rounding
+    rng = np.random.default_rng(8)
+    index = DenseIndex(rng.uniform(0.5, 1.5, size=(40, 1)), [f"d{i:02d}" for i in range(40)])
+    encoder = DenseEncoder(rng.uniform(0.5, 1.5, size=(30, 1)))
+    queries = [rng.integers(0, 30, size=n).tolist() for n in (1, 7, 9, 16, 33, 64)]
+    ranks, scores = dense_top_k(index, encoder, queries, 40)
+    order = np.argsort(index.doc_rank)
+    for query, row_ranks, row_scores in zip(queries, ranks, scores):
+        expected = (index.vectors @ encode(encoder, query))[order[row_ranks]]
+        np.testing.assert_allclose(row_scores, expected, rtol=1e-12, atol=0)
+
+
+def _count_ranked_lists(monkeypatch):
+    built = []
+    real = RankedList.__post_init__
+    monkeypatch.setattr(RankedList, "__post_init__", lambda self: built.append(self) or real(self))
+    return built
+
+
+def test_rrf_rerank_builds_one_ranked_list_per_query(tmp_path, monkeypatch):
+    runner = StageRunner(_config(tmp_path, fusion="rrf"))
+    for stage in STAGES[:STAGES.index("rerank")]:
+        runner.run(stage)
+    built = _count_ranked_lists(monkeypatch)
+    runner.run("rerank")
+    run = runner.parsed[tmp_path / "work" / "run.trec", read_run][1]
+    assert [r.query_id for r in built] == [q.query_id for q in runner.load_queries()]
+    assert all(r is run.rankings[r.query_id] for r in built)
+
+
+def test_union_candidates_fuse_without_ranked_lists(tmp_path, monkeypatch):
+    runner = StageRunner(_config(tmp_path, fusion="union"))
+    for stage in STAGES[:STAGES.index("rerank")]:
+        runner.run(stage)
+    extractor = runner._feature_extractor()
+    built = _count_ranked_lists(monkeypatch)
+    candidates = runner._candidates(extractor)
+    assert built == []
+    # each fused list is the one fuse_base_union gives for the query's two lists
+    for query, doc_ids in zip(runner.load_queries(), candidates.doc_ids):
+        bm25 = extractor.candidates([query], runner.config.topk)
+        base = RankedList.from_arrays(query.query_id, bm25.doc_ids[0], bm25.features[0, :, 0])
+        pieces = tokenize_query(query.processed_terms, extractor.vocab, runner.config.max_seq_len)
+        dense = dense_search_topk(extractor.dense_index, extractor.encoder, pieces,
+                                  runner.config.topk, query.query_id)
+        fused = fuse_base_union(base, dense, runner.config.topk, runner.config.rrf_k)
+        assert doc_ids.tolist() == fused.doc_ids()

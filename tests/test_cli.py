@@ -2,6 +2,7 @@ import argparse
 import ast
 import dataclasses
 import gc
+import hashlib
 import inspect
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ranklab
 from ranklab.cli import (
     EXIT_CONFIG,
     EXIT_DEPENDENCY,
@@ -615,3 +617,28 @@ def test_train_dense_reads_weak_queries_as_processed_terms(tmp_path):
     write_triples(wordy, triples)
     assert main(["train-dense", "--triples-file", str(triples), *common]) == 0
     assert (work / "encoder.ckpt").read_bytes() == expected
+
+
+def test_manifest_records_the_config_its_hash_and_the_version(tmp_path):
+    """Each manifest line holds the validated config, the sha256 of its
+    sorted-key JSON without workdir, and the package version: a --set change
+    moves the hash, another work directory does not."""
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    inputs = ["--corpus", str(corpus), "--queries", str(queries), "--qrels", str(qrels)]
+    lines = {}
+    for name, extra in (("a", []), ("b", []), ("c", ["--set", "topk=7"])):
+        assert main(["pipeline", "--stages", "ingest,index", "--workdir", str(tmp_path / name),
+                     *inputs, *extra]) == 0
+        lines[name] = [json.loads(l) for l in (tmp_path / name / "manifest.jsonl").read_text().splitlines()]
+    for line in lines["a"]:
+        config = dataclasses.asdict(dataclasses.replace(
+            PipelineConfig(), corpus_path=str(corpus), queries_path=str(queries),
+            qrels_path=str(qrels), workdir=str(tmp_path / "a")))
+        assert line["config"] == config
+        snapshot = json.dumps({k: v for k, v in config.items() if k != "workdir"}, sort_keys=True)
+        assert line["config_sha256"] == hashlib.sha256(snapshot.encode()).hexdigest()
+        assert line["version"] == ranklab.__version__
+    hashes = {name: {line["config_sha256"] for line in got} for name, got in lines.items()}
+    assert len(hashes["a"]) == 1
+    assert hashes["a"] == hashes["b"] != hashes["c"]
+    assert [line["config"]["topk"] for line in lines["c"]] == [7, 7]

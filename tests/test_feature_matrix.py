@@ -108,9 +108,8 @@ def test_candidates_are_the_bm25_list_and_its_features(texts, terms, k):
 def test_candidates_feature_every_entry_of_the_fused_list():
     extractor = extractor_of(["trial cohort", "vaccine", "antibody trial", "cohort"])
     query = Query(1, "trial", ("trial",))
-    extra = ("d1", 0.0)
-    stack = extractor.candidates(
-        [query], 2, lambda base: RankedList(base.query_id, base.entries[:-1] + (extra,)))
+    extra = extractor.index.doc_rank[extractor.index.ordinal_of["d1"]]
+    stack = extractor.candidates([query], 2, lambda i, ranks: np.append(ranks[:-1], extra))
     doc_ids, features = stack.doc_ids[0].tolist(), stack.features[0]
     assert doc_ids[-1] == "d1"
     assert features.shape == (len(doc_ids), 6)

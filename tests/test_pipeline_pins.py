@@ -83,8 +83,9 @@ def test_manifest_hashes_each_file_once_and_sees_rewrites(tmp_path, monkeypatch)
     runner = StageRunner(config)
     runner.run("index")
     runner.run("synth-weak")
-    # synth-weak reads the corpus and index.bin that index hashed a moment ago
-    assert len(hashed) == 3
+    # synth-weak reads the corpus and index.bin that index hashed a moment ago;
+    # each of the two manifest lines also hashes its config snapshot
+    assert len(hashed) == 3 + 2
     lines = corpus.read_text().splitlines()
     corpus.write_text("\n".join(lines[1:]) + "\n")
     runner.run("index")
