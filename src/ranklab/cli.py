@@ -11,23 +11,22 @@ Every query is encoded by subword.tokenize_query. Exit codes: 0 success, 2
 config or input error, 3 dependency error, 4 numeric error.
 
 A stage opens its files through StageRunner.read (a work-directory artifact),
-input (a file a config key names) and write (an artifact it produces), and its
-manifest line lists exactly those files. Stages still exchange only files, but
-they parse them through StageRunner.load: within one pipeline run, a file that
-has not changed since a stage parsed it is not parsed again, and a rewritten
-file, whose size, mtime or inode differs, is. index.bin alone is loaded afresh
-by every stage that reads it. dapt and train-dense share the corpus that
-subword.tokenize_corpus encodes, kept the same way under the corpus file, the
-vocab and max_seq_len; every dense index train-dense scores or saves pools it
-through dense.build_dense_index. rerank keeps the run it writes, as read_run
-parses it back, for evaluate, and its candidates for depth-sweep: the BM25
-lists, or under --fusion union the lists fused with the dense ones.
+input (a file a config key names) and write (an artifact it produces); its
+manifest line lists exactly those files, the config, its sha256 without workdir
+and the package version. Stages exchange only files, but parse them through
+StageRunner.load, the only code that writes its memo: within one pipeline run,
+a file is parsed again only when its size, mtime or inode has changed since a
+stage parsed it. index.bin alone is loaded afresh by every stage that reads it.
+dapt and train-dense share the corpus as subword.tokenize_corpus encodes it,
+kept the same way under the corpus file, the vocab and max_seq_len; every dense
+index train-dense scores or saves pools it through dense.build_dense_index.
+rerank keeps the run write_run returns for evaluate, and its candidates for
+depth-sweep: the BM25 lists, fused with the dense lists under --fusion union.
 
-Fusion runs on arrays: one dense.dense_top_k call per stage gives the dense
-lists of union and rrf, and train-dense's dev rankings, as doc-id ranks, and
-rerank.rrf_top_k fuses them, so rerank builds one RankedList per query, the
-run's own. A manifest line also holds the config, its sha256 without workdir,
-and the package version.
+Fusion runs on arrays: one dense.dense_top_k call per stage gives, as doc-id
+ranks, the dense lists of union and rrf and train-dense's dev rankings;
+rerank.rrf_top_k fuses them, and lists built from arrays leave as
+rerank.Ranking rows, so rerank builds one RankedList per query, the run's own.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
@@ -43,6 +42,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -67,7 +67,7 @@ from .evaluation import (
     write_run,
 )
 from .sparse import (
-    DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, build_index, coverage_at_k, search_topk,
+    DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index, coverage_at_k, search_topk,
 )
 from .stopwords import ENGLISH_STOPWORDS, load_stopwords
 from .subword import (
@@ -149,13 +149,13 @@ class PipelineConfig:
     dim: int = _key(dense.DEFAULT_DIM, "--dim", ("dapt", "train-dense"), ">= 1")
     negatives: int = _key(dense.DEFAULT_NEGATIVES, "--negatives", ("train-dense",), ">= 1")
     dense_epochs: int = _key(60, "--epochs", ("train-dense",), ">= 1")
-    dense_lr: float = _key(dense.DEFAULT_LEARNING_RATE, "--lr", ("train-dense",))
+    dense_lr: float = _key(dense.DEFAULT_LEARNING_RATE, "--lr", ("train-dense",), ">= 0")
     batch_size: int = _key(16, bound=">= 1")
     warm_start: bool = _key(False, "--warm-start", ("train-dense",))
     # masked-language pretraining
     mask_rate: float = _key(mlm.DEFAULT_MASK_RATE, "--mask-rate", ("dapt",), "in (0, 1)")
     mlm_epochs: int = _key(30, "--epochs", ("dapt",), ">= 1")
-    mlm_lr: float = _key(0.5, "--lr", ("dapt",))
+    mlm_lr: float = _key(0.5, "--lr", ("dapt",), ">= 0")
     # weak supervision
     triples_count: int = _key(50, "--triples", ("synth-weak",), ">= 1")
     retrieval_depth: int = _key(
@@ -165,8 +165,8 @@ class PipelineConfig:
     include_stage1: bool = _key(False, "--include-stage1", ("synth-weak",))
     select_steps: int = _key(60, "--steps", ("select-train",), ">= 1")
     select_batch: int = _key(16, bound=">= 1")
-    policy_lr: float = _key(1.0, "--policy-lr", ("select-train",))
-    ranker_lr: float = _key(0.1, "--ranker-lr", ("select-train",))
+    policy_lr: float = _key(1.0, "--policy-lr", ("select-train",), ">= 0")
+    ranker_lr: float = _key(0.1, "--ranker-lr", ("select-train",), ">= 0")
     keep_all_updates: bool = _key(False, "--keep-all-updates", ("select-train",))
     select_depth: int = _key(50, bound=">= 1")
     # rerank / fusion
@@ -215,7 +215,7 @@ class PipelineConfig:
             raise ConfigError(f"config file not found: {path}")
         values: dict[str, str] = {}
         for line_no, line in read_lines(path):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -392,8 +392,6 @@ class StageRunner:
         vocab, pieces = self.tokenized_corpus()
         triples_file = self._triples_file()
         weak = self.load(triples_file, weaksup.read_triples)
-        if not weak:
-            raise ConfigError(f"no training triples in {triples_file}")
         rng = np.random.default_rng(self.config.seed)
         triples = training_triples(weak, pieces, vocab, self.config, rng, self.stopwords())
         if not triples:
@@ -420,8 +418,7 @@ class StageRunner:
                 if dev:
                     index = dense.build_dense_index(encoder, pieces)
                     ranks, scores = dense.dense_top_k(index, encoder, dev.values(), 10)
-                    rankings = [RankedList.from_arrays(q, index.by_rank[r], s)
-                                for q, r, s in zip(dev, ranks, scores)]
+                    rankings = rerank.Ranking(list(dev), index.by_rank[ranks], ranks, scores)
                     message += f" dev-ndcg@10 {mean_ndcg(rankings, qrels, 10):.6f}"
                 print(message)
         encoder.save(self.write("encoder"))
@@ -505,29 +502,22 @@ class StageRunner:
     def stage_rerank(self):
         extractor = self._feature_extractor()
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
-        queries = self.load_queries()
-        if self.config.fusion == "rrf":
-            dense_ranks = self._dense_ranks(extractor, queries)
         candidates = self._candidates(extractor)
-        ranking = rerank.rerank(ranker, candidates, self.config.depth)
-        run = Run({}, self.config.run_tag)
-        for i, query_id in enumerate(ranking.query_ids):
-            if self.config.fusion == "interp":  # the dense score is feature column 1
-                reranked = rerank.fuse_interpolate(
-                    query_id, dict(zip(ranking.doc_ids[i].tolist(), ranking.scores[i].tolist())),
-                    dict(zip(candidates.doc_ids[i].tolist(), candidates.features[i, :, 1])),
-                    self.config.alpha)
-            elif self.config.fusion == "rrf":
-                ranks, scores = rerank.rrf_top_k(
-                    (ranking.ranks[i], dense_ranks[i]), self.config.topk, self.config.rrf_k)
-                reranked = RankedList.from_arrays(query_id, extractor.dense_index.by_rank[ranks], scores)
-            else:
-                reranked = ranking[i]
-            run.rankings[query_id] = reranked
-        write_run(run, path := self.write("run"))
-        # evaluate takes the run as read_run parses this file back
-        kept = {q: r for q, r in sorted(run.rankings.items()) if r.entries}
-        self.parsed[path, read_run] = ((file_identity(path), ()), Run(kept, run.tag if kept else "external"))
+        rankings = ranking = rerank.rerank(ranker, candidates, self.config.depth)
+        if self.config.fusion == "interp":  # the dense score is feature column 1
+            rankings = [rerank.fuse_interpolate(
+                query_id, dict(zip(ranking.doc_ids[i].tolist(), ranking.scores[i].tolist())),
+                dict(zip(candidates.doc_ids[i].tolist(), candidates.features[i, :, 1])),
+                self.config.alpha) for i, query_id in enumerate(ranking.query_ids)]
+        elif self.config.fusion == "rrf":  # each fused list is as long as its reranked one
+            ranks, scores = np.empty_like(ranking.ranks), np.empty_like(ranking.scores)
+            for i, dense_row in enumerate(self._dense_ranks(extractor, self.load_queries())):
+                ranks[i], scores[i] = rerank.rrf_top_k(
+                    (ranking.ranks[i], dense_row), self.config.topk, self.config.rrf_k)
+            rankings = rerank.Ranking(ranking.query_ids, extractor.dense_index.by_rank[ranks], ranks, scores)
+        written = write_run(Run(dict(zip(ranking.query_ids, rankings)), self.config.run_tag),
+                            path := self.write("run"))
+        self.load(path, read_run, make=lambda: written)  # evaluate scores it as read_run parses it
 
     def stage_evaluate(self):
         qrels = self.load_qrels()
@@ -539,13 +529,12 @@ class StageRunner:
             # no reranked run yet: score base BM25 retrieval directly
             queries = self.load_queries()
             index = InvertedIndex.load(self.read("index"))
-            run = Run(
+            run = write_run(Run(
                 {q.query_id: search_topk(index, q, self.config.topk,
                                          self.config.k1, self.config.b)
                  for q in queries},
                 self.config.run_tag,
-            )
-            write_run(run, self.write("run"))
+            ), self.write("run"))
         else:
             run = self.load(self.read("run", "run the rerank stage (or build an index for "
                                              "base-retrieval evaluation) first"), read_run)

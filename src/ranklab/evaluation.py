@@ -1,6 +1,6 @@
 """Ranking metrics, TREC run/qrels exchange, residual-collection filtering,
-and the old/new query report. Run files store each score as its shortest
-round-trip decimal, so a run file reads back exactly as it was written.
+and the old/new query report. A run file stores each score as its shortest
+round-trip decimal, and write_run returns the run as read_run reads it back.
 
 NDCG uses linear gain and the log2(r + 1) discount by default; exponential
 gain (2^g - 1) is available behind the `gain` flag. Queries with no relevant
@@ -226,12 +226,15 @@ def old_new_report(run: Run, qrels: Qrels, split: QuerySplit, k: int = 10,
     )
 
 
-def write_run(run: Run, path) -> None:
-    """Serialize as TREC run lines "query_id Q0 doc_id rank score tag"; scores as repr(float)."""
+def write_run(run: Run, path) -> Run:
+    """Serialize as TREC run lines "query_id Q0 doc_id rank score tag"; scores as repr(float).
+    Returns the run as read_run parses it back: lists with entries, tag "external" if none."""
+    kept = {q: r for q, r in sorted(run.rankings.items()) if r.entries}
     write_atomic(path, "".join(
         f"{query_id} Q0 {doc_id} {rank} {float(score)!r} {run.tag}\n"
-        for query_id in sorted(run.rankings)
-        for rank, (doc_id, score) in enumerate(run.rankings[query_id].entries, start=1)))
+        for query_id, ranking in kept.items()
+        for rank, (doc_id, score) in enumerate(ranking.entries, start=1)))
+    return Run(kept, run.tag if kept else "external")
 
 
 def read_run(path) -> Run:

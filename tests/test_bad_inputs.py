@@ -246,6 +246,21 @@ def test_negative_seed_is_one_line_exit_2(base, tmp_path, capsys, argv):
     assert not (root / "w" / "weak_triples.jsonl").exists()
 
 
+@pytest.mark.parametrize("key", ["mlm_lr", "dense_lr", "policy_lr", "ranker_lr"])
+def test_negative_learning_rate_is_one_line_exit_2(base, tmp_path, capsys, key):
+    """A negative rate would climb the loss; zero, which freezes a model, stays legal."""
+    PipelineConfig().with_overrides({key: "0"}).validate()
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    capsys.readouterr()
+    code = main(["pipeline", "--stages", "dapt", "--corpus", str(root / "corpus.jsonl"),
+                 "--queries", str(root / "queries.tsv"), "--qrels", str(root / "qrels.txt"),
+                 "--workdir", str(root / "w"), "--set", "mlm_epochs=1", "--set", f"{key}=-1"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {key} must be >= 0\n"
+    assert not (root / "w" / "mlm_embeddings.ckpt").exists()
+
+
 @pytest.mark.parametrize("doc_id", [
     "t00 d00", "t00\td00", " t00d00", "t00d00\xa0", "t00\x1cd00", "t00\x85d00", "t00\u2028d00",
     "t00\u3000d00", "t00\ud800"])

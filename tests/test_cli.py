@@ -84,6 +84,16 @@ class TestConfig:
         assert config.fusion == "rrf"
         assert config.residual is True
 
+    @pytest.mark.parametrize("line, key, value", [
+        ("run_tag = team#1", "run_tag", "team#1"),
+        ("stopwords_path = /data/a#b.txt", "stopwords_path", "/data/a#b.txt"),
+        ("topk = 30  # note", "topk", 30),
+    ])
+    def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path, line, key, value):
+        path = tmp_path / "config.txt"
+        path.write_text(f"# comment\n  # indented comment\n{line}\n")
+        assert getattr(PipelineConfig.from_file(path), key) == value
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("mystery = 1\n")
@@ -255,11 +265,11 @@ class TestAnalyze:
 
         # counts match line counts of the inputs
         assert report["n_documents"] == len(
-            open(fixture_config.corpus_path).read().splitlines())
+            Path(fixture_config.corpus_path).read_text().splitlines())
         assert report["n_queries"] == len(
-            open(fixture_config.queries_path).read().splitlines())
+            Path(fixture_config.queries_path).read_text().splitlines())
         assert report["n_judgments"] == len(
-            open(fixture_config.qrels_path).read().splitlines())
+            Path(fixture_config.qrels_path).read_text().splitlines())
 
         # coverage field equals the sparse module's own measurement
         index = InvertedIndex.load(work / "index.bin")

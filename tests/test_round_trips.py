@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from ranklab.checkpoint import load_arrays, save_arrays
 from ranklab.cli import PipelineConfig
-from ranklab.corpus import Qrels, load_corpus, text_terms
+from ranklab.corpus import Qrels, is_token, load_corpus, text_terms
 from ranklab.errors import ConfigError, ParseError, ToolkitWarning
 from ranklab.evaluation import QuerySplit, Run, read_qrels, read_run, residual_filter, write_run
 from ranklab.sparse import RankedList
@@ -83,6 +83,25 @@ def test_run_round_trip_is_exact(tmp_path_factory, rankings, tag):
     assert score_bits(loaded.rankings) == {
         qid: [(doc, float, bits) for doc, _, bits in entries]
         for qid, entries in score_bits(rankings).items()}
+
+
+@example({1: RankedList(1, ()), 2: RankedList(2, ())}, set(), "t")
+@given(exact_runs, st.sets(query_ids), st.text(min_size=1, max_size=6).filter(is_token))
+def test_write_run_returns_the_run_read_run_parses(tmp_path_factory, rankings, emptied, tag):
+    """The run write_run returns holds the lists read_run parses back, the same
+    objects, with the same scores bit for bit; it drops a list without entries,
+    and its tag is "external" when no line was written."""
+    rankings = {**rankings, **{qid: RankedList(qid, ()) for qid in emptied}}
+    path = tmp_path_factory.mktemp("run") / "run.trec"
+    returned, parsed = write_run(Run(rankings, tag), path), read_run(path)
+
+    def bits(run):
+        return [(qid, [(doc, float.hex(score)) for doc, score in ranking.entries])
+                for qid, ranking in run.rankings.items()]
+    assert (returned.tag, bits(returned)) == (parsed.tag, bits(parsed))
+    assert all(ranking is rankings[qid] for qid, ranking in returned.rankings.items())
+    if not any(ranking.entries for ranking in rankings.values()):
+        assert returned.tag == "external"
 
 
 # any text, with Unicode whitespace, line boundaries and a lone surrogate drawn often

@@ -40,6 +40,17 @@ def test_train_dense_without_usable_triples_is_exit_2(ingested, tmp_path, capsys
     assert not (work / "encoder.ckpt").exists() and not (work / "dense_index.bin").exists()
 
 
+def test_train_dense_on_an_empty_triples_file_is_exit_2(ingested, tmp_path, capsys):
+    """An empty file fails the one check a file of unusable triples fails."""
+    work, common = ingested
+    triples = tmp_path / "triples.jsonl"
+    triples.write_text("")
+    capsys.readouterr()
+    assert main(["train-dense", "--triples-file", str(triples), *common]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: no usable triples in {triples}\n"
+    assert not (work / "encoder.ckpt").exists()
+
+
 def test_corrupt_vocab_is_exit_2(ingested, capsys):
     work, common = ingested
     vocab = work / "vocab.json"
