@@ -8,7 +8,8 @@ rerank and depth-sweep read document vectors from dense_index.bin and terms
 from index.bin through one FeatureExtractor each, stack all their queries'
 candidates in one call and rescore them with the one rerank.rerank.
 Every query is encoded by subword.tokenize_query. Exit codes: 0 success, 2
-config or input error, 3 dependency error, 4 numeric error.
+config or input error, 3 dependency error, 4 numeric error. A run locks the work
+directory; two runners that find one dead-pid lock at once can both run (accepted).
 
 A stage opens its files through StageRunner.read (a work-directory artifact),
 input (a file a config key names) and write (an artifact it produces); its
@@ -27,6 +28,7 @@ Fusion runs on arrays: one dense.dense_top_k call per stage gives, as doc-id
 ranks, the dense lists of union and rrf and train-dense's dev rankings;
 rerank.rrf_top_k fuses them, and lists built from arrays leave as
 rerank.Ranking rows, so rerank builds one RankedList per query, the run's own.
+interp is rerank.rerank's block score with --alpha, normalized over the block.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
@@ -503,19 +505,15 @@ class StageRunner:
         extractor = self._feature_extractor()
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
         candidates = self._candidates(extractor)
-        rankings = ranking = rerank.rerank(ranker, candidates, self.config.depth)
-        if self.config.fusion == "interp":  # the dense score is feature column 1
-            rankings = [rerank.fuse_interpolate(
-                query_id, dict(zip(ranking.doc_ids[i].tolist(), ranking.scores[i].tolist())),
-                dict(zip(candidates.doc_ids[i].tolist(), candidates.features[i, :, 1])),
-                self.config.alpha) for i, query_id in enumerate(ranking.query_ids)]
-        elif self.config.fusion == "rrf":  # each fused list is as long as its reranked one
+        alpha = self.config.alpha if self.config.fusion == "interp" else None
+        ranking = rerank.rerank(ranker, candidates, self.config.depth, alpha)
+        if self.config.fusion == "rrf":  # each fused list is as long as its reranked one
             ranks, scores = np.empty_like(ranking.ranks), np.empty_like(ranking.scores)
             for i, dense_row in enumerate(self._dense_ranks(extractor, self.load_queries())):
                 ranks[i], scores[i] = rerank.rrf_top_k(
                     (ranking.ranks[i], dense_row), self.config.topk, self.config.rrf_k)
-            rankings = rerank.Ranking(ranking.query_ids, extractor.dense_index.by_rank[ranks], ranks, scores)
-        written = write_run(Run(dict(zip(ranking.query_ids, rankings)), self.config.run_tag),
+            ranking = rerank.Ranking(ranking.query_ids, extractor.dense_index.by_rank[ranks], ranks, scores)
+        written = write_run(Run(dict(zip(ranking.query_ids, ranking)), self.config.run_tag),
                             path := self.write("run"))
         self.load(path, read_run, make=lambda: written)  # evaluate scores it as read_run parses it
 
@@ -690,6 +688,7 @@ def run_pipeline(config: PipelineConfig, stages) -> dict[str, list[str]]:
             # holder is alive, or that names no pid, stays
             if attempt or not _lock_holder_is_dead(lock):
                 raise ConfigError(f"work directory is locked by another run: {lock}")
+            # accepted race: not atomic with the check, so this can unlink a lock just retaken
             lock.unlink(missing_ok=True)
     os.write(fd, str(os.getpid()).encode())
     os.close(fd)

@@ -14,6 +14,9 @@ dense column; `rerank` rescores such a stack in one pass, for the rerank and
 depth-sweep stages and select-train's dev set alike, into one Ranking: the
 ordered doc ids, doc-id ranks and scores as arrays, a RankedList per query
 only when one is read.
+Interp fusion is rerank's block score: with `alpha`, a block scores alpha *
+dense similarity + (1 - alpha) * ranker score, each min-max normalized over the
+block alone; `fuse_interpolate` is that rule for one list, from dicts.
 
 Reciprocal-rank fusion is one array operation, `rrf_top_k`, keyed on doc-id
 ranks: np.unique finds the documents of the lists, np.bincount adds each
@@ -182,14 +185,16 @@ class FeatureExtractor:
                           features)
 
 
-def rerank(ranker: Ranker, candidates: Candidates, depth: int) -> Ranking:
-    """Each list with its top-`depth` candidates rescored by `ranker`, ordered
-    by (-score, doc id), so tied scores keep doc-id order, and the rest below
-    them in base order, scoring block minimum - 1, - 2, ... Raises NumericError
-    when a rescored score is non-finite or a tail score would reach 2**52."""
+def rerank(ranker: Ranker, candidates: Candidates, depth: int, alpha: float | None = None) -> Ranking:
+    """Each list with its top-`depth` candidates rescored by `ranker`, interp-fused when
+    `alpha` is given (see the module docstring), ordered by (-score, doc id), and the rest
+    below them in base order, scoring block minimum - 1, - 2, ... Raises NumericError when
+    a block score is non-finite or a tail score would reach 2**52."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     scores = np.vecdot(candidates.features[:, :depth], ranker.weights)
+    if alpha is not None:
+        scores = alpha * _minmax(candidates.features[:, :depth, 1]) + (1.0 - alpha) * _minmax(scores)
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite score in reranking")
     order = np.lexsort((candidates.ranks[:, :depth], -scores), axis=-1)
@@ -233,13 +238,12 @@ def pairwise_train_step(ranker: Ranker, feature_pairs, learning_rate: float) -> 
     return ranker, total * scale
 
 
-def _minmax_normalize(scores: dict[str, float]) -> dict[str, float]:
-    if not scores:
-        return {}
-    lo, hi = min(scores.values()), max(scores.values())
-    if hi == lo:
-        return {d: 0.5 for d in scores}
-    return {d: (s - lo) / (hi - lo) for d, s in scores.items()}
+def _minmax(scores: np.ndarray) -> np.ndarray:
+    """Each row of `scores` min-max normalized to [0, 1], 0.5 throughout where all are equal."""
+    lo = scores.min(-1, keepdims=True, initial=np.inf)
+    hi = scores.max(-1, keepdims=True, initial=-np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing range gives nan; rerank rejects it
+        return np.divide(scores - lo, hi - lo, out=np.full(scores.shape, 0.5), where=hi != lo)
 
 
 def fuse_interpolate(query_id: int, ranker_scores, dense_scores, alpha: float = DEFAULT_ALPHA) -> RankedList:
@@ -251,13 +255,10 @@ def fuse_interpolate(query_id: int, ranker_scores, dense_scores, alpha: float = 
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    rn = _minmax_normalize(dict(ranker_scores))
-    dn = _minmax_normalize(dict(dense_scores))
-    fused = {
-        d: alpha * dn.get(d, 0.0) + (1.0 - alpha) * rn.get(d, 0.0)
-        for d in sorted(set(rn) | set(dn))
-    }
-    return RankedList.from_scores(query_id, fused.items())
+    rn, dn = (dict(zip(c, _minmax(np.fromiter(c.values(), float, len(c))).tolist()))
+              for c in (dict(ranker_scores), dict(dense_scores)))
+    return RankedList.from_scores(query_id, (
+        (d, alpha * dn.get(d, 0.0) + (1.0 - alpha) * rn.get(d, 0.0)) for d in set(rn) | set(dn)))
 
 
 @functools.cache

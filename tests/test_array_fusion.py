@@ -1,6 +1,7 @@
 """Fusion on arrays: the array reciprocal-rank fusion against the former dict
-loop, the stacked dense top-k against dense_search_topk, and counts of the
-RankedLists the fusing stages build."""
+loop, the stacked dense top-k against dense_search_topk, interp as rerank's
+block score against fuse_interpolate, and counts of the RankedLists the fusing
+stages build."""
 
 import warnings
 
@@ -13,8 +14,10 @@ from ranklab.cli import STAGES, StageRunner
 from ranklab.dense import DenseEncoder, DenseIndex, dense_search_topk, dense_top_k, encode
 from ranklab.errors import ToolkitWarning
 from ranklab.evaluation import read_run
-from ranklab.rerank import fuse_base_union, reciprocal_rank_fusion
-from ranklab.sparse import RankedList
+from ranklab.rerank import (
+    Candidates, Ranker, fuse_base_union, fuse_interpolate, reciprocal_rank_fusion, rerank,
+)
+from ranklab.sparse import InvertedIndex, RankedList, doc_id_ranks, search_topk
 from ranklab.subword import tokenize_query
 from test_dense import few_values, reference_dense_search_topk, tricky_doc_ids
 from test_stage_memo import _config
@@ -64,6 +67,72 @@ def test_tied_fused_scores_keep_doc_id_order(k):
     fused = fuse_base_union(a, b, k, 1)
     assert exact(fused) == exact(former_reciprocal_rank_fusion([a, b], k, 1))
     assert fused.doc_ids() == ["b", "d\x00", "a", "d", "c", "c\x00"][:k]
+
+
+@st.composite
+def candidate_stacks(draw):
+    """A (Q x n) candidate stack over a pool of tricky ids, its features and
+    ranker weights drawn from a few values so scores tie, some rows with every
+    candidate scoring the same, a depth below, at or past n, and an alpha."""
+    pool = draw(tricky_doc_ids)
+    n, q = draw(st.integers(1, len(pool))), draw(st.integers(1, 3))
+    positions = np.array([draw(st.permutations(range(len(pool))))[:n] for _ in range(q)])
+    features = np.reshape(draw(st.lists(few_values, min_size=q * n * 6, max_size=q * n * 6)),
+                          (q, n, 6))
+    for i in range(q):
+        if draw(st.booleans()):
+            features[i] = features[i, 0]
+    candidates = Candidates(list(range(1, q + 1)), np.array(pool, dtype=object)[positions],
+                            doc_id_ranks(pool)[positions], features)
+    ranker = Ranker(draw(st.lists(few_values, min_size=6, max_size=6)))
+    return candidates, ranker, draw(st.integers(1, n + 2)), draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_stacks())
+def test_interp_block_equals_fuse_interpolate(stack):
+    # the block is fused as fuse_interpolate fuses its ranker and dense dicts
+    # alone; the tail keeps base order at block minimum - 1, - 2, ...
+    candidates, ranker, depth, alpha = stack
+    fused, plain = rerank(ranker, candidates, depth, alpha), rerank(ranker, candidates, depth)
+    block = min(depth, candidates.doc_ids.shape[1])
+    for i, query_id in enumerate(candidates.query_ids):
+        dense = zip(candidates.doc_ids[i, :block].tolist(), candidates.features[i, :block, 1].tolist())
+        expected = fuse_interpolate(query_id, plain[i].entries[:block], dense, alpha).entries
+        tail = tuple((d, (expected[-1][1] - 1.0) - k)
+                     for k, d in enumerate(candidates.doc_ids[i, block:].tolist()))
+        assert exact(fused[i]) == exact(RankedList(query_id, expected + tail))
+
+
+def test_interp_fuses_the_block_alone():
+    # a, b, c rerank to 2.0, 1.5, 1.0 with dense 0.1, 0.2, 0.3, above a
+    # 97-document tail at 0.0 ... -96.0 with dense 0.0: normalized over the
+    # block alone they tie at 0.5, where the tail's range put c, b, a first
+    doc_ids = ["a", "b", "c"] + [f"t{j:02d}" for j in range(97)]
+    features = np.zeros((1, 100, 6))
+    features[0, :, 0] = [2.0, 1.5, 1.0, *-np.arange(97.0)]
+    features[0, :3, 1] = 0.1, 0.2, 0.3
+    candidates = Candidates([1], np.array([doc_ids], dtype=object), doc_id_ranks(doc_ids)[None],
+                            features)
+    ranking = rerank(Ranker([1.0, 0, 0, 0, 0, 0]), candidates, 3, 0.5)[0]
+    assert ranking.entries[:3] == (("a", 0.5), ("b", 0.5), ("c", 0.5))
+    assert ranking.doc_ids()[3:] == doc_ids[3:]
+    assert ranking.entries[3][1] < 0.5
+
+
+def test_interp_stage_keeps_the_tail_in_bm25_order(tmp_path):
+    config = _config(tmp_path, fusion="interp", depth=3, topk=10)
+    runner = StageRunner(config)
+    for stage in STAGES[:STAGES.index("rerank") + 1]:
+        runner.run(stage)
+    index = InvertedIndex.load(tmp_path / "work" / "index.bin")
+    run: dict[int, list[str]] = {}
+    for line in (tmp_path / "work" / "run.trec").read_text().splitlines():
+        run.setdefault(int(line.split()[0]), []).append(line.split()[2])
+    for query in runner.load_queries():
+        docs, bm25 = run[query.query_id], search_topk(index, query, 10, config.k1, config.b).doc_ids()
+        assert len(docs) == 10
+        assert sorted(docs[:3]) == sorted(bm25[:3]) and docs[3:] == bm25[3:]
 
 
 @settings(max_examples=150, deadline=None)

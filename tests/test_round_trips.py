@@ -1,6 +1,8 @@
 """Property tests: what each writer writes, its reader reads back."""
 
+import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -30,6 +32,43 @@ judgments = st.lists(st.tuples(query_ids, ids, st.integers(0, 3)), max_size=20)
 triples = st.lists(
     st.tuples(st.text(min_size=1, max_size=12), ids, ids, st.sampled_from(WEAK_SOURCES))
     .filter(lambda t: t[1] != t[2]).map(lambda t: WeakTriple(*t)), max_size=6)
+
+
+def config_values(field):
+    """Values a config file line holds for the field: a string has no line
+    break, no whitespace at either end and none before a '#', which starts a
+    comment there."""
+    kind = type(field.default)
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        return st.integers()
+    if kind is float:
+        return st.floats(allow_nan=False)
+    return (st.text() | st.text(alphabet="a #=\t")).filter(
+        lambda s: s == s.strip() and not re.search(r"[\r\n]|(?:^|\s)#", s))
+
+
+def config_line(key, value) -> str:
+    """`key = value`, a bool written true or false and a float by repr."""
+    if isinstance(value, bool):
+        value = str(value).lower()
+    elif isinstance(value, float):
+        value = repr(value)
+    return f"{key} = {value}\n"
+
+
+configs = st.builds(PipelineConfig, **{f.name: config_values(f)
+                                       for f in dataclasses.fields(PipelineConfig)})
+
+
+@given(configs)
+@example(PipelineConfig(run_tag="run#1", corpus_path="a b=c#d"))
+def test_config_file_round_trip(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("config") / "pipeline.cfg"
+    path.write_text("".join(config_line(key, value)
+                            for key, value in dataclasses.asdict(config).items()), encoding="utf-8")
+    assert PipelineConfig.from_file(path) == config
 
 
 @given(triples)
