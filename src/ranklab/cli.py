@@ -18,9 +18,10 @@ and the package version. Stages exchange only files, but parse them through
 StageRunner.load, the only code that writes its memo: within one pipeline run,
 a file is parsed again only when its size, mtime or inode has changed since a
 stage parsed it. index.bin alone is loaded afresh by every stage that reads it.
-dapt and train-dense share the corpus as subword.tokenize_corpus encodes it,
-kept the same way under the corpus file, the vocab and max_seq_len; every dense
-index train-dense scores or saves pools it through dense.build_dense_index.
+ingest keeps the vocab it trains under vocab.json. Under the corpus file the memo
+also keeps its corpus_terms view, which ingest, index and tokenize_corpus read, and
+the encoding dapt and train-dense share, under the vocab and max_seq_len too; every
+dense index train-dense scores or saves pools it through dense.build_dense_index.
 rerank keeps the run write_run returns for evaluate, and its candidates for
 depth-sweep: the BM25 lists, fused with the dense lists under --fusion union.
 
@@ -54,7 +55,7 @@ import numpy as np
 
 from . import __version__, dense, mlm, rerank, weaksup
 from .checkpoint import checked, read_lines, write_atomic
-from .corpus import is_token, load_corpus, load_queries, preprocess_query
+from .corpus import corpus_terms, is_token, load_corpus, load_queries, preprocess_query
 from .errors import ConfigError, DependencyError, NumericError, ParseError, ToolkitError
 from .evaluation import (
     GAIN_FUNCTIONS,
@@ -349,27 +350,32 @@ class StageRunner:
     def load_qrels(self, key: str = "qrels"):
         return self.load(self.input(key), read_qrels)
 
+    def corpus_terms(self):
+        return self.load(self.input("corpus"), self._terms)
+
+    def _terms(self, path):
+        return corpus_terms(self.load(path, load_corpus))
+
     def tokenized_corpus(self) -> tuple[SubwordVocab, dict[str, tuple[int, ...]]]:
         """The vocab, and doc id -> piece ids of each document in corpus order."""
         vocab = self.load(self.read("vocab"), SubwordVocab.load)
         return vocab, self.load(self.input("corpus"), self._tokenize, vocab, self.config.max_seq_len)
 
     def _tokenize(self, path, vocab, max_len):
-        return tokenize_corpus(self.load(path, load_corpus), vocab, max_len)
+        return tokenize_corpus(self.load(path, load_corpus), vocab, max_len, self.load(path, self._terms))
 
     # -- stages -------------------------------------------------------------
 
     def stage_ingest(self):
-        docs = self.load_docs()
+        view = self.corpus_terms()
         self.load_queries()
         self.load_qrels()
-        vocab = train_subword_vocab([d.text() for d in docs], self.config.vocab_size)
-        vocab.save(self.write("vocab"))
+        vocab = train_subword_vocab(view, self.config.vocab_size)
+        vocab.save(path := self.write("vocab"))
+        self.load(path, SubwordVocab.load, make=lambda: vocab)  # later stages tokenize with it
 
     def stage_index(self):
-        docs = self.load_docs()
-        index = build_index(docs)
-        index.save(self.write("index"))
+        build_index(self.load_docs(), self.corpus_terms()).save(self.write("index"))
 
     def stage_dapt(self):
         vocab, pieces = self.tokenized_corpus()
@@ -558,8 +564,9 @@ class StageRunner:
         extractor = self._feature_extractor()
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
         candidates = self._candidates(extractor)
+        alpha = self.config.alpha if self.config.fusion == "interp" else None  # as rerank fuses
         table = rerank.depth_sweep(ranker, candidates, self.config.depth_list(),
-                                   self.load_qrels(), self.config.eval_k)
+                                   self.load_qrels(), self.config.eval_k, alpha)
         lines = [f"depth\tndcg@{self.config.eval_k}\tp@5"]
         for depth in self.config.depth_list():
             row = table[depth]

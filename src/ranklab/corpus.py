@@ -13,7 +13,12 @@ import datetime
 import json
 import re
 import warnings
+from array import array
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
+from itertools import count
+
+import numpy as np
 
 from .checkpoint import read_lines
 from .errors import DuplicateDocumentError, ParseError, ToolkitWarning
@@ -31,6 +36,23 @@ def is_token(value) -> bool:
 def text_terms(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs."""
     return _TERM_RE.findall(text.lower())
+
+
+CorpusTerms = namedtuple("CorpusTerms", "terms ids lengths")
+
+
+def corpus_terms(docs) -> CorpusTerms:
+    """The term view vocab training, the BM25 index and tokenize_corpus read, split one document
+    (or text) at a time: sorted distinct terms, all text_terms as int32 ordinals, int32 counts."""
+    first = defaultdict(count().__next__)  # term -> ordinal in order of first occurrence
+    ids, lengths = array("i"), array("i")
+    for doc in docs:
+        words = text_terms(doc if isinstance(doc, str) else doc.text())
+        ids.extend(map(first.__getitem__, words))
+        lengths.append(len(words))
+    terms = sorted(first)
+    rank = np.argsort([first[t] for t in terms]).astype(np.int32)  # first-occurrence -> sorted
+    return CorpusTerms(terms, rank[ids], np.array(lengths, dtype=np.int32))
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,7 @@ def _loss_and_row_grads(table: np.ndarray, batch) -> tuple[float, list, np.ndarr
     row_grads = np.empty_like(vectors)
     widths = np.array([2 + len(t.negative_ids) for t in batch])
     starts, losses, scale = np.cumsum(widths) - widths, np.empty(len(batch)), 1.0 / len(batch)
-    for width in np.unique(widths).tolist():
+    for width in np.flatnonzero(np.bincount(widths)).tolist():  # np.unique imports numpy.ma
         members = np.flatnonzero(widths == width)
         rows = starts[members, None] + np.arange(width)
         qv, dvs = vectors[rows[:, 0]], vectors[rows[:, 1:]]

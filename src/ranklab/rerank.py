@@ -251,14 +251,16 @@ def fuse_interpolate(query_id: int, ranker_scores, dense_scores, alpha: float = 
 
     Scores are min-max normalized to [0, 1]; a degenerate component (all its
     scores equal) contributes 0.5 uniformly. Docs missing from one component
-    take 0 from it.
+    take 0 from it. Raises NumericError when a fused score is non-finite.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     rn, dn = (dict(zip(c, _minmax(np.fromiter(c.values(), float, len(c))).tolist()))
               for c in (dict(ranker_scores), dict(dense_scores)))
-    return RankedList.from_scores(query_id, (
-        (d, alpha * dn.get(d, 0.0) + (1.0 - alpha) * rn.get(d, 0.0)) for d in set(rn) | set(dn)))
+    fused = {d: alpha * dn.get(d, 0.0) + (1.0 - alpha) * rn.get(d, 0.0) for d in set(rn) | set(dn)}
+    if not all(map(math.isfinite, fused.values())):  # a component's range overflowed
+        raise NumericError("non-finite score in interpolation fusion")
+    return RankedList.from_scores(query_id, fused.items())
 
 
 @functools.cache
@@ -307,16 +309,16 @@ def fuse_base_union(bm25_list: RankedList, dense_list: RankedList, k: int,
 
 
 def depth_sweep(ranker: Ranker, candidates: Candidates, depths, qrels: Qrels,
-                k: int = 10) -> dict[int, dict[str, float]]:
-    """Evaluate NDCG@k and P@5 of reranking `candidates` at each depth; one
-    row per depth. Each row is the overall line of old_new_report over the
-    queries in `qrels`; a judged query without candidates scores 0."""
+                k: int = 10, alpha: float | None = None) -> dict[int, dict[str, float]]:
+    """Evaluate NDCG@k and P@5 of rerank(ranker, candidates, depth, alpha) at each
+    depth; one row per depth. Each row is the overall line of old_new_report over
+    the queries in `qrels`; a judged query without candidates scores 0."""
     if not depths:
         raise ValueError("depths must be non-empty")
     split = QuerySplit.from_ids((), qrels.query_ids())
     table: dict[int, dict[str, float]] = {}
     for depth in depths:
-        run = Run(dict(zip(candidates.query_ids, rerank(ranker, candidates, depth))))
+        run = Run(dict(zip(candidates.query_ids, rerank(ranker, candidates, depth, alpha))))
         overall = old_new_report(run, qrels, split, k).overall
         table[depth] = {f"ndcg@{k}": overall.ndcg, "p@5": overall.precision}
     return table

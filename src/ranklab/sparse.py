@@ -36,14 +36,12 @@ above zero as the list already holds, so the fill is there.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .checkpoint import checked, load_arrays, save_arrays
-from .corpus import Qrels, Query, text_terms
+from .corpus import CorpusTerms, Qrels, Query, corpus_terms
 from .errors import EmptyCorpusError, NumericError, UndefinedMetricError
 
 DEFAULT_K1 = 0.9
@@ -181,24 +179,19 @@ def top_k_order(scores: np.ndarray, doc_rank: np.ndarray, k: int) -> np.ndarray:
     return kept[np.lexsort((doc_rank[kept], -scores[kept]))[:k]]
 
 
-def build_index(docs) -> InvertedIndex:
-    """Index documents in corpus order; term frequencies equal brute-force counts."""
+def build_index(docs, view: CorpusTerms | None = None) -> InvertedIndex:
+    """Index documents in corpus order from `view`, their corpus_terms (built when None)."""
     docs = list(docs)
     if not docs:
         raise EmptyCorpusError("cannot build an index over an empty corpus")
-    postings: dict[str, list[int]] = {}  # term -> ordinal, tf, ordinal, tf, ...
-    doc_lengths: list[int] = []
-    for ordinal, doc in enumerate(docs):
-        terms = text_terms(doc.text())
-        doc_lengths.append(len(terms))
-        for t, count in Counter(terms).items():
-            postings.setdefault(t, []).extend((ordinal, count))
-    terms = sorted(postings)
-    offsets = np.cumsum([0] + [len(postings[t]) // 2 for t in terms], dtype=np.int64)
-    flat = np.fromiter(chain.from_iterable(postings[t] for t in terms), dtype=np.int32,
-                       count=2 * int(offsets[-1])).reshape(-1, 2)
-    return InvertedIndex(terms, offsets, flat[:, 0].copy(), flat[:, 1].copy(),
-                         np.array(doc_lengths, dtype=np.int32), [d.doc_id for d in docs])
+    view = corpus_terms(docs) if view is None else view
+    order = np.argsort(view.ids, kind="stable")  # by term, each term's positions in corpus order
+    terms = view.ids[order]
+    ordinals = np.repeat(np.arange(len(docs), dtype=np.int32), view.lengths)[order]
+    starts = np.flatnonzero(np.diff(terms, prepend=-1) | np.diff(ordinals, prepend=-1))
+    offsets = np.searchsorted(terms[starts], np.arange(len(view.terms) + 1)).astype(np.int64)
+    tfs = np.diff(starts, append=len(order)).astype(np.int32)
+    return InvertedIndex(view.terms, offsets, ordinals[starts], tfs, view.lengths, [d.doc_id for d in docs])
 
 
 def idf(index: InvertedIndex, term: str) -> float:

@@ -22,8 +22,9 @@ the last applied rank among the ranks of the word's adjacent pairs. A pair
 keeps every rank it holds, so a merge list that repeats a rule or lists rules
 out of order splits exactly as applying the whole list in order does.
 
-A document is encoded only by tokenize_corpus (doc id -> piece ids) and a
-query only by tokenize_query; every other module works on those piece ids.
+Training ends on each word's word_pieces, which fill the trained vocab's cache. A document
+is encoded only by tokenize_corpus (doc id -> piece ids), one lookup per term of its
+corpus_terms view, and a query only by tokenize_query; every other module works on those ids.
 """
 
 from __future__ import annotations
@@ -32,10 +33,13 @@ import heapq
 import json
 from bisect import bisect_right
 from collections import Counter
+from itertools import chain, islice
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import write_atomic
-from .corpus import text_terms
+from .corpus import CorpusTerms, corpus_terms, text_terms
 from .errors import ConfigError
 
 MASK_PIECE = "[MASK]"
@@ -93,6 +97,12 @@ class SubwordVocab:
         self._word_cache[word] = symbols, tuple(map(self.piece_ids.__getitem__, symbols))
         return symbols
 
+    def word_ids(self, word: str) -> tuple[int, ...]:
+        """The piece ids of word_pieces(word), kept in the word cache."""
+        if word not in self._word_cache:
+            self.word_pieces(word)
+        return self._word_cache[word][1]
+
     def save(self, path) -> None:
         payload = {"version": 1, "chars": self.chars, "merges": [list(m) for m in self.merges]}
         write_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
@@ -129,21 +139,16 @@ def _merge_pair(symbols: list[str], a: str, b: str) -> list[str]:
 
 
 def train_subword_vocab(texts, target_size: int) -> SubwordVocab:
-    """Learn merge rules from text until the piece inventory reaches target_size."""
-    word_counts: Counter[str] = Counter()
-    for text in texts:
-        word_counts.update(text_terms(text))
+    """Learn merge rules from texts, or their corpus_terms view, until the piece
+    inventory reaches target_size; each training word's segmentation is cached."""
+    view = texts if isinstance(texts, CorpusTerms) else corpus_terms(texts)
+    chars = sorted({c for w in view.terms for c in w})
+    if target_size < (base := len(chars) + 2):
+        raise ConfigError(f"target_size {target_size} below minimum {base} "
+                          f"({len(chars)} characters + MASK + UNK)")
 
-    chars = sorted({c for w in word_counts for c in w})
-    base = len(chars) + 2
-    if target_size < base:
-        raise ConfigError(
-            f"target_size {target_size} below minimum {base} "
-            f"({len(chars)} characters + MASK + UNK)"
-        )
-
-    words = [[*word] for word in word_counts]
-    counts = list(word_counts.values())
+    words = [[*word] for word in view.terms]
+    counts = np.bincount(view.ids, minlength=len(words)).tolist()
     pair_counts: dict[tuple[str, str], int] = {}
     pair_words: dict[tuple[str, str], set[int]] = {}
     for w, (symbols, count) in enumerate(zip(words, counts)):
@@ -183,27 +188,28 @@ def train_subword_vocab(texts, target_size: int) -> SubwordVocab:
             else:
                 del pair_counts[pair]
                 pair_words.pop(pair, None)
-    return SubwordVocab(chars, merges)
+    vocab = SubwordVocab(chars, merges)
+    for word, symbols in zip(view.terms, words):  # as word_pieces caches them
+        vocab._word_cache[word] = symbols, tuple(map(vocab.piece_ids.__getitem__, symbols))
+    return vocab
 
 
 def tokenize(text: str, vocab: SubwordVocab, max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH) -> list[int]:
     """Map text to piece ids, truncated to max_length; each word's ids come
     from the vocab's cache of word_pieces results. Never fails."""
-    ids: list[int] = []
-    cache = vocab._word_cache
-    for word in text_terms(text):
-        if word not in cache:
-            vocab.word_pieces(word)
-        ids += cache[word][1]
-        if len(ids) >= max_length:
-            return ids[:max_length]
-    return ids
+    return list(islice(chain.from_iterable(map(vocab.word_ids, text_terms(text))), max_length))
 
 
-def tokenize_corpus(docs, vocab: SubwordVocab,
-                    max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH) -> dict[str, tuple[int, ...]]:
-    """Doc id -> piece ids of each document, in corpus order: the one document encoding."""
-    return {doc.doc_id: tuple(tokenize(doc.text(), vocab, max_length)) for doc in docs}
+def tokenize_corpus(docs, vocab: SubwordVocab, max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
+                    view: CorpusTerms | None = None) -> dict[str, tuple[int, ...]]:
+    """Doc id -> piece ids of each document, in corpus order: the one document
+    encoding, as tokenize gives it, read from `view` (corpus_terms(docs) if None)."""
+    docs = list(docs)
+    view = corpus_terms(docs) if view is None else view
+    pieces = np.fromiter(map(vocab.word_ids, view.terms), dtype=object, count=len(view.terms))
+    seqs, ends = pieces[view.ids].tolist(), np.cumsum(view.lengths).tolist()  # shared tuples
+    return {doc.doc_id: tuple(islice(chain.from_iterable(seqs[end - n : end]), max_length))
+            for doc, n, end in zip(docs, view.lengths.tolist(), ends)}
 
 
 def tokenize_query(terms, vocab: SubwordVocab, max_length: int) -> list[int]:

@@ -195,6 +195,11 @@ class TestInterpolation:
         out = fuse_interpolate(1, {"a": 2.0, "b": 2.0}, {"a": 1.0, "b": 0.0}, 0.5)
         assert dict(out.entries) == pytest.approx({"a": 0.75, "b": 0.25}, abs=1e-12)
 
+    def test_an_overflowing_range_is_a_numeric_error(self):
+        """Normalizing over a range of 2e308 gives nan, which is not ranked."""
+        with pytest.raises(NumericError, match="non-finite score"):
+            fuse_interpolate(1, {}, {"a": 1e308, "c": -1e308}, 0.5)
+
     def test_score_linear_in_alpha(self):
         values = []
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):

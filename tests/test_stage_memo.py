@@ -40,9 +40,12 @@ def _counting(monkeypatch, name, calls):
 
 
 def test_pipeline_parses_each_text_input_and_the_vocab_once(tmp_path, monkeypatch):
+    """Each text input is parsed once, the corpus's text is split into terms once,
+    and the vocab is made once: ingest trains it and hands it on unparsed."""
     config = _config(tmp_path)
     calls = []
-    for name in ("load_corpus", "load_queries", "read_qrels"):
+    for name in ("load_corpus", "load_queries", "read_qrels", "corpus_terms",
+                 "train_subword_vocab"):
         _counting(monkeypatch, name, calls)
 
     class CountedVocab(SubwordVocab):
@@ -53,7 +56,8 @@ def test_pipeline_parses_each_text_input_and_the_vocab_once(tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "SubwordVocab", CountedVocab)
     cli.run_pipeline(config, STAGES)
-    assert sorted(calls) == ["load_corpus", "load_queries", "read_qrels", "vocab"]
+    assert sorted(calls) == ["corpus_terms", "load_corpus", "load_queries", "read_qrels",
+                             "train_subword_vocab"]
 
 
 def test_a_rewritten_qrels_file_is_parsed_again(tmp_path, monkeypatch):

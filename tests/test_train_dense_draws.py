@@ -122,11 +122,25 @@ def _count_document_tokenizations(monkeypatch, corpus_path):
     return texts, calls
 
 
+def _count_corpus_encodings(monkeypatch):
+    """The stages' calls of corpus_terms (each document's text split into terms)
+    and of tokenize_corpus (each document encoded), in order."""
+    calls = []
+    for name in ("corpus_terms", "tokenize_corpus"):
+        real = getattr(ranklab.cli, name)
+        monkeypatch.setattr(ranklab.cli, name, lambda *args, name=name, real=real: (
+            calls.append(name) or real(*args)))
+    return calls
+
+
 def test_one_pipeline_run_tokenizes_the_corpus_once(tmp_path, monkeypatch):
     config = _config(tmp_path)
     texts, calls = _count_document_tokenizations(monkeypatch, config.corpus_path)
+    encodings = _count_corpus_encodings(monkeypatch)
     ranklab.cli.run_pipeline(config, ["ingest", "index", "synth-weak", "dapt", "train-dense"])
-    assert sorted(calls) == sorted(texts)
+    # no document is tokenized one by one: the corpus is split and encoded once
+    assert calls == []
+    assert encodings == ["corpus_terms", "tokenize_corpus"]
 
 
 def test_a_rewritten_vocab_is_tokenized_again(tmp_path, monkeypatch):
@@ -134,16 +148,18 @@ def test_a_rewritten_vocab_is_tokenized_again(tmp_path, monkeypatch):
     runner = StageRunner(config)
     for stage in ("ingest", "index", "synth-weak", "dapt"):
         runner.run(stage)
-    texts, calls = _count_document_tokenizations(monkeypatch, config.corpus_path)
+    texts = sorted({d.text() for d in load_corpus(config.corpus_path)})
+    encodings = _count_corpus_encodings(monkeypatch)
     vocab_path = tmp_path / "work" / "vocab.json"
-    smaller = train_subword_vocab(sorted(texts), len(SubwordVocab.load(vocab_path)) - 5)
+    smaller = train_subword_vocab(texts, len(SubwordVocab.load(vocab_path)) - 5)
     smaller.save(vocab_path)
     runner.run("train-dense")
-    assert sorted(calls) == sorted(texts)
+    # the corpus is encoded again with the new vocab, from the term view already split
+    assert encodings == ["tokenize_corpus"]
     encoder = DenseEncoder.load(tmp_path / "work" / "encoder.ckpt")
     assert encoder.vocab_size == len(smaller)
-    # the memo keeps the corpus's parse and one tokenization: the new vocab's
-    assert sum(key[0].name == "corpus.jsonl" for key in runner.parsed) == 2
+    # the memo keeps the corpus's parse, its term view and one tokenization: the new vocab's
+    assert sum(key[0].name == "corpus.jsonl" for key in runner.parsed) == 3
     # what a runner that has parsed nothing yet writes from the same files
     written = {n: (tmp_path / "work" / n).read_bytes() for n in ("encoder.ckpt", "dense_index.bin")}
     StageRunner(config).run("train-dense")

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import ranklab.cli
 import ranklab.dense
 import ranklab.subword
 from ranklab.cli import EXIT_CONFIG, PipelineConfig, main, run_pipeline
@@ -72,19 +73,22 @@ def test_train_dense_tokenizes_each_document_once(tmp_path, monkeypatch):
                             qrels_path=str(qrels), workdir=str(tmp_path / "w"),
                             vocab_size=600, triples_count=8, dense_epochs=4)
     run_pipeline(config, ["ingest", "index", "synth-weak"])
-    texts = []
+    texts, corpora = [], []
 
-    def counting(tokenize):
-        return lambda text, *args: texts.append(text) or tokenize(text, *args)
+    def counting(tokenize, calls):
+        return lambda text, *args: calls.append(text) or tokenize(text, *args)
 
-    # documents and queries are tokenized through subword.tokenize_corpus and tokenize_query
-    monkeypatch.setattr(ranklab.subword, "tokenize", counting(ranklab.subword.tokenize))
+    # queries are tokenized through subword.tokenize_query, the documents all at
+    # once by subword.tokenize_corpus
+    monkeypatch.setattr(ranklab.subword, "tokenize", counting(ranklab.subword.tokenize, texts))
+    monkeypatch.setattr(ranklab.cli, "tokenize_corpus", counting(ranklab.cli.tokenize_corpus, corpora))
     run_pipeline(config, ["train-dense"])
-    docs = [d.text() for d in load_corpus(corpus)]
+    docs = load_corpus(corpus)
     triple_queries = [t.query for t in read_triples(tmp_path / "w" / "weak_triples.jsonl")]
     dev = [" ".join(q.processed_terms) for q in load_queries(queries, ENGLISH_STOPWORDS)]
     # two evaluations (epochs 3 and 4 at eval_every_steps = 3) share one tokenization
-    assert sorted(texts) == sorted(docs + triple_queries + dev)
+    assert sorted(texts) == sorted(triple_queries + dev)
+    assert corpora == [docs]
 
 
 def test_duplicate_documents_are_not_contrasted(tmp_path, capsys):
