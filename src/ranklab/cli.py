@@ -19,9 +19,9 @@ StageRunner.load, the only code that writes its memo: within one pipeline run,
 a file is parsed again only when its size, mtime or inode has changed since a
 stage parsed it. index.bin alone is loaded afresh by every stage that reads it.
 ingest keeps the vocab it trains under vocab.json. Under the corpus file the memo
-also keeps its corpus_terms view, which ingest, index and tokenize_corpus read, and
-the encoding dapt and train-dense share, under the vocab and max_seq_len too; every
-dense index train-dense scores or saves pools it through dense.build_dense_index.
+also keeps its corpus_terms view, which ingest, index, synth-weak and tokenize_corpus read,
+and the flat encoding dapt masks and train-dense uses, under the vocab and max_seq_len too;
+every dense index train-dense scores or saves pools it through dense.build_dense_index.
 rerank keeps the run write_run returns for evaluate, and its candidates for
 depth-sweep: the BM25 lists, fused with the dense lists under --fusion union.
 
@@ -74,8 +74,8 @@ from .sparse import (
 )
 from .stopwords import ENGLISH_STOPWORDS, load_stopwords
 from .subword import (
-    DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, subword_ratio, tokenize_corpus, tokenize_query,
-    train_subword_vocab,
+    DEFAULT_MAX_SEQUENCE_LENGTH, SubwordVocab, TokenizedCorpus, subword_ratio, tokenize_corpus,
+    tokenize_query, train_subword_vocab,
 )
 
 STAGES = (
@@ -356,8 +356,8 @@ class StageRunner:
     def _terms(self, path):
         return corpus_terms(self.load(path, load_corpus))
 
-    def tokenized_corpus(self) -> tuple[SubwordVocab, dict[str, tuple[int, ...]]]:
-        """The vocab, and doc id -> piece ids of each document in corpus order."""
+    def tokenized_corpus(self) -> tuple[SubwordVocab, TokenizedCorpus]:
+        """The vocab, and the flat piece ids of each document in corpus order."""
         vocab = self.load(self.read("vocab"), SubwordVocab.load)
         return vocab, self.load(self.input("corpus"), self._tokenize, vocab, self.config.max_seq_len)
 
@@ -379,13 +379,13 @@ class StageRunner:
 
     def stage_dapt(self):
         vocab, pieces = self.tokenized_corpus()
-        lengths, ids = dense.flatten([s for s in pieces.values() if s])
+        lengths = pieces.lengths[pieces.lengths > 0]  # an empty document adds no id
         if not len(lengths):
             raise ConfigError(f"no document in {self.config.corpus_path} has a piece to mask")
         model = mlm.MlmModel.init(len(vocab), self.config.dim, self.config.seed)
         rng = np.random.default_rng(self.config.seed)
         for epoch in range(self.config.mlm_epochs):
-            batch = mlm.make_masked_batch(ids, vocab.mask_id, self.config.mask_rate, rng, lengths)
+            batch = mlm.make_masked_batch(pieces.ids, vocab.mask_id, self.config.mask_rate, rng, lengths)
             model, loss = mlm.mlm_train_step(model, batch, self.config.mlm_lr)
             if (epoch + 1) % self.config.eval_every_steps == 0 or epoch == self.config.mlm_epochs - 1:
                 print(f"[dapt] epoch {epoch + 1} loss {loss:.6f}")
@@ -440,7 +440,8 @@ class StageRunner:
         triples = weaksup.synthesize_triples(
             docs, index, self.config.triples_count, self.config.seed,
             self.config.retrieval_depth, self.config.max_query_terms,
-            self.stopwords(), self.config.include_stage1, k1=self.config.k1, b=self.config.b)
+            self.stopwords(), self.config.include_stage1, k1=self.config.k1, b=self.config.b,
+            view=self.corpus_terms())
         weaksup.write_triples(triples, self.write("weak_triples"))
 
     def _feature_extractor(self):
@@ -613,30 +614,29 @@ class StageRunner:
 StageRunner.STAGE_FUNCTIONS = {s: getattr(StageRunner, f"stage_{s.replace('-', '_')}") for s in STAGES}
 
 
-def training_triples(weak, pieces: dict, vocab, config: PipelineConfig, rng, stopwords) -> list:
-    """A dense.TrainingTriple per weak triple whose documents are in `pieces` (doc id
-    -> piece ids) and differ, plus up to config.negatives - 1 drawn from the documents
-    unlike the positive: a draw's index steps past each sorted ordinal not allowed.
+def training_triples(weak, pieces: TokenizedCorpus, vocab, config: PipelineConfig, rng, stopwords) -> list:
+    """A dense.TrainingTriple per weak triple whose documents are in `pieces` and differ,
+    plus up to config.negatives - 1 drawn from the documents unlike the positive (checked
+    among those of its id sum): a draw's index steps past each sorted ordinal not allowed.
     The query is tokenized from its processed terms, as the ranking stages read it."""
-    seqs, ordinal, alike = list(pieces.values()), {d: i for i, d in enumerate(pieces)}, {}
-    for i, seq in enumerate(seqs):
-        alike.setdefault(seq, []).append(i)
-    triples = []
+    lengths, triples = pieces.lengths, []
+    sums = np.bincount(np.repeat(np.arange(len(lengths)), lengths), pieces.ids, len(lengths))
     for t in weak:
         positive, negative = pieces.get(t.pos_doc_id), pieces.get(t.neg_doc_id)
         if positive is None or negative is None or negative == positive:
             continue  # a document alike to the positive cannot be told apart from it
-        drawn = [ordinal[t.neg_doc_id]]
-        removed = sorted([*drawn, *alike[positive]])
-        while len(drawn) < config.negatives and len(removed) < len(seqs):
-            pick = int(rng.integers(len(seqs) - len(removed)))
+        same = np.flatnonzero(sums == sums[pieces.ordinal[t.pos_doc_id]]).tolist()
+        drawn = [pieces.ordinal[t.neg_doc_id]]
+        removed = sorted([*drawn, *(i for i in same if pieces.row(i) == positive)])
+        while len(drawn) < config.negatives and len(removed) < len(lengths):
+            pick = int(rng.integers(len(lengths) - len(removed)))
             for r in removed:
                 pick += r <= pick
             drawn.append(pick)
             bisect.insort(removed, pick)
         triples.append(dense.TrainingTriple(
             tuple(tokenize_query(preprocess_query(t.query, stopwords), vocab, config.max_seq_len)),
-            positive, tuple(seqs[i] for i in drawn)))
+            positive, (negative, *map(pieces.row, drawn[1:]))))
     return triples
 
 

@@ -1,9 +1,9 @@
 """Trainable dense retriever: mean-pooled embedding encoder, dot-product
-similarity, softmax contrastive loss over m negatives (a training step pools
-its whole batch once), and exact top-k search.
+similarity, softmax contrastive loss over m negatives (a training step flattens
+and pools its whole batch once, and updates only the table rows it touches), and exact top-k search.
 
 Everything here works on piece ids: build_dense_index, the one source of
-document vectors, pools the corpus that subword.tokenize_corpus encodes.
+document vectors, pools the flat ids and lengths subword.tokenize_corpus encodes.
 
 Search is one stacked exact top-k, dense_top_k: it pools all of a stage's
 queries in one pool() call and returns (queries x k) doc ranks and scores,
@@ -12,7 +12,7 @@ dense_search_topk is its one-query case, as a RankedList.
 
 Every trained parameter (MLM tables, encoder, ranker, selection policy) takes
 plain gradient descent at a fixed rate, checkable against finite differences,
-through `descend`, which writes nothing unless every result is finite.
+through `descend`, on all of it or given rows, writing nothing unless every result is finite.
 """
 
 from __future__ import annotations
@@ -102,20 +102,22 @@ def pool(table: np.ndarray, sequences, lengths=None) -> np.ndarray:
     return out[np.argsort(order)] / np.maximum(lengths, 1)[:, None]
 
 
-def pool_grad(shape, sequences, row_grads, lengths=None) -> np.ndarray:
-    """The `shape` table's gradient from pool()'s row gradients: each
-    row_grads[i] / len(sequences[i]) added at every id of sequence i. One
-    np.bincount per column adds these shares in sequence order from 0.0
-    (bit-equal to one += per id) without an (ids x dim) array of them, which
-    for one MLM step would be larger than its whole 16 MiB memory budget.
-    `sequences` and `lengths` are read as pool() reads them."""
+def pool_grad(shape, sequences, row_grads, lengths=None) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted rows of the `shape` table the sequences touch and their gradient (every
+    other row's is 0.0) from pool()'s row gradients: each row_grads[i] / len(sequences[i])
+    added at every id of sequence i. One np.bincount per column over the rows' slots adds
+    these shares in sequence order from 0.0 (bit-equal to one += per id) without an (ids x
+    dim) array of them, which for one MLM step would be larger than its whole 16 MiB memory
+    budget. `sequences` and `lengths` are read as pool() reads them."""
     lengths, ids = flatten(sequences, lengths)
+    touched = np.bincount(ids, minlength=shape[0]) > 0  # np.unique imports numpy.ma
+    rows, slots = np.flatnonzero(touched), (np.cumsum(touched) - 1)[ids]
     owner = np.repeat(np.arange(len(lengths)), lengths)
     shares = np.reshape(row_grads, (len(lengths), shape[1])) / np.maximum(lengths, 1)[:, None]
-    grad = np.empty(shape)
-    for column, share in enumerate(shares.T):
-        grad[:, column] = np.bincount(ids, weights=share[owner], minlength=shape[0])
-    return grad
+    grad = np.empty((shape[1], len(rows)))  # a column's shares are gathered from one row
+    for column, share in enumerate(shares.T.copy()):
+        grad[column] = np.bincount(slots, weights=share[owner], minlength=len(rows))
+    return rows, grad.T
 
 
 def similarity(qv: np.ndarray, dv: np.ndarray) -> float:
@@ -142,18 +144,18 @@ class TrainingTriple:
             raise ValueError("positive document also listed as a negative")
 
 
-def _loss_and_row_grads(table: np.ndarray, batch) -> tuple[float, list, np.ndarray]:
+def _loss_and_row_grads(table: np.ndarray, batch) -> tuple[float, tuple, np.ndarray]:
     """A batch's mean contrastive loss, its sequences (each triple's query,
-    positive and negatives) and the loss gradient of each one's pool() row.
+    positive and negatives) flat as (ids, lengths), and each one's pool() row gradient.
 
     Triples with m negatives are one (b, 2 + m, dim) stack of rows taken in one
     pass, in the per-triple order and so bit-equal: each row's vecdot, max, exp
     and sum, dq = dsims[0] * pos + (((0 + dsims[1] * n1) + dsims[2] * n2) + ...)."""
-    sequences = [s for t in batch for s in (t.query_ids, t.positive_ids, *t.negative_ids)]
-    if not all(sequences):
+    lengths, ids = flatten([s for t in batch for s in (t.query_ids, t.positive_ids, *t.negative_ids)])
+    if not lengths.all():
         warnings.warn("encoding an empty id sequence yields the zero vector",
                       ToolkitWarning, stacklevel=3)
-    vectors = pool(table, sequences)
+    vectors = pool(table, ids, lengths)
     row_grads = np.empty_like(vectors)
     widths = np.array([2 + len(t.negative_ids) for t in batch])
     starts, losses, scale = np.cumsum(widths) - widths, np.empty(len(batch)), 1.0 / len(batch)
@@ -173,7 +175,7 @@ def _loss_and_row_grads(table: np.ndarray, batch) -> tuple[float, list, np.ndarr
         negative_sum = sum(dsims[:, j, None] * dvs[:, j] for j in range(1, width - 1))
         row_grads[rows[:, 0]] = scale * (dsims[:, :1] * dvs[:, 0] + negative_sum)
         row_grads[rows[:, 1:]] = (scale * dsims)[:, :, None] * qv[:, None]
-    return sum(losses.tolist()) * scale, sequences, row_grads
+    return sum(losses.tolist()) * scale, (ids, lengths), row_grads
 
 
 def contrastive_loss(encoder: DenseEncoder, triple: TrainingTriple) -> float:
@@ -182,24 +184,24 @@ def contrastive_loss(encoder: DenseEncoder, triple: TrainingTriple) -> float:
 
 
 def descend(what: str, learning_rate: float, *pairs) -> None:
-    """param - learning_rate * grad for each (param, grad) pair, written in
-    place only when every result is finite (bit-equal to param -= ...)."""
+    """param - learning_rate * grad for each (param, grad) pair, and param[rows] - ... for each
+    (param, grad, rows), written in place only when every result is finite (bit-equal to -=)."""
     with np.errstate(over="ignore", invalid="ignore"):  # each step's own buffer takes its result
-        results = [np.subtract(p, step := learning_rate * g, out=step) for p, g in pairs]
+        results = [np.subtract(p[tuple(rows)], step := learning_rate * g, out=step) for p, g, *rows in pairs]
     if not all(np.isfinite(result).all() for result in results):
         raise NumericError(f"non-finite parameters in {what}")
-    for (param, _), result in zip(pairs, results):
-        param[...] = result
+    for (param, _, *rows), result in zip(pairs, results):
+        param[tuple(rows)] = result
 
 
 def train_step(encoder: DenseEncoder, batch, learning_rate: float) -> tuple[DenseEncoder, float]:
-    """One gradient-descent step on the mean contrastive loss of the batch."""
+    """One gradient-descent step on the mean contrastive loss of the batch, at the rows it touches."""
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be non-empty")
-    loss, sequences, row_grads = _loss_and_row_grads(encoder.table, batch)
-    descend("dense training step", learning_rate,
-            (encoder.table, pool_grad(encoder.table.shape, sequences, row_grads)))
+    loss, (ids, lengths), row_grads = _loss_and_row_grads(encoder.table, batch)
+    rows, grad = pool_grad(encoder.table.shape, ids, row_grads, lengths)
+    descend("dense training step", learning_rate, (encoder.table, grad, rows))
     return encoder, loss
 
 
@@ -233,10 +235,10 @@ class DenseIndex:
         return checked(path, cls, arrays["vectors"], meta["doc_ids"])
 
 
-def build_dense_index(encoder: DenseEncoder, pieces: dict) -> DenseIndex:
-    """One pooled vector row per document of `pieces` (doc id -> piece ids, as
-    subword.tokenize_corpus encodes a corpus), in its order."""
-    return DenseIndex(pool(encoder.table, pieces.values()), pieces)
+def build_dense_index(encoder: DenseEncoder, pieces) -> DenseIndex:
+    """One pooled vector row per document of `pieces` (subword.tokenize_corpus's
+    encoding of a corpus), pooled from its flat ids and lengths, in its order."""
+    return DenseIndex(pool(encoder.table, pieces.ids, pieces.lengths), pieces)
 
 
 def dense_top_k(index: DenseIndex, encoder: DenseEncoder, sequences,

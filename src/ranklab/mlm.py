@@ -31,10 +31,10 @@ at a 1,400-piece vocabulary) that every chunk reuses, whatever the number of
 targets.
 
 A batch's context ids are what one flat boolean mask over all its ids (each
-target's position offset by its sequence's start) leaves, in order. The
-context means come from dense.pool and their gradient from dense.pool_grad,
-which take those ids flat and add in the order of a per-sequence mean and
-np.add.at (see dense).
+target's position offset by its sequence's start) leaves, in order. The context
+means come from dense.pool, which adds in the order of a per-sequence mean, and their
+gradient, at the embedding rows they touch and added in sequence order from 0.0, from
+dense.pool_grad; mlm_train_step updates those rows and the whole output table.
 """
 
 from __future__ import annotations
@@ -215,23 +215,25 @@ def _loss_and_grads(model: MlmModel, batch: MaskedBatch):
     scale = 1.0 / n_targets
     grad_out *= scale
     grad_contexts *= scale
-    grad_emb = pool_grad(model.embeddings.shape, context_ids, grad_contexts, context_lengths)
-    return total * scale, grad_emb, grad_out
+    rows, grad_emb = pool_grad(model.embeddings.shape, context_ids, grad_contexts, context_lengths)
+    return total * scale, (grad_emb, rows), grad_out
 
 
 def mlm_train_step(model: MlmModel, batch: MaskedBatch, learning_rate: float) -> tuple[MlmModel, float]:
     """One descent step on the mean masked-target cross-entropy."""
-    loss, grad_emb, grad_out = _loss_and_grads(model, batch)
+    loss, (grad_emb, rows), grad_out = _loss_and_grads(model, batch)
     descend("masked-language training", learning_rate,
-            (model.embeddings, grad_emb), (model.output_weights, grad_out))
+            (model.embeddings, grad_emb, rows), (model.output_weights, grad_out))
     return model, loss
 
 
 def warm_start(encoder: DenseEncoder, pretrained: np.ndarray) -> DenseEncoder:
-    """Replace the encoder's embedding table with pretrained embeddings."""
+    """The encoder with pretrained embeddings, checked once: a step checks only the rows it updates."""
     pretrained = np.asarray(pretrained, dtype=np.float64)
     if pretrained.shape != encoder.table.shape:
         raise ValueError(
             f"pretrained table shape {pretrained.shape} does not match encoder {encoder.table.shape}"
         )
+    if not np.isfinite(pretrained).all():
+        raise NumericError("non-finite parameters in warm-start embeddings")
     return DenseEncoder(pretrained.copy())

@@ -23,8 +23,8 @@ keeps every rank it holds, so a merge list that repeats a rule or lists rules
 out of order splits exactly as applying the whole list in order does.
 
 Training ends on each word's word_pieces, which fill the trained vocab's cache. A document
-is encoded only by tokenize_corpus (doc id -> piece ids), one lookup per term of its
-corpus_terms view, and a query only by tokenize_query; every other module works on those ids.
+is encoded only by tokenize_corpus, into flat arrays gathered from its corpus_terms view's
+pieces, and a query only by tokenize_query; every other module works on those ids.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import heapq
 import json
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Mapping
 from itertools import chain, islice
 from pathlib import Path
 
@@ -40,6 +41,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .corpus import CorpusTerms, corpus_terms, text_terms
+from .dense import flatten
 from .errors import ConfigError
 
 MASK_PIECE = "[MASK]"
@@ -200,16 +202,40 @@ def tokenize(text: str, vocab: SubwordVocab, max_length: int = DEFAULT_MAX_SEQUE
     return list(islice(chain.from_iterable(map(vocab.word_ids, text_terms(text))), max_length))
 
 
+class TokenizedCorpus(Mapping):
+    """Doc id -> piece ids, held flat and read-only in `ids` and `lengths`; a tuple is built when asked."""
+
+    def __init__(self, doc_ids, ids: np.ndarray, lengths: np.ndarray):
+        self.ids, self.lengths, self.ordinal = ids, lengths, {d: i for i, d in enumerate(doc_ids)}
+        ids.flags.writeable = lengths.flags.writeable = False
+        self._spans = list(zip((np.cumsum(lengths) - lengths).tolist(), np.cumsum(lengths).tolist()))
+
+    def row(self, i: int) -> tuple[int, ...]:  # the i-th document's
+        return tuple(self.ids[slice(*self._spans[i])].tolist())
+
+    def __getitem__(self, doc_id) -> tuple[int, ...]:
+        return self.row(self.ordinal[doc_id])
+
+    def __iter__(self):
+        return iter(self.ordinal)
+
+    def __len__(self) -> int:
+        return len(self.ordinal)
+
+
 def tokenize_corpus(docs, vocab: SubwordVocab, max_length: int = DEFAULT_MAX_SEQUENCE_LENGTH,
-                    view: CorpusTerms | None = None) -> dict[str, tuple[int, ...]]:
-    """Doc id -> piece ids of each document, in corpus order: the one document
-    encoding, as tokenize gives it, read from `view` (corpus_terms(docs) if None)."""
+                    view: CorpusTerms | None = None) -> TokenizedCorpus:
+    """Each document's piece ids, in corpus order: the one document encoding, as tokenize
+    gives it, gathered from each distinct term's pieces in `view` (corpus_terms(docs) if None)."""
     docs = list(docs)
     view = corpus_terms(docs) if view is None else view
-    pieces = np.fromiter(map(vocab.word_ids, view.terms), dtype=object, count=len(view.terms))
-    seqs, ends = pieces[view.ids].tolist(), np.cumsum(view.lengths).tolist()  # shared tuples
-    return {doc.doc_id: tuple(islice(chain.from_iterable(seqs[end - n : end]), max_length))
-            for doc, n, end in zip(docs, view.lengths.tolist(), ends)}
+    term_lengths, term_ids = flatten(list(map(vocab.word_ids, view.terms)))
+    at = np.concatenate(([0], np.cumsum(counts := term_lengths[view.ids])))  # where each occurrence's pieces start
+    offset = np.repeat((np.cumsum(term_lengths) - term_lengths)[view.ids] - at[:-1], counts)
+    bounds = at[np.concatenate(([0], np.cumsum(view.lengths)))]  # where each document's pieces start
+    lengths = np.minimum(np.diff(bounds), max_length)
+    kept = np.repeat(bounds[:-1] - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    return TokenizedCorpus([doc.doc_id for doc in docs], term_ids[offset[kept] + kept], lengths)
 
 
 def tokenize_query(terms, vocab: SubwordVocab, max_length: int) -> list[int]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import read_lines, write_atomic
-from .corpus import Document, Qrels, preprocess_query, text_terms
+from .corpus import CorpusTerms, Document, Qrels, preprocess_query, text_terms
 from .dense import descend
 from .errors import (
     ConfigError,
@@ -66,17 +66,24 @@ class SalienceQueryGenerator:
     generate(d) scores terms by tf-idf against the index; contrast_generate
     scores them by the tf-idf difference between the two documents and only
     emits terms whose difference is positive. Selected terms are emitted in
-    document order.
+    document order: the terms of `docs` read from `view`, their corpus_terms view.
     """
 
     def __init__(self, index: InvertedIndex, max_query_terms: int = DEFAULT_MAX_QUERY_TERMS,
-                 stopwords=ENGLISH_STOPWORDS):
+                 stopwords=ENGLISH_STOPWORDS, view: CorpusTerms | None = None, docs=()):
         self.index = index
         self.max_query_terms = max_query_terms
         self.stopwords = stopwords
+        self.view, self.spans = view, {}
+        if view is not None:  # a document's terms are view.ids[span]
+            ends = np.cumsum(view.lengths).tolist()
+            self.spans = {d.doc_id: slice(e - n, e) for d, n, e in zip(docs, view.lengths.tolist(), ends)}
 
     def _content_counts(self, doc: Document) -> tuple[Counter, dict[str, int]]:
-        terms = [t for t in text_terms(doc.text()) if t not in self.stopwords]
+        span = self.spans.get(doc.doc_id)
+        words = text_terms(doc.text()) if span is None else map(
+            self.view.terms.__getitem__, self.view.ids[span].tolist())
+        terms = [t for t in words if t not in self.stopwords]
         first_pos: dict[str, int] = {}
         for i, t in enumerate(terms):
             first_pos.setdefault(t, i)
@@ -124,13 +131,15 @@ def synthesize_with_provenance(docs, index: InvertedIndex, count: int, seed: int
                                retrieval_depth: int = DEFAULT_RETRIEVAL_DEPTH,
                                max_query_terms: int = DEFAULT_MAX_QUERY_TERMS,
                                stopwords=ENGLISH_STOPWORDS, include_stage1: bool = False,
-                               k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[SynthesisRecord]:
-    """Run the two-stage pipeline until `count` triples exist or retries run out."""
+                               k1: float = DEFAULT_K1, b: float = DEFAULT_B,
+                               view: CorpusTerms | None = None) -> list[SynthesisRecord]:
+    """Run the two-stage pipeline until `count` triples exist or retries run out,
+    reading the documents' terms from `view`, corpus_terms(docs), when given."""
     if count < 1:
         raise ConfigError(f"triple count must be >= 1, got {count}")
     docs = list(docs)
     docs_by_id = {d.doc_id: d for d in docs}
-    generator = SalienceQueryGenerator(index, max_query_terms, stopwords)
+    generator = SalienceQueryGenerator(index, max_query_terms, stopwords, view, docs)
     rng = np.random.default_rng(seed)
     records: list[SynthesisRecord] = []
     made = 0
@@ -173,9 +182,10 @@ def synthesize_triples(docs, index: InvertedIndex, count: int, seed: int = 0,
                        retrieval_depth: int = DEFAULT_RETRIEVAL_DEPTH,
                        max_query_terms: int = DEFAULT_MAX_QUERY_TERMS,
                        stopwords=ENGLISH_STOPWORDS, include_stage1: bool = False,
-                       k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[WeakTriple]:
-    records = synthesize_with_provenance(
-        docs, index, count, seed, retrieval_depth, max_query_terms, stopwords, include_stage1, k1, b)
+                       k1: float = DEFAULT_K1, b: float = DEFAULT_B,
+                       view: CorpusTerms | None = None) -> list[WeakTriple]:
+    records = synthesize_with_provenance(docs, index, count, seed, retrieval_depth,
+                                         max_query_terms, stopwords, include_stage1, k1, b, view)
     return [r.triple for r in records]
 
 

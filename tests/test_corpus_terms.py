@@ -1,5 +1,6 @@
 """One term view of the corpus: corpus_terms splits each document's text once,
-and vocab training, the BM25 index and document tokenization all read it.
+and vocab training, the BM25 index, document tokenization and synth-weak's
+query generator all read it.
 
 The former per-document code is kept here as the oracle: a Counter per
 document for the index, tokenize per document for the encoding, and
@@ -19,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ranklab
-from ranklab.cli import STAGES, StageRunner, run_pipeline
+from ranklab.cli import STAGES, run_pipeline
 from ranklab.corpus import Document, corpus_terms, text_terms
 from ranklab.sparse import InvertedIndex, build_index
 from ranklab.subword import SubwordVocab, tokenize, tokenize_corpus, train_subword_vocab
+from ranklab.weaksup import synthesize_with_provenance
 from test_stage_memo import _config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -93,6 +95,19 @@ def test_tokenize_corpus_equals_tokenize_per_document(docs, max_length):
     assert tokenize_corpus(docs, vocab, max_length, corpus_terms(docs)) == got
 
 
+@settings(max_examples=60, deadline=None)
+@given(corpora.map(lambda docs: [*docs, Document("empty", "", "--")]), st.integers(1, 12))
+def test_the_flat_encoding_is_tokenize_per_document(docs, max_length):
+    vocab = SubwordVocab(VOCAB.chars, VOCAB.merges)
+    got = tokenize_corpus(docs, vocab, max_length)
+    expected = [tokenize(d.text(), vocab, max_length) for d in docs]
+    assert got.lengths.tolist() == list(map(len, expected)) and got.lengths[-1] == 0
+    assert got.ids.tolist() == [i for ids in expected for i in ids]
+    assert got.ids.dtype == got.lengths.dtype == np.intp
+    assert not got.ids.flags.writeable and not got.lengths.flags.writeable
+    assert [got.row(i) for i in range(len(docs))] == list(map(tuple, expected))
+
+
 def test_max_length_cuts_through_a_words_pieces():
     vocab = SubwordVocab(VOCAB.chars, VOCAB.merges)
     doc = Document("d", "rna coronavirus", "")
@@ -101,6 +116,9 @@ def test_max_length_cuts_through_a_words_pieces():
     for max_length in range(1, pieces + 3):
         assert tokenize_corpus([doc], vocab, max_length)["d"] == tuple(
             tokenize(doc.text(), vocab, max_length))
+        flat = tokenize_corpus([doc, Document("e", "", "")], vocab, max_length)
+        assert flat.ids.tolist() == tokenize(doc.text(), vocab, max_length)
+        assert flat.lengths.tolist() == [min(max_length, len(vocab.word_pieces("rna")) + pieces), 0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,20 +154,19 @@ def _count_text_terms(monkeypatch, texts):
 
 
 def test_a_pipeline_run_splits_each_document_once(tmp_path, monkeypatch):
-    """Besides the documents synth-weak's generator reads, which it counts alone."""
+    """synth-weak's generator too reads its documents' terms from the view."""
     config = _config(tmp_path)
     texts = Counter(d.text() for d in ranklab.corpus.load_corpus(config.corpus_path))
-    alone = StageRunner(_config(tmp_path, "alone"))
+    calls = _count_text_terms(monkeypatch, texts)
     with contextlib.redirect_stdout(io.StringIO()):
-        for stage in ("ingest", "index"):
-            alone.run(stage)
-        generator = _count_text_terms(monkeypatch, texts)
-        alone.run("synth-weak")
-        monkeypatch.undo()
-        calls = _count_text_terms(monkeypatch, texts)
         run_pipeline(config, STAGES)
-    assert sum(generator.values()) > 0
-    assert calls == texts + generator
+    assert calls == texts
+
+
+def test_synthesis_reads_the_terms_the_view_holds(separable):
+    docs, index = separable["docs"], separable["index"]
+    assert (synthesize_with_provenance(docs, index, 40, seed=3, view=corpus_terms(docs))
+            == synthesize_with_provenance(docs, index, 40, seed=3))
 
 
 def test_train_dense_does_not_import_numpy_ma():

@@ -1,7 +1,8 @@
 """Numeric faults end in exit 4 with one stderr line and leave no artifact.
 
 Every trained parameter goes through dense.descend, which writes nothing
-unless every updated value is finite; every top-k list goes through
+unless every updated value is finite, and a warm-start table is checked when
+it is loaded, because a dense step updates only the rows its batch touches; every top-k list goes through
 sparse.top_k_order, which rejects a non-finite score; rerank.logistic is the
 one sigmoid, bit-equal to the two-branch forms it replaced.
 """
@@ -16,11 +17,12 @@ from hypothesis import strategies as st
 
 from ranklab.cli import EXIT_NUMERIC, main
 from ranklab.corpus import Document
-from ranklab.dense import descend
+from ranklab.dense import DenseEncoder, descend
 from ranklab.errors import NumericError
 from ranklab.mlm import MlmModel, make_masked_batch, mlm_train_step
 from ranklab.rerank import logistic
 from ranklab.sparse import build_index, search_topk
+from ranklab.subword import SubwordVocab
 
 from test_cli import write_fixture_inputs
 
@@ -59,6 +61,24 @@ def test_overflow_is_one_line_exit_4(base, tmp_path, capsys, argv, never_written
     for name in never_written:
         assert not (root / "w" / name).exists()
     assert (root / "w" / "weak_triples.jsonl").read_bytes() == triples
+
+
+def test_a_non_finite_warm_start_row_no_batch_touches_is_one_line_exit_4(base, tmp_path, capsys):
+    """Row 0 is MASK, which no document or query holds, so no step reads or updates it."""
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    work = root / "w"
+    for name in ("encoder.ckpt", "dense_index.bin"):
+        (work / name).unlink()
+    table = DenseEncoder.init(len(SubwordVocab.load(work / "vocab.json")), 64).table
+    table[0] = np.nan
+    DenseEncoder(table).save(work / "mlm_embeddings.ckpt")
+    capsys.readouterr()
+    assert main(["train-dense", "--warm-start", "--epochs", "1", *_common(root)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: non-finite")
+    assert err.count("\n") == 1
+    assert not (work / "encoder.ckpt").exists() and not (work / "dense_index.bin").exists()
 
 
 def test_bm25_overflow_is_numeric_error():

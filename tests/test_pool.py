@@ -5,6 +5,10 @@ per document, the former train_step's per-triple `encode`s and `similarity`s
 and its `_accumulate` (one `+=` per piece id), the former per-triple
 contrastive loss, and the masked-language step's per-sequence context means
 and per-sequence `np.add.at` scatter. Every comparison is bit for bit.
+
+dense.pool_grad returns the rows its sequences touch and their gradient; the
+`pool_grad` helper here scatters them into a zero table, the full gradient the
+oracles build.
 """
 
 import warnings
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ranklab import dense
 from ranklab.corpus import Document
 from ranklab.dense import (
     DenseEncoder,
@@ -22,7 +27,6 @@ from ranklab.dense import (
     contrastive_loss,
     encode,
     pool,
-    pool_grad,
     similarity,
     train_step,
 )
@@ -31,6 +35,14 @@ from ranklab.mlm import make_masked_batch
 from ranklab.subword import tokenize, tokenize_corpus
 
 VOCAB = 40
+
+
+def pool_grad(shape, sequences, row_grads, lengths=None):
+    """The full `shape` table gradient: dense.pool_grad's rows, every other row 0.0."""
+    rows, grad = dense.pool_grad(shape, sequences, row_grads, lengths)
+    table = np.zeros(shape)
+    table[rows] = grad
+    return table
 
 
 # -- the former loops -------------------------------------------------------
@@ -181,6 +193,19 @@ def test_pool_grad_of_no_sequences_is_zero():
     assert not pool_grad((VOCAB, 3), [], []).any()
 
 
+@given(sequences, st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_pool_grad_rows_are_the_touched_rows_of_the_per_id_scatter(seqs, dim, seed):
+    rng = np.random.default_rng(seed)
+    row_grads = rng.normal(size=(len(seqs), dim)) * 10.0 ** rng.uniform(-6, 6, (len(seqs), dim))
+    accumulated = np.zeros((VOCAB, dim))
+    for ids, vec in zip(seqs, row_grads):
+        reference_accumulate(accumulated, ids, vec)
+    rows, grad = dense.pool_grad((VOCAB, dim), seqs, row_grads)
+    assert rows.tolist() == sorted({i for s in seqs for i in s})
+    assert grad.shape == (len(rows), dim)
+    assert grad.tobytes() == accumulated[rows].tobytes()
+
+
 def test_masked_batch_contexts_and_scatter_match_the_former_loops():
     rng = np.random.default_rng(4)
     seqs = [rng.integers(1, VOCAB, size=int(rng.integers(1, 30))).tolist() for _ in range(60)]
@@ -226,6 +251,18 @@ def test_contrastive_loss_matches_the_per_triple_loss(triple, dim, seed):
         loss = contrastive_loss(DenseEncoder(table), triple)
         assert loss == reference_contrastive_loss(DenseEncoder(table), triple)
     assert isinstance(loss, float)
+
+
+@given(st.lists(triples, min_size=1, max_size=5), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_train_step_leaves_every_untouched_row_as_it_was(batch, dim, seed):
+    table = np.random.default_rng(seed).normal(0, 0.3, size=(VOCAB, dim))
+    table[VOCAB - 1] = -0.0  # stays -0.0: no step subtracts a 0.0 gradient from it
+    touched = {i for t in batch for s in (t.query_ids, t.positive_ids, *t.negative_ids) for i in s}
+    untouched = [i for i in range(VOCAB) if i not in touched]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ToolkitWarning)
+        got, _ = train_step(DenseEncoder(table.copy()), batch, 0.5)
+    assert got.table[untouched].tobytes() == table[untouched].tobytes()
 
 
 def test_train_step_with_an_empty_query_leaves_no_query_gradient():

@@ -18,7 +18,7 @@ from ranklab.corpus import load_corpus
 from ranklab.dense import DenseEncoder, TrainingTriple, contrastive_loss, train_step
 from ranklab.errors import ToolkitWarning
 from ranklab.stopwords import ENGLISH_STOPWORDS
-from ranklab.subword import SubwordVocab, tokenize, train_subword_vocab
+from ranklab.subword import SubwordVocab, TokenizedCorpus, tokenize, train_subword_vocab
 from ranklab.weaksup import WeakTriple
 from test_pool import VOCAB, reference_contrastive_loss, reference_train_step
 from test_stage_memo import _config
@@ -45,6 +45,12 @@ def former_training_triples(weak, pieces, vocab, max_len, negatives, rng):
     return triples
 
 
+def flat(pieces):
+    """Doc id -> piece ids held as tokenize_corpus holds an encoded corpus."""
+    return TokenizedCorpus(list(pieces), np.array([i for p in pieces.values() for i in p], np.intp),
+                           np.array([len(p) for p in pieces.values()], np.intp))
+
+
 def _config_of(negatives):
     return PipelineConfig(max_seq_len=8, negatives=negatives)
 
@@ -56,7 +62,7 @@ doc_pieces = st.lists(st.integers(2, 3), max_size=2).map(tuple)
 @st.composite
 def draw_inputs(draw):
     corpus = draw(st.lists(doc_pieces, min_size=1, max_size=9))
-    pieces = {f"d{i}": p for i, p in enumerate(corpus)}
+    pieces = flat({f"d{i}": p for i, p in enumerate(corpus)})
     ids = [*pieces, "missing"]
     pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
     weak = [WeakTriple(q, pos, neg) for q, (pos, neg) in draw(st.lists(
@@ -76,7 +82,7 @@ def test_negative_draws_match_the_corpus_scan(inputs):
 
 
 def test_draws_skip_documents_alike_and_stop_when_the_corpus_runs_out():
-    pieces = {"p": (2,), "twin": (2,), "n": (3,), "other": (3,), "empty": ()}
+    pieces = flat({"p": (2,), "twin": (2,), "n": (3,), "other": (3,), "empty": ()})
     weak = [WeakTriple("fever", "p", "n"), WeakTriple("fever", "p", "twin"),
             WeakTriple("fever", "n", "other")]
     for negatives in (1, 2, 3, 9):
