@@ -36,7 +36,6 @@ from .mlm import MaskedBatch, MaskedSequence, MlmModel, make_masked_batch, mask_
 from .rerank import (
     FeatureExtractor,
     Ranker,
-    depth_sweep,
     fuse_base_union,
     fuse_interpolate,
     pairwise_train_step,

@@ -22,14 +22,18 @@ ingest keeps the vocab it trains under vocab.json. Under the corpus file the mem
 also keeps its corpus_terms view, which ingest, index, synth-weak and tokenize_corpus read,
 and the flat encoding dapt masks and train-dense uses, under the vocab and max_seq_len too;
 every dense index train-dense scores or saves pools it through dense.build_dense_index.
-rerank keeps the run write_run returns for evaluate, and its candidates for
-depth-sweep: the BM25 lists, fused with the dense lists under --fusion union.
-
-Fusion runs on arrays: one dense.dense_top_k call per stage gives, as doc-id
-ranks, the dense lists of union and rrf and train-dense's dev rankings;
+rerank keeps the run write_run returns for evaluate. One ranking rule and one
+scoring rule: StageRunner._ranking reranks every query's list to a depth and
+fuses it as --fusion says, union in the candidates (the BM25 lists fused with
+the dense lists), interp in rerank.rerank's block score with --alpha, rrf on
+each reranked list and its dense list; _report scores a run as evaluate does.
+rerank writes _ranking, evaluate _report, and depth-sweep _report(_ranking)'s
+overall line at each depth, so its row at the rerank depth is evaluate's. The
+candidates and dense lists are kept under the files and settings the extractor
+is built from. Fusion runs on arrays: one dense.dense_top_k call gives a stage's
+dense lists as doc-id ranks, for union, rrf and train-dense's dev rankings;
 rerank.rrf_top_k fuses them, and lists built from arrays leave as
 rerank.Ranking rows, so rerank builds one RankedList per query, the run's own.
-interp is rerank.rerank's block score with --alpha, normalized over the block.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
@@ -453,28 +457,72 @@ class StageRunner:
             self.load(self.read("dense_index"), dense.DenseIndex.load),
             self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
 
-    def _dense_ranks(self, extractor, queries) -> np.ndarray:
+    def _extractor_key(self) -> tuple:
+        """The identities of the files _feature_extractor reads, and the settings
+        of the lists kept under the queries file."""
+        c, names = self.config, ("index", "encoder", "vocab", "dense_index")
+        paths = [*map(self.artifact, names), *([self.input("stopwords")] if c.stopwords_path else [])]
+        return (*map(file_identity, paths), c.k1, c.b, c.max_seq_len, c.topk)
+
+    def _dense_ranks(self, extractor) -> np.ndarray:
         """Each query's dense top-k as doc-id ranks, in query order: the second
-        list of union and rrf fusion."""
-        return dense.dense_top_k(extractor.dense_index, extractor.encoder, [
-            tokenize_query(q.processed_terms, extractor.vocab, self.config.max_seq_len)
-            for q in queries], self.config.topk)[0]
+        list of union and rrf fusion, kept under the extractor's files."""
+        queries = self.load_queries()
+        return self.load(self.input("queries"), dense.dense_top_k, self._extractor_key(),
+                         make=lambda: dense.dense_top_k(extractor.dense_index, extractor.encoder, [
+                             tokenize_query(q.processed_terms, extractor.vocab, self.config.max_seq_len)
+                             for q in queries], self.config.topk)[0])
 
     def _candidates(self, extractor):
         """extractor.candidates at topk, union-fused with the dense top-k under
-        --fusion union, kept under every file the stage has read and its settings."""
+        --fusion union, kept under the extractor's files and settings."""
         queries, c = self.load_queries(), self.config
         union = c.rrf_k if c.fusion == "union" else None
 
         def make():
             if union is None:
                 return extractor.candidates(queries, c.topk)
-            dense_ranks = self._dense_ranks(extractor, queries)
+            dense_ranks = self._dense_ranks(extractor)
             return extractor.candidates(queries, c.topk, lambda i, ranks: rerank.rrf_top_k(
                 (ranks, dense_ranks[i]), c.topk, union)[0])
         return self.load(self.input("queries"), rerank.FeatureExtractor.candidates,
-                         frozenset(map(file_identity, self.inputs)), c.k1, c.b, c.max_seq_len,
-                         c.topk, union, make=make)
+                         self._extractor_key(), union, make=make)
+
+    def _ranking(self, extractor, ranker, depth: int) -> Run:
+        """Every query's list with its top `depth` reranked by `ranker` and fused
+        as --fusion says: union in the candidates, interp in the block score,
+        rrf of each reranked list with the query's dense list."""
+        c = self.config
+        ranking = rerank.rerank(ranker, self._candidates(extractor), depth,
+                                c.alpha if c.fusion == "interp" else None)
+        if c.fusion == "rrf":  # each fused list is as long as its reranked one
+            ranks, scores = np.empty_like(ranking.ranks), np.empty_like(ranking.scores)
+            for i, dense_row in enumerate(self._dense_ranks(extractor)):
+                ranks[i], scores[i] = rerank.rrf_top_k((ranking.ranks[i], dense_row), c.topk, c.rrf_k)
+            ranking = rerank.Ranking(ranking.query_ids, extractor.dense_index.by_rank[ranks], ranks, scores)
+        return Run(dict(zip(ranking.query_ids, ranking)), c.run_tag)
+
+    def _report(self, run: Run):
+        """`run` scored over the judged queries at eval_k with --gain, old and new
+        as the split file says, and residual and skip_unjudgeable applied."""
+        c, qrels = self.config, self.load_qrels()
+        if c.gain == "exp":  # from grade 1024 on, 2**g - 1 overflows a float
+            top = max((g for entry in qrels.judgments.values() for g in entry.values()), default=0)
+            if top >= 1024:
+                raise ConfigError(f"{c.qrels_path}: grade {top} is too large for --gain exp")
+        if c.split_path:
+            split = self.load(path := self.input("split"), load_split)
+            listed = split.old_query_ids | split.new_query_ids
+            uncovered = [q for q in qrels.query_ids() if q not in listed]
+            if uncovered:
+                raise ConfigError(f"split file {path} does not cover judged queries {uncovered}")
+        else:
+            split = QuerySplit.from_ids((), qrels.query_ids())
+        if c.residual:
+            if not c.prior_qrels_path:
+                raise ConfigError("residual evaluation requires prior_qrels_path")
+            run = residual_filter(run, self.load_qrels("prior_qrels"), split)
+        return old_new_report(run, qrels, split, c.eval_k, c.skip_unjudgeable, c.gain)
 
     def stage_select_train(self):
         extractor = self._feature_extractor()
@@ -511,52 +559,20 @@ class StageRunner:
     def stage_rerank(self):
         extractor = self._feature_extractor()
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
-        candidates = self._candidates(extractor)
-        alpha = self.config.alpha if self.config.fusion == "interp" else None
-        ranking = rerank.rerank(ranker, candidates, self.config.depth, alpha)
-        if self.config.fusion == "rrf":  # each fused list is as long as its reranked one
-            ranks, scores = np.empty_like(ranking.ranks), np.empty_like(ranking.scores)
-            for i, dense_row in enumerate(self._dense_ranks(extractor, self.load_queries())):
-                ranks[i], scores[i] = rerank.rrf_top_k(
-                    (ranking.ranks[i], dense_row), self.config.topk, self.config.rrf_k)
-            ranking = rerank.Ranking(ranking.query_ids, extractor.dense_index.by_rank[ranks], ranks, scores)
-        written = write_run(Run(dict(zip(ranking.query_ids, ranking)), self.config.run_tag),
-                            path := self.write("run"))
+        written = write_run(self._ranking(extractor, ranker, self.config.depth), path := self.write("run"))
         self.load(path, read_run, make=lambda: written)  # evaluate scores it as read_run parses it
 
     def stage_evaluate(self):
-        qrels = self.load_qrels()
-        if self.config.gain == "exp":  # from grade 1024 on, 2**g - 1 overflows a float
-            top = max((g for entry in qrels.judgments.values() for g in entry.values()), default=0)
-            if top >= 1024:
-                raise ConfigError(f"{self.config.qrels_path}: grade {top} is too large for --gain exp")
         if not self.artifact("run").is_file() and self.artifact("index").is_file():
-            # no reranked run yet: score base BM25 retrieval directly
-            queries = self.load_queries()
+            # no reranked run yet: score base BM25 retrieval directly, written once it scores
+            queries, c = self.load_queries(), self.config
             index = InvertedIndex.load(self.read("index"))
-            run = write_run(Run(
-                {q.query_id: search_topk(index, q, self.config.topk,
-                                         self.config.k1, self.config.b)
-                 for q in queries},
-                self.config.run_tag,
-            ), self.write("run"))
+            run = Run({q.query_id: search_topk(index, q, c.topk, c.k1, c.b) for q in queries}, c.run_tag)
+            report = self._report(run)
+            write_run(run, self.write("run"))
         else:
-            run = self.load(self.read("run", "run the rerank stage (or build an index for "
-                                             "base-retrieval evaluation) first"), read_run)
-        if self.config.split_path:
-            split = load_split(path := self.input("split"))
-            listed = split.old_query_ids | split.new_query_ids
-            uncovered = [q for q in qrels.query_ids() if q not in listed]
-            if uncovered:
-                raise ConfigError(f"split file {path} does not cover judged queries {uncovered}")
-        else:
-            split = QuerySplit.from_ids((), qrels.query_ids())
-        if self.config.residual:
-            if not self.config.prior_qrels_path:
-                raise ConfigError("residual evaluation requires prior_qrels_path")
-            run = residual_filter(run, self.load_qrels("prior_qrels"), split)
-        report = old_new_report(run, qrels, split, self.config.eval_k,
-                                self.config.skip_unjudgeable, self.config.gain)
+            hint = "run the rerank stage (or build an index for base-retrieval evaluation) first"
+            report = self._report(self.load(self.read("run", hint), read_run))
         write_atomic(self.write("report_text"), report.to_text())
         write_atomic(self.write("report_jsonl"), report.to_jsonl())
         print(report.to_text())
@@ -564,14 +580,10 @@ class StageRunner:
     def stage_depth_sweep(self):
         extractor = self._feature_extractor()
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
-        candidates = self._candidates(extractor)
-        alpha = self.config.alpha if self.config.fusion == "interp" else None  # as rerank fuses
-        table = rerank.depth_sweep(ranker, candidates, self.config.depth_list(),
-                                   self.load_qrels(), self.config.eval_k, alpha)
         lines = [f"depth\tndcg@{self.config.eval_k}\tp@5"]
         for depth in self.config.depth_list():
-            row = table[depth]
-            lines.append(f"{depth}\t{row[f'ndcg@{self.config.eval_k}']:.6f}\t{row['p@5']:.6f}")
+            overall = self._report(self._ranking(extractor, ranker, depth)).overall
+            lines.append(f"{depth}\t{overall.ndcg:.6f}\t{overall.precision:.6f}")
         write_atomic(self.write("depth_sweep"), "\n".join(lines) + "\n")
         print("\n".join(lines))
 

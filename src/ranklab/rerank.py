@@ -10,10 +10,12 @@ matched when it is not a stopword and its tf in the document is positive.
 
 FeatureExtractor.candidates stacks a stage's candidate lists, all one length,
 with their feature rows, pooling the stage's queries in one call for the
-dense column; `rerank` rescores such a stack in one pass, for the rerank and
-depth-sweep stages and select-train's dev set alike, into one Ranking: the
-ordered doc ids, doc-id ranks and scores as arrays, a RankedList per query
-only when one is read.
+dense column; `rerank` rescores such a stack in one pass, for the ranking
+that the rerank and depth-sweep stages share and select-train's dev set alike,
+into one Ranking: doc ids, doc-id ranks and scores as arrays, a RankedList per
+query only when one is read. The cli applies the fusions by --fusion: union
+through candidates' `fuse`, interp through rerank's `alpha`, rrf by rrf_top_k
+of each reranked list and its dense list. No run is scored here.
 Interp fusion is rerank's block score: with `alpha`, a block scores alpha *
 dense similarity + (1 - alpha) * ranker score, each min-max normalized over the
 block alone; `fuse_interpolate` is that rule for one list, from dicts.
@@ -35,10 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import checked, load_arrays, save_arrays
-from .corpus import Qrels
 from .dense import DenseEncoder, DenseIndex, descend, pool
 from .errors import DependencyError, NumericError
-from .evaluation import QuerySplit, Run, old_new_report
 from .sparse import (
     DEFAULT_B, DEFAULT_K1, InvertedIndex, RankedList, bm25_score, bm25_top_k, idf,
 )
@@ -306,19 +306,3 @@ def fuse_base_union(bm25_list: RankedList, dense_list: RankedList, k: int,
                     rrf_k: int = DEFAULT_RRF_K) -> RankedList:
     """Reciprocal-rank fusion of the two base-retrieval candidate lists."""
     return reciprocal_rank_fusion([bm25_list, dense_list], k, rrf_k)
-
-
-def depth_sweep(ranker: Ranker, candidates: Candidates, depths, qrels: Qrels,
-                k: int = 10, alpha: float | None = None) -> dict[int, dict[str, float]]:
-    """Evaluate NDCG@k and P@5 of rerank(ranker, candidates, depth, alpha) at each
-    depth; one row per depth. Each row is the overall line of old_new_report over
-    the queries in `qrels`; a judged query without candidates scores 0."""
-    if not depths:
-        raise ValueError("depths must be non-empty")
-    split = QuerySplit.from_ids((), qrels.query_ids())
-    table: dict[int, dict[str, float]] = {}
-    for depth in depths:
-        run = Run(dict(zip(candidates.query_ids, rerank(ranker, candidates, depth, alpha))))
-        overall = old_new_report(run, qrels, split, k).overall
-        table[depth] = {f"ndcg@{k}": overall.ndcg, "p@5": overall.precision}
-    return table

@@ -195,13 +195,13 @@ def _split_repeats_a_query(root):
             f"input error: {path}:5: query_id 2 is already split")
 
 
-@pytest.mark.parametrize("case", [
-    _config_missing, _config_directory, _workdir_is_a_file, _workdir_under_a_file,
-    _split_misses_judged_queries, _split_repeats_a_query,
-])
-def test_bad_path_or_split_is_one_line_exit_2(base, tmp_path, capsys, case):
-    root = tmp_path / "root"
-    shutil.copytree(base, root)
+def _grade_too_large_for_exp(root):
+    qrels = _write(root / "qrels.txt", (root / "qrels.txt").read_text() + "99 0 t00d00 1024\n")
+    return (["evaluate", "--gain", "exp"],
+            f"config error: {qrels}: grade 1024 is too large for --gain exp")
+
+
+def _exit_2_of(case, root, capsys):
     argv, message = case(root)
     capsys.readouterr()
     # a --workdir the case gives comes after the fixture's and wins
@@ -210,6 +210,26 @@ def test_bad_path_or_split_is_one_line_exit_2(base, tmp_path, capsys, case):
                  "--workdir", str(root / "w"), "--set", "vocab_size=600", *argv[1:]])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("case", [
+    _config_missing, _config_directory, _workdir_is_a_file, _workdir_under_a_file,
+    _split_misses_judged_queries, _split_repeats_a_query,
+])
+def test_bad_path_or_split_is_one_line_exit_2(base, tmp_path, capsys, case):
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    _exit_2_of(case, root, capsys)
+
+
+@pytest.mark.parametrize("case", [_split_misses_judged_queries, _grade_too_large_for_exp])
+def test_a_base_retrieval_evaluate_that_exits_2_writes_no_run(base, tmp_path, capsys, case):
+    """Without a reranked run, evaluate writes the BM25 run only once it has scored it."""
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    (root / "w" / "run.trec").unlink()
+    _exit_2_of(case, root, capsys)
+    assert not (root / "w" / "run.trec").exists()
 
 
 FLOAT_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if isinstance(f.default, float)]
@@ -316,29 +336,49 @@ def test_weak_triple_of_wrong_type_is_one_line_exit_2(base, tmp_path, capsys, re
     assert not (root / "w" / "encoder.ckpt").exists()
 
 
-def _evaluate_with_grade(root, capsys, grade, *flags):
-    """evaluate after a judgment of `grade` is added to the qrels as line 25."""
+@pytest.fixture(scope="module")
+def swept(base, tmp_path_factory):
+    """base with the ranker stages run on it, through depth-sweep."""
+    root = tmp_path_factory.mktemp("swept")
+    shutil.copytree(base, root, dirs_exist_ok=True)
+    common = ["--corpus", str(root / "corpus.jsonl"), "--queries", str(root / "queries.tsv"),
+              "--qrels", str(root / "qrels.txt"), "--workdir", str(root / "w"),
+              *(f"--set={s}" for s in ("vocab_size=600", "triples_count=8", "dense_epochs=2",
+                                       "select_steps=2"))]
+    stages = "synth-weak,train-dense,select-train,rerank,depth-sweep"
+    assert main(["pipeline", "--stages", stages, *common]) == 0
+    return root
+
+
+def _evaluate_with_grade(root, capsys, grade, *flags, stage="evaluate"):
+    """`stage` after a judgment of `grade` is added to the qrels as line 25."""
     qrels = root / "qrels.txt"
     _write(qrels, qrels.read_text() + f"99 0 t00d00 {grade}\n")
     capsys.readouterr()
-    code = main(["evaluate", *flags, "--corpus", str(root / "corpus.jsonl"),
+    code = main([stage, *flags, "--corpus", str(root / "corpus.jsonl"),
                  "--queries", str(root / "queries.tsv"), "--qrels", str(qrels),
                  "--workdir", str(root / "w")])
     return code, capsys.readouterr().err, qrels
 
 
-@pytest.mark.parametrize("grade, flags, message", [
-    ("1" + "0" * 400, [], "input error: {qrels}:25: grade is too large for a float"),
-    ("1024", ["--gain", "exp"], "config error: {qrels}: grade 1024 is too large for --gain exp"),
-], ids=["huge", "exp-1024"])
-def test_grade_a_gain_cannot_hold_is_one_line_exit_2(base, tmp_path, capsys, grade, flags, message):
+EXP_1024 = "config error: {qrels}: grade 1024 is too large for --gain exp"
+
+
+@pytest.mark.parametrize("stage, grade, flags, message", [
+    ("evaluate", "1" + "0" * 400, [], "input error: {qrels}:25: grade is too large for a float"),
+    ("evaluate", "1024", ["--gain", "exp"], EXP_1024),
+    ("depth-sweep", "1024", ["--set", "gain=exp"], EXP_1024),
+], ids=["huge", "exp-1024", "depth-sweep-exp-1024"])
+def test_grade_a_gain_cannot_hold_is_one_line_exit_2(request, tmp_path, capsys, stage, grade,
+                                                     flags, message):
     root = tmp_path / "root"
-    shutil.copytree(base, root)
-    before = (root / "w" / "report.txt").read_bytes()
-    code, err, qrels = _evaluate_with_grade(root, capsys, grade, *flags)
+    shutil.copytree(request.getfixturevalue("base" if stage == "evaluate" else "swept"), root)
+    report = root / "w" / ("report.txt" if stage == "evaluate" else "depth_sweep.tsv")
+    before = report.read_bytes()
+    code, err, qrels = _evaluate_with_grade(root, capsys, grade, *flags, stage=stage)
     assert code == EXIT_CONFIG
     assert err == message.format(qrels=qrels) + "\n"
-    assert (root / "w" / "report.txt").read_bytes() == before
+    assert report.read_bytes() == before
 
 
 @pytest.mark.parametrize("grade, flags", [("1023", ["--gain", "exp"]), ("1024", [])])

@@ -464,6 +464,7 @@ FULL_MANIFEST = {
     "analyze": ("corpus.jsonl index.bin qrels.txt queries.tsv vocab.json",
                 "analysis.json analysis.txt"),
 }
+RANKER_STAGES = ["ingest", "index", "synth-weak", "train-dense", "select-train"]
 STOPWORD_READERS = ("ingest", "synth-weak", "train-dense", "select-train", "rerank",
                     "depth-sweep", "analyze")
 MANIFEST_CASES = {
@@ -482,6 +483,12 @@ MANIFEST_CASES = {
         "ingest": FULL_MANIFEST["ingest"], "index": FULL_MANIFEST["index"],
         "evaluate": ("index.bin prior_qrels.txt qrels.txt queries.tsv split.txt",
                      "report.jsonl report.txt run.trec")}),
+    # depth-sweep scores each depth as evaluate does, so it reads the split and prior qrels
+    "depth-sweep": ({"residual": True, "prior_qrels_path": "prior_qrels.txt",
+                     "split_path": "split.txt"}, RANKER_STAGES + ["depth-sweep"], {
+        **{s: FULL_MANIFEST[s] for s in RANKER_STAGES},
+        "depth-sweep": (FULL_MANIFEST["depth-sweep"][0] + " prior_qrels.txt split.txt",
+                        FULL_MANIFEST["depth-sweep"][1])}),
     "analyze": ({"reference_texts_path": "reference.txt",
                  "external_triples_path": "external.jsonl"}, ["ingest", "index", "analyze"], {
         "ingest": FULL_MANIFEST["ingest"], "index": FULL_MANIFEST["index"],

@@ -7,15 +7,18 @@ document for the index, tokenize per document for the encoding, and
 word_pieces of a freshly loaded vocab for the trained vocab's word cache."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,13 +183,59 @@ def test_train_dense_does_not_import_numpy_ma():
     assert out.stdout == "False\n"
 
 
-def test_depth_sweep_sweeps_the_interp_fused_run(tmp_path):
-    """At the depth rerank ran at, the sweep's row is the run evaluate scores."""
-    config = _config(tmp_path, fusion="interp", alpha=0.9)
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Fixture inputs, graded qrels, a split and prior qrels, and a config whose
+    work directory holds every artifact up to ranker.ckpt."""
+    root = tmp_path_factory.mktemp("trained")
+    config = _config(root)
     with contextlib.redirect_stdout(io.StringIO()):
-        run_pipeline(config, STAGES)
+        run_pipeline(config, STAGES[:STAGES.index("rerank")])
+    judged = [line.split() for line in (root / "qrels.txt").read_text().splitlines()]
+    # grades 0 to 3, and queries 9 and 10 without a relevant document
+    (root / "graded.txt").write_text("".join(
+        f"{q} 0 {d} {0 if int(q) > 8 else int(d[-2:]) % 4}\n" for q, _, d, _ in judged))
+    (root / "split.txt").write_text("".join(f"{q} {'old' if q <= 5 else 'new'}\n" for q in range(1, 11)))
+    (root / "prior.txt").write_text("".join(
+        f"{q} 0 t{q - 1:02d}d{j:02d} 1\n" for q in range(1, 6) for j in range(15)))
+    return config
+
+
+def _rerank_evaluate_sweep(trained, tmp_path, **overrides):
+    """rerank, evaluate and depth-sweep on a copy of the trained work directory;
+    returns the config, report.jsonl's overall record and depth_sweep.tsv's rows."""
     work = tmp_path / "work"
+    shutil.copytree(trained.workdir, work)
+    root = Path(trained.corpus_path).parent
+    overrides = {k: str(root / v) if k.endswith("_path") else v for k, v in overrides.items()}
+    config = dataclasses.replace(trained, workdir=str(work), **overrides)
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_pipeline(config, ["rerank", "evaluate", "depth-sweep"])
     overall = json.loads((work / "report.jsonl").read_text().splitlines()[0])
     rows = dict(line.split("\t", 1) for line in (work / "depth_sweep.tsv").read_text().splitlines())
+    return config, overall, rows
+
+
+def test_depth_sweep_sweeps_the_interp_fused_run(trained, tmp_path):
+    """At the depth rerank ran at, the sweep's row is the run evaluate scores."""
+    config, overall, rows = _rerank_evaluate_sweep(trained, tmp_path, fusion="interp", alpha=0.9)
     assert config.depth == 100
     assert rows["100"].split("\t")[0] == f"{overall['ndcg@10']:.6f}" == "0.978909"
+
+
+SCORINGS = {
+    "default": {},
+    "exp-skip": {"qrels_path": "graded.txt", "gain": "exp", "skip_unjudgeable": True},
+    "residual": {"residual": True, "split_path": "split.txt", "prior_qrels_path": "prior.txt"},
+}
+
+
+@pytest.mark.parametrize("scoring", list(SCORINGS))
+@pytest.mark.parametrize("fusion", ["none", "interp", "union", "rrf"])
+def test_the_sweep_row_at_depth_is_evaluates_overall_line(trained, tmp_path, fusion, scoring):
+    """Under every fusion and scoring setting, the sweep fuses and scores as
+    rerank and evaluate do."""
+    config, overall, rows = _rerank_evaluate_sweep(
+        trained, tmp_path, fusion=fusion, alpha=0.9, **SCORINGS[scoring])
+    assert overall["group"] == "overall"
+    assert rows[str(config.depth)] == f"{overall['ndcg@10']:.6f}\t{overall['p@5']:.6f}"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ranklab.corpus import Document, Query
 from ranklab.dense import DenseEncoder, build_dense_index, encode, similarity
+from ranklab.evaluation import QuerySplit, Run, old_new_report
 from ranklab.rerank import Candidates, FeatureExtractor, Ranker, rerank
 from ranklab.sparse import RankedList, bm25_scores, build_index, idf, search_topk
 from ranklab.subword import tokenize, tokenize_corpus, train_subword_vocab
@@ -45,6 +46,19 @@ def stacked(lists, rows) -> Candidates:
 def rerank_one(ranker, candidates, depth, rows):
     """rerank of one hand-built list and its rows in list order."""
     return rerank(ranker, stacked([candidates], [rows]), depth)[0]
+
+
+def depth_sweep(ranker, candidates, depths, qrels, k=10) -> dict[int, dict[str, float]]:
+    """NDCG@k and P@5 of rerank(ranker, candidates, depth) at each depth: the
+    overall line of old_new_report over the queries in `qrels`, as the
+    depth-sweep stage reports it at fusion none and linear gain."""
+    split = QuerySplit.from_ids((), qrels.query_ids())
+    table = {}
+    for depth in depths:
+        run = Run(dict(zip(candidates.query_ids, rerank(ranker, candidates, depth))))
+        overall = old_new_report(run, qrels, split, k).overall
+        table[depth] = {f"ndcg@{k}": overall.ndcg, "p@5": overall.precision}
+    return table
 
 
 def reference_features(extractor, query_terms, ordinal):

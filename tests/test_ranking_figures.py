@@ -1,6 +1,7 @@
-"""Every ranking figure comes from evaluation: depth_sweep through
-old_new_report, and the dev NDCG of select-train and train-dense through
-mean_ndcg, each against the loop it replaced.
+"""Every ranking figure comes from evaluation: a depth sweep through
+old_new_report (test_feature_matrix.depth_sweep, the loop the depth-sweep
+stage runs at fusion none), and the dev NDCG of select-train and train-dense
+through mean_ndcg, each against the loop it replaced.
 
 The former loops are kept here as oracles and every comparison is bit for bit.
 """
@@ -16,14 +17,14 @@ from ranklab.corpus import Qrels, Query, load_queries
 from ranklab.dense import DenseEncoder, DenseIndex, build_dense_index, dense_search_topk
 from ranklab.errors import ConfigError, NumericError
 from ranklab.evaluation import mean_ndcg, ndcg_at_k, precision_at_k, read_qrels
-from ranklab.rerank import FeatureExtractor, Ranker, depth_sweep
+from ranklab.rerank import FeatureExtractor, Ranker
 from ranklab.sparse import RankedList, search_topk
 from ranklab.stopwords import ENGLISH_STOPWORDS
 from ranklab.subword import SubwordVocab, tokenize, tokenize_corpus
 from ranklab.weaksup import SelectionContext
 from test_candidate_arrays import former_rerank
 from test_cli import write_fixture_inputs
-from test_feature_matrix import WORDS, extractor_of, stacked
+from test_feature_matrix import WORDS, depth_sweep, extractor_of, stacked
 
 DOCS = [f"d{i}" for i in range(8)]
 QUERY_IDS = [1, 2, 3, 4, 5]
@@ -121,12 +122,6 @@ def test_depth_sweep_matches_the_former_loop(inputs):
     qrels, base_runs, features, ranker, depths, k = inputs
     assert (depth_sweep(ranker, stacked(base_runs.values(), features.values()), depths, qrels, k)
             == reference_depth_sweep(ranker, base_runs, depths, qrels, features, k))
-
-
-def test_depth_sweep_rejects_empty_depths():
-    qrels, base_runs, features, ranker, _, k = _bundle({1: {"d1": 1}}, [1])
-    with pytest.raises(ValueError, match="depths must be non-empty"):
-        depth_sweep(ranker, stacked(base_runs.values(), features.values()), [], qrels, k)
 
 
 # -- mean_ndcg --------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Within one StageRunner, evaluate and depth-sweep reuse what rerank built.
 
 rerank keeps the run it writes as read_run would parse run.trec back, and its
-candidates (union-fused under --fusion union) under the queries file and the
-extractor's inputs, so evaluate parses no run and depth-sweep builds no
-candidates while those files and settings are the same; a rewritten file or
-another setting is read or built again, as every memoized result is. A
+candidates (union-fused under --fusion union) and dense lists under the queries
+file and the extractor's files, so evaluate parses no run and depth-sweep builds
+no candidates or dense lists while those files and settings are the same; a
+rewritten file or another setting is read or built again, as every memoized
+result is. A
 query's ideal DCG is summed once per (k, gain) and dropped when Qrels.add
 changes its judgments.
 """
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranklab import rerank
+from ranklab import dense, rerank
 from ranklab.cli import EXIT_NUMERIC, STAGES, StageRunner, main
 from ranklab.corpus import Qrels
 from ranklab.errors import NumericError
@@ -89,6 +90,17 @@ def test_the_ranking_stages_build_one_candidate_set(tmp_path, monkeypatch, fusio
     assert calls == [runner.config.topk] * builds
 
 
+@pytest.mark.parametrize("fusion", ["union", "rrf"])
+def test_the_ranking_stages_build_one_set_of_dense_lists(tmp_path, monkeypatch, fusion):
+    runner = StageRunner(_config(tmp_path, fusion=fusion))
+    _run_stages(runner, STAGES[:STAGES.index("rerank")])
+    calls = []
+    real = dense.dense_top_k
+    monkeypatch.setattr(dense, "dense_top_k", lambda *args: calls.append(args[3]) or real(*args))
+    _run_stages(runner, ["rerank", "evaluate", "depth-sweep"])
+    assert calls == [runner.config.topk]
+
+
 def test_a_union_depth_sweep_sweeps_the_fused_candidates(tmp_path, monkeypatch):
     config = _config(tmp_path, fusion="union")
     runner = StageRunner(config)
@@ -96,8 +108,8 @@ def test_a_union_depth_sweep_sweeps_the_fused_candidates(tmp_path, monkeypatch):
     runner.run("rerank")
     fused = runner.parsed[Path(config.queries_path), rerank.FeatureExtractor.candidates][1]
     swept = []
-    real = rerank.depth_sweep
-    monkeypatch.setattr(rerank, "depth_sweep", lambda r, candidates, *args:
+    real = rerank.rerank
+    monkeypatch.setattr(rerank, "rerank", lambda r, candidates, *args:
                         swept.append(candidates.doc_ids) or real(r, candidates, *args))
     _run_stages(runner, STAGES[STAGES.index("rerank") + 1:])
     sweep = tmp_path / "work" / "depth_sweep.tsv"
@@ -105,7 +117,7 @@ def test_a_union_depth_sweep_sweeps_the_fused_candidates(tmp_path, monkeypatch):
     StageRunner(config).run("depth-sweep")  # alone, in a new runner
     assert sweep.read_bytes() == kept
     StageRunner(dataclasses.replace(config, fusion="none")).run("depth-sweep")
-    in_pipeline, alone, unfused = swept
+    in_pipeline, alone, unfused = swept[::len(config.depth_list())]  # one rerank per depth
     assert (in_pipeline == fused.doc_ids).all() and (alone == fused.doc_ids).all()
     assert not (unfused == fused.doc_ids).all()
 
@@ -119,13 +131,22 @@ def _set_topk(runner):
     runner.config = dataclasses.replace(runner.config, topk=7)
 
 
-@pytest.mark.parametrize("change", [_set_topk, _rewrite_queries], ids=["topk", "queries"])
+def _rewrite_encoder(runner):
+    path = Path(runner.config.workdir) / "encoder.ckpt"
+    data = path.read_bytes()
+    path.unlink()  # a new inode, as a rerun of train-dense writes it
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize("change", [_set_topk, _rewrite_queries, _rewrite_encoder],
+                         ids=["topk", "queries", "encoder"])
 def test_depth_sweep_builds_candidates_again_when_an_input_changes(tmp_path, monkeypatch, change):
     runner = StageRunner(_config(tmp_path))
+    calls = []
+    _count_candidates(monkeypatch, calls)  # before rerank keeps its candidates under the method
     _run_stages(runner, STAGES[:STAGES.index("rerank") + 1])
     change(runner)
-    calls = []
-    _count_candidates(monkeypatch, calls)
+    calls.clear()
     runner.run("depth-sweep")
     assert calls == [runner.config.topk]
     sweep = tmp_path / "work" / "depth_sweep.tsv"

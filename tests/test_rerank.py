@@ -12,7 +12,6 @@ from ranklab.evaluation import Run, read_run, write_run
 from ranklab.rerank import (
     FeatureExtractor,
     Ranker,
-    depth_sweep,
     fuse_base_union,
     fuse_interpolate,
     pairwise_train_step,
@@ -20,6 +19,7 @@ from ranklab.rerank import (
 )
 from ranklab.sparse import RankedList
 from ranklab.subword import tokenize_corpus
+from test_feature_matrix import depth_sweep
 from test_feature_matrix import rerank_one as rerank_op
 from test_feature_matrix import stacked
 
