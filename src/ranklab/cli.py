@@ -354,6 +354,14 @@ class StageRunner:
     def load_qrels(self, key: str = "qrels"):
         return self.load(self.input(key), read_qrels)
 
+    def indexed_docs(self):
+        """index.bin and the corpus, checked to hold the same documents in the same order."""
+        index, docs = InvertedIndex.load(self.read("index")), self.load_docs()
+        if index.doc_ids != [d.doc_id for d in docs]:
+            raise DependencyError(f"stale artifact: index.bin holds other documents than "
+                                  f"{self.config.corpus_path}; rerun index")
+        return index, docs
+
     def corpus_terms(self):
         return self.load(self.input("corpus"), self._terms)
 
@@ -439,8 +447,7 @@ class StageRunner:
         index.save(self.write("dense_index"))
 
     def stage_synth_weak(self):
-        index = InvertedIndex.load(self.read("index"))
-        docs = self.load_docs()
+        index, docs = self.indexed_docs()
         triples = weaksup.synthesize_triples(
             docs, index, self.config.triples_count, self.config.seed,
             self.config.retrieval_depth, self.config.max_query_terms,
@@ -589,8 +596,7 @@ class StageRunner:
 
     def stage_analyze(self):
         vocab = self.load(self.read("vocab"), SubwordVocab.load)
-        index = InvertedIndex.load(self.read("index"))
-        docs = self.load_docs()
+        index, docs = self.indexed_docs()
         queries = self.load_queries()
         qrels = self.load_qrels()
         n_external = 0

@@ -222,20 +222,17 @@ def pairwise_train_step(ranker: Ranker, feature_pairs, learning_rate: float) -> 
     `feature_pairs` holds (positive features, negative features) per training
     triple; features come from FeatureExtractor or any 6-vector source.
     """
-    pairs = [(np.asarray(p, dtype=np.float64), np.asarray(n, dtype=np.float64))
-             for p, n in feature_pairs]
-    if not pairs:
+    pairs = np.asarray(feature_pairs, dtype=np.float64)
+    if not len(pairs):
         raise ValueError("feature_pairs must be non-empty")
-    grad = np.zeros(N_FEATURES)
-    total = 0.0
-    scale = 1.0 / len(pairs)
-    for pos, neg in pairs:
-        diff = pos - neg
-        margin = float(np.dot(ranker.weights, diff))
-        total += max(-margin, 0.0) + math.log1p(math.exp(-abs(margin)))  # stable softplus(-margin)
-        grad += scale * (logistic(margin) - 1.0) * diff
+    diff, scale = pairs[:, 0] - pairs[:, 1], 1.0 / len(pairs)
+    # per margin, the stable softplus(-margin) and logistic(margin) - 1, by math.exp (see logistic)
+    losses, shares = np.array([(max(-m, 0.0) + math.log1p(math.exp(-abs(m))), logistic(m) - 1.0)
+                               for m in np.vecdot(diff, ranker.weights).tolist()]).T
+    # the rows and the losses added in pair order, as a running += would add them
+    grad = ((scale * shares)[:, None] * diff).sum(axis=0)
     descend("pairwise training step", learning_rate, (ranker.weights, grad))
-    return ranker, total * scale
+    return ranker, float(np.cumsum(losses)[-1]) * scale
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:

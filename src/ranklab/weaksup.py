@@ -15,6 +15,7 @@ it is drawn.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from collections import Counter
@@ -291,15 +292,11 @@ class SelectionContext:
     def __init__(self, extractor: FeatureExtractor, dev_queries, qrels: Qrels, depth: int = 50):
         self.qrels, self.depth = qrels, depth
         self.candidates = extractor.candidates(dev_queries, depth)
-        self._dev_memo: dict[bytes, float] = {}
+        self._dev_ndcg = functools.lru_cache(maxsize=2)(lambda weights: mean_ndcg(
+            rerank(Ranker(np.frombuffer(weights)), self.candidates, self.depth), self.qrels, self.k))
 
     def dev_ndcg(self, ranker: Ranker) -> float:
-        key = ranker.weights.tobytes()
-        value = self._dev_memo.pop(key, None)
-        if value is None:
-            value = mean_ndcg(rerank(ranker, self.candidates, self.depth), self.qrels, self.k)
-        self._dev_memo = {**dict(list(self._dev_memo.items())[-1:]), key: value}
-        return value
+        return self._dev_ndcg(ranker.weights.tobytes())
 
 
 def reinfoselect_step(policy: SelectorPolicy, pairs, ranker: Ranker,

@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from ranklab.cli import EXIT_CONFIG, PipelineConfig, main
+from ranklab.cli import EXIT_CONFIG, EXIT_DEPENDENCY, PipelineConfig, main
 from ranklab.errors import ConfigError
 from ranklab.subword import SubwordVocab, train_subword_vocab
 
@@ -406,3 +406,23 @@ def test_corpus_field_of_wrong_type_is_one_line_exit_2(tmp_path, capsys, field, 
     kind = "an ISO date string" if field == "date" else "a string"
     assert capsys.readouterr().err == f"input error: {corpus}:3: {field} {value!r} must be {kind}\n"
     assert not (tmp_path / "w" / "vocab.json").exists()
+
+
+@pytest.mark.parametrize("stage, output", [("synth-weak", "weak_triples.jsonl"),
+                                           ("analyze", "analysis.json")])
+def test_an_index_of_another_corpus_is_one_line_exit_3(base, tmp_path, capsys, stage, output):
+    """index.bin built from the fixture corpus, read with a copy whose every doc id is renamed."""
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    corpus = root / "renamed.jsonl"
+    records = [json.loads(line) for line in (root / "corpus.jsonl").read_text().splitlines()]
+    corpus.write_text("".join(json.dumps({**r, "doc_id": "x" + r["doc_id"]}) + "\n"
+                              for r in records))
+    capsys.readouterr()
+    code = main([stage, "--corpus", str(corpus), "--queries", str(root / "queries.tsv"),
+                 "--qrels", str(root / "qrels.txt"), "--workdir", str(root / "w"),
+                 "--set", "vocab_size=600"])
+    assert code == EXIT_DEPENDENCY
+    assert capsys.readouterr().err == (f"dependency error: stale artifact: index.bin holds other "
+                                       f"documents than {corpus}; rerun index\n")
+    assert not (root / "w" / output).exists()

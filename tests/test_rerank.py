@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ranklab.corpus import Qrels
-from ranklab.dense import DenseEncoder, DenseIndex, build_dense_index
+from ranklab.dense import DenseEncoder, DenseIndex, build_dense_index, descend
 from ranklab.errors import DependencyError, NumericError
 from ranklab.evaluation import Run, read_run, write_run
 from ranklab.rerank import (
@@ -14,6 +14,7 @@ from ranklab.rerank import (
     Ranker,
     fuse_base_union,
     fuse_interpolate,
+    logistic,
     pairwise_train_step,
     reciprocal_rank_fusion,
 )
@@ -114,7 +115,48 @@ class TestRerank:
         assert all(a > b for a, b in zip([min(block_scores), *tail], tail))
 
 
+def reference_pairwise_train_step(ranker, feature_pairs, learning_rate):
+    """pairwise_train_step's former per-pair loop, kept as the oracle of its array form."""
+    pairs = [(np.asarray(p, dtype=np.float64), np.asarray(n, dtype=np.float64))
+             for p, n in feature_pairs]
+    grad, total, scale = np.zeros(6), 0.0, 1.0 / len(pairs)
+    for pos, neg in pairs:
+        diff = pos - neg
+        margin = float(np.dot(ranker.weights, diff))
+        total += max(-margin, 0.0) + math.log1p(math.exp(-abs(margin)))
+        grad += scale * (logistic(margin) - 1.0) * diff
+    descend("pairwise training step", learning_rate, (ranker.weights, grad))
+    return ranker, total * scale
+
+
 class TestPairwiseTraining:
+    @given(st.integers(1, 40), st.floats(1e-3, 30.0), st.floats(0.0, 1.0), st.booleans(),
+           st.sampled_from([0.0, 1e-3, 0.5, 1.0]), st.integers(0, 2**32 - 1))
+    @example(1, 30.0, 0.0, True, 1.0, 0)  # one pair, margin far past the underflow of e^-700
+    @example(40, 1e-3, 1.0, False, 0.5, 1)  # every pair tied: all margins zero
+    def test_the_array_step_is_the_former_loop(self, n, weight_scale, tied, as_array, rate, seed):
+        """Weights and loss equal the per-pair loop's to the byte, over batches of 1-40 pairs
+        whose margins reach past +-700, with tied (zero-margin) and repeated pairs, given as
+        a list of (pos, neg) tuples or as an (n, 2, 6) array."""
+        rng = np.random.default_rng(seed)
+        pairs = rng.normal(0.0, 10.0, size=(n, 2, 6))
+        tie = rng.random(n) < tied
+        pairs[tie, 1] = pairs[tie, 0]  # pos == neg
+        pairs[rng.random(n) < 0.2] = pairs[0]  # equal margins
+        weights = weight_scale * rng.normal(size=6)
+        expected, expected_loss = reference_pairwise_train_step(
+            Ranker(weights.copy()), [(p.copy(), q.copy()) for p, q in pairs], rate)
+        batch = pairs if as_array else [(p, q) for p, q in pairs]
+        ranker, loss = pairwise_train_step(Ranker(weights.copy()), batch, rate)
+        assert ranker.weights.tobytes() == expected.weights.tobytes()
+        assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+        assert type(loss) is float
+
+    @pytest.mark.parametrize("batch", [[], np.empty((0, 2, 6))], ids=["list", "array"])
+    def test_an_empty_batch_is_a_value_error(self, batch):
+        with pytest.raises(ValueError, match="non-empty"):
+            pairwise_train_step(Ranker(), batch, 0.1)
+
     def test_zero_rate_unchanged(self):
         ranker = Ranker(np.ones(6))
         pairs = [(np.ones(6), np.zeros(6))]
