@@ -18,10 +18,11 @@ and the package version. Stages exchange only files, but parse them through
 StageRunner.load, the only code that writes its memo: within one pipeline run,
 a file is parsed again only when its size, mtime or inode has changed since a
 stage parsed it. index.bin alone is loaded afresh by every stage that reads it.
-ingest keeps the vocab it trains under vocab.json. Under the corpus file the memo
-also keeps its corpus_terms view, which ingest, index, synth-weak and tokenize_corpus read,
-and the flat encoding dapt masks and train-dense uses, under the vocab and max_seq_len too;
-every dense index train-dense scores or saves pools it through dense.build_dense_index.
+ingest keeps the vocab it trains under vocab.json, and train-dense the encoder and
+dense index it saves under their files, so select-train parses neither. Under the
+corpus file the memo also keeps its corpus_terms view, which ingest, index, synth-weak
+and tokenize_corpus read, and the flat encoding dapt masks and train-dense uses, under
+the vocab and max_seq_len too; train-dense pools every dense index by build_dense_index.
 rerank keeps the run write_run returns for evaluate. One ranking rule and one
 scoring rule: StageRunner._ranking reranks every query's list to a depth and
 fuses it as --fusion says, union in the candidates (the BM25 lists fused with
@@ -32,8 +33,8 @@ overall line at each depth, so its row at the rerank depth is evaluate's. The
 candidates and dense lists are kept under the files and settings the extractor
 is built from. Fusion runs on arrays: one dense.dense_top_k call gives a stage's
 dense lists as doc-id ranks, for union, rrf and train-dense's dev rankings;
-rerank.rrf_top_k fuses them, and lists built from arrays leave as
-rerank.Ranking rows, so rerank builds one RankedList per query, the run's own.
+rerank.rrf_top_k fuses them; lists built from arrays leave as rerank.Ranking rows,
+mean_ndcg scores dev rows as they are, and rerank builds one RankedList per query.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
@@ -441,10 +442,12 @@ class StageRunner:
                     rankings = rerank.Ranking(list(dev), index.by_rank[ranks], ranks, scores)
                     message += f" dev-ndcg@10 {mean_ndcg(rankings, qrels, 10):.6f}"
                 print(message)
-        encoder.save(self.write("encoder"))
         if not dev:  # else the final epoch's evaluation built it from this encoder
             index = dense.build_dense_index(encoder, pieces)
-        index.save(self.write("dense_index"))
+        encoder.save(path := self.write("encoder"))
+        self.load(path, dense.DenseEncoder.load, make=lambda: encoder)  # later stages read it unparsed
+        index.save(path := self.write("dense_index"))
+        self.load(path, dense.DenseIndex.load, make=lambda: index)
 
     def stage_synth_weak(self):
         index, docs = self.indexed_docs()

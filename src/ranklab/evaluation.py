@@ -6,6 +6,8 @@ NDCG uses linear gain and the log2(r + 1) discount by default; exponential
 gain (2^g - 1) is available behind the `gain` flag. Queries with no relevant
 document score 0 and are flagged; they stay in means unless explicitly
 skipped. An ideal DCG that overflows a float raises NumericError, not nan.
+mean_ndcg scores a rerank.Ranking from its doc-id rows, as ndcg_at_k scores
+each row's RankedList, without building those lists.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from .checkpoint import read_lines, write_atomic
 from .corpus import Qrels
 from .errors import NumericError, ParseError, ToolkitWarning
+from .rerank import Ranking
 from .sparse import RankedList
 
 GAIN_FUNCTIONS = {
@@ -39,6 +42,11 @@ def ndcg_at_k(ranking: RankedList, qrels_entry, k: int, gain: str = "linear") ->
     Documents absent from the qrels entry count as grade 0. A Qrels entry
     keeps its ideal DCGs until Qrels.add changes it; one that overflows a
     float raises NumericError."""
+    return _ndcg(ranking.query_id, [doc_id for doc_id, _ in ranking.entries[:k]], qrels_entry, k, gain)
+
+
+def _ndcg(query_id: int, doc_ids, qrels_entry, k: int, gain: str = "linear") -> float:
+    """ndcg_at_k of the list whose first k doc ids are `doc_ids`."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     g = _gain_fn(gain)
@@ -47,13 +55,10 @@ def ndcg_at_k(ranking: RankedList, qrels_entry, k: int, gain: str = "linear") ->
         top = sorted((g(v) for v in qrels_entry.values()), reverse=True)[:k]
         ideal[k, gain] = sum(v / math.log2(r + 1) for r, v in enumerate(top, start=1))
     if not math.isfinite(idcg := ideal[k, gain]):
-        raise NumericError(f"ideal DCG@{k} of query {ranking.query_id} overflows a float")
+        raise NumericError(f"ideal DCG@{k} of query {query_id} overflows a float")
     if idcg == 0.0:
         return 0.0
-    dcg = sum(
-        g(qrels_entry.get(doc_id, 0)) / math.log2(r + 1)
-        for r, (doc_id, _) in enumerate(ranking.entries[:k], start=1)
-    )
+    dcg = sum(g(qrels_entry.get(doc_id, 0)) / math.log2(r + 1) for r, doc_id in enumerate(doc_ids, start=1))
     return dcg / idcg
 
 
@@ -66,9 +71,11 @@ def precision_at_k(ranking: RankedList, qrels_entry, k: int) -> float:
 
 
 def mean_ndcg(rankings, qrels: Qrels, k: int) -> float:
-    """Mean NDCG@k over every ranking, a query absent from `qrels` scoring 0;
-    0.0 when there are no rankings."""
-    values = [ndcg_at_k(r, qrels.judgments.get(r.query_id, {}), k) for r in rankings]
+    """Mean NDCG@k over every ranking (a rerank.Ranking's rows or RankedLists),
+    a query absent from `qrels` scoring 0; 0.0 when there are no rankings."""
+    rows = (zip(rankings.query_ids, rankings.doc_ids[:, :k].tolist()) if isinstance(rankings, Ranking)
+            else ((r.query_id, [d for d, _ in r.entries[:k]]) for r in rankings))
+    values = [_ndcg(q, doc_ids, qrels.judgments.get(q, {}), k) for q, doc_ids in rows]
     return sum(values) / len(values) if values else 0.0
 
 

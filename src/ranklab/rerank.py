@@ -53,11 +53,11 @@ DEFAULT_RRF_K = 60
 
 
 class Ranker:
-    """Linear scorer over the fixed query-document feature vector."""
+    """Linear scorer over the fixed query-document feature vector, on its own copy of the weights."""
 
     def __init__(self, weights=None):
         self.weights = (
-            np.zeros(N_FEATURES) if weights is None else np.asarray(weights, dtype=np.float64)
+            np.zeros(N_FEATURES) if weights is None else np.array(weights, dtype=np.float64)
         )
         if self.weights.shape != (N_FEATURES,):
             raise ValueError(f"expected {N_FEATURES} weights, got {self.weights.shape}")
@@ -66,7 +66,7 @@ class Ranker:
         return float(np.dot(self.weights, features))
 
     def copy(self) -> "Ranker":
-        return Ranker(self.weights.copy())
+        return Ranker(self.weights)
 
     def save(self, path) -> None:
         save_arrays(path, "RNKR", {"weights": self.weights}, {"n_features": N_FEATURES})

@@ -1,6 +1,7 @@
 """Inverted index and BM25 top-k retrieval (the base retrieval stage).
 
-Scoring uses the Lucene-style non-negative idf ln(1 + (N - df + 0.5) / (df + 0.5))
+Scoring uses the Lucene-style non-negative idf ln(1 + (N - df + 0.5) / (df + 0.5)),
+computed once per term per index by math.log (np.log's last bit varies by CPU),
 with defaults k1=0.9, b=0.4. Ranked lists break score ties by ascending doc_id.
 
 The index is CSR: with terms sorted, term i's postings are the slice
@@ -8,7 +9,8 @@ offsets[i]:offsets[i + 1] of `ordinals` (ascending) and `tfs`; index.bin holds
 these arrays plus `doc_lengths`, and the term list and doc ids as metadata.
 `bm25_scores` adds idf * tf * (k1 + 1) / (tf + norm) over each query term's
 slice, in query-term order: for every document that is the sequence of IEEE
-operations `bm25_score` performs, so both give bit-identical scores.
+operations `bm25_score` performs, finding its tf by one scalar searchsorted per
+term, so both give bit-identical scores.
 
 Dense search cuts its lists with `top_k_order`, which equals taking the
 first k of the whole corpus sorted by (-score, doc_id) without sorting the
@@ -102,6 +104,7 @@ class InvertedIndex:
         self.doc_rank = doc_id_ranks(doc_ids)
         self.by_doc_id = np.argsort(self.doc_rank)  # the ordinals in doc-id order
         self._norms: dict[tuple[float, float], np.ndarray] = {}
+        self._idfs: dict[str, float] = {}
 
     @property
     def postings(self) -> dict[str, list[tuple[int, int]]]:
@@ -195,16 +198,23 @@ def build_index(docs, view: CorpusTerms | None = None) -> InvertedIndex:
 
 
 def idf(index: InvertedIndex, term: str) -> float:
-    """Lucene-style idf; non-negative, defined for unseen terms (df = 0)."""
-    df = index.df(term)
-    return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+    """Lucene-style idf; non-negative, defined for unseen terms (df = 0); memoized per index."""
+    if (value := index._idfs.get(term)) is None:
+        df = index.df(term)
+        value = index._idfs[term] = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+    return value
 
 
 def bm25_score(index, query_terms, ordinal: int, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> float:
     """BM25 of one document against a bag of query terms; missing terms add 0."""
-    norm = index.length_norms(k1, b)[ordinal]
-    tfs = ((term, index.tf(term, ordinal)) for term in query_terms)
-    return float(sum(idf(index, t) * tf * (k1 + 1.0) / (tf + norm) for t, tf in tfs if tf))
+    norm, score = float(index.length_norms(k1, b)[ordinal]), 0
+    for term in query_terms:
+        docs, tfs = index.posting(term)
+        pos = int(docs.searchsorted(ordinal))  # the scalar lookup of InvertedIndex.tf
+        if pos < len(docs) and docs[pos] == ordinal:
+            tf = int(tfs[pos])
+            score += idf(index, term) * tf * (k1 + 1.0) / (tf + norm)
+    return float(score)
 
 
 def bm25_scores(index: InvertedIndex, query_terms, k1: float = DEFAULT_K1,

@@ -1,10 +1,10 @@
 """Weak-supervision synthesis and selection.
 
-Synthesis runs a two-stage generation pipeline: a salience-based generator
-produces a query from one seed document, BM25 retrieves related documents for
-it, a contrastive generator turns a (higher-ranked, lower-ranked) document
-pair into a sharper query, and the triple (query, positive, negative) becomes
-weak training data.
+Synthesis runs a two-stage pipeline: a salience-based generator makes a query
+from one seed document, BM25 retrieves related documents for it (the ordinals
+of sparse.bm25_top_k; search_topk stays analyze's), a contrastive generator
+turns a (higher-ranked, lower-ranked) document pair into a sharper query, and
+the triple (query, positive, negative) becomes weak training data.
 
 Selection trains a logistic per-instance policy with REINFORCE: the reward is
 the change in dev-set NDCG@10 after a trial reranker update on the selected
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .evaluation import mean_ndcg
 from .rerank import N_FEATURES, FeatureExtractor, Ranker, logistic, pairwise_train_step, rerank
-from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, idf, search_topk
+from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, bm25_top_k, idf
 from .stopwords import ENGLISH_STOPWORDS
 
 DEFAULT_MAX_QUERY_TERMS = 6
@@ -81,17 +81,12 @@ class SalienceQueryGenerator:
             self.spans = {d.doc_id: slice(e - n, e) for d, n, e in zip(docs, view.lengths.tolist(), ends)}
 
     def _content_counts(self, doc: Document) -> tuple[Counter, dict[str, int]]:
+        """The document's content-term counts, and each term's rank in order of first occurrence."""
         span = self.spans.get(doc.doc_id)
         words = text_terms(doc.text()) if span is None else map(
             self.view.terms.__getitem__, self.view.ids[span].tolist())
-        terms = [t for t in words if t not in self.stopwords]
-        first_pos: dict[str, int] = {}
-        for i, t in enumerate(terms):
-            first_pos.setdefault(t, i)
-        return Counter(terms), first_pos
-
-    def _tfidf(self, counts: Counter, term: str) -> float:
-        return counts[term] * idf(self.index, term)
+        counts = Counter(t for t in words if t not in self.stopwords)  # keys in first-occurrence order
+        return counts, {t: i for i, t in enumerate(counts)}
 
     def _select(self, scores: dict[str, float], first_pos: dict[str, int]) -> str:
         chosen = sorted(scores, key=lambda t: (-scores[t], first_pos[t]))[: self.max_query_terms]
@@ -101,15 +96,14 @@ class SalienceQueryGenerator:
         counts, first_pos = self._content_counts(doc)
         if not counts:
             raise GenerationError(f"document {doc.doc_id!r} has no content terms")
-        scores = {t: self._tfidf(counts, t) for t in counts}
+        scores = {t: n * idf(self.index, t) for t, n in counts.items()}
         return self._select(scores, first_pos)
 
     def contrast_generate(self, pos: Document, neg: Document) -> str:
         pos_counts, first_pos = self._content_counts(pos)
         neg_counts, _ = self._content_counts(neg)
-        salience = {
-            t: self._tfidf(pos_counts, t) - self._tfidf(neg_counts, t) for t in pos_counts
-        }
+        salience = {t: n * idf(self.index, t) - neg_counts[t] * idf(self.index, t)
+                    for t, n in pos_counts.items()}
         eligible = {t: s for t, s in salience.items() if s > 0}
         if not eligible:
             raise DegeneratePairError(
@@ -153,18 +147,18 @@ def synthesize_with_provenance(docs, index: InvertedIndex, count: int, seed: int
             stage1 = generator.generate(seed_doc)
         except GenerationError:
             continue
-        pool = search_topk(index, stage1.split(), retrieval_depth, k1, b).entries
-        half = len(pool) // 2
-        pos_pool, neg_pool = pool[:half], pool[half:]
+        top, _ = bm25_top_k(index, stage1.split(), retrieval_depth, k1, b)
+        retrieved = tuple(map(index.doc_ids.__getitem__, top.tolist()))
+        half = len(retrieved) // 2
+        pos_pool, neg_pool = retrieved[:half], retrieved[half:]
         if not pos_pool or not neg_pool:
             continue
-        pos_id = pos_pool[int(rng.integers(len(pos_pool)))][0]
-        neg_id = neg_pool[int(rng.integers(len(neg_pool)))][0]
+        pos_id = pos_pool[int(rng.integers(len(pos_pool)))]
+        neg_id = neg_pool[int(rng.integers(len(neg_pool)))]
         try:
             query = generator.contrast_generate(docs_by_id[pos_id], docs_by_id[neg_id])
         except DegeneratePairError:
             continue
-        retrieved = tuple(d for d, _ in pool)
         records.append(SynthesisRecord(
             seed_doc.doc_id, stage1, retrieved, WeakTriple(query, pos_id, neg_id)))
         made += 1

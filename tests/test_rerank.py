@@ -157,6 +157,17 @@ class TestPairwiseTraining:
         with pytest.raises(ValueError, match="non-empty"):
             pairwise_train_step(Ranker(), batch, 0.1)
 
+    def test_a_ranker_does_not_share_the_callers_array(self):
+        """Two rankers built from one array train apart, and a step leaves the array as it was."""
+        weights = np.linspace(-1.0, 1.0, 6)
+        before = weights.copy()
+        first, second = Ranker(weights), Ranker(weights)
+        pairwise_train_step(first, [(np.ones(6), np.zeros(6))], 0.5)
+        assert weights.tobytes() == before.tobytes()
+        assert second.weights.tobytes() == before.tobytes()
+        assert first.weights.tobytes() != before.tobytes()
+        assert first.copy().weights is not first.weights
+
     def test_zero_rate_unchanged(self):
         ranker = Ranker(np.ones(6))
         pairs = [(np.ones(6), np.zeros(6))]

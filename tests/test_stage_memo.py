@@ -12,9 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ranklab import cli
+from ranklab import cli, dense
 from ranklab.cli import STAGES, PipelineConfig, StageRunner
 from ranklab.subword import SubwordVocab
 from ranklab.synthetic import DEFAULT_DOCS_PER_TOPIC, DEFAULT_TOPICS
@@ -76,6 +77,50 @@ def test_a_rewritten_qrels_file_is_parsed_again(tmp_path, monkeypatch):
     assert calls == ["read_qrels", "read_qrels"]
     overall = json.loads((tmp_path / "work" / "report.jsonl").read_text().splitlines()[0])
     assert overall["n_queries"] == 1, overall
+
+
+def _counting_dense_loads(monkeypatch, calls):
+    """Record the file name of every DenseIndex.load and DenseEncoder.load call."""
+    for cls in (dense.DenseIndex, dense.DenseEncoder):
+        real = cls.load.__func__
+        monkeypatch.setattr(cls, "load", classmethod(
+            lambda kind, path, real=real: calls.append(Path(path).name) or real(kind, path)))
+
+
+def _run_until_select_train(runner):
+    for stage in STAGES[: STAGES.index("select-train")]:
+        runner.run(stage)
+
+
+def test_select_train_parses_neither_file_train_dense_saved(tmp_path, monkeypatch):
+    """train-dense hands its encoder and dense index on under the files it saved."""
+    calls = []
+    _counting_dense_loads(monkeypatch, calls)
+    runner = StageRunner(_config(tmp_path, warm_start=True))
+    _run_until_select_train(runner)
+    assert calls == ["mlm_embeddings.ckpt"]  # the warm start, read in train-dense
+    handed = {key[0].name: obj for key, (_, obj) in runner.parsed.items()}
+    calls.clear()
+    runner.run("select-train")
+    assert calls == []
+    for name in ("encoder.ckpt", "dense_index.bin"):
+        assert any(key[0].name == name and obj is handed[name]
+                   for key, (_, obj) in runner.parsed.items()), name
+
+
+def test_a_dense_index_rewritten_after_train_dense_is_parsed_again(tmp_path, monkeypatch):
+    calls = []
+    _counting_dense_loads(monkeypatch, calls)
+    runner = StageRunner(_config(tmp_path))
+    _run_until_select_train(runner)
+    path = runner.artifact("dense_index")
+    saved = dense.DenseIndex.load(path)
+    dense.DenseIndex(np.zeros_like(saved.vectors), saved.doc_ids).save(path)
+    calls.clear()
+    runner.run("select-train")
+    assert calls == ["dense_index.bin"]
+    [parsed] = [obj for key, (_, obj) in runner.parsed.items() if key[0] == path]
+    assert parsed is not saved and not parsed.vectors.any()
 
 
 def _state(obj):
