@@ -50,14 +50,13 @@ def read_lines(path):
     a ParseError at its line."""
     data = Path(path).read_bytes()
     try:
-        data.decode("utf-8")  # checked whole: a bad byte stops a reader before any line
+        text = data.decode("utf-8")  # checked whole: a bad byte stops a reader before any line
     except UnicodeDecodeError as exc:
         head = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         raise ParseError(path, head.count("\n") + 1, f"not UTF-8 ({exc.reason})") from exc
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                yield line_no, line
+    for line_no, line in enumerate(io.StringIO(text.removeprefix("\ufeff"), newline=None), start=1):
+        if line.strip():
+            yield line_no, line
 
 
 def save_arrays(path, kind: str, arrays: dict[str, np.ndarray], meta: dict) -> None:

@@ -246,12 +246,8 @@ class PipelineConfig:
                     if lowered not in ("true", "false", "1", "0", "yes", "no"):
                         raise ValueError(f"bad boolean {raw!r}")
                     updates[key] = lowered in ("true", "1", "yes")
-                elif isinstance(getattr(self, key), int):
-                    updates[key] = int(raw)
-                elif isinstance(getattr(self, key), float):
-                    updates[key] = float(raw)
-                else:
-                    updates[key] = str(raw)
+                else:  # as _build_parser types each flag
+                    updates[key] = type(getattr(self, key))(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
         return dataclasses.replace(self, **updates)

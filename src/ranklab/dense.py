@@ -13,6 +13,7 @@ dense_search_topk is its one-query case, as a RankedList.
 Every trained parameter (MLM tables, encoder, ranker, selection policy) takes
 plain gradient descent at a fixed rate, checkable against finite differences,
 through `descend`, on all of it or given rows, writing nothing unless every result is finite.
+Every object that `descend` writes into owns its arrays: its constructor copies them.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ DEFAULT_NEGATIVES = 4
 
 
 class DenseEncoder:
-    """Trainable |vocab| x dim embedding table; encode() mean-pools piece rows."""
+    """Trainable |vocab| x dim embedding table, its own copy; encode() mean-pools piece rows."""
 
     def __init__(self, table: np.ndarray):
-        self.table = np.asarray(table, dtype=np.float64)
+        self.table = np.array(table, dtype=np.float64)
 
     @classmethod
     def init(cls, vocab_size: int, dim: int = DEFAULT_DIM, seed: int = 0) -> "DenseEncoder":
@@ -53,7 +54,7 @@ class DenseEncoder:
         return self.table.shape[1]
 
     def copy(self) -> "DenseEncoder":
-        return DenseEncoder(self.table.copy())
+        return DenseEncoder(self.table)
 
     def save(self, path) -> None:
         save_arrays(path, "DENC", {"table": self.table},
@@ -110,7 +111,7 @@ def pool_grad(shape, sequences, row_grads, lengths=None) -> tuple[np.ndarray, np
     dim) array of them, which for one MLM step would be larger than its whole 16 MiB memory
     budget. `sequences` and `lengths` are read as pool() reads them."""
     lengths, ids = flatten(sequences, lengths)
-    touched = np.bincount(ids, minlength=shape[0]) > 0  # np.unique imports numpy.ma
+    touched = np.bincount(ids, minlength=shape[0]) > 0  # sorts nothing, unlike np.unique
     rows, slots = np.flatnonzero(touched), (np.cumsum(touched) - 1)[ids]
     owner = np.repeat(np.arange(len(lengths)), lengths)
     shares = np.reshape(row_grads, (len(lengths), shape[1])) / np.maximum(lengths, 1)[:, None]
@@ -159,7 +160,7 @@ def _loss_and_row_grads(table: np.ndarray, batch) -> tuple[float, tuple, np.ndar
     row_grads = np.empty_like(vectors)
     widths = np.array([2 + len(t.negative_ids) for t in batch])
     starts, losses, scale = np.cumsum(widths) - widths, np.empty(len(batch)), 1.0 / len(batch)
-    for width in np.flatnonzero(np.bincount(widths)).tolist():  # np.unique imports numpy.ma
+    for width in np.flatnonzero(np.bincount(widths)).tolist():  # sorts nothing, unlike np.unique
         members = np.flatnonzero(widths == width)
         rows = starts[members, None] + np.arange(width)
         qv, dvs = vectors[rows[:, 0]], vectors[rows[:, 1:]]

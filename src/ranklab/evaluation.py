@@ -29,13 +29,6 @@ GAIN_FUNCTIONS = {
 }
 
 
-def _gain_fn(gain: str):
-    try:
-        return GAIN_FUNCTIONS[gain]
-    except KeyError:
-        raise ValueError(f"unknown gain {gain!r}; expected one of {sorted(GAIN_FUNCTIONS)}")
-
-
 def ndcg_at_k(ranking: RankedList, qrels_entry, k: int, gain: str = "linear") -> float:
     """DCG@k / ideal DCG@k with gain(rel)/log2(rank+1); 0 if nothing relevant.
 
@@ -49,7 +42,8 @@ def _ndcg(query_id: int, doc_ids, qrels_entry, k: int, gain: str = "linear") -> 
     """ndcg_at_k of the list whose first k doc ids are `doc_ids`."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    g = _gain_fn(gain)
+    if (g := GAIN_FUNCTIONS.get(gain)) is None:
+        raise ValueError(f"unknown gain {gain!r}; expected one of {sorted(GAIN_FUNCTIONS)}")
     ideal = getattr(qrels_entry, "ideal", {})  # a corpus.Judgments entry's memo
     if (k, gain) not in ideal:
         top = sorted((g(v) for v in qrels_entry.values()), reverse=True)[:k]

@@ -126,11 +126,11 @@ def make_masked_batch(sequences, mask_id: int, mask_rate: float = DEFAULT_MASK_R
 
 
 class MlmModel:
-    """Embedding table plus output projection for masked-piece prediction."""
+    """Embedding table plus output projection for masked-piece prediction, its own copies."""
 
     def __init__(self, embeddings: np.ndarray, output_weights: np.ndarray):
-        self.embeddings = np.asarray(embeddings, dtype=np.float64)
-        self.output_weights = np.asarray(output_weights, dtype=np.float64)
+        self.embeddings = np.array(embeddings, dtype=np.float64)
+        self.output_weights = np.array(output_weights, dtype=np.float64)
         if self.embeddings.shape != self.output_weights.shape:
             raise ValueError("embeddings and output weights must share a shape")
 
@@ -149,7 +149,7 @@ class MlmModel:
         return self.embeddings.shape[1]
 
     def copy(self) -> "MlmModel":
-        return MlmModel(self.embeddings.copy(), self.output_weights.copy())
+        return MlmModel(self.embeddings, self.output_weights)
 
     def save_embeddings(self, path) -> None:
         """Persist the embedding table in the dense-encoder checkpoint format."""
@@ -229,11 +229,10 @@ def mlm_train_step(model: MlmModel, batch: MaskedBatch, learning_rate: float) ->
 
 def warm_start(encoder: DenseEncoder, pretrained: np.ndarray) -> DenseEncoder:
     """The encoder with pretrained embeddings, checked once: a step checks only the rows it updates."""
-    pretrained = np.asarray(pretrained, dtype=np.float64)
-    if pretrained.shape != encoder.table.shape:
-        raise ValueError(
-            f"pretrained table shape {pretrained.shape} does not match encoder {encoder.table.shape}"
-        )
-    if not np.isfinite(pretrained).all():
+    warmed = DenseEncoder(pretrained)
+    if warmed.table.shape != encoder.table.shape:
+        raise ValueError(f"pretrained table shape {warmed.table.shape} does not match "
+                         f"encoder {encoder.table.shape}")
+    if not np.isfinite(warmed.table).all():
         raise NumericError("non-finite parameters in warm-start embeddings")
-    return DenseEncoder(pretrained.copy())
+    return warmed

@@ -228,12 +228,12 @@ def instance_features(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
 
 
 class SelectorPolicy:
-    """Logistic per-instance selector with a running-mean reward baseline."""
+    """Logistic per-instance selector on its own copy of the weights, with a running-mean reward baseline."""
 
     def __init__(self, weights=None, seed: int = 0):
         self.weights = (
             np.zeros(N_INSTANCE_FEATURES)
-            if weights is None else np.asarray(weights, dtype=np.float64)
+            if weights is None else np.array(weights, dtype=np.float64)
         )
         self.seed = seed
         self.rng = np.random.default_rng(seed)

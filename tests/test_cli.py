@@ -5,6 +5,7 @@ import gc
 import hashlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ranklab
+from ranklab import cli, dense, weaksup
 from ranklab.cli import (
     EXIT_CONFIG,
     EXIT_DEPENDENCY,
@@ -25,14 +29,15 @@ from ranklab.cli import (
     analyze_domain_gap,
     main,
     run_pipeline,
+    training_triples,
 )
-from ranklab.dense import DenseIndex
+from ranklab.dense import DenseIndex, train_step
 from ranklab.errors import ConfigError, DependencyError
 from ranklab.evaluation import read_qrels
 from ranklab.sparse import InvertedIndex, coverage_at_k, search_topk
 from ranklab.subword import SubwordVocab
 from ranklab.synthetic import DEFAULT_DOCS_PER_TOPIC, DEFAULT_TOPICS, make_separable_corpus
-from ranklab.weaksup import read_triples, write_triples
+from ranklab.weaksup import SelectionContext, read_triples, write_triples
 
 
 def write_fixture_inputs(root, n_topics=4, docs_per_topic=6):
@@ -113,6 +118,57 @@ class TestConfig:
             PipelineConfig(mask_rate=0.0).validate()
         with pytest.raises(ConfigError):
             PipelineConfig(fusion="blend").validate()
+
+
+def former_with_overrides(config, values):
+    """PipelineConfig.with_overrides with its former int / float / str chain, kept as the oracle."""
+    fields = {f.name for f in dataclasses.fields(config)}
+    updates = {}
+    for key, raw in values.items():
+        if key not in fields:
+            raise ConfigError(f"unknown config key {key!r}")
+        if raw is None:
+            continue
+        try:
+            if isinstance(getattr(config, key), bool):
+                lowered = str(raw).lower()
+                if lowered not in ("true", "false", "1", "0", "yes", "no"):
+                    raise ValueError(f"bad boolean {raw!r}")
+                updates[key] = lowered in ("true", "1", "yes")
+            elif isinstance(getattr(config, key), int):
+                updates[key] = int(raw)
+            elif isinstance(getattr(config, key), float):
+                updates[key] = float(raw)
+            else:
+                updates[key] = str(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+    return dataclasses.replace(config, **updates)
+
+
+def _override_outcome(override, config, key, raw):
+    """The overridden value as (type, repr), or the error as (type, message)."""
+    try:
+        value = getattr(override(config, {key: raw}), key)
+    except Exception as exc:  # an escaping error must match the oracle's too
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+# what a config file, a --set or a typed flag can hand over, and values no reader makes
+raw_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.integers().map(str), st.floats().map(repr), st.floats().map(str),
+    st.sampled_from(["true", "No", " 7 ", "1e3", "0x10", "1_000", "-0.0", "inf", "nan", "rrf", ""]))
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(PipelineConfig)])
+@settings(max_examples=60)
+@given(raw=raw_values)
+def test_a_value_takes_its_defaults_type_as_the_former_chain_did(key, raw):
+    config = PipelineConfig()
+    assert (_override_outcome(PipelineConfig.with_overrides, config, key, raw)
+            == _override_outcome(former_with_overrides, config, key, raw))
 
 
 class TestPipeline:
@@ -634,6 +690,38 @@ def test_train_dense_reads_weak_queries_as_processed_terms(tmp_path):
     write_triples(wordy, triples)
     assert main(["train-dense", "--triples-file", str(triples), *common]) == 0
     assert (work / "encoder.ckpt").read_bytes() == expected
+
+
+def test_select_depth_and_batch_size_reach_their_stages(tmp_path, monkeypatch):
+    """--set select_depth gives select-train's dev candidates that many columns, and
+    --set batch_size makes train-dense step ceil(usable triples / batch_size) times an epoch."""
+    usable, steps, contexts = [], [], []
+
+    def counted_triples(*args):
+        usable.append(len(triples := training_triples(*args)))
+        return triples
+
+    def counted_step(*args):
+        steps.append(1)
+        return train_step(*args)
+
+    class RecordedContext(SelectionContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(cli, "training_triples", counted_triples)
+    monkeypatch.setattr(dense, "train_step", counted_step)
+    monkeypatch.setattr(weaksup, "SelectionContext", RecordedContext)
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    assert main(["pipeline", "--stages", "ingest,index,synth-weak,train-dense,select-train",
+                 "--corpus", str(corpus), "--queries", str(queries), "--qrels", str(qrels),
+                 "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600",
+                 "--set", "dense_epochs=2", "--set", "triples_count=8", "--set", "select_steps=2",
+                 "--set", "batch_size=3", "--set", "select_depth=7"]) == 0
+    assert usable[0] > 3  # more than one batch of 3, and one batch of the default 16
+    assert len(steps) == 2 * math.ceil(usable[0] / 3)
+    assert [c.candidates.doc_ids.shape[1] for c in contexts] == [7]
 
 
 def test_manifest_records_the_config_its_hash_and_the_version(tmp_path):

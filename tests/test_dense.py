@@ -190,6 +190,22 @@ class TestTrainStep:
         train_step(enc, [triple], 1e-2)
         assert contrastive_loss(enc, triple) <= before
 
+    def test_an_encoder_does_not_share_the_callers_array(self):
+        """Two encoders built from one table train apart, a step leaves the table as it
+        was, and a copy trains apart from its original."""
+        rng = np.random.default_rng(4)
+        table = rng.normal(0, 0.3, size=(20, 6))
+        before = table.copy()
+        first, second = DenseEncoder(table), DenseEncoder(table)
+        train_step(first, random_triples(rng, first), 0.5)
+        assert table.tobytes() == before.tobytes()
+        assert second.table.tobytes() == before.tobytes()
+        assert first.table.tobytes() != before.tobytes()
+        stepped, copy = first.table.copy(), first.copy()
+        train_step(copy, random_triples(rng, copy), 0.5)
+        assert first.table.tobytes() == stepped.tobytes()
+        assert copy.table.tobytes() != stepped.tobytes()
+
 
 class TestDenseIndexAndSearch:
     def test_single_doc_single_row(self, separable):

@@ -183,6 +183,26 @@ class TestMlmTraining:
         assert masked_prediction_loss(model, batch) == pytest.approx(
             math.log(30), abs=1e-9)
 
+    def test_a_model_does_not_share_the_callers_arrays(self):
+        """Two models built from one pair of tables train apart, steps leave the tables as
+        they were, and a copy trains apart from its original. From zero output weights the
+        first step's embedding gradient is zero, so two steps are taken to move both tables."""
+        embeddings, output_weights = MlmModel.init(30, 8, seed=1).embeddings, np.zeros((30, 8))
+        before = embeddings.tobytes(), output_weights.tobytes()
+        first, second = MlmModel(embeddings, output_weights), MlmModel(embeddings, output_weights)
+        batch = self.fixture_batch()
+        for _ in range(2):
+            mlm_train_step(first, batch, 0.5)
+        assert (embeddings.tobytes(), output_weights.tobytes()) == before
+        assert (second.embeddings.tobytes(), second.output_weights.tobytes()) == before
+        assert first.embeddings.tobytes() != before[0]
+        assert first.output_weights.tobytes() != before[1]
+        stepped, copy = (first.embeddings.tobytes(), first.output_weights.tobytes()), first.copy()
+        mlm_train_step(copy, batch, 0.5)
+        assert (first.embeddings.tobytes(), first.output_weights.tobytes()) == stepped
+        assert copy.embeddings.tobytes() != stepped[0]
+        assert copy.output_weights.tobytes() != stepped[1]
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         model = MlmModel.init(30, 8, seed=1)
@@ -333,6 +353,11 @@ class TestWarmStart:
         pretrained = np.random.default_rng(1).normal(size=(12, 4))
         warmed = warm_start(encoder, pretrained)
         np.testing.assert_array_equal(warmed.table, pretrained)
+
+    def test_the_warmed_encoder_owns_its_table(self):
+        pretrained = np.random.default_rng(1).normal(size=(12, 4))
+        warmed = warm_start(DenseEncoder.init(12, 4, seed=0), pretrained)
+        assert not np.shares_memory(warmed.table, pretrained)
 
     def test_mismatched_dim_rejected(self):
         encoder = DenseEncoder.init(12, 4, seed=0)

@@ -1,9 +1,10 @@
 """checkpoint.read_lines against the text-mode loop every reader had before it."""
 
 import io
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ranklab.checkpoint import read_lines
@@ -49,6 +50,45 @@ def test_non_utf8_byte_is_parse_error_at_its_line(tmp_path_factory, head, tail, 
         next(read_lines(path))
     assert info.value.line_no == expected
     assert str(info.value).startswith(f"{path}:{expected}: not UTF-8 (")
+
+
+def _former_reader(path):
+    """read_lines as it was: the UTF-8 check, then a second decode through a TextIOWrapper."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        raise ParseError(path, head.count("\n") + 1, f"not UTF-8 ({exc.reason})") from exc
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                yield line_no, line
+
+
+def _lines_or_error(reader, path):
+    try:
+        return list(reader(path))
+    except ParseError as exc:
+        return str(exc)
+
+
+# line ends, byte-order marks, separators that are not line ends, text, and
+# random bytes, which are mostly not UTF-8
+byte_pieces = st.one_of(
+    st.sampled_from([b"\n", b"\r", b"\r\n", b"\xef\xbb\xbf", b" ", b"a"]
+                    + [c.encode("utf-8") for c in "\x0b\x0c\x1c\x85\u2028\u2029"]),
+    st.text(max_size=3).map(lambda t: t.encode("utf-8")), st.binary(max_size=3))
+
+
+@settings(max_examples=500)
+@given(st.lists(byte_pieces, max_size=20).map(b"".join))
+@example(b"\xef\xbb\xbf\xef\xbb\xbfa\r\n")
+@example(b"a\r\n\xff\rb")
+def test_read_lines_matches_the_former_reader_on_any_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("bytes") / "input.txt"
+    path.write_bytes(data)
+    assert _lines_or_error(read_lines, path) == _lines_or_error(_former_reader, path)
 
 
 def test_lines_keep_their_newline_and_number(tmp_path):

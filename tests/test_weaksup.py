@@ -334,6 +334,19 @@ class TestReinfoSelect:
         else:
             pytest.fail("no seed produced a positive-reward selected step")
 
+    def test_a_policy_does_not_share_the_callers_array(self, selection_setup):
+        """A policy update leaves the array the policy was built from as it was, and
+        a second policy built from it."""
+        weights = np.zeros(6)
+        policy, second = SelectorPolicy(weights, seed=0), SelectorPolicy(weights, seed=0)
+        policy.baseline = 1.0  # a dev NDCG change below 1 makes the advantage non-zero
+        policy, _, _ = reinfoselect_step(
+            policy, pair_features(selection_setup["extractor"], selection_setup["clean"][:8]),
+            Ranker(), selection_setup["context"])
+        assert weights.tobytes() == np.zeros(6).tobytes()
+        assert second.weights.tobytes() == np.zeros(6).tobytes()
+        assert policy.weights.tobytes() != np.zeros(6).tobytes()
+
     def test_empty_selection_skips_ranker(self, selection_setup):
         ctx = selection_setup["context"]
         # strongly negative weights force p ~ 0 so nothing is selected
