@@ -1,15 +1,17 @@
 """Pipeline orchestration: composable stages over a shared flat config.
 
-STAGES is the one stage order; StageRunner.STAGE_FUNCTIONS maps each name to
-its stage_<name> method, and the subcommands are listed in that order. Stages
+STAGES is the one stage order; StageRunner.STAGE_FUNCTIONS maps each name to its
+stage_<name> method, and the subcommands are listed in that order. Stages
 communicate only through files in the work directory, so any stage can be
-replaced by an external tool that produces the same format. select-train,
-rerank and depth-sweep read document vectors from dense_index.bin and terms
-from index.bin through one FeatureExtractor each, stack all their queries'
-candidates in one call and rescore them with the one rerank.rerank.
-Every query is encoded by subword.tokenize_query. Exit codes: 0 success, 2
-config or input error, 3 dependency error, 4 numeric error. A run locks the work
-directory; two runners that find one dead-pid lock at once can both run (accepted).
+replaced by an external tool that produces the same format. select-train, rerank
+and depth-sweep read document vectors from dense_index.bin and terms from
+index.bin through one FeatureExtractor each, stack all their queries' candidates
+in one call and rescore them with the one rerank.rerank. Every query is encoded
+by subword.tokenize_query. Both training stages, train-dense and select-train,
+read weak triples through _usable_triples. analyze renders analysis.txt from the
+record it writes to analysis.json. Exit codes: 0 success, 2 config or input
+error, 3 dependency error, 4 numeric error. A run locks the work directory; two
+runners that find one dead-pid lock at once can both run (accepted).
 
 A stage opens its files through StageRunner.read (a work-directory artifact),
 input (a file a config key names) and write (an artifact it produces); its
@@ -115,6 +117,16 @@ ERROR_EXITS = ((ConfigError, "config error", EXIT_CONFIG), (ParseError, "input e
                (NumericError, "numeric error", EXIT_NUMERIC), (ToolkitError, "error", 1))
 
 COMMANDS = STAGES + ("pipeline",)
+
+# analysis.txt renders the analysis.json record: a line per (label, key, value format) whose
+# value is not None, the label formatted from the record and padded to 25 columns (the coverage
+# label keeps 12 spaces after k padded to 4, so each digit of k past 4 widens its line)
+ANALYSIS_LINES = (
+    ("documents", "n_documents", ""), ("queries", "n_queries", ""),
+    ("judged queries", "n_judged_queries", ""), ("relevance judgments", "n_judgments", ""),
+    ("external weak triples", "n_external_weak_triples", ""),
+    *((f"subword ratio ({of})", f"subword_ratio_{of}", ".6f") for of in ("queries", "corpus", "reference")),
+    ("coverage@{coverage_k:<4}            ", "coverage_at_k", ".6f"))
 
 # bound -> test; validate reports a failed one as "<key> must be <bound>"
 BOUNDS = {
@@ -400,19 +412,19 @@ class StageRunner:
                 print(f"[dapt] epoch {epoch + 1} loss {loss:.6f}")
         model.save_embeddings(self.write("mlm_embeddings"))
 
-    def _triples_file(self) -> Path:
-        if self.config.external_triples_path:
-            return Path(self.input("external_triples"))
-        return self.read("weak_triples", "run synth-weak or set external_triples_path")
+    def _usable_triples(self, usable) -> list:
+        """usable(weak triples of --triples-file, else of weak_triples.jsonl), if it keeps any."""
+        path = (self.input("external_triples") if self.config.external_triples_path
+                else self.read("weak_triples", "run synth-weak or set external_triples_path"))
+        if not (triples := usable(self.load(path, weaksup.read_triples))):
+            raise ConfigError(f"no usable triples in {path}")
+        return triples
 
     def stage_train_dense(self):
         vocab, pieces = self.tokenized_corpus()
-        triples_file = self._triples_file()
-        weak = self.load(triples_file, weaksup.read_triples)
         rng = np.random.default_rng(self.config.seed)
-        triples = training_triples(weak, pieces, vocab, self.config, rng, self.stopwords())
-        if not triples:
-            raise ConfigError(f"no usable triples in {triples_file}")
+        triples = self._usable_triples(lambda weak: training_triples(
+            weak, pieces, vocab, self.config, rng, self.stopwords()))
         encoder = dense.DenseEncoder.init(len(vocab), self.config.dim, self.config.seed)
         if self.config.warm_start:
             path = self.read("mlm_embeddings")
@@ -532,14 +544,10 @@ class StageRunner:
 
     def stage_select_train(self):
         extractor = self._feature_extractor()
-        queries = self.load_queries()
-        qrels = self.load_qrels()
-        triples_file = self._triples_file()
+        queries, qrels = self.load_queries(), self.load_qrels()
         ordinal_of = extractor.index.ordinal_of
-        pool = [t for t in self.load(triples_file, weaksup.read_triples)
-                if t.pos_doc_id in ordinal_of and t.neg_doc_id in ordinal_of]
-        if not pool:
-            raise ConfigError(f"no usable triples in {triples_file}")
+        pool = self._usable_triples(lambda weak: [
+            t for t in weak if t.pos_doc_id in ordinal_of and t.neg_doc_id in ordinal_of])
         context = weaksup.SelectionContext(extractor, queries, qrels, self.config.select_depth)
         rng = np.random.default_rng(self.config.seed + 1)
         size = min(self.config.select_batch, len(pool))
@@ -594,34 +602,27 @@ class StageRunner:
         print("\n".join(lines))
 
     def stage_analyze(self):
-        vocab = self.load(self.read("vocab"), SubwordVocab.load)
+        c, vocab = self.config, self.load(self.read("vocab"), SubwordVocab.load)
         index, docs = self.indexed_docs()
-        queries = self.load_queries()
-        qrels = self.load_qrels()
-        n_external = 0
-        if self.config.external_triples_path:
-            n_external = len(self.load(self.input("external_triples"), weaksup.read_triples))
-        reference = None
-        if self.config.reference_texts_path:
-            reference = [line for _, line in read_lines(self.input("reference_texts"))]
-        report = analyze_domain_gap(self.config, docs, queries, qrels, vocab, index,
-                                    n_external, reference)
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        write_atomic(self.write("analysis_json"), payload)
-        lines = [
-            f"documents                : {report['n_documents']}",
-            f"queries                  : {report['n_queries']}",
-            f"judged queries           : {report['n_judged_queries']}",
-            f"relevance judgments      : {report['n_judgments']}",
-            f"external weak triples    : {report['n_external_weak_triples']}",
-            f"subword ratio (queries)  : {report['subword_ratio_queries']:.6f}",
-            f"subword ratio (corpus)   : {report['subword_ratio_corpus']:.6f}",
-        ]
-        if report.get("subword_ratio_reference") is not None:
-            lines.append(f"subword ratio (reference): {report['subword_ratio_reference']:.6f}")
-        lines.append(
-            f"coverage@{self.config.coverage_k:<4}            : {report['coverage_at_k']:.6f}")
-        text = "\n".join(lines) + "\n"
+        queries, qrels = self.load_queries(), self.load_qrels()
+        external = self.load(self.input("external_triples"), weaksup.read_triples) if (
+            c.external_triples_path) else []
+        reference = [line for _, line in read_lines(self.input("reference_texts"))] if (
+            c.reference_texts_path) else None
+        run = {q.query_id: search_topk(index, q, c.coverage_k, c.k1, c.b) for q in queries}
+        report = {
+            "n_documents": len(docs), "n_queries": len(queries), "coverage_k": c.coverage_k,
+            "n_judged_queries": len(qrels.query_ids()),
+            "n_judgments": sum(len(v) for v in qrels.judgments.values()),
+            "n_external_weak_triples": len(external),
+            "subword_ratio_queries": subword_ratio([q.raw_text for q in queries], vocab),
+            "subword_ratio_corpus": subword_ratio([d.text() for d in docs], vocab),
+            "subword_ratio_reference": None if reference is None else subword_ratio(reference, vocab),
+            "coverage_at_k": coverage_at_k(run, qrels, c.coverage_k),
+        }
+        write_atomic(self.write("analysis_json"), json.dumps(report, indent=2, sort_keys=True) + "\n")
+        text = "".join(f"{label.format_map(report):<25}: {report[key]:{spec}}\n"
+                       for label, key, spec in ANALYSIS_LINES if report[key] is not None)
         write_atomic(self.write("analysis_text"), text)
         print(text)
 
@@ -655,26 +656,6 @@ def training_triples(weak, pieces: TokenizedCorpus, vocab, config: PipelineConfi
             tuple(tokenize_query(preprocess_query(t.query, stopwords), vocab, config.max_seq_len)),
             positive, (negative, *map(pieces.row, drawn[1:]))))
     return triples
-
-
-def analyze_domain_gap(config: PipelineConfig, docs, queries, qrels, vocab, index,
-                       n_external: int = 0, reference_lines=None) -> dict:
-    """The domain-gap measurements: subword ratios, label counts, coverage@k."""
-    run = {q.query_id: search_topk(index, q, config.coverage_k, config.k1, config.b)
-           for q in queries}
-    return {
-        "n_documents": len(docs),
-        "n_queries": len(queries),
-        "n_judged_queries": len(qrels.query_ids()),
-        "n_judgments": sum(len(v) for v in qrels.judgments.values()),
-        "n_external_weak_triples": n_external,
-        "subword_ratio_queries": subword_ratio([q.raw_text for q in queries], vocab),
-        "subword_ratio_corpus": subword_ratio([d.text() for d in docs], vocab),
-        "subword_ratio_reference":
-            None if reference_lines is None else subword_ratio(reference_lines, vocab),
-        "coverage_k": config.coverage_k,
-        "coverage_at_k": coverage_at_k(run, qrels, config.coverage_k),
-    }
 
 
 def _lock_holder_is_dead(lock: Path) -> bool:

@@ -6,7 +6,7 @@ NDCG uses linear gain and the log2(r + 1) discount by default; exponential
 gain (2^g - 1) is available behind the `gain` flag. Queries with no relevant
 document score 0 and are flagged; they stay in means unless explicitly
 skipped. An ideal DCG that overflows a float raises NumericError, not nan.
-mean_ndcg scores a rerank.Ranking from its doc-id rows, as ndcg_at_k scores
+mean_ndcg takes a rerank.Ranking and scores its doc-id rows as ndcg_at_k scores
 each row's RankedList, without building those lists.
 """
 
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .checkpoint import read_lines, write_atomic
 from .corpus import Qrels
 from .errors import NumericError, ParseError, ToolkitWarning
-from .rerank import Ranking
 from .sparse import RankedList
 
 GAIN_FUNCTIONS = {
@@ -64,12 +63,11 @@ def precision_at_k(ranking: RankedList, qrels_entry, k: int) -> float:
     return hits / k
 
 
-def mean_ndcg(rankings, qrels: Qrels, k: int) -> float:
-    """Mean NDCG@k over every ranking (a rerank.Ranking's rows or RankedLists),
-    a query absent from `qrels` scoring 0; 0.0 when there are no rankings."""
-    rows = (zip(rankings.query_ids, rankings.doc_ids[:, :k].tolist()) if isinstance(rankings, Ranking)
-            else ((r.query_id, [d for d, _ in r.entries[:k]]) for r in rankings))
-    values = [_ndcg(q, doc_ids, qrels.judgments.get(q, {}), k) for q, doc_ids in rows]
+def mean_ndcg(ranking, qrels: Qrels, k: int) -> float:
+    """Mean NDCG@k over the rows of a rerank.Ranking, a query absent from
+    `qrels` scoring 0; 0.0 when it has no rows."""
+    values = [_ndcg(q, doc_ids, qrels.judgments.get(q, {}), k)
+              for q, doc_ids in zip(ranking.query_ids, ranking.doc_ids[:, :k].tolist())]
     return sum(values) / len(values) if values else 0.0
 
 

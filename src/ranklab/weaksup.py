@@ -173,15 +173,9 @@ def synthesize_with_provenance(docs, index: InvertedIndex, count: int, seed: int
     return records
 
 
-def synthesize_triples(docs, index: InvertedIndex, count: int, seed: int = 0,
-                       retrieval_depth: int = DEFAULT_RETRIEVAL_DEPTH,
-                       max_query_terms: int = DEFAULT_MAX_QUERY_TERMS,
-                       stopwords=ENGLISH_STOPWORDS, include_stage1: bool = False,
-                       k1: float = DEFAULT_K1, b: float = DEFAULT_B,
-                       view: CorpusTerms | None = None) -> list[WeakTriple]:
-    records = synthesize_with_provenance(docs, index, count, seed, retrieval_depth,
-                                         max_query_terms, stopwords, include_stage1, k1, b, view)
-    return [r.triple for r in records]
+def synthesize_triples(*args, **kwargs) -> list[WeakTriple]:
+    """The triples of synthesize_with_provenance(*args, **kwargs), without their provenance."""
+    return [r.triple for r in synthesize_with_provenance(*args, **kwargs)]
 
 
 def write_triples(triples, path) -> None:
@@ -232,9 +226,10 @@ class SelectorPolicy:
 
     def __init__(self, weights=None, seed: int = 0):
         self.weights = (
-            np.zeros(N_INSTANCE_FEATURES)
-            if weights is None else np.array(weights, dtype=np.float64)
+            np.zeros(N_INSTANCE_FEATURES) if weights is None else np.array(weights, dtype=np.float64)
         )
+        if self.weights.shape != (N_INSTANCE_FEATURES,):
+            raise ValueError(f"expected {N_INSTANCE_FEATURES} weights, got {self.weights.shape}")
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.baseline = 0.0
@@ -265,6 +260,8 @@ class SelectorPolicy:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
             policy = cls(np.asarray(payload["weights"]), seed=payload["seed"])
+            if not np.isfinite(policy.weights).all():
+                raise ValueError("weights must be finite")
             policy.baseline = payload["baseline"]
             policy.reward_count = payload["reward_count"]
         except (KeyError, TypeError, ValueError) as exc:

@@ -26,7 +26,6 @@ from ranklab.cli import (
     PipelineConfig,
     StageRunner,
     _build_parser,
-    analyze_domain_gap,
     main,
     run_pipeline,
     training_triples,

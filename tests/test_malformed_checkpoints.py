@@ -115,7 +115,10 @@ def test_inconsistent_shapes_are_config_errors(tmp_path, separable, name):
 
 
 @pytest.mark.parametrize("payload", ['[1, 2]', '{"weights": [0, 0, 0, 0, 0, 0]}',
-                                     '{"weights": [0, 0, 0, 0, 0, 0], "seed": 0'])
+                                     '{"weights": [0, 0, 0, 0, 0, 0], "seed": 0', *(
+    # well-formed files whose weights are not six finite numbers
+    f'{{"weights": {w}, "seed": 0, "baseline": 0.0, "reward_count": 0}}'
+    for w in ("null", "[1.0, 2.0]", "[[0, 0, 0, 0, 0, 0]]", "[0, 0, NaN, 0, 0, 0]"))])
 def test_corrupt_policy_file_is_config_error(tmp_path, payload):
     path = tmp_path / "policy.json"
     path.write_text(payload)

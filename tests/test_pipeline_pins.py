@@ -97,3 +97,38 @@ def test_manifest_hashes_each_file_once_and_sees_rewrites(tmp_path, monkeypatch)
     index_bin = str(tmp_path / "work" / "index.bin")
     assert third["outputs"][index_bin] == sha256(tmp_path / "work" / "index.bin")
     assert third["outputs"][index_bin] != first["outputs"][index_bin]
+
+
+# sha256 of analysis.txt and analysis.json on the 200-doc fixture, as analyze
+# wrote them with one hand-written line per measurement. "inputs" also reads
+# reference texts and an external triples file, and its coverage_k is wider
+# than the four columns the coverage label pads its k to
+ANALYSIS_SHA256 = {
+    "default": ("4b7209031e10cd21a7725eda50f2090a2d626d4b4ff4ba555a97b9cdeb72f30e",
+                "8e036601aec90231c94a6b97072cccbfd763597e83bed206a4a37620ac6cae01"),
+    "inputs": ("5e8c70847e5c5bfc5696b0a2656558e18fc6983d6724d94268e7c71fd33419dd",
+               "ebace5259d8654208792d267238cb2235bdeb0c9990683ca78c7ca94b7a45f50"),
+}
+
+
+@pytest.mark.parametrize("case", list(ANALYSIS_SHA256))
+def test_fixture_analysis_is_pinned(tmp_path, capsys, case):
+    corpus, queries, qrels = write_fixture_inputs(tmp_path, DEFAULT_TOPICS, DEFAULT_DOCS_PER_TOPIC)
+    config = PipelineConfig(corpus_path=str(corpus), queries_path=str(queries),
+                            qrels_path=str(qrels), workdir=str(tmp_path / "work"))
+    run_pipeline(config, ["ingest", "index"])
+    argv = ["analyze", "--corpus", str(corpus), "--queries", str(queries), "--qrels", str(qrels),
+            "--workdir", config.workdir]
+    if case == "inputs":
+        reference = tmp_path / "reference.txt"
+        reference.write_text("t0w12 antiviral t1w3 cohort\nremdesivir t2w7 outcomes\n")
+        triples = tmp_path / "external.jsonl"
+        triples.write_text("".join(json.dumps({"query": q, "pos_doc_id": p, "neg_doc_id": n}) + "\n"
+                                   for q, p, n in [("x", "t00d00", "t01d00"), ("y", "t02d03", "t00d00")]))
+        argv += ["--reference-texts", str(reference), "--set", f"external_triples_path={triples}",
+                 "--coverage-k", "12345"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    work = tmp_path / "work"
+    assert capsys.readouterr().out == (work / "analysis.txt").read_text() + "\n"
+    assert (sha256(work / "analysis.txt"), sha256(work / "analysis.json")) == ANALYSIS_SHA256[case]

@@ -17,7 +17,7 @@ from ranklab.corpus import Qrels, Query, load_queries
 from ranklab.dense import DenseEncoder, DenseIndex, build_dense_index, dense_search_topk
 from ranklab.errors import ConfigError, NumericError
 from ranklab.evaluation import mean_ndcg, ndcg_at_k, precision_at_k, read_qrels
-from ranklab.rerank import FeatureExtractor, Ranker
+from ranklab.rerank import FeatureExtractor, Ranker, Ranking
 from ranklab.sparse import RankedList, search_topk
 from ranklab.stopwords import ENGLISH_STOPWORDS
 from ranklab.subword import SubwordVocab, tokenize, tokenize_corpus
@@ -202,9 +202,11 @@ def test_dense_dev_ndcg_matches_the_former_loop(tmp_path, monkeypatch, seed):
 
 def test_mean_ndcg_scores_an_unjudged_query_zero():
     qrels = Qrels({1: {"a": 1}})
-    rankings = [RankedList.from_scores(1, [("a", 1.0)]), RankedList.from_scores(2, [("a", 1.0)])]
+    rankings = Ranking([1, 2], np.array([["a"], ["a"]], dtype=object), np.zeros((2, 1), dtype=np.intp),
+                       np.ones((2, 1)))
+    empty = Ranking([], np.empty((0, 0), dtype=object), np.empty((0, 0), dtype=np.intp), np.empty((0, 0)))
     assert mean_ndcg(rankings, qrels, 10) == 0.5
-    assert mean_ndcg([], qrels, 10) == 0.0
+    assert mean_ndcg(empty, qrels, 10) == 0.0
 
 
 # -- the fusion bounds PipelineConfig declares -----------------------------

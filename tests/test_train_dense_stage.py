@@ -52,6 +52,22 @@ def test_train_dense_on_an_empty_triples_file_is_exit_2(ingested, tmp_path, caps
     assert not (work / "encoder.ckpt").exists()
 
 
+def test_select_train_without_usable_triples_is_exit_2(ingested, tmp_path, capsys):
+    """select-train keeps only triples whose documents are both in index.bin."""
+    work, common = ingested
+    assert main(["pipeline", "--stages", "index,synth-weak,train-dense", "--set", "triples_count=8",
+                 "--set", "dense_epochs=2", *common]) == 0
+    triples = tmp_path / "triples.jsonl"
+    triples.write_text("".join(json.dumps({"query": "alpha", "pos_doc_id": p, "neg_doc_id": n}) + "\n"
+                               for p, n in [("nope", "nix"), ("nix", "gone")]))
+    capsys.readouterr()
+    assert main(["select-train", "--triples-file", str(triples), *common]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: no usable triples in {triples}\n"
+    assert captured.out == ""
+    assert not (work / "ranker.ckpt").exists() and not (work / "policy.json").exists()
+
+
 def test_corrupt_vocab_is_exit_2(ingested, capsys):
     work, common = ingested
     vocab = work / "vocab.json"
