@@ -32,11 +32,12 @@ the dense lists), interp in rerank.rerank's block score with --alpha, rrf on
 each reranked list and its dense list; _report scores a run as evaluate does.
 rerank writes _ranking, evaluate _report, and depth-sweep _report(_ranking)'s
 overall line at each depth, so its row at the rerank depth is evaluate's. The
-candidates and dense lists are kept under the files and settings the extractor
-is built from. Fusion runs on arrays: one dense.dense_top_k call gives a stage's
-dense lists as doc-id ranks, for union, rrf and train-dense's dev rankings;
-rerank.rrf_top_k fuses them; lists built from arrays leave as rerank.Ranking rows,
-mean_ndcg scores dev rows as they are, and rerank builds one RankedList per query.
+candidates and dense lists are kept together as one entry, under the extractor's
+files and the list settings. Fusion runs on arrays: one dense.dense_top_k call gives
+a stage's dense lists as doc-id ranks, for union, rrf and train-dense's dev
+rankings; rerank.rrf_top_k fuses them; lists built from arrays leave as
+rerank.Ranking rows, mean_ndcg scores dev rows as they are, and rerank builds one
+RankedList per query.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
@@ -119,14 +120,13 @@ ERROR_EXITS = ((ConfigError, "config error", EXIT_CONFIG), (ParseError, "input e
 COMMANDS = STAGES + ("pipeline",)
 
 # analysis.txt renders the analysis.json record: a line per (label, key, value format) whose
-# value is not None, the label formatted from the record and padded to 25 columns (the coverage
-# label keeps 12 spaces after k padded to 4, so each digit of k past 4 widens its line)
+# value is not None, the label formatted from the record and padded to 25 columns
 ANALYSIS_LINES = (
     ("documents", "n_documents", ""), ("queries", "n_queries", ""),
     ("judged queries", "n_judged_queries", ""), ("relevance judgments", "n_judgments", ""),
     ("external weak triples", "n_external_weak_triples", ""),
     *((f"subword ratio ({of})", f"subword_ratio_{of}", ".6f") for of in ("queries", "corpus", "reference")),
-    ("coverage@{coverage_k:<4}            ", "coverage_at_k", ".6f"))
+    ("coverage@{coverage_k}", "coverage_at_k", ".6f"))
 
 # bound -> test; validate reports a failed one as "<key> must be <bound>"
 BOUNDS = {
@@ -475,47 +475,33 @@ class StageRunner:
             self.load(self.read("dense_index"), dense.DenseIndex.load),
             self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
 
-    def _extractor_key(self) -> tuple:
-        """The identities of the files _feature_extractor reads, and the settings
-        of the lists kept under the queries file."""
-        c, names = self.config, ("index", "encoder", "vocab", "dense_index")
-        paths = [*map(self.artifact, names), *([self.input("stopwords")] if c.stopwords_path else [])]
-        return (*map(file_identity, paths), c.k1, c.b, c.max_seq_len, c.topk)
-
-    def _dense_ranks(self, extractor) -> np.ndarray:
-        """Each query's dense top-k as doc-id ranks, in query order: the second
-        list of union and rrf fusion, kept under the extractor's files."""
-        queries = self.load_queries()
-        return self.load(self.input("queries"), dense.dense_top_k, self._extractor_key(),
-                         make=lambda: dense.dense_top_k(extractor.dense_index, extractor.encoder, [
-                             tokenize_query(q.processed_terms, extractor.vocab, self.config.max_seq_len)
-                             for q in queries], self.config.topk)[0])
-
-    def _candidates(self, extractor):
-        """extractor.candidates at topk, union-fused with the dense top-k under
-        --fusion union, kept under the extractor's files and settings."""
+    def _lists(self, extractor) -> tuple:
+        """(candidates, dense ranks): extractor.candidates at topk, and under union and
+        rrf each query's dense top-k as doc-id ranks in query order, union-fused into the
+        candidates under union; kept under the extractor's files and the list settings."""
         queries, c = self.load_queries(), self.config
-        union = c.rrf_k if c.fusion == "union" else None
+        files = [*map(self.artifact, ("index", "encoder", "vocab", "dense_index")),
+                 *([self.input("stopwords")] if c.stopwords_path else [])]
 
         def make():
-            if union is None:
-                return extractor.candidates(queries, c.topk)
-            dense_ranks = self._dense_ranks(extractor)
-            return extractor.candidates(queries, c.topk, lambda i, ranks: rerank.rrf_top_k(
-                (ranks, dense_ranks[i]), c.topk, union)[0])
-        return self.load(self.input("queries"), rerank.FeatureExtractor.candidates,
-                         self._extractor_key(), union, make=make)
+            dense_ranks = None if c.fusion not in ("union", "rrf") else dense.dense_top_k(
+                extractor.dense_index, extractor.encoder, [tokenize_query(
+                    q.processed_terms, extractor.vocab, c.max_seq_len) for q in queries], c.topk)[0]
+            fuse = None if c.fusion != "union" else (
+                lambda i, ranks: rerank.rrf_top_k((ranks, dense_ranks[i]), c.topk, c.rrf_k)[0])
+            return extractor.candidates(queries, c.topk, fuse), dense_ranks
+        return self.load(self.input("queries"), StageRunner._lists, *map(file_identity, files),
+                         c.k1, c.b, c.max_seq_len, c.topk, c.fusion, c.rrf_k, make=make)
 
     def _ranking(self, extractor, ranker, depth: int) -> Run:
         """Every query's list with its top `depth` reranked by `ranker` and fused
         as --fusion says: union in the candidates, interp in the block score,
         rrf of each reranked list with the query's dense list."""
-        c = self.config
-        ranking = rerank.rerank(ranker, self._candidates(extractor), depth,
-                                c.alpha if c.fusion == "interp" else None)
+        c, (candidates, dense_ranks) = self.config, self._lists(extractor)
+        ranking = rerank.rerank(ranker, candidates, depth, c.alpha if c.fusion == "interp" else None)
         if c.fusion == "rrf":  # each fused list is as long as its reranked one
             ranks, scores = np.empty_like(ranking.ranks), np.empty_like(ranking.scores)
-            for i, dense_row in enumerate(self._dense_ranks(extractor)):
+            for i, dense_row in enumerate(dense_ranks):
                 ranks[i], scores[i] = rerank.rrf_top_k((ranking.ranks[i], dense_row), c.topk, c.rrf_k)
             ranking = rerank.Ranking(ranking.query_ids, extractor.dense_index.by_rank[ranks], ranks, scores)
         return Run(dict(zip(ranking.query_ids, ranking)), c.run_tag)

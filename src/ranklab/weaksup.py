@@ -260,10 +260,13 @@ class SelectorPolicy:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
             policy = cls(np.asarray(payload["weights"]), seed=payload["seed"])
+            policy.baseline, policy.reward_count = payload["baseline"], payload["reward_count"]
             if not np.isfinite(policy.weights).all():
                 raise ValueError("weights must be finite")
-            policy.baseline = payload["baseline"]
-            policy.reward_count = payload["reward_count"]
+            if type(policy.baseline) not in (int, float) or not np.isfinite(policy.baseline):
+                raise ValueError("baseline must be a finite number")
+            if type(policy.reward_count) is not int or policy.reward_count < 0:
+                raise ValueError("reward_count must be an int >= 0")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: corrupt policy file ({exc!r})") from exc
         return policy

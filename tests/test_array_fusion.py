@@ -208,7 +208,7 @@ def test_union_candidates_fuse_without_ranked_lists(tmp_path, monkeypatch):
         runner.run(stage)
     extractor = runner._feature_extractor()
     built = _count_ranked_lists(monkeypatch)
-    candidates = runner._candidates(extractor)
+    candidates = runner._lists(extractor)[0]
     assert built == []
     # each fused list is the one fuse_base_union gives for the query's two lists
     for query, doc_ids in zip(runner.load_queries(), candidates.doc_ids):

@@ -118,7 +118,10 @@ def test_inconsistent_shapes_are_config_errors(tmp_path, separable, name):
                                      '{"weights": [0, 0, 0, 0, 0, 0], "seed": 0', *(
     # well-formed files whose weights are not six finite numbers
     f'{{"weights": {w}, "seed": 0, "baseline": 0.0, "reward_count": 0}}'
-    for w in ("null", "[1.0, 2.0]", "[[0, 0, 0, 0, 0, 0]]", "[0, 0, NaN, 0, 0, 0]"))])
+    for w in ("null", "[1.0, 2.0]", "[[0, 0, 0, 0, 0, 0]]", "[0, 0, NaN, 0, 0, 0]")), *(
+    # well-formed weights with a baseline that is not a finite number or a count that is not an int >= 0
+    f'{{"weights": [0, 0, 0, 0, 0, 0], "seed": 0, "baseline": {b}, "reward_count": {n}}}'
+    for b, n in (('"x"', 0), ("NaN", 0), ("0.0", -3), ("0.0", 1.5)))])
 def test_corrupt_policy_file_is_config_error(tmp_path, payload):
     path = tmp_path / "policy.json"
     path.write_text(payload)

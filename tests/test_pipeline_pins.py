@@ -101,12 +101,12 @@ def test_manifest_hashes_each_file_once_and_sees_rewrites(tmp_path, monkeypatch)
 
 # sha256 of analysis.txt and analysis.json on the 200-doc fixture, as analyze
 # wrote them with one hand-written line per measurement. "inputs" also reads
-# reference texts and an external triples file, and its coverage_k is wider
-# than the four columns the coverage label pads its k to
+# reference texts and an external triples file, and its coverage_k has five
+# digits; its analysis.txt pads the coverage label to 25 columns like every other
 ANALYSIS_SHA256 = {
     "default": ("4b7209031e10cd21a7725eda50f2090a2d626d4b4ff4ba555a97b9cdeb72f30e",
                 "8e036601aec90231c94a6b97072cccbfd763597e83bed206a4a37620ac6cae01"),
-    "inputs": ("5e8c70847e5c5bfc5696b0a2656558e18fc6983d6724d94268e7c71fd33419dd",
+    "inputs": ("475328189ed1a0a9c3fb840cddf8bac34327fb290efb5fabc6208cd79ae532b1",
                "ebace5259d8654208792d267238cb2235bdeb0c9990683ca78c7ca94b7a45f50"),
 }
 
@@ -131,4 +131,5 @@ def test_fixture_analysis_is_pinned(tmp_path, capsys, case):
     assert main(argv) == 0
     work = tmp_path / "work"
     assert capsys.readouterr().out == (work / "analysis.txt").read_text() + "\n"
+    assert all(line.index(":") == 25 for line in (work / "analysis.txt").read_text().splitlines())
     assert (sha256(work / "analysis.txt"), sha256(work / "analysis.json")) == ANALYSIS_SHA256[case]

@@ -1,11 +1,11 @@
 """Within one StageRunner, evaluate and depth-sweep reuse what rerank built.
 
 rerank keeps the run it writes as read_run would parse run.trec back, and its
-candidates (union-fused under --fusion union) and dense lists under the queries
-file and the extractor's files, so evaluate parses no run and depth-sweep builds
-no candidates or dense lists while those files and settings are the same; a
-rewritten file or another setting is read or built again, as every memoized
-result is. A
+candidates (union-fused under --fusion union) and dense lists as one entry under
+the queries file, the extractor's files and the list settings, so evaluate parses
+no run and depth-sweep builds no candidates or dense lists while those files and
+settings are the same; a rewritten file or another setting is read or built
+again, as every memoized result is. A
 query's ideal DCG is summed once per (k, gain) and dropped when Qrels.add
 changes its judgments.
 """
@@ -106,7 +106,7 @@ def test_a_union_depth_sweep_sweeps_the_fused_candidates(tmp_path, monkeypatch):
     runner = StageRunner(config)
     _run_stages(runner, STAGES[:STAGES.index("rerank")])
     runner.run("rerank")
-    fused = runner.parsed[Path(config.queries_path), rerank.FeatureExtractor.candidates][1]
+    fused = runner.parsed[Path(config.queries_path), StageRunner._lists][1][0]
     swept = []
     real = rerank.rerank
     monkeypatch.setattr(rerank, "rerank", lambda r, candidates, *args:
@@ -138,17 +138,23 @@ def _rewrite_encoder(runner):
     path.write_bytes(data)
 
 
+@pytest.mark.parametrize("fusion", ["none", "union", "rrf"])
 @pytest.mark.parametrize("change", [_set_topk, _rewrite_queries, _rewrite_encoder],
                          ids=["topk", "queries", "encoder"])
-def test_depth_sweep_builds_candidates_again_when_an_input_changes(tmp_path, monkeypatch, change):
-    runner = StageRunner(_config(tmp_path))
-    calls = []
-    _count_candidates(monkeypatch, calls)  # before rerank keeps its candidates under the method
+def test_depth_sweep_builds_candidates_again_when_an_input_changes(tmp_path, monkeypatch, change,
+                                                                   fusion):
+    runner = StageRunner(_config(tmp_path, fusion=fusion))
+    calls, dense_calls = [], []
+    _count_candidates(monkeypatch, calls)  # before rerank keeps its lists
+    real = dense.dense_top_k
+    monkeypatch.setattr(dense, "dense_top_k", lambda *args: dense_calls.append(args[3]) or real(*args))
     _run_stages(runner, STAGES[:STAGES.index("rerank") + 1])
     change(runner)
     calls.clear()
+    dense_calls.clear()
     runner.run("depth-sweep")
     assert calls == [runner.config.topk]
+    assert dense_calls == ([] if fusion == "none" else [runner.config.topk])
     sweep = tmp_path / "work" / "depth_sweep.tsv"
     kept = sweep.read_bytes()
     StageRunner(runner.config).run("depth-sweep")
