@@ -20,24 +20,22 @@ and the package version. Stages exchange only files, but parse them through
 StageRunner.load, the only code that writes its memo: within one pipeline run,
 a file is parsed again only when its size, mtime or inode has changed since a
 stage parsed it. index.bin alone is loaded afresh by every stage that reads it.
-ingest keeps the vocab it trains under vocab.json, and train-dense the encoder and
-dense index it saves under their files, so select-train parses neither. Under the
-corpus file the memo also keeps its corpus_terms view, which ingest, index, synth-weak
-and tokenize_corpus read, and the flat encoding dapt masks and train-dense uses, under
-the vocab and max_seq_len too; train-dense pools every dense index by build_dense_index.
-rerank keeps the run write_run returns for evaluate. One ranking rule and one
-scoring rule: StageRunner._ranking reranks every query's list to a depth and
-fuses it as --fusion says, union in the candidates (the BM25 lists fused with
-the dense lists), interp in rerank.rerank's block score with --alpha, rrf on
-each reranked list and its dense list; _report scores a run as evaluate does.
-rerank writes _ranking, evaluate _report, and depth-sweep _report(_ranking)'s
-overall line at each depth, so its row at the rerank depth is evaluate's. The
-candidates and dense lists are kept together as one entry, under the extractor's
-files and the list settings. Fusion runs on arrays: one dense.dense_top_k call gives
-a stage's dense lists as doc-id ranks, for union, rrf and train-dense's dev
-rankings; rerank.rrf_top_k fuses them; lists built from arrays leave as
-rerank.Ranking rows, mean_ndcg scores dev rows as they are, and rerank builds one
-RankedList per query.
+The memo holds two kinds of entry: a file parsed by its reader, and a value
+built by make, either derived under the StageRunner method that owns it
+(corpus_terms, tokenized_corpus, _lists; keyed also by the vocab and settings
+they use) or kept after a write under its file's reader (vocab, encoder, dense
+index, run), so later stages do not parse it. train-dense pools every dense
+index by build_dense_index. One ranking rule and one scoring rule:
+StageRunner._ranking reranks every query's list to a depth and fuses it as
+--fusion says, union in the candidates (the BM25 lists fused with the dense
+lists), interp in rerank.rerank's block score with --alpha, rrf on each reranked
+list and its dense list; _report scores a run as evaluate does. rerank writes
+_ranking, evaluate _report, and depth-sweep _report(_ranking)'s overall line at
+each depth, so its row at the rerank depth is evaluate's. Fusion runs on arrays:
+one dense.dense_top_k call gives a stage's dense lists as doc-id ranks, for
+union, rrf and train-dense's dev rankings; rerank.rrf_top_k fuses them; lists
+built from arrays leave as rerank.Ranking rows, mean_ndcg scores dev rows as
+they are, and rerank builds one RankedList per query.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
@@ -372,18 +370,14 @@ class StageRunner:
         return index, docs
 
     def corpus_terms(self):
-        return self.load(self.input("corpus"), self._terms)
-
-    def _terms(self, path):
-        return corpus_terms(self.load(path, load_corpus))
+        return self.load(self.input("corpus"), StageRunner.corpus_terms,
+                         make=lambda: corpus_terms(self.load_docs()))
 
     def tokenized_corpus(self) -> tuple[SubwordVocab, TokenizedCorpus]:
         """The vocab, and the flat piece ids of each document in corpus order."""
-        vocab = self.load(self.read("vocab"), SubwordVocab.load)
-        return vocab, self.load(self.input("corpus"), self._tokenize, vocab, self.config.max_seq_len)
-
-    def _tokenize(self, path, vocab, max_len):
-        return tokenize_corpus(self.load(path, load_corpus), vocab, max_len, self.load(path, self._terms))
+        vocab, max_len = self.load(self.read("vocab"), SubwordVocab.load), self.config.max_seq_len
+        return vocab, self.load(self.input("corpus"), StageRunner.tokenized_corpus, vocab, max_len, make=(
+            lambda: tokenize_corpus(self.load_docs(), vocab, max_len, self.corpus_terms())))
 
     # -- stages -------------------------------------------------------------
 

@@ -84,9 +84,6 @@ class RankedList:
     def doc_ids(self) -> list[str]:
         return [d for d, _ in self.entries]
 
-    def top(self, k: int) -> "RankedList":
-        return RankedList(self.query_id, self.entries[:k])
-
 
 class InvertedIndex:
     """CSR postings, document lengths, and corpus statistics for BM25."""

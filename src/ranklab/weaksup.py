@@ -222,18 +222,25 @@ def instance_features(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
 
 
 class SelectorPolicy:
-    """Logistic per-instance selector on its own copy of the weights, with a running-mean reward baseline."""
+    """Logistic per-instance selector on a copy of the weights with a running-mean reward baseline,
+    its whole state checked when it is built."""
 
-    def __init__(self, weights=None, seed: int = 0):
+    def __init__(self, weights=None, seed: int = 0, baseline: float = 0.0, reward_count: int = 0):
         self.weights = (
             np.zeros(N_INSTANCE_FEATURES) if weights is None else np.array(weights, dtype=np.float64)
         )
         if self.weights.shape != (N_INSTANCE_FEATURES,):
             raise ValueError(f"expected {N_INSTANCE_FEATURES} weights, got {self.weights.shape}")
-        self.seed = seed
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
+        if type(seed) is not int or seed < 0:
+            raise ValueError("seed must be an int >= 0")
+        if type(baseline) not in (int, float) or not np.isfinite(baseline):
+            raise ValueError("baseline must be a finite number")
+        if type(reward_count) is not int or reward_count < 0:
+            raise ValueError("reward_count must be an int >= 0")
+        self.seed, self.baseline, self.reward_count = seed, baseline, reward_count
         self.rng = np.random.default_rng(seed)
-        self.baseline = 0.0
-        self.reward_count = 0
 
     def selection_probability(self, features) -> float:
         p = logistic(float(np.dot(self.weights, features)))
@@ -259,17 +266,10 @@ class SelectorPolicy:
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-            policy = cls(np.asarray(payload["weights"]), seed=payload["seed"])
-            policy.baseline, policy.reward_count = payload["baseline"], payload["reward_count"]
-            if not np.isfinite(policy.weights).all():
-                raise ValueError("weights must be finite")
-            if type(policy.baseline) not in (int, float) or not np.isfinite(policy.baseline):
-                raise ValueError("baseline must be a finite number")
-            if type(policy.reward_count) is not int or policy.reward_count < 0:
-                raise ValueError("reward_count must be an int >= 0")
+            return cls(np.asarray(payload["weights"], dtype=np.float64), payload["seed"],
+                       payload["baseline"], payload["reward_count"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: corrupt policy file ({exc!r})") from exc
-        return policy
 
 
 class SelectionContext:

@@ -30,7 +30,8 @@ def former_reciprocal_rank_fusion(lists, k, rrf_k=60):
     for rl in lists:
         for rank, (doc_id, _) in enumerate(rl.entries, start=1):
             scores[doc_id] = scores.get(doc_id, 0.0) + 1.0 / (rrf_k + rank)
-    return RankedList.from_scores(lists[0].query_id, scores.items()).top(k)
+    q = lists[0].query_id
+    return RankedList(q, RankedList.from_scores(q, scores.items()).entries[:k])
 
 
 def exact(ranking):

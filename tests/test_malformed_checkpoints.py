@@ -121,7 +121,9 @@ def test_inconsistent_shapes_are_config_errors(tmp_path, separable, name):
     for w in ("null", "[1.0, 2.0]", "[[0, 0, 0, 0, 0, 0]]", "[0, 0, NaN, 0, 0, 0]")), *(
     # well-formed weights with a baseline that is not a finite number or a count that is not an int >= 0
     f'{{"weights": [0, 0, 0, 0, 0, 0], "seed": 0, "baseline": {b}, "reward_count": {n}}}'
-    for b, n in (('"x"', 0), ("NaN", 0), ("0.0", -3), ("0.0", 1.5)))])
+    for b, n in (('"x"', 0), ("NaN", 0), ("0.0", -3), ("0.0", 1.5))),
+    # a seed that is a bool, which numpy's generator would take as 0 or 1
+    '{"weights": [0, 0, 0, 0, 0, 0], "seed": true, "baseline": 0.0, "reward_count": 0}'])
 def test_corrupt_policy_file_is_config_error(tmp_path, payload):
     path = tmp_path / "policy.json"
     path.write_text(payload)

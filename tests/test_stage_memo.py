@@ -79,6 +79,38 @@ def test_a_rewritten_qrels_file_is_parsed_again(tmp_path, monkeypatch):
     assert overall["n_queries"] == 1, overall
 
 
+@pytest.mark.parametrize("change, rebuilt", [
+    ("rewrite", ["load_corpus", "corpus_terms", "tokenize_corpus"]),
+    ("max_seq_len", ["tokenize_corpus"])])
+def test_train_dense_rebuilds_the_corpus_entries_whose_key_changed(tmp_path, monkeypatch,
+                                                                   change, rebuilt):
+    """The corpus's parse, term view and encoding are memo entries under the corpus file:
+    rewriting it rebuilds all three once each, and another max_seq_len only the encoding,
+    from the term view the memo already holds."""
+    config = _config(tmp_path)
+    calls = []
+    for name in ("load_corpus", "corpus_terms", "tokenize_corpus"):
+        _counting(monkeypatch, name, calls)
+    runner = StageRunner(config)
+    for stage in ("ingest", "index", "synth-weak", "dapt"):
+        runner.run(stage)
+    corpus = Path(config.corpus_path)
+    if change == "rewrite":
+        corpus.write_bytes(corpus.read_bytes())
+        st = corpus.stat()  # a later mtime, even where the clock is coarser than the stages
+        os.utime(corpus, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    else:
+        config.max_seq_len = 8
+    calls.clear()
+    runner.run("train-dense")
+    assert calls == rebuilt
+    assert sum(key[0] == corpus for key in runner.parsed) == 3
+    # what a runner that has parsed nothing yet writes from the same files
+    written = {n: (tmp_path / "work" / n).read_bytes() for n in ("encoder.ckpt", "dense_index.bin")}
+    StageRunner(config).run("train-dense")
+    assert all((tmp_path / "work" / n).read_bytes() == b for n, b in written.items())
+
+
 def _counting_dense_loads(monkeypatch, calls):
     """Record the file name of every DenseIndex.load and DenseEncoder.load call."""
     for cls in (dense.DenseIndex, dense.DenseEncoder):

@@ -521,11 +521,21 @@ class TestSelectorPolicy:
         assert policy.reward_count == 3
 
     def test_save_load_round_trip(self, tmp_path):
-        policy = SelectorPolicy(np.arange(6, dtype=float), seed=4)
-        policy.record_reward(0.25)
         path = tmp_path / "policy.json"
-        policy.save(path)
-        loaded = SelectorPolicy.load(path)
-        np.testing.assert_array_equal(loaded.weights, policy.weights)
-        assert loaded.baseline == policy.baseline
-        assert loaded.reward_count == policy.reward_count
+        for state in ({}, {"baseline": -0.5, "reward_count": 7}):
+            policy = SelectorPolicy(np.arange(6, dtype=float), seed=4, **state)
+            policy.record_reward(0.25)
+            policy.save(path)
+            loaded = SelectorPolicy.load(path)
+            np.testing.assert_array_equal(loaded.weights, policy.weights)
+            assert loaded.seed == policy.seed
+            assert loaded.baseline == policy.baseline
+            assert loaded.reward_count == policy.reward_count == state.get("reward_count", 0) + 1
+
+    @pytest.mark.parametrize("state", [
+        {"seed": True}, {"seed": -1}, {"seed": 1.5}, {"baseline": float("nan")},
+        {"baseline": True}, {"reward_count": -1}, {"reward_count": 1.0},
+        {"weights": [0.0, 0.0, float("nan"), 0.0, 0.0, 0.0]}, {"weights": np.zeros(5)}])
+    def test_a_bad_state_is_rejected_when_built(self, state):
+        with pytest.raises(ValueError):
+            SelectorPolicy(**state)
