@@ -8,10 +8,12 @@ and depth-sweep read document vectors from dense_index.bin and terms from
 index.bin through one FeatureExtractor each, stack all their queries' candidates
 in one call and rescore them with the one rerank.rerank. Every query is encoded
 by subword.tokenize_query. Both training stages, train-dense and select-train,
-read weak triples through _usable_triples. analyze renders analysis.txt from the
-record it writes to analysis.json. Exit codes: 0 success, 2 config or input
-error, 3 dependency error, 4 numeric error. A run locks the work directory; two
-runners that find one dead-pid lock at once can both run (accepted).
+read weak triples through _usable_triples and score dev rankings by NDCG at
+evaluation.DEV_K, the one dev cut-off. analyze renders analysis.txt from the
+record it writes to analysis.json, evaluate report.txt from report.jsonl's.
+Exit codes: 0 success, 2 config or input error, 3 dependency error, 4 numeric
+error. A run locks the work directory; two runners that find one dead-pid lock
+at once can both run (accepted).
 
 A stage opens its files through StageRunner.read (a work-directory artifact),
 input (a file a config key names) and write (an artifact it produces); its
@@ -64,6 +66,7 @@ from .checkpoint import checked, read_lines, write_atomic
 from .corpus import corpus_terms, is_token, load_corpus, load_queries, preprocess_query
 from .errors import ConfigError, DependencyError, NumericError, ParseError, ToolkitError
 from .evaluation import (
+    DEV_K,
     GAIN_FUNCTIONS,
     QuerySplit,
     Run,
@@ -406,11 +409,16 @@ class StageRunner:
                 print(f"[dapt] epoch {epoch + 1} loss {loss:.6f}")
         model.save_embeddings(self.write("mlm_embeddings"))
 
-    def _usable_triples(self, usable) -> list:
-        """usable(weak triples of --triples-file, else of weak_triples.jsonl), if it keeps any."""
-        path = (self.input("external_triples") if self.config.external_triples_path
+    def _usable_triples(self, usable, held) -> list:
+        """usable(weak triples of --triples-file, else of weak_triples.jsonl), if it keeps any;
+        a weak_triples.jsonl that names none of the documents in `held` is stale."""
+        external = self.config.external_triples_path
+        path = (self.input("external_triples") if external
                 else self.read("weak_triples", "run synth-weak or set external_triples_path"))
-        if not (triples := usable(self.load(path, weaksup.read_triples))):
+        weak = self.load(path, weaksup.read_triples)
+        if weak and not external and not any(t.pos_doc_id in held or t.neg_doc_id in held for t in weak):
+            raise DependencyError(f"stale artifact {path.name}: built from other documents; rerun synth-weak")
+        if not (triples := usable(weak)):
             raise ConfigError(f"no usable triples in {path}")
         return triples
 
@@ -418,7 +426,7 @@ class StageRunner:
         vocab, pieces = self.tokenized_corpus()
         rng = np.random.default_rng(self.config.seed)
         triples = self._usable_triples(lambda weak: training_triples(
-            weak, pieces, vocab, self.config, rng, self.stopwords()))
+            weak, pieces, vocab, self.config, rng, self.stopwords()), pieces.ordinal)
         encoder = dense.DenseEncoder.init(len(vocab), self.config.dim, self.config.seed)
         if self.config.warm_start:
             path = self.read("mlm_embeddings")
@@ -440,9 +448,9 @@ class StageRunner:
                 message = f"[train-dense] epoch {epoch + 1} loss {np.mean(losses):.6f}"
                 if dev:
                     index = dense.build_dense_index(encoder, pieces)
-                    ranks, scores = dense.dense_top_k(index, encoder, dev.values(), 10)
+                    ranks, scores = dense.dense_top_k(index, encoder, dev.values(), DEV_K)
                     rankings = rerank.Ranking(list(dev), index.by_rank[ranks], ranks, scores)
-                    message += f" dev-ndcg@10 {mean_ndcg(rankings, qrels, 10):.6f}"
+                    message += f" dev-ndcg@{DEV_K} {mean_ndcg(rankings, qrels, DEV_K):.6f}"
                 print(message)
         if not dev:  # else the final epoch's evaluation built it from this encoder
             index = dense.build_dense_index(encoder, pieces)
@@ -527,7 +535,7 @@ class StageRunner:
         queries, qrels = self.load_queries(), self.load_qrels()
         ordinal_of = extractor.index.ordinal_of
         pool = self._usable_triples(lambda weak: [
-            t for t in weak if t.pos_doc_id in ordinal_of and t.neg_doc_id in ordinal_of])
+            t for t in weak if t.pos_doc_id in ordinal_of and t.neg_doc_id in ordinal_of], ordinal_of)
         context = weaksup.SelectionContext(extractor, queries, qrels, self.config.select_depth)
         rng = np.random.default_rng(self.config.seed + 1)
         size = min(self.config.select_batch, len(pool))
@@ -546,7 +554,7 @@ class StageRunner:
                 keep_all_updates=self.config.keep_all_updates)
             if (step + 1) % self.config.eval_every_steps == 0 or step == self.config.select_steps - 1:
                 print(f"[select-train] step {step + 1} reward {reward:+.6f} "
-                      f"dev-ndcg@10 {context.dev_ndcg(ranker):.6f}")
+                      f"dev-ndcg@{DEV_K} {context.dev_ndcg(ranker):.6f}")
         ranker.save(self.write("ranker"))
         policy.save(self.write("policy"))
 
@@ -567,17 +575,18 @@ class StageRunner:
         else:
             hint = "run the rerank stage (or build an index for base-retrieval evaluation) first"
             report = self._report(self.load(self.read("run", hint), read_run))
-        write_atomic(self.write("report_text"), report.to_text())
+        write_atomic(self.write("report_text"), text := report.to_text())
         write_atomic(self.write("report_jsonl"), report.to_jsonl())
-        print(report.to_text())
+        print(text)
 
     def stage_depth_sweep(self):
         extractor = self._feature_extractor()
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
-        lines = [f"depth\tndcg@{self.config.eval_k}\tp@5"]
-        for depth in self.config.depth_list():
-            overall = self._report(self._ranking(extractor, ranker, depth)).overall
-            lines.append(f"{depth}\t{overall.ndcg:.6f}\t{overall.precision:.6f}")
+        key = f"ndcg@{self.config.eval_k}"
+        lines = [f"depth\t{key}\tp@5"]
+        for depth in self.config.depth_list():  # a row is its depth's overall group record, the first
+            overall = self._report(self._ranking(extractor, ranker, depth)).to_records()[0]
+            lines.append(f"{depth}\t{overall[key]:.6f}\t{overall['p@5']:.6f}")
         write_atomic(self.write("depth_sweep"), "\n".join(lines) + "\n")
         print("\n".join(lines))
 

@@ -7,7 +7,8 @@ gain (2^g - 1) is available behind the `gain` flag. Queries with no relevant
 document score 0 and are flagged; they stay in means unless explicitly
 skipped. An ideal DCG that overflows a float raises NumericError, not nan.
 mean_ndcg takes a rerank.Ranking and scores its doc-id rows as ndcg_at_k scores
-each row's RankedList, without building those lists.
+each row's RankedList, without building those lists. report.txt renders the
+records report.jsonl holds, and each depth_sweep.tsv row its overall group's.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ GAIN_FUNCTIONS = {
     "linear": lambda g: float(g),
     "exp": lambda g: float(2**g - 1),
 }
+DEV_K = 10  # the training stages' dev cut-off: dev rankings are scored by NDCG@DEV_K
+GROUPS = ("overall", "old", "new")  # an EvaluationReport's query groups, in report order
 
 
 def ndcg_at_k(ranking: RankedList, qrels_entry, k: int, gain: str = "linear") -> float:
@@ -139,40 +142,29 @@ class EvaluationReport:
     per_query: tuple[QueryMetrics, ...]
 
     def to_text(self) -> str:
-        lines = [f"{'group':<8} {'queries':>7} {f'ndcg@{self.k}':>10} {'p@5':>8}"]
-        for name, grp in (("overall", self.overall), ("old", self.old), ("new", self.new)):
-            if grp is None:
-                lines.append(f"{name:<8} {'absent':>7}")
-            else:
-                lines.append(f"{name:<8} {grp.n_queries:>7} {grp.ndcg:>10.6f} {grp.precision:>8.6f}")
-        lines.append("")
-        lines.append(f"{'query':>5} {'group':<5} {f'ndcg@{self.k}':>10} {'p@5':>8}  flags")
-        for q in self.per_query:
-            flags = []
-            if q.no_relevant:
-                flags.append("no-relevant")
-            if q.unjudged_in_top_k:
-                flags.append(f"unjudged@{self.k}={q.unjudged_in_top_k}")
+        """report.txt: the records of to_records, a group with no record printed absent."""
+        key, records = f"ndcg@{self.k}", self.to_records()
+        groups = {r["group"]: r for r in records if r["kind"] == "group"}
+        lines = [f"{'group':<8} {'queries':>7} {key:>10} {'p@5':>8}"]
+        for name in GROUPS:
+            lines.append(f"{name:<8} {'absent':>7}" if (g := groups.get(name)) is None
+                         else f"{name:<8} {g['n_queries']:>7} {g[key]:>10.6f} {g['p@5']:>8.6f}")
+        lines += ["", f"{'query':>5} {'group':<5} {key:>10} {'p@5':>8}  flags"]
+        for r in records[len(groups):]:  # the query records follow the group records
+            flags = ["no-relevant"] * r["no_relevant"] + [
+                f"unjudged@{self.k}={r['unjudged_in_top_k']}"] * bool(r["unjudged_in_top_k"])
             lines.append(
-                f"{q.query_id:>5} {q.group:<5} {q.ndcg:>10.6f} {q.precision:>8.6f}  {','.join(flags)}"
-            )
+                f"{r['query_id']:>5} {r['group']:<5} {r[key]:>10.6f} {r['p@5']:>8.6f}  {','.join(flags)}")
         return "\n".join(lines) + "\n"
 
     def to_records(self) -> list[dict]:
-        records = []
-        for name, grp in (("overall", self.overall), ("old", self.old), ("new", self.new)):
-            if grp is not None:
-                records.append({
-                    "kind": "group", "group": name, "n_queries": grp.n_queries,
-                    f"ndcg@{self.k}": grp.ndcg, "p@5": grp.precision,
-                })
-        for q in self.per_query:
-            records.append({
-                "kind": "query", "query_id": q.query_id, "group": q.group,
-                f"ndcg@{self.k}": q.ndcg, "p@5": q.precision,
-                "no_relevant": q.no_relevant, "unjudged_in_top_k": q.unjudged_in_top_k,
-            })
-        return records
+        """report.jsonl's records: one per group the report holds, in GROUPS order, then one per query."""
+        key = f"ndcg@{self.k}"
+        groups = [{"kind": "group", "group": name, "n_queries": g.n_queries, key: g.ndcg, "p@5": g.precision}
+                  for name in GROUPS if (g := getattr(self, name)) is not None]
+        return groups + [{"kind": "query", "query_id": q.query_id, "group": q.group, key: q.ndcg,
+                          "p@5": q.precision, "no_relevant": q.no_relevant,
+                          "unjudged_in_top_k": q.unjudged_in_top_k} for q in self.per_query]
 
     def to_jsonl(self) -> str:
         return "".join(

@@ -2,15 +2,16 @@
 
 Synthesis runs a two-stage pipeline: a salience-based generator makes a query
 from one seed document, BM25 retrieves related documents for it (the ordinals
-of sparse.bm25_top_k; search_topk stays analyze's), a contrastive generator
-turns a (higher-ranked, lower-ranked) document pair into a sharper query, and
-the triple (query, positive, negative) becomes weak training data.
+of sparse.bm25_top_k; search_topk stays analyze's and evaluate's base run's), a
+contrastive generator turns a (higher-ranked, lower-ranked) document pair into a
+sharper query, and the triple (query, positive, negative) becomes weak training
+data (with include_stage1, so does the stage-1 query's).
 
 Selection trains a logistic per-instance policy with REINFORCE: the reward is
-the change in dev-set NDCG@10 after a trial reranker update on the selected
-instances, against a running-mean baseline. A step reads its batch as
-pair_features rows, so a caller featurizes each weak triple once however often
-it is drawn.
+the change in dev-set NDCG at evaluation.DEV_K after a trial reranker update on
+the selected instances, against a running-mean baseline. A step reads its batch
+as pair_features rows, so a caller featurizes each weak triple once however
+often it is drawn.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     ParseError,
     ToolkitWarning,
 )
-from .evaluation import mean_ndcg
+from .evaluation import DEV_K, mean_ndcg
 from .rerank import N_FEATURES, FeatureExtractor, Ranker, logistic, pairwise_train_step, rerank
 from .sparse import DEFAULT_B, DEFAULT_K1, InvertedIndex, bm25_top_k, idf
 from .stopwords import ENGLISH_STOPWORDS
@@ -159,12 +160,9 @@ def synthesize_with_provenance(docs, index: InvertedIndex, count: int, seed: int
             query = generator.contrast_generate(docs_by_id[pos_id], docs_by_id[neg_id])
         except DegeneratePairError:
             continue
-        records.append(SynthesisRecord(
-            seed_doc.doc_id, stage1, retrieved, WeakTriple(query, pos_id, neg_id)))
+        records += [SynthesisRecord(seed_doc.doc_id, stage1, retrieved, WeakTriple(q, pos_id, neg_id))
+                    for q in ((query, stage1) if include_stage1 else (query,))]
         made += 1
-        if include_stage1:
-            records.append(SynthesisRecord(
-                seed_doc.doc_id, stage1, retrieved, WeakTriple(stage1, pos_id, neg_id)))
     if made < count:
         warnings.warn(
             f"assembled only {made} of {count} requested weak triples",
@@ -281,7 +279,7 @@ class SelectionContext:
     values of the last two rankers, a step's and its trial's.
     """
 
-    k = 10  # dev rankings are scored by NDCG@k
+    k = DEV_K  # dev rankings are scored by NDCG@k
 
     def __init__(self, extractor: FeatureExtractor, dev_queries, qrels: Qrels, depth: int = 50):
         self.qrels, self.depth = qrels, depth
@@ -298,7 +296,7 @@ def reinfoselect_step(policy: SelectorPolicy, pairs, ranker: Ranker,
                       policy_lr: float = 1.0,
                       keep_all_updates: bool = False) -> tuple[SelectorPolicy, Ranker, float]:
     """One selection step over a batch's (b, 2, 6) pair_features rows: sample
-    a mask, trial-train the ranker on the selected pairs, reward = NDCG@10
+    a mask, trial-train the ranker on the selected pairs, reward = dev NDCG
     change, REINFORCE update against the baseline.
 
     The trial ranker is kept only when the reward is non-negative unless
