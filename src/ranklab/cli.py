@@ -24,17 +24,22 @@ a file is parsed again only when its size, mtime or inode has changed since a
 stage parsed it. index.bin alone is loaded afresh by every stage that reads it.
 The memo holds two kinds of entry: a file parsed by its reader, and a value
 built by make, either derived under the StageRunner method that owns it
-(corpus_terms, tokenized_corpus, _lists; keyed also by the vocab and settings
-they use) or kept after a write under its file's reader (vocab, encoder, dense
-index, run), so later stages do not parse it. train-dense pools every dense
-index by build_dense_index. One ranking rule and one scoring rule:
+(corpus_terms, tokenized_corpus, _candidates, _dense_ranks, _lists; keyed also
+by the files and settings they use) or kept after a write under its file's
+reader (vocab, encoder, dense index, run), so later stages do not parse it.
+train-dense pools every dense index by build_dense_index. A query's lists are
+built once per run, as deep as a stage reads them, by the first that needs
+them: select-train the BM25 candidates at max(select_depth, topk), train-dense
+under union and rrf the dense ranks at max(DEV_K, topk), from its last dev
+dense_top_k. A reader takes its own depth's prefix, the list built at that
+depth. One ranking rule and one scoring rule:
 StageRunner._ranking reranks every query's list to a depth and fuses it as
 --fusion says, union in the candidates (the BM25 lists fused with the dense
 lists), interp in rerank.rerank's block score with --alpha, rrf on each reranked
 list and its dense list; _report scores a run as evaluate does. rerank writes
 _ranking, evaluate _report, and depth-sweep _report(_ranking)'s overall line at
 each depth, so its row at the rerank depth is evaluate's. Fusion runs on arrays:
-one dense.dense_top_k call gives a stage's dense lists as doc-id ranks, for
+one dense.dense_top_k call gives a run's dense lists as doc-id ranks, for
 union, rrf and train-dense's dev rankings; rerank.rrf_top_k fuses them; lists
 built from arrays leave as rerank.Ranking rows, mean_ndcg scores dev rows as
 they are, and rerank builds one RankedList per query.
@@ -436,6 +441,8 @@ class StageRunner:
         qrels = self.load_qrels() if self.config.qrels_path else None
         dev = {q.query_id: tokenize_query(q.processed_terms, vocab, self.config.max_seq_len)
                for q in dev_queries} if qrels is not None else {}
+        # under union and rrf the last dev ranks are rerank's dense lists, so they run as deep as it reads
+        last = self.config.dense_epochs - 1 if self.config.fusion in ("union", "rrf") else -1
         order = np.arange(len(triples))
         for epoch in range(self.config.dense_epochs):
             rng.shuffle(order)
@@ -448,7 +455,8 @@ class StageRunner:
                 message = f"[train-dense] epoch {epoch + 1} loss {np.mean(losses):.6f}"
                 if dev:
                     index = dense.build_dense_index(encoder, pieces)
-                    ranks, scores = dense.dense_top_k(index, encoder, dev.values(), DEV_K)
+                    k = max(DEV_K, self.config.topk) if epoch == last else DEV_K
+                    ranks, scores = dense.dense_top_k(index, encoder, dev.values(), k)
                     rankings = rerank.Ranking(list(dev), index.by_rank[ranks], ranks, scores)
                     message += f" dev-ndcg@{DEV_K} {mean_ndcg(rankings, qrels, DEV_K):.6f}"
                 print(message)
@@ -458,6 +466,8 @@ class StageRunner:
         self.load(path, dense.DenseEncoder.load, make=lambda: encoder)  # later stages read it unparsed
         index.save(path := self.write("dense_index"))
         self.load(path, dense.DenseIndex.load, make=lambda: index)
+        if dev and last >= 0:
+            self._dense_ranks(lambda k: ranks)
 
     def stage_synth_weak(self):
         index, docs = self.indexed_docs()
@@ -477,23 +487,36 @@ class StageRunner:
             self.load(self.read("dense_index"), dense.DenseIndex.load),
             self.config.k1, self.config.b, self.stopwords(), self.config.max_seq_len)
 
-    def _lists(self, extractor) -> tuple:
-        """(candidates, dense ranks): extractor.candidates at topk, and under union and
-        rrf each query's dense top-k as doc-id ranks in query order, union-fused into the
-        candidates under union; kept under the extractor's files and the list settings."""
-        queries, c = self.load_queries(), self.config
-        files = [*map(self.artifact, ("index", "encoder", "vocab", "dense_index")),
-                 *([self.input("stopwords")] if c.stopwords_path else [])]
+    def _held(self, tag, make, depth: int, *settings):
+        """make(depth), held under the queries file, depth, what dense ranks are built from and `settings`."""
+        files = map(self.artifact, ("encoder", "vocab", "dense_index"))
+        return self.load(self.input("queries"), tag, depth, *map(file_identity, files), self.stopwords(),
+                         self.config.max_seq_len, *settings, make=lambda: make(depth))
 
-        def make():
-            dense_ranks = None if c.fusion not in ("union", "rrf") else dense.dense_top_k(
-                extractor.dense_index, extractor.encoder, [tokenize_query(
-                    q.processed_terms, extractor.vocab, c.max_seq_len) for q in queries], c.topk)[0]
-            fuse = None if c.fusion != "union" else (
-                lambda i, ranks: rerank.rrf_top_k((ranks, dense_ranks[i]), c.topk, c.rrf_k)[0])
-            return extractor.candidates(queries, c.topk, fuse), dense_ranks
-        return self.load(self.input("queries"), StageRunner._lists, *map(file_identity, files),
-                         c.k1, c.b, c.max_seq_len, c.topk, c.fusion, c.rrf_k, make=make)
+    def _candidates(self, extractor, depth: int) -> rerank.Candidates:
+        """extractor.candidates of the run's queries at `depth`: the first columns of those held at
+        max(select_depth, topk)."""
+        c = self.config
+        h = self._held(StageRunner._candidates, lambda k: extractor.candidates(self.load_queries(), k),
+                       max(c.select_depth, c.topk), file_identity(self.artifact("index")), c.k1, c.b)
+        return rerank.Candidates(h.query_ids, *(a[:, :depth] for a in (h.doc_ids, h.ranks, h.features)))
+
+    def _dense_ranks(self, make) -> np.ndarray:
+        """make(k): the run's queries' dense top-k doc-id ranks at k = max(DEV_K, topk)."""
+        return self._held(StageRunner._dense_ranks, make, max(DEV_K, self.config.topk))
+
+    def _lists(self, extractor) -> tuple:
+        """(candidates, dense ranks) at topk: the held lists' prefixes, dense ranks under union and
+        rrf only, and under union the BM25 lists union-fused with them, held as the candidates and rrf_k."""
+        queries, c = self.load_queries(), self.config
+        dense_ranks = None if c.fusion not in ("union", "rrf") else self._dense_ranks(lambda k: dense.dense_top_k(
+            extractor.dense_index, extractor.encoder, [tokenize_query(
+                q.processed_terms, extractor.vocab, c.max_seq_len) for q in queries], k)[0])[:, :c.topk]
+        if c.fusion != "union":
+            return self._candidates(extractor, c.topk), dense_ranks
+        return self._held(StageRunner._lists, lambda k: (extractor.candidates(queries, k, lambda i, ranks: (
+            rerank.rrf_top_k((ranks, dense_ranks[i]), k, c.rrf_k)[0])), dense_ranks),
+            c.topk, file_identity(self.artifact("index")), c.k1, c.b, c.rrf_k)
 
     def _ranking(self, extractor, ranker, depth: int) -> Run:
         """Every query's list with its top `depth` reranked by `ranker` and fused
@@ -536,7 +559,8 @@ class StageRunner:
         ordinal_of = extractor.index.ordinal_of
         pool = self._usable_triples(lambda weak: [
             t for t in weak if t.pos_doc_id in ordinal_of and t.neg_doc_id in ordinal_of], ordinal_of)
-        context = weaksup.SelectionContext(extractor, queries, qrels, self.config.select_depth)
+        depth = self.config.select_depth
+        context = weaksup.SelectionContext(extractor, queries, qrels, depth, self._candidates(extractor, depth))
         rng = np.random.default_rng(self.config.seed + 1)
         size = min(self.config.select_batch, len(pool))
         picks = np.array([rng.choice(len(pool), size=size, replace=False)

@@ -274,16 +274,17 @@ class SelectionContext:
     """Frozen dev-set evaluation shared across selection steps.
 
     Holds the BM25 top-`depth` candidates of every dev query, from
-    `extractor`, as one stacked Candidates. dev_ndcg reranks them all at full
+    `extractor`, as one stacked Candidates: `candidates` when the caller holds
+    them, else built here. dev_ndcg reranks them all at full
     depth with rerank, the one rescoring the ranking stages use; it keeps the
     values of the last two rankers, a step's and its trial's.
     """
 
     k = DEV_K  # dev rankings are scored by NDCG@k
 
-    def __init__(self, extractor: FeatureExtractor, dev_queries, qrels: Qrels, depth: int = 50):
+    def __init__(self, extractor: FeatureExtractor, dev_queries, qrels: Qrels, depth: int = 50, candidates=None):
         self.qrels, self.depth = qrels, depth
-        self.candidates = extractor.candidates(dev_queries, depth)
+        self.candidates = candidates or extractor.candidates(dev_queries, depth)
         self._dev_ndcg = functools.lru_cache(maxsize=2)(lambda weights: mean_ndcg(
             rerank(Ranker(np.frombuffer(weights)), self.candidates, self.depth), self.qrels, self.k))
 

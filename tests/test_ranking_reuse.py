@@ -1,13 +1,15 @@
-"""Within one StageRunner, evaluate and depth-sweep reuse what rerank built.
+"""Within one StageRunner, the ranking stages reuse the lists the training stages built.
 
-rerank keeps the run it writes as read_run would parse run.trec back, and its
-candidates (union-fused under --fusion union) and dense lists as one entry under
-the queries file, the extractor's files and the list settings, so evaluate parses
-no run and depth-sweep builds no candidates or dense lists while those files and
-settings are the same; a rewritten file or another setting is read or built
-again, as every memoized result is. A
-query's ideal DCG is summed once per (k, gain) and dropped when Qrels.add
-changes its judgments.
+select-train builds every query's BM25 candidates at max(select_depth, topk), and
+under --fusion union and rrf train-dense's last dev dense_top_k runs at
+max(DEV_K, topk); each is held under the queries file, the files and the settings
+it is built from, and each reader takes its own depth's prefix. So rerank,
+evaluate and depth-sweep build no BM25 candidates or dense lists while those files
+and settings are the same; under union rerank builds the fused candidates once,
+from the held dense lists. A rewritten file or another setting is read or built
+again, as every memoized result is. rerank keeps the run it writes as read_run
+would parse run.trec back, so evaluate parses no run. A query's ideal DCG is
+summed once per (k, gain) and dropped when Qrels.add changes its judgments.
 """
 
 import dataclasses
@@ -22,10 +24,10 @@ from ranklab import dense, rerank
 from ranklab.cli import EXIT_NUMERIC, STAGES, StageRunner, main
 from ranklab.corpus import Qrels
 from ranklab.errors import NumericError
-from ranklab.evaluation import ndcg_at_k, read_run
+from ranklab.evaluation import DEV_K, ndcg_at_k, read_run
 from ranklab.sparse import RankedList
 from test_evaluation import oracle_ndcg
-from test_stage_memo import _config, _counting
+from test_stage_memo import _config, _counting, _stopwords
 
 def _run_stages(runner, stages):
     for stage in stages:
@@ -80,25 +82,29 @@ def test_the_kept_run_is_what_read_run_parses(tmp_path, fusion):
     assert kept.tag == parsed.tag == ("external" if fusion == "no queries" else config.run_tag)
 
 
-@pytest.mark.parametrize("fusion, builds", [("none", 1), ("interp", 1), ("union", 1), ("rrf", 1)])
+@pytest.mark.parametrize("fusion, builds", [("none", 1), ("interp", 1), ("union", 2), ("rrf", 1)])
 def test_the_ranking_stages_build_one_candidate_set(tmp_path, monkeypatch, fusion, builds):
+    """select-train builds the one BM25 candidate set, as deep as a later stage reads it;
+    rerank, evaluate and depth-sweep build none but union's fused set."""
     runner = StageRunner(_config(tmp_path, fusion=fusion))
-    _run_stages(runner, STAGES[:STAGES.index("rerank")])
+    _run_stages(runner, STAGES[:STAGES.index("select-train")])
     calls = []
     _count_candidates(monkeypatch, calls)
-    _run_stages(runner, STAGES[STAGES.index("rerank"):])
-    assert calls == [runner.config.topk] * builds
+    _run_stages(runner, STAGES[STAGES.index("select-train"):])
+    c = runner.config
+    assert calls == [max(c.select_depth, c.topk)] + [c.topk] * (builds - 1)
 
 
 @pytest.mark.parametrize("fusion", ["union", "rrf"])
 def test_the_ranking_stages_build_one_set_of_dense_lists(tmp_path, monkeypatch, fusion):
+    """train-dense's one dev evaluation (the last epoch) builds the run's dense lists."""
     runner = StageRunner(_config(tmp_path, fusion=fusion))
-    _run_stages(runner, STAGES[:STAGES.index("rerank")])
+    _run_stages(runner, STAGES[:STAGES.index("train-dense")])
     calls = []
     real = dense.dense_top_k
     monkeypatch.setattr(dense, "dense_top_k", lambda *args: calls.append(args[3]) or real(*args))
-    _run_stages(runner, ["rerank", "evaluate", "depth-sweep"])
-    assert calls == [runner.config.topk]
+    _run_stages(runner, STAGES[STAGES.index("train-dense"):])
+    assert calls == [max(DEV_K, runner.config.topk)]
 
 
 def test_a_union_depth_sweep_sweeps_the_fused_candidates(tmp_path, monkeypatch):
@@ -131,11 +137,29 @@ def _set_topk(runner):
     runner.config = dataclasses.replace(runner.config, topk=7)
 
 
-def _rewrite_encoder(runner):
-    path = Path(runner.config.workdir) / "encoder.ckpt"
-    data = path.read_bytes()
-    path.unlink()  # a new inode, as a rerun of train-dense writes it
-    path.write_bytes(data)
+def _rewrite_artifact(name):
+    def rewrite(runner):
+        path = Path(runner.config.workdir) / name
+        data = path.read_bytes()
+        path.unlink()  # a new inode, as a rerun of the stage that writes it gives
+        path.write_bytes(data)
+    return rewrite
+
+
+_rewrite_encoder = _rewrite_artifact("encoder.ckpt")
+
+
+def _setting(**values):
+    def change(runner):
+        runner.config = dataclasses.replace(runner.config, **values)
+    return change
+
+
+def _rewrite_stopwords(runner):
+    """Make the first query's first term a stopword, which changes that query's lists."""
+    path = Path(runner.config.stopwords_path)
+    term = Path(runner.config.queries_path).read_text().split()[1]
+    path.write_text(path.read_text() + term + "\n")
 
 
 @pytest.mark.parametrize("fusion", ["none", "union", "rrf"])
@@ -153,12 +177,44 @@ def test_depth_sweep_builds_candidates_again_when_an_input_changes(tmp_path, mon
     calls.clear()
     dense_calls.clear()
     runner.run("depth-sweep")
-    assert calls == [runner.config.topk]
-    assert dense_calls == ([] if fusion == "none" else [runner.config.topk])
+    c = runner.config  # union builds its fused set at topk, the others their BM25 set
+    assert calls == [c.topk if fusion == "union" else max(c.select_depth, c.topk)]
+    assert dense_calls == ([] if fusion == "none" else [max(DEV_K, c.topk)])
     sweep = tmp_path / "work" / "depth_sweep.tsv"
     kept = sweep.read_bytes()
     StageRunner(runner.config).run("depth-sweep")
     assert sweep.read_bytes() == kept
+
+
+# (change, whether the dense lists are stale after it): they read neither index.bin nor k1 nor b
+STALE_AFTER = [(_rewrite_encoder, True), (_rewrite_artifact("dense_index.bin"), True),
+               (_rewrite_artifact("index.bin"), False), (_rewrite_artifact("vocab.json"), True),
+               (_rewrite_queries, True), (_setting(k1=0.5), False), (_setting(b=0.2), False),
+               (_setting(max_seq_len=2), True), (_rewrite_stopwords, True)]
+
+
+@pytest.mark.parametrize("fusion", ["none", "union", "rrf"])
+@pytest.mark.parametrize("change, dense_stale", STALE_AFTER, ids=[
+    "encoder", "dense_index", "index", "vocab", "queries", "k1", "b", "max_seq_len", "stopwords"])
+def test_rerank_builds_its_own_lists_when_an_input_changes(tmp_path, monkeypatch, change, dense_stale,
+                                                           fusion):
+    """A file or setting changed between the training stages and rerank makes rerank build
+    the lists it reads, so its run.trec is a fresh runner's."""
+    runner = StageRunner(_config(tmp_path, fusion=fusion, stopwords_path=_stopwords(tmp_path)))
+    _run_stages(runner, STAGES[:STAGES.index("rerank")])
+    change(runner)
+    calls, dense_calls = [], []
+    _count_candidates(monkeypatch, calls)
+    real = dense.dense_top_k
+    monkeypatch.setattr(dense, "dense_top_k", lambda *args: dense_calls.append(args[3]) or real(*args))
+    runner.run("rerank")
+    c = runner.config
+    assert calls == [c.topk if fusion == "union" else max(c.select_depth, c.topk)]
+    assert dense_calls == ([max(DEV_K, c.topk)] if dense_stale and fusion != "none" else [])
+    run = tmp_path / "work" / "run.trec"
+    kept = run.read_bytes()
+    StageRunner(c).run("rerank")
+    assert run.read_bytes() == kept
 
 
 DOCS = [f"d{i}" for i in range(12)]
