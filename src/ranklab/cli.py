@@ -507,7 +507,7 @@ class StageRunner:
 
     def _lists(self, extractor) -> tuple:
         """(candidates, dense ranks) at topk: the held lists' prefixes, dense ranks under union and
-        rrf only, and under union the BM25 lists union-fused with them, held as the candidates and rrf_k."""
+        rrf only, and under union the BM25 lists union-fused with them, held by the candidates' key and rrf_k."""
         queries, c = self.load_queries(), self.config
         dense_ranks = None if c.fusion not in ("union", "rrf") else self._dense_ranks(lambda k: dense.dense_top_k(
             extractor.dense_index, extractor.encoder, [tokenize_query(

@@ -274,8 +274,8 @@ class SelectionContext:
     """Frozen dev-set evaluation shared across selection steps.
 
     Holds the BM25 top-`depth` candidates of every dev query, from
-    `extractor`, as one stacked Candidates: `candidates` when the caller holds
-    them, else built here. dev_ndcg reranks them all at full
+    `extractor`, as one stacked Candidates: `candidates` when the caller
+    holds those lists, else built here. dev_ndcg reranks them all at full
     depth with rerank, the one rescoring the ranking stages use; it keeps the
     values of the last two rankers, a step's and its trial's.
     """
