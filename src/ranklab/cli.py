@@ -141,6 +141,7 @@ BOUNDS = {
     ">= 2": lambda v: v >= 2,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
     "in (0, 1)": lambda v: 0.0 < v < 1.0,
+    "one token": is_token,  # run_tag is a field of every run line
 }
 
 
@@ -163,7 +164,7 @@ class PipelineConfig:
     external_triples_path: str = _key("", "--triples-file", ("train-dense", "select-train"))
     reference_texts_path: str = _key("", "--reference-texts", ("analyze",))
     workdir: str = _key("work", "--workdir", COMMANDS, help="artifact directory (default: work)")
-    run_tag: str = "ranklab"
+    run_tag: str = _key("ranklab", bound="one token")
     # subword vocabulary
     vocab_size: int = _key(2000, "--vocab-size", ("ingest",), ">= 2")
     max_seq_len: int = _key(DEFAULT_MAX_SEQUENCE_LENGTH, bound=">= 1")
@@ -222,8 +223,6 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be {bound}")
             if choices and value not in choices:
                 raise ConfigError(f"{f.name} must be one of {choices}")
-        if not is_token(self.run_tag):  # a field of every run line
-            raise ConfigError("run_tag must be one token")
         try:
             depths = self.depth_list()
         except ValueError:

@@ -2,14 +2,13 @@
 
 Interchange formats, all UTF-8 text read line by line through
 checkpoint.read_lines, which ignores blank lines:
-  corpus   - one JSON record per line: {"doc_id", "title", "abstract", "date"?}
+  corpus   - one JSON record per line: {"doc_id", "title", "abstract"}
   queries  - tab-separated "query_id<TAB>raw_text"
   qrels    - whitespace-separated "query_id 0 doc_id grade"
 """
 
 from __future__ import annotations
 
-import datetime
 import json
 import re
 import warnings
@@ -60,7 +59,6 @@ class Document:
     doc_id: str
     title: str
     abstract: str
-    publish_date: datetime.date | None = None
 
     def __post_init__(self):
         if not self.doc_id:
@@ -160,14 +158,7 @@ def load_corpus(path) -> list[Document]:
         if not (isinstance(title, str) and isinstance(abstract, str)):
             name, value = ("abstract", abstract) if isinstance(title, str) else ("title", title)
             raise ParseError(path, line_no, f"{name} {value!r} must be a string")
-        date = record.get("date")
-        if date is not None and not isinstance(date, str):
-            raise ParseError(path, line_no, f"date {date!r} must be an ISO date string")
-        try:
-            date = datetime.date.fromisoformat(date) if date else None
-        except ValueError as exc:
-            raise ParseError(path, line_no, f"bad date {date!r}") from exc
-        docs.append(Document(doc_id, title, abstract, date))
+        docs.append(Document(doc_id, title, abstract))
     return docs
 
 

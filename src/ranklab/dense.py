@@ -164,7 +164,8 @@ def _loss_and_row_grads(table: np.ndarray, batch) -> tuple[float, tuple, np.ndar
         members = np.flatnonzero(widths == width)
         rows = starts[members, None] + np.arange(width)
         qv, dvs = vectors[rows[:, 0]], vectors[rows[:, 1:]]
-        sims = np.vecdot(dvs, qv[:, None])  # each row's similarity(), bit for bit
+        with np.errstate(over="ignore", invalid="ignore"):  # each row's similarity(), bit for bit
+            sims = np.vecdot(dvs, qv[:, None])
         if not np.all(np.isfinite(sims)):
             raise NumericError("non-finite similarity in contrastive loss")
         shift = sims.max(axis=1)
@@ -263,10 +264,11 @@ def dense_top_k(index: DenseIndex, encoder: DenseEncoder, sequences,
         warnings.warn("encoding an empty id sequence yields the zero vector", ToolkitWarning)
     ranks = np.empty((len(sequences), min(k, index.doc_count)), dtype=np.intp)
     scores = np.empty(ranks.shape)
-    for i, qv in enumerate(pool(encoder.table, sequences)):
-        row = index.vectors @ qv
-        top = top_k_order(row, index.doc_rank, k)
-        ranks[i], scores[i] = index.doc_rank[top], row[top]
+    with np.errstate(over="ignore", invalid="ignore"):  # top_k_order rejects a non-finite score
+        for i, qv in enumerate(pool(encoder.table, sequences)):
+            row = index.vectors @ qv
+            top = top_k_order(row, index.doc_rank, k)
+            ranks[i], scores[i] = index.doc_rank[top], row[top]
     return ranks, scores
 
 

@@ -147,7 +147,8 @@ class FeatureExtractor:
         out = np.zeros((len(ordinals), N_FEATURES))
         out[:, 0] = bm25
         # np.vecdot, unlike a mat-vec product, gives each row similarity()'s exact dot
-        out[:, 1] = np.vecdot(self.dense_index.vectors[ordinals], qv)
+        with np.errstate(over="ignore", invalid="ignore"):  # rerank rejects an overflow's inf
+            out[:, 1] = np.vecdot(self.dense_index.vectors[ordinals], qv)
         unique = sorted(set(query_terms))
         for term in unique:
             if term not in self.stopwords:
@@ -192,7 +193,8 @@ def rerank(ranker: Ranker, candidates: Candidates, depth: int, alpha: float | No
     a block score is non-finite or a tail score would reach 2**52."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    scores = np.vecdot(candidates.features[:, :depth], ranker.weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects a non-finite score
+        scores = np.vecdot(candidates.features[:, :depth], ranker.weights)
     if alpha is not None:
         scores = alpha * _minmax(candidates.features[:, :depth, 1]) + (1.0 - alpha) * _minmax(scores)
     if not np.all(np.isfinite(scores)):
@@ -264,7 +266,7 @@ def fuse_interpolate(query_id: int, ranker_scores, dense_scores, alpha: float = 
 def _rrf_shares(n: int, rrf_k: int) -> np.ndarray:
     """1 / (rrf_k + rank) for rank = 1..n, each one Python division (exact
     for any int rrf_k), read-only since every caller shares it."""
-    shares = np.array([1.0 / (rrf_k + rank) for rank in range(1, n + 1)])
+    shares = np.array([1 / (rrf_k + rank) for rank in range(1, n + 1)])
     shares.flags.writeable = False
     return shares
 

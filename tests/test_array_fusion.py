@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ranklab.cli import STAGES, StageRunner
@@ -15,7 +15,8 @@ from ranklab.dense import DenseEncoder, DenseIndex, dense_search_topk, dense_top
 from ranklab.errors import ToolkitWarning
 from ranklab.evaluation import read_run
 from ranklab.rerank import (
-    Candidates, Ranker, fuse_base_union, fuse_interpolate, reciprocal_rank_fusion, rerank,
+    Candidates, Ranker, _rrf_shares, fuse_base_union, fuse_interpolate, reciprocal_rank_fusion,
+    rerank,
 )
 from ranklab.sparse import InvertedIndex, RankedList, doc_id_ranks, search_topk
 from ranklab.subword import tokenize_query
@@ -58,6 +59,15 @@ def test_array_rrf_equals_the_dict_loop(lists, k, rrf_k):
     assert exact(reciprocal_rank_fusion(lists, k, rrf_k)) == exact(expected)
     if len(lists) == 2:
         assert exact(fuse_base_union(*lists, k, rrf_k)) == exact(expected)
+
+
+@given(st.integers(0, 40), st.integers(1, 2**53 - 40))
+@example(40, 2**53 - 40)
+def test_rrf_shares_are_the_float_divisions_while_rrf_k_plus_n_is_exact(n, rrf_k):
+    """Int division rounds 1 / (rrf_k + rank) once, as 1.0 / (rrf_k + rank) does while
+    rrf_k + rank converts to a float exactly (up to 2**53): the shares keep every bit."""
+    expected = np.array([1.0 / (rrf_k + rank) for rank in range(1, n + 1)])
+    assert _rrf_shares(n, rrf_k).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -389,10 +389,7 @@ def test_grade_a_gain_holds_still_scores(base, tmp_path, capsys, grade, flags):
     assert (code, err) == (0, "")
 
 
-@pytest.mark.parametrize("field, value", [
-    ("date", 20200101), ("date", ["2020-01-01"]), ("date", False),
-    ("title", None), ("title", 7), ("abstract", ["a"]),
-])
+@pytest.mark.parametrize("field, value", [("title", None), ("title", 7), ("abstract", ["a"])])
 def test_corpus_field_of_wrong_type_is_one_line_exit_2(tmp_path, capsys, field, value):
     corpus, queries, qrels = write_fixture_inputs(tmp_path)
     lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -403,9 +400,23 @@ def test_corpus_field_of_wrong_type_is_one_line_exit_2(tmp_path, capsys, field, 
                  "--queries", str(queries), "--qrels", str(qrels),
                  "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600"])
     assert code == EXIT_CONFIG
-    kind = "an ISO date string" if field == "date" else "a string"
-    assert capsys.readouterr().err == f"input error: {corpus}:3: {field} {value!r} must be {kind}\n"
+    assert capsys.readouterr().err == f"input error: {corpus}:3: {field} {value!r} must be a string\n"
     assert not (tmp_path / "w" / "vocab.json").exists()
+
+
+@pytest.mark.parametrize("date", [20200101, ["2020-01-01"], False, "not a date"])
+def test_a_corpus_date_is_ignored_as_any_extra_key(base, tmp_path, capsys, date):
+    """No stage reads a record's date, so none checks it: index.bin is the one built without it."""
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = json.dumps({**json.loads(lines[2]), "date": date}) + "\n"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["pipeline", "--stages", "ingest,index", "--corpus", str(corpus),
+                 "--queries", str(queries), "--qrels", str(qrels),
+                 "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert (tmp_path / "w" / "index.bin").read_bytes() == (base / "w" / "index.bin").read_bytes()
 
 
 @pytest.mark.parametrize("stage, output", [("synth-weak", "weak_triples.jsonl"),

@@ -1,4 +1,3 @@
-import datetime
 import json
 
 import pytest
@@ -30,14 +29,6 @@ class TestLoadCorpus:
         ])
         docs = load_corpus(path)
         assert [d.doc_id for d in docs] == ["a", "b", "c"]
-        assert docs[2].publish_date == datetime.date(2020, 3, 1)
-
-    def test_absent_empty_or_null_date_is_no_date(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        write_jsonl(path, [{"doc_id": "a", "title": "t", "abstract": "x"},
-                           {"doc_id": "b", "title": "t", "abstract": "x", "date": ""},
-                           {"doc_id": "c", "title": "t", "abstract": "x", "date": None}])
-        assert [d.publish_date for d in load_corpus(path)] == [None, None, None]
 
     def test_duplicate_doc_id_cites_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -48,7 +48,13 @@ def _common(root):
     (["select-train", "--policy-lr", "1e308", "--steps", "6"], ["policy.json", "ranker.ckpt"]),
     (["synth-weak", "--set", "k1=1e308"], []),
     (["analyze", "--set", "k1=1e308"], ["analysis.json", "analysis.txt"]),
-], ids=["dapt", "select-train", "synth-weak", "analyze"])
+    (["train-dense", "--lr", "1e303", "--epochs", "3"], []),  # a training similarity overflows
+    (["train-dense", "--lr", "1e300", "--epochs", "1"], []),  # a dev dense_top_k score overflows
+    # finite dot products pass train-dense's dev ranking; times the ranker's weights they overflow
+    (["pipeline", "--stages", "train-dense,select-train", "--set", "dense_lr=1e140",
+      "--set", "dense_epochs=1"], ["policy.json", "ranker.ckpt"]),
+], ids=["dapt", "select-train", "synth-weak", "analyze", "train-dense", "train-dense-dev",
+        "select-train-dense-features"])
 def test_overflow_is_one_line_exit_4(base, tmp_path, capsys, argv, never_written):
     root = tmp_path / "root"
     shutil.copytree(base, root)
@@ -61,6 +67,22 @@ def test_overflow_is_one_line_exit_4(base, tmp_path, capsys, argv, never_written
     for name in never_written:
         assert not (root / "w" / name).exists()
     assert (root / "w" / "weak_triples.jsonl").read_bytes() == triples
+
+
+def test_select_train_over_overflowing_dense_vectors_is_one_line_exit_4(base, tmp_path, capsys):
+    """Without qrels train-dense ranks no dev query, so it keeps vectors whose dot products overflow."""
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    work = root / "w"
+    assert main(["train-dense", "--lr", "1e300", "--epochs", "1", *_common(root),
+                 "--set", "qrels_path="]) == 0
+    encoder = (work / "encoder.ckpt").read_bytes()
+    capsys.readouterr()
+    assert main(["select-train", "--steps", "6", *_common(root)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err == "numeric error: non-finite score in reranking\n"
+    assert not (work / "ranker.ckpt").exists() and not (work / "policy.json").exists()
+    assert (work / "encoder.ckpt").read_bytes() == encoder
 
 
 def test_a_non_finite_warm_start_row_no_batch_touches_is_one_line_exit_4(base, tmp_path, capsys):

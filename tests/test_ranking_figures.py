@@ -214,3 +214,18 @@ def test_mean_ndcg_scores_an_unjudged_query_zero():
 def test_rrf_k_zero_is_config_error():
     with pytest.raises(ConfigError, match="rrf_k must be >= 1"):
         PipelineConfig(rrf_k=0).validate()
+
+
+@pytest.mark.parametrize("fusion", ["union", "rrf"])
+def test_an_rrf_k_past_the_float_range_ranks(tmp_path, capsys, fusion):
+    """1 / (rrf_k + rank) divides ints, so an rrf_k no float holds gives shares of 0.0."""
+    corpus, queries, qrels = write_fixture_inputs(tmp_path)
+    capsys.readouterr()
+    assert ranklab.cli.main([
+        "pipeline", "--stages", "ingest,index,synth-weak,train-dense,select-train,rerank",
+        "--corpus", str(corpus), "--queries", str(queries), "--qrels", str(qrels),
+        "--workdir", str(tmp_path / "w"), "--set", "vocab_size=600", "--set", "dense_epochs=1",
+        "--set", "triples_count=8", "--set", "select_steps=3", "--set", f"fusion={fusion}",
+        "--set", f"rrf_k={10**400}"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "w" / "run.trec").is_file()
