@@ -21,11 +21,12 @@ manifest line lists exactly those files, the config, its sha256 without workdir
 and the package version. Stages exchange only files, but parse them through
 StageRunner.load, the only code that writes its memo: within one pipeline run,
 a file is parsed again only when its size, mtime or inode has changed since a
-stage parsed it. index.bin alone is loaded afresh by every stage that reads it.
-The memo holds two kinds of entry: a file parsed by its reader, and a value
-built by make, either derived under the StageRunner method that owns it
-(corpus_terms, tokenized_corpus, _candidates, _dense_ranks, _lists; keyed also
-by the files and settings they use) or kept after a write under its file's
+stage parsed it. index.bin alone is loaded afresh by every stage that reads it;
+its lookup tables are built when first read, so a stage whose lists are held
+builds none. The memo holds two kinds of entry: a file parsed by its reader, and
+a value built by make, either derived under the StageRunner method that owns it
+(corpus_terms, tokenized_corpus, _candidates, _dense_ranks, _lists, _ranking;
+keyed also by the files and settings they use) or kept after a write under its file's
 reader (vocab, encoder, dense index, run), so later stages do not parse it.
 train-dense pools every dense index by build_dense_index. A query's lists are
 built once per run, as deep as a stage reads them, by the first that needs
@@ -36,13 +37,15 @@ depth. One ranking rule and one scoring rule:
 StageRunner._ranking reranks every query's list to a depth and fuses it as
 --fusion says, union in the candidates (the BM25 lists fused with the dense
 lists), interp in rerank.rerank's block score with --alpha, rrf on each reranked
-list and its dense list; _report scores a run as evaluate does. rerank writes
-_ranking, evaluate _report, and depth-sweep _report(_ranking)'s overall line at
-each depth, so its row at the rerank depth is evaluate's. Fusion runs on arrays:
-one dense.dense_top_k call gives a run's dense lists as doc-id ranks, for
-union, rrf and train-dense's dev rankings; rerank.rrf_top_k fuses them; lists
-built from arrays leave as rerank.Ranking rows, mean_ndcg scores dev rows as
-they are, and rerank builds one RankedList per query.
+list and its dense list; _report scores a run's doc-id lists as evaluate does.
+rerank writes _ranking, evaluate _report, and depth-sweep _report of _ranking's
+doc-id rows at each depth, reading at the rerank depth the ranking rerank held,
+so its row there is evaluate's. Fusion runs on arrays: one dense.dense_top_k
+call gives a run's dense lists as doc-id ranks, for union, rrf and
+train-dense's dev rankings; rerank.rrf_top_k fuses them; lists built from
+arrays leave as rerank.Ranking rows. mean_ndcg and depth-sweep score those rows
+as they are, depth-sweep after one Ranking.check of each ranking, and rerank
+builds the ranking stages' only RankedLists, one per query.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
@@ -75,12 +78,11 @@ from .evaluation import (
     GAIN_FUNCTIONS,
     QuerySplit,
     Run,
+    doc_ids_report,
     load_split,
     mean_ndcg,
-    old_new_report,
     read_qrels,
     read_run,
-    residual_filter,
     write_run,
 )
 from .sparse import (
@@ -141,6 +143,7 @@ BOUNDS = {
     ">= 2": lambda v: v >= 2,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
     "in (0, 1)": lambda v: 0.0 < v < 1.0,
+    "in [1, 2**63 - 1]": lambda v: 1 <= v < 2**63,  # a length or width that numpy holds as an int64
     "one token": is_token,  # run_tag is a field of every run line
 }
 
@@ -167,13 +170,13 @@ class PipelineConfig:
     run_tag: str = _key("ranklab", bound="one token")
     # subword vocabulary
     vocab_size: int = _key(2000, "--vocab-size", ("ingest",), ">= 2")
-    max_seq_len: int = _key(DEFAULT_MAX_SEQUENCE_LENGTH, bound=">= 1")
+    max_seq_len: int = _key(DEFAULT_MAX_SEQUENCE_LENGTH, bound="in [1, 2**63 - 1]")
     # sparse retrieval
     k1: float = _key(DEFAULT_K1, "--k1", ("rerank",), ">= 0")
     b: float = _key(DEFAULT_B, "--b", ("rerank",), "in [0, 1]")
     topk: int = _key(100, "--topk", ("rerank", "depth-sweep"), ">= 1")
     # dense retrieval
-    dim: int = _key(dense.DEFAULT_DIM, "--dim", ("dapt", "train-dense"), ">= 1")
+    dim: int = _key(dense.DEFAULT_DIM, "--dim", ("dapt", "train-dense"), "in [1, 2**63 - 1]")
     negatives: int = _key(dense.DEFAULT_NEGATIVES, "--negatives", ("train-dense",), ">= 1")
     dense_epochs: int = _key(60, "--epochs", ("train-dense",), ">= 1")
     dense_lr: float = _key(dense.DEFAULT_LEARNING_RATE, "--lr", ("train-dense",), ">= 0")
@@ -517,22 +520,30 @@ class StageRunner:
             rerank.rrf_top_k((ranks, dense_ranks[i]), k, c.rrf_k)[0])), dense_ranks),
             c.topk, file_identity(self.artifact("index")), c.k1, c.b, c.rrf_k)
 
-    def _ranking(self, extractor, ranker, depth: int) -> Run:
+    def _ranking(self, extractor, ranker, depth: int, hold: bool = True) -> rerank.Ranking:
         """Every query's list with its top `depth` reranked by `ranker` and fused
         as --fusion says: union in the candidates, interp in the block score,
-        rrf of each reranked list with the query's dense list."""
-        c, (candidates, dense_ranks) = self.config, self._lists(extractor)
+        rrf of each reranked list with the query's dense list. The ranking at
+        --depth is held under the _lists key, fusion, alpha, rrf_k, topk and
+        ranker.ckpt, so depth-sweep's row at that depth reads rerank's."""
+        c = self.config
+        if hold and depth == c.depth:
+            return self._held(StageRunner._ranking, lambda d: self._ranking(extractor, ranker, d, False), depth,
+                              file_identity(self.artifact("index")), c.k1, c.b, c.fusion, c.alpha, c.rrf_k,
+                              c.topk, file_identity(self.artifact("ranker")))
+        candidates, dense_ranks = self._lists(extractor)
         ranking = rerank.rerank(ranker, candidates, depth, c.alpha if c.fusion == "interp" else None)
         if c.fusion == "rrf":  # each fused list is as long as its reranked one
             ranks, scores = np.empty_like(ranking.ranks), np.empty_like(ranking.scores)
             for i, dense_row in enumerate(dense_ranks):
                 ranks[i], scores[i] = rerank.rrf_top_k((ranking.ranks[i], dense_row), c.topk, c.rrf_k)
             ranking = rerank.Ranking(ranking.query_ids, extractor.dense_index.by_rank[ranks], ranks, scores)
-        return Run(dict(zip(ranking.query_ids, ranking)), c.run_tag)
+        return ranking
 
-    def _report(self, run: Run):
-        """`run` scored over the judged queries at eval_k with --gain, old and new
-        as the split file says, and residual and skip_unjudgeable applied."""
+    def _report(self, lists):
+        """The run whose query ids `lists` maps to their doc ids in rank order, scored
+        over the judged queries at eval_k with --gain, old and new as the split file
+        says, and residual and skip_unjudgeable applied."""
         c, qrels = self.config, self.load_qrels()
         if c.gain == "exp":  # from grade 1024 on, 2**g - 1 overflows a float
             top = max((g for entry in qrels.judgments.values() for g in entry.values()), default=0)
@@ -546,11 +557,10 @@ class StageRunner:
                 raise ConfigError(f"split file {path} does not cover judged queries {uncovered}")
         else:
             split = QuerySplit.from_ids((), qrels.query_ids())
-        if c.residual:
-            if not c.prior_qrels_path:
-                raise ConfigError("residual evaluation requires prior_qrels_path")
-            run = residual_filter(run, self.load_qrels("prior_qrels"), split)
-        return old_new_report(run, qrels, split, c.eval_k, c.skip_unjudgeable, c.gain)
+        if c.residual and not c.prior_qrels_path:
+            raise ConfigError("residual evaluation requires prior_qrels_path")
+        prior = self.load_qrels("prior_qrels") if c.residual else None
+        return doc_ids_report(lists, qrels, split, c.eval_k, c.skip_unjudgeable, c.gain, prior)
 
     def stage_select_train(self):
         extractor = self._feature_extractor()
@@ -584,7 +594,9 @@ class StageRunner:
     def stage_rerank(self):
         extractor = self._feature_extractor()
         ranker = self.load(self.read("ranker"), rerank.Ranker.load)
-        written = write_run(self._ranking(extractor, ranker, self.config.depth), path := self.write("run"))
+        ranking = self._ranking(extractor, ranker, self.config.depth)
+        written = write_run(Run(dict(zip(ranking.query_ids, ranking)), self.config.run_tag),
+                            path := self.write("run"))
         self.load(path, read_run, make=lambda: written)  # evaluate scores it as read_run parses it
 
     def stage_evaluate(self):
@@ -593,11 +605,11 @@ class StageRunner:
             queries, c = self.load_queries(), self.config
             index = InvertedIndex.load(self.read("index"))
             run = Run({q.query_id: search_topk(index, q, c.topk, c.k1, c.b) for q in queries}, c.run_tag)
-            report = self._report(run)
+            report = self._report(run.doc_ids())
             write_run(run, self.write("run"))
         else:
             hint = "run the rerank stage (or build an index for base-retrieval evaluation) first"
-            report = self._report(self.load(self.read("run", hint), read_run))
+            report = self._report(self.load(self.read("run", hint), read_run).doc_ids())
         write_atomic(self.write("report_text"), text := report.to_text())
         write_atomic(self.write("report_jsonl"), report.to_jsonl())
         print(text)
@@ -608,7 +620,8 @@ class StageRunner:
         key = f"ndcg@{self.config.eval_k}"
         lines = [f"depth\t{key}\tp@5"]
         for depth in self.config.depth_list():  # a row is its depth's overall group record, the first
-            overall = self._report(self._ranking(extractor, ranker, depth)).to_records()[0]
+            ranking = self._ranking(extractor, ranker, depth).check()
+            overall = self._report(dict(zip(ranking.query_ids, ranking.doc_ids.tolist()))).to_records()[0]
             lines.append(f"{depth}\t{overall[key]:.6f}\t{overall['p@5']:.6f}")
         write_atomic(self.write("depth_sweep"), "\n".join(lines) + "\n")
         print("\n".join(lines))

@@ -7,12 +7,15 @@ gain (2^g - 1) is available behind the `gain` flag. Queries with no relevant
 document score 0 and are flagged; they stay in means unless explicitly
 skipped. An ideal DCG that overflows a float raises NumericError, not nan.
 mean_ndcg takes a rerank.Ranking and scores its doc-id rows as ndcg_at_k scores
-each row's RankedList, without building those lists. report.txt renders the
+each row's RankedList, without building those lists. The old/new report reads doc-id lists:
+doc_ids_report reads each query's first max(k, 5) doc ids that _residual's rule keeps, the rule
+residual_filter applies, and old_new_report scores a Run through it. report.txt renders the
 records report.jsonl holds, and each depth_sweep.tsv row its overall group's.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -81,6 +84,10 @@ class Run:
     rankings: dict[int, RankedList] = field(default_factory=dict)
     tag: str = "ranklab"
 
+    def doc_ids(self) -> dict:
+        """Each query's doc ids in rank order, an iterator read only as far as it is needed."""
+        return {query_id: (d for d, _ in ranking.entries) for query_id, ranking in self.rankings.items()}
+
 
 @dataclass(frozen=True)
 class QuerySplit:
@@ -99,21 +106,20 @@ class QuerySplit:
         return cls(frozenset(old), frozenset(new))
 
 
+def _residual(prior_qrels: Qrels, split: QuerySplit, query_id: int) -> set[str]:
+    """The doc ids residual evaluation removes from a query's list: an old query's prior judgments."""
+    return prior_qrels.judged_docs(query_id) if query_id in split.old_query_ids else set()
+
+
 def residual_filter(run: Run, prior_qrels: Qrels, split: QuerySplit) -> Run:
     """Remove previously judged docs from old queries' rankings; new queries untouched.
 
     Remaining documents keep their scores and close ranks contiguously.
     Idempotent: a second application removes nothing further.
     """
-    filtered: dict[int, RankedList] = {}
-    for query_id, ranking in run.rankings.items():
-        if query_id in split.old_query_ids:
-            judged = prior_qrels.judged_docs(query_id)
-            entries = tuple(e for e in ranking.entries if e[0] not in judged)
-            filtered[query_id] = RankedList(query_id, entries)
-        else:
-            filtered[query_id] = ranking
-    return Run(filtered, run.tag)
+    return Run({query_id: RankedList(query_id, tuple(e for e in ranking.entries if e[0] not in judged))
+                if (judged := _residual(prior_qrels, split, query_id)) else ranking
+                for query_id, ranking in run.rankings.items()}, run.tag)
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,14 @@ class EvaluationReport:
 def old_new_report(run: Run, qrels: Qrels, split: QuerySplit, k: int = 10,
                    skip_unjudgeable: bool = False, gain: str = "linear") -> EvaluationReport:
     """Overall / old-only / new-only means of NDCG@k and P@5 over judged queries."""
+    return doc_ids_report(run.doc_ids(), qrels, split, k, skip_unjudgeable, gain)
+
+
+def doc_ids_report(lists, qrels: Qrels, split: QuerySplit, k: int = 10, skip_unjudgeable: bool = False,
+                   gain: str = "linear", prior_qrels: Qrels | None = None) -> EvaluationReport:
+    """old_new_report of the run whose query ids `lists` maps to their doc ids in
+    rank order, residual-filtered against `prior_qrels` when it is given. Reads the
+    first max(k, 5) doc ids of each judged query that the filter keeps."""
     query_ids = qrels.query_ids()
     uncovered = [q for q in query_ids if q not in split.old_query_ids and q not in split.new_query_ids]
     if uncovered:
@@ -183,38 +197,27 @@ def old_new_report(run: Run, qrels: Qrels, split: QuerySplit, k: int = 10,
     per_query: list[QueryMetrics] = []
     for query_id in query_ids:
         entry = qrels.judgments[query_id]
-        ranking = run.rankings.get(query_id) or RankedList(query_id, ())
-        no_relevant = not any(g > 0 for g in entry.values())
-        unjudged = sum(1 for doc_id, _ in ranking.entries[:k] if doc_id not in entry)
+        ids = lists.get(query_id, ())
+        if prior_qrels is not None and (judged := _residual(prior_qrels, split, query_id)):
+            ids = (d for d in ids if d not in judged)
+        top = list(itertools.islice(ids, max(k, 5)))
         per_query.append(QueryMetrics(
             query_id=query_id,
             group="old" if query_id in split.old_query_ids else "new",
-            ndcg=ndcg_at_k(ranking, entry, k, gain),
-            precision=precision_at_k(ranking, entry, 5),
-            no_relevant=no_relevant,
-            unjudged_in_top_k=unjudged,
+            ndcg=_ndcg(query_id, top[:k], entry, k, gain),
+            precision=sum(entry.get(doc_id, 0) > 0 for doc_id in top[:5]) / 5,
+            no_relevant=not any(g > 0 for g in entry.values()),
+            unjudged_in_top_k=sum(doc_id not in entry for doc_id in top[:k]),
         ))
 
     def summarize(rows) -> MetricGroup | None:
         rows = [r for r in rows if not (skip_unjudgeable and r.no_relevant)]
-        if not rows:
-            return None
-        return MetricGroup(
-            n_queries=len(rows),
-            ndcg=sum(r.ndcg for r in rows) / len(rows),
-            precision=sum(r.precision for r in rows) / len(rows),
-        )
+        return MetricGroup(len(rows), sum(r.ndcg for r in rows) / len(rows),
+                           sum(r.precision for r in rows) / len(rows)) if rows else None
 
-    overall = summarize(per_query)
-    if overall is None:
-        overall = MetricGroup(0, 0.0, 0.0)
-    return EvaluationReport(
-        k=k,
-        overall=overall,
-        old=summarize([r for r in per_query if r.group == "old"]),
-        new=summarize([r for r in per_query if r.group == "new"]),
-        per_query=tuple(per_query),
-    )
+    return EvaluationReport(k, summarize(per_query) or MetricGroup(0, 0.0, 0.0),
+                            summarize([r for r in per_query if r.group == "old"]),
+                            summarize([r for r in per_query if r.group == "new"]), tuple(per_query))
 
 
 def write_run(run: Run, path) -> Run:

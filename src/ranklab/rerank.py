@@ -105,6 +105,17 @@ class Ranking(Sequence):
     def __getitem__(self, i: int) -> RankedList:
         return RankedList.from_arrays(self.query_ids[i], self.doc_ids[i], self.scores[i])
 
+    def check(self) -> "Ranking":
+        """This ranking, once one pass over its arrays finds RankedList's rule kept in every row: no doc
+        twice, ordered by score desc, then doc-id rank asc. Else ValueError names the first bad row's query."""
+        s, r, ordered = self.scores, self.ranks, np.sort(self.ranks, axis=-1)
+        bad = ((s[:, :-1] < s[:, 1:]) | ((s[:, :-1] == s[:, 1:]) & (r[:, :-1] >= r[:, 1:]))
+               | (ordered[:, 1:] == ordered[:, :-1])).any(axis=-1)
+        if bad.any():
+            raise ValueError(f"ranking of query {self.query_ids[int(bad.argmax())]} repeats a doc or "
+                             f"is not ordered by (score desc, doc_id asc)")
+        return self
+
 
 class FeatureExtractor:
     """Computes the reranker's feature vectors for (query terms, documents).

@@ -37,6 +37,7 @@ above zero as the list already holds, so the fill is there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,20 +87,24 @@ class RankedList:
 
 
 class InvertedIndex:
-    """CSR postings, document lengths, and corpus statistics for BM25."""
+    """CSR postings, document lengths, and corpus statistics for BM25. Its lookup tables are
+    built when first read, from terms and doc ids checked to be strings when it is made."""
+
+    term_index = functools.cached_property(lambda self: {t: i for i, t in enumerate(self.terms)})
+    ordinal_of = functools.cached_property(lambda self: {d: i for i, d in enumerate(self.doc_ids)})
+    doc_rank = functools.cached_property(lambda self: doc_id_ranks(self.doc_ids))
+    by_doc_id = functools.cached_property(lambda self: np.argsort(self.doc_rank))  # ordinals in doc-id order
 
     def __init__(self, terms, offsets, ordinals, tfs, lengths, doc_ids):
         if (len(offsets), len(tfs), len(lengths)) != (len(terms) + 1, len(ordinals), len(doc_ids)):
             raise ValueError("posting arrays do not match the term and document counts")
+        if {*map(type, terms), *map(type, doc_ids)} - {str}:
+            raise TypeError("every term and doc id must be a string")
         self.terms: list[str] = terms
         self.offsets, self.ordinals, self.tfs, self.lengths = offsets, ordinals, tfs, lengths
         self.doc_ids: list[str] = doc_ids
         self.doc_count = len(doc_ids)
         self.avg_doc_length = int(lengths.sum()) / self.doc_count if self.doc_count else 0.0
-        self.term_index = {t: i for i, t in enumerate(terms)}
-        self.ordinal_of = {d: i for i, d in enumerate(doc_ids)}
-        self.doc_rank = doc_id_ranks(doc_ids)
-        self.by_doc_id = np.argsort(self.doc_rank)  # the ordinals in doc-id order
         self._norms: dict[tuple[float, float], np.ndarray] = {}
         self._idfs: dict[str, float] = {}
 

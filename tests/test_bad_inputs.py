@@ -437,3 +437,37 @@ def test_an_index_of_another_corpus_is_one_line_exit_3(base, tmp_path, capsys, s
     assert capsys.readouterr().err == (f"dependency error: stale artifact: index.bin holds other "
                                        f"documents than {corpus}; rerun index\n")
     assert not (root / "w" / output).exists()
+
+
+INT64_BOUND = "in [1, 2**63 - 1]"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_seq_len", str(2**63)), ("max_seq_len", "1" + "0" * 400),
+    ("dim", str(2**63)), ("dim", "1" + "0" * 400),
+], ids=["max_seq_len-2**63", "max_seq_len-10**400", "dim-2**63", "dim-10**400"])
+def test_an_int_key_numpy_cannot_hold_is_one_line_exit_2(base, tmp_path, capsys, key, value):
+    """A length or width past int64 would overflow in numpy, at the stage that reads it."""
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    capsys.readouterr()
+    code = main(["pipeline", "--stages", "dapt", "--corpus", str(root / "corpus.jsonl"),
+                 "--queries", str(root / "queries.tsv"), "--qrels", str(root / "qrels.txt"),
+                 "--workdir", str(root / "w"), "--set", "mlm_epochs=1", "--set", f"{key}={value}"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {key} must be {INT64_BOUND}\n"
+    assert not (root / "w" / "mlm_embeddings.ckpt").exists()
+
+
+def test_the_largest_int64_max_seq_len_still_runs(base, tmp_path, capsys):
+    root = tmp_path / "root"
+    shutil.copytree(base, root)
+    capsys.readouterr()
+    code = main(["pipeline", "--stages", "dapt", "--corpus", str(root / "corpus.jsonl"),
+                 "--queries", str(root / "queries.tsv"), "--qrels", str(root / "qrels.txt"),
+                 "--workdir", str(root / "w"), "--set", "mlm_epochs=1", "--set", f"max_seq_len={2**63 - 1}"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert (root / "w" / "mlm_embeddings.ckpt").is_file()
+    for key in ("max_seq_len", "dim"):
+        with pytest.raises(ConfigError, match=rf"^{key} must be in \[1, 2\*\*63 - 1\]$"):
+            PipelineConfig().with_overrides({key: "0"}).validate()

@@ -66,6 +66,29 @@ def test_malformed_checkpoint_is_one_line_exit_2(trained, tmp_path, capsys, name
     assert err.count("\n") == 1
 
 
+# index.bin metadata of the wrong type, and what synth-weak did with it when the index built
+# its lookup tables at load: exit 2 naming '<', exit 2 naming an unhashable type, exit 3 calling
+# the index stale, and exit 0 with a term BM25 never matches
+INDEX_METADATA = {
+    "int-among-doc-ids": lambda m: {**m, "doc_ids": [1, *m["doc_ids"][1:]]},
+    "list-term": lambda m: {**m, "terms": [["a"], *m["terms"][1:]]},
+    "int-doc-ids": lambda m: {**m, "doc_ids": list(range(len(m["doc_ids"])))},
+    "int-term": lambda m: {**m, "terms": [7, *m["terms"][1:]]},
+}
+
+
+@pytest.mark.parametrize("name", list(INDEX_METADATA))
+def test_index_metadata_of_the_wrong_type_is_one_line_exit_2_at_load(trained, tmp_path, capsys, name):
+    root, common = trained
+    work = tmp_path / "w"
+    shutil.copytree(root / "w", work)
+    _rewrite(work / "index.bin", "SIDX", lambda a, m: (a, INDEX_METADATA[name](m)))
+    capsys.readouterr()
+    assert main(["synth-weak", "--workdir", str(work), *common]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {work / 'index.bin'}: malformed checkpoint (every term and doc id must be a string)\n")
+
+
 def test_pretrained_table_of_another_width_is_one_line_exit_2(trained, tmp_path, capsys):
     root, common = trained
     work = tmp_path / "w"

@@ -280,3 +280,66 @@ def test_an_entry_given_as_a_plain_dict_takes_more_grades():
     qrels.add(1, "b", 2)
     ranking = RankedList.from_scores(1, [("b", 1.0), ("a", 0.0)])
     assert ndcg_at_k(ranking, qrels.judgments[1], 10) == 1.0
+
+
+def _count_reranks(monkeypatch, calls):
+    real = rerank.rerank
+    monkeypatch.setattr(rerank, "rerank", lambda r, candidates, depth, *args:
+                        calls.append(depth) or real(r, candidates, depth, *args))
+
+
+def _count_ranked_lists(monkeypatch, calls):
+    real = RankedList.__post_init__
+    monkeypatch.setattr(RankedList, "__post_init__", lambda self: calls.append(self.query_id) or real(self))
+
+
+FUSIONS = ["none", "interp", "union", "rrf"]
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_depth_sweep_reads_the_ranking_rerank_held(tmp_path, monkeypatch, fusion):
+    """rerank ranks once; depth-sweep ranks only at its other depths, and builds no RankedList."""
+    runner = StageRunner(_config(tmp_path, fusion=fusion))
+    _run_stages(runner, STAGES[:STAGES.index("rerank")])
+    reranks, lists = [], []
+    _count_reranks(monkeypatch, reranks)
+    _run_stages(runner, ["rerank", "evaluate"])
+    c = runner.config
+    assert reranks == [c.depth]
+    reranks.clear()
+    _count_ranked_lists(monkeypatch, lists)
+    runner.run("depth-sweep")
+    assert c.depth in c.depth_list()
+    assert reranks == [d for d in c.depth_list() if d != c.depth]
+    assert lists == []
+
+
+def _rewrite_ranker(runner):
+    path = Path(runner.config.workdir) / "ranker.ckpt"
+    ranker = rerank.Ranker.load(path)
+    path.unlink()  # a new inode, as a rerun of select-train gives
+    rerank.Ranker(ranker.weights[::-1]).save(path)
+
+
+NEXT_FUSION = dict(zip(FUSIONS, FUSIONS[1:] + FUSIONS[:1]))
+
+
+def _next_fusion(runner):
+    runner.config = dataclasses.replace(runner.config, fusion=NEXT_FUSION[runner.config.fusion])
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+@pytest.mark.parametrize("change", [_rewrite_ranker, _setting(alpha=0.2), _setting(rrf_k=7), _next_fusion,
+                                    _setting(depth=50)], ids=["ranker", "alpha", "rrf_k", "fusion", "depth"])
+def test_depth_sweep_ranks_again_when_the_held_rankings_inputs_change(tmp_path, monkeypatch, change, fusion):
+    runner = StageRunner(_config(tmp_path, fusion=fusion))
+    _run_stages(runner, STAGES[:STAGES.index("rerank") + 1])
+    change(runner)
+    reranks = []
+    _count_reranks(monkeypatch, reranks)
+    runner.run("depth-sweep")
+    assert reranks == runner.config.depth_list()
+    sweep = tmp_path / "work" / "depth_sweep.tsv"
+    kept = sweep.read_bytes()
+    StageRunner(runner.config).run("depth-sweep")
+    assert sweep.read_bytes() == kept
