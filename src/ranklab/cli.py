@@ -45,7 +45,7 @@ call gives a run's dense lists as doc-id ranks, for union, rrf and
 train-dense's dev rankings; rerank.rrf_top_k fuses them; lists built from
 arrays leave as rerank.Ranking rows. mean_ndcg and depth-sweep score those rows
 as they are, depth-sweep after one Ranking.check of each ranking, and rerank
-builds the ranking stages' only RankedLists, one per query.
+alone turns a Ranking into RankedLists, one per query, for the run it writes.
 
 A new config key is one annotated PipelineConfig field: its default, and
 through _key its flag, the subcommands that take it and its bound or choices,
